@@ -3,307 +3,26 @@
 Subcommands: gauge-scalar | cartan | lts-check | spectrum-matrix | jc |
 point-angle | point-spectrum | phase-diagram | verify-all.
 
-Configuration is accepted both as flags and as a flat key=value file
-(--config FILE); explicit flags win on conflict.  The default output
-directory comes from the PTGAUGE_REPORT_DIR environment variable, falling
-back to ./reports.  Exit codes: 0 all checks pass, 1 at least one check
-failed, 2 usage error.
-
-All random sampling is seeded and the seed is recorded in the report, so
-re-running an identical config produces byte-identical output files.
+Each flag is a field of the subcommand's params dataclass in
+`verification.COMMANDS` (n_low is --n-low, typed by its default); only
+--config, --out-dir and --format are written here.  A flat key=value file
+(--config FILE) takes the flag names as keys; explicit flags win.  The
+default output directory is $PTGAUGE_REPORT_DIR, else ./reports.  Exit
+codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
+which includes every out-of-domain or non-finite value.  All sampling is
+seeded, so an identical config reproduces byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
 
-import numpy as np
-
-from . import abelian, cartan, jaynes, pointint, schrodinger
-from .linalg import Grid1D, expm, pairing_check
-from .reporting import Report, Table, emit
-from .verification import VerifyConfig, run_verify_all
-
-
-class UsageError(Exception):
-    pass
-
-
-def _parse_complex(text: str, key: str) -> complex:
-    """Parse 're+imi' style complex entries ('1', '0.5-2i', '3i')."""
-    try:
-        return complex(str(text).replace("i", "j").replace(" ", ""))
-    except ValueError:
-        raise UsageError(f"malformed complex value for {key}: {text!r}")
-
-
-def _parse_range(text: str, key: str) -> np.ndarray:
-    """Parse a 'start:stop:count' sweep range into a linspace."""
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"malformed range for {key}: {text!r} "
-                         "(expected start:stop:count)")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"malformed range for {key}: {text!r}")
-    if count < 1:
-        raise UsageError(f"sweep count for {key} must be >= 1")
-    return np.linspace(start, stop, count)
-
-
-def _grid(args) -> Grid1D:
-    if args.box <= 0 or args.h <= 0:
-        raise UsageError("box and h must be positive")
-    return Grid1D.from_box(args.box, args.h)
-
-
-def _coupling(args) -> pointint.CouplingMatrixT:
-    return pointint.CouplingMatrixT(
-        t11=_parse_complex(args.t11, "t11"),
-        t12=_parse_complex(args.t12, "t12"),
-        t21=_parse_complex(args.t21, "t21"),
-        t22=_parse_complex(args.t22, "t22"))
-
-
-def cmd_gauge_scalar(args) -> Report:
-    grid = _grid(args)
-    if args.tol <= 0:
-        raise UsageError("tol must be positive")
-    rep = Report(command="gauge-scalar", seed=0, config={
-        "alpha": args.alpha, "beta": args.beta, "box": args.box,
-        "h": args.h, "tol": args.tol})
-    A = lambda x: args.alpha + 1j * args.beta * x
-    fact = abelian.gauge_factorization(A, grid)
-    for name, val in sorted(fact.residuals.items()):
-        rep.add(f"factorization/{name}", val, 1e-10)
-    H = abelian.build_scalar_hamiltonian(
-        abelian.ScalarPotentials(A=A, V=lambda x: x**2), grid)
-    out = abelian.verify_pseudo_hermiticity(H, fact, tol=args.tol)
-    rep.add("pseudo_hermiticity/r1", out.r1, args.tol)
-    rep.add("pseudo_hermiticity/weighted_form", out.weighted_form_residual, 1e-5)
-    if abs(args.alpha) > 0:
-        rep.add("pseudo_hermiticity/naive_parity_r2_large",
-                0.0 if out.r2_abs > 0.1 else 1.0, 0.5)
-    rep.config["r1_abs"] = out.r1_abs
-    rep.config["r2_abs"] = out.r2_abs
-    rep.config["norm_H"] = out.norm_H
-    return rep
-
-
-def cmd_cartan(args) -> Report:
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
-    sig = cartan.ThetaSignature(p=args.p, q=args.q)
-    rng = np.random.default_rng(args.seed)
-    rep = Report(command="cartan", seed=args.seed, config={
-        "p": args.p, "q": args.q, "samples": args.samples, "seed": args.seed})
-    worst_wick = worst_exp = worst_parity = worst_polar = 0.0
-    for _ in range(args.samples):
-        el = cartan.random_element(sig, rng)
-        comp = cartan.cartan_split(el)
-        x = float(rng.uniform(-3, 3))
-        wick = cartan.wick_check(el)
-        worst_wick = max(worst_wick, wick.su_pq_residual,
-                         wick.antisymmetry_residual,
-                         wick.compact_block_residual,
-                         wick.noncompact_block_residual)
-        worst_exp = max(
-            worst_exp,
-            float(np.abs(cartan.exp_compact(comp, sig, x)
-                         - expm(comp.b * x)).max()),
-            float(np.abs(cartan.exp_noncompact(comp, sig, x)
-                         - expm(comp.c * x)).max()))
-        worst_parity = max(worst_parity,
-                           cartan.parity_relations_check(el, x).max_residual)
-        U = cartan.exp_compact(comp, sig, x) @ cartan.exp_noncompact(comp, sig, x)
-        polar = cartan.group_polar(U, sig)
-        worst_polar = max(worst_polar, max(polar.residuals.values()))
-    rep.add("cartan/wick_membership", worst_wick, 1e-12)
-    rep.add("cartan/closed_form_exponentials", worst_exp, 1e-10)
-    rep.add("cartan/parity_metric_relations", worst_parity, 1e-10)
-    rep.add("cartan/group_polar_structure", worst_polar, 1e-8)
-    return rep
-
-
-def cmd_lts_check(args) -> Report:
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
-    sig = cartan.ThetaSignature(p=args.p, q=args.q)
-    rng = np.random.default_rng(args.seed)
-    rep = Report(command="lts-check", seed=args.seed, config={
-        "p": args.p, "q": args.q, "samples": args.samples, "seed": args.seed})
-    worst = 0.0
-    max_escape = 0.0
-    for _ in range(args.samples):
-        a1 = cartan.random_element(sig, rng)
-        a2 = cartan.random_element(sig, rng)
-        a3 = cartan.random_element(sig, rng)
-        out = cartan.lts_check(a1, a2, a3)
-        worst = max(worst, out.closure_residual / out.scale)
-        max_escape = max(max_escape, out.binary_escape / out.scale)
-    rep.add("lts/ternary_closure", worst, 1e-12)
-    rep.add("lts/binary_bracket_escapes", 0.0 if max_escape > 0.1 else 1.0, 0.5)
-    rep.config["max_binary_escape"] = max_escape
-    return rep
-
-
-def cmd_spectrum_matrix(args) -> Report:
-    grid = _grid(args)
-    if args.n_low < 1:
-        raise UsageError("n-low must be >= 1")
-    sig = cartan.ThetaSignature(p=1, q=1)
-    el = cartan.make_element(sig, np.zeros((1, 1)), [[-args.gauge_alpha]],
-                             np.zeros((1, 1)))
-    gauge = schrodinger.ConstantGauge(A=el.gauge_potential)
-    pot = schrodinger.MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2))
-    rep = Report(command="spectrum-matrix", seed=0, config={
-        "gauge_alpha": args.gauge_alpha, "box": args.box, "h": args.h,
-        "n_low": args.n_low})
-    audit = schrodinger.symmetry_audit(gauge, pot, sig, grid)
-    rep.add("matrix/symmetry_audit", max(audit.residuals.values()), 1e-12)
-    res = schrodinger.build_and_regauge(gauge, pot, grid)
-    out = schrodinger.spectral_compare(res, sig, n_low=args.n_low)
-    rep.add("matrix/spectral_match", out.max_match_dist, 5e-2)
-    rep.add("matrix/pairing_Hg",
-            0.0 if out.pairing_Hg != "unpaired" else 1.0, 0.5)
-    rep.add("matrix/pairing_H",
-            0.0 if out.pairing_H != "unpaired" else 1.0, 0.5)
-    rep.add("matrix/parity_pseudo_hermiticity", out.parity_residual, 1e-6)
-
-    def low(e):
-        return e[np.lexsort((e.imag, e.real))][:args.n_low]
-
-    lam_g = low(out.eigenvalues_Hg)
-    lam_h = low(out.eigenvalues_H)
-    rows = []
-    for i, (lg, lh) in enumerate(zip(lam_g, lam_h)):
-        rows.append([i, float(lg.real), float(lg.imag),
-                     float(lh.real), float(lh.imag),
-                     float(abs(lg - lh) / (1 + abs(lg)))])
-    rep.tables.append(Table(
-        name="spectrum",
-        columns=["index", "re_lambda_Hg", "im_lambda_Hg",
-                 "re_lambda_H", "im_lambda_H", "match_dist"],
-        rows=rows))
-    return rep
-
-
-def cmd_jc(args) -> Report:
-    if args.n_max < 2:
-        raise UsageError("n-max must be >= 2")
-    sig = cartan.ThetaSignature(p=1, q=1)
-    el = cartan.make_element(sig, np.zeros((1, 1)), [[args.alpha]],
-                             np.zeros((1, 1)))
-    omega = jaynes.LevelEnergies(omega=np.array([0.0, args.delta]))
-    rep = Report(command="jc", seed=0, config={
-        "alpha": args.alpha, "delta": args.delta, "n_max": args.n_max,
-        "h": args.h})
-    H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, args.n_max)
-    pt = jaynes.jc_pt_check(H, sig, args.n_max)
-    rep.add("jc/pt_symmetry", pt.residual, 1e-12)
-    grid = Grid1D.from_box(np.sqrt(2 * args.n_max) + 4.2, args.h)
-    eq = jaynes.jc_equivalence_check(el, omega, grid, args.n_max)
-    rep.add("jc/grid_vs_fock", eq.max_dev, 5e-2)
-    rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
-    rep.config["sign_convention"] = eq.sign_convention
-    rows = []
-    for i, (lg, lf) in enumerate(zip(eq.grid_eigenvalues, eq.fock_eigenvalues)):
-        rows.append([i, float(lg.real), float(lg.imag),
-                     float(lf.real), float(lf.imag)])
-    rep.tables.append(Table(
-        name="levels",
-        columns=["index", "re_lambda_grid", "im_lambda_grid",
-                 "re_lambda_fock", "im_lambda_fock"],
-        rows=rows))
-    return rep
-
-
-def cmd_point_angle(args) -> Report:
-    T = _coupling(args)
-    if not T.is_pt_symmetric:
-        raise UsageError(
-            "coupling matrix is not PT-symmetric (t11, t22 must be real; "
-            "t12, t21 purely imaginary)")
-    sol = pointint.clifford_angle(T)
-    rep = Report(command="point-angle", seed=0, config={
-        "t11": str(args.t11), "t12": str(args.t12),
-        "t21": str(args.t21), "t22": str(args.t22),
-        "phi": sol.phi, "degenerate": sol.degenerate})
-    rep.add("point/defining_relation", sol.residual, 1e-13)
-    samples = [
-        pointint.PiecewiseFunction(1.0, 0.5, -0.3, 0.7),
-        pointint.PiecewiseFunction(0.2 + 1j, -0.4, 1.1, -0.6 + 0.3j),
-    ]
-    bt = pointint.boundary_transform_check(T, sol, samples)
-    rep.add("point/trace_identities", bt.trace_residual, 1e-12)
-    rep.add("point/gamma_transform", bt.gamma_residual, 1e-12)
-    rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
-    sa = pointint.p_phi_selfadjointness_check(T, sol)
-    rep.add("point/p_phi_selfadjointness", sa.residual, 1e-12)
-    return rep
-
-
-def cmd_point_spectrum(args) -> Report:
-    T = _coupling(args)
-    rep = Report(command="point-spectrum", seed=0, config={
-        "t11": str(args.t11), "t12": str(args.t12),
-        "t21": str(args.t21), "t22": str(args.t22)})
-    states = pointint.bound_states(T)
-    rep.config["n_bound"] = len(states)
-    worst = 0.0
-    rows = []
-    for i, s in enumerate(states):
-        worst = max(worst, s.domain_residual)
-        rows.append([i, float(s.kappa.real), float(s.kappa.imag),
-                     float(s.energy.real), float(s.energy.imag),
-                     s.domain_residual])
-    rep.add("point/domain_residuals", worst, 1e-10)
-    if states:
-        cls = pairing_check([s.energy for s in states], 1e-8).classification
-        rep.add("point/conjugate_pairing",
-                0.0 if cls != "unpaired" else 1.0, 0.5)
-        rep.config["classification"] = cls
-    rep.tables.append(Table(
-        name="bound_states",
-        columns=["index", "kappa_re", "kappa_im", "e_re", "e_im",
-                 "domain_residual"],
-        rows=rows))
-    return rep
-
-
-def cmd_phase_diagram(args) -> Report:
-    t11s = _parse_range(args.t11_range, "t11-range")
-    t22s = _parse_range(args.t22_range, "t22-range")
-    b12s = _parse_range(args.im_t12_range, "im-t12-range")
-    b21s = _parse_range(args.im_t21_range, "im-t21-range")
-    rep = Report(command="phase-diagram", seed=0, config={
-        "t11_range": args.t11_range, "t22_range": args.t22_range,
-        "im_t12_range": args.im_t12_range, "im_t21_range": args.im_t21_range})
-    rows_out = []
-    all_paired = True
-    for r in pointint.pt_phase_sweep(t11s, t22s, b12s, b21s):
-        all_paired = all_paired and r.classification != "unpaired"
-        rows_out.append([
-            r.t11, r.t22, r.im_t12, r.im_t21, r.phi, r.degenerate, r.n_bound,
-            float(r.energies[0].real), float(r.energies[0].imag),
-            float(r.energies[1].real), float(r.energies[1].imag),
-            r.classification])
-    rep.add("sweep/conjugate_pairing", 0.0 if all_paired else 1.0, 0.5)
-    rep.tables.append(Table(
-        name="phase_diagram",
-        columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
-                 "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
-                 "classification"],
-        rows=rows_out))
-    return rep
-
-
-def cmd_verify_all(args) -> Report:
-    return run_verify_all(VerifyConfig(seed=args.seed))
+from .reporting import emit
+from .verification import COMMANDS, UsageError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,104 +30,33 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ptgauge",
         description="Gauge factorizations, Krein metrics, and point "
                     "interactions for PT-symmetric Schrodinger operators.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="flat key=value file; explicit flags win")
-    common.add_argument("--out-dir", default=None,
-                        help="report directory (default: $PTGAUGE_REPORT_DIR "
-                             "or ./reports)")
-    common.add_argument("--format", choices=["json", "csv", "both"],
-                        default="json", help="report serialization format")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
-
-    p = sub.add_parser("gauge-scalar",
-                       help="Abelian gauge factorization and metric checks")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="constant real part of A")
-    p.add_argument("--beta", type=float, default=0.0,
-                   help="slope of the imaginary part of A (A = alpha + i beta x)")
-    p.add_argument("--box", type=float, default=8.0)
-    p.add_argument("--h", type=float, default=0.00625)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=cmd_gauge_scalar)
-
-    p = sub.add_parser("cartan", help="gauge algebra structure checks")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_cartan)
-
-    p = sub.add_parser("lts-check", help="Lie-triple closure sampling")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lts_check)
-
-    p = sub.add_parser("spectrum-matrix",
-                       help="matrix Schrodinger dual-build spectra")
-    p.add_argument("--gauge-alpha", type=float, default=0.3)
-    p.add_argument("--box", type=float, default=8.0)
-    p.add_argument("--h", type=float, default=0.05)
-    p.add_argument("--n-low", type=int, default=16)
-    p.set_defaults(func=cmd_spectrum_matrix, format="both")
-
-    p = sub.add_parser("jc", help="truncated-Fock two-level model checks")
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--h", type=float, default=0.045)
-    p.set_defaults(func=cmd_jc)
-
-    for name, fn in (("point-angle", cmd_point_angle),
-                     ("point-spectrum", cmd_point_spectrum)):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')} for one "
-                                      "coupling matrix")
-        p.add_argument("--t11", default="1")
-        p.add_argument("--t12", default="1i")
-        p.add_argument("--t21", default="-1i")
-        p.add_argument("--t22", default="0")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("phase-diagram", help="sweep over coupling matrices")
-    p.add_argument("--t11-range", default="-2:1:4")
-    p.add_argument("--t22-range", default="-1:1:3")
-    p.add_argument("--im-t12-range", default="-1.5:1.5:4")
-    p.add_argument("--im-t21-range", default="-1.5:1.5:4")
-    p.set_defaults(func=cmd_phase_diagram, format="csv")
-
-    p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--seed", type=int, default=20260823)
-    p.set_defaults(func=cmd_verify_all, format="both")
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        # each subparser owns its --format action: one shared through
+        # `parents` would take the default last set on any subcommand
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", default=None,
+                       help="flat key=value file; explicit flags win")
+        p.add_argument("--out-dir", default=None,
+                       help="report directory (default: $PTGAUGE_REPORT_DIR "
+                            "or ./reports)")
+        p.add_argument("--format", choices=["json", "csv", "both"],
+                       default=command.format, help="report serialization format")
+        for f in dataclasses.fields(command.params):
+            # string fields (complex entries, ranges) are parsed by the params
+            typed = {} if isinstance(f.default, str) else {"type": type(f.default)}
+            p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                           help=f.metadata.get("help"), **typed)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
-    """Load a flat key=value file and install it as subcommand defaults."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return
-    command = next((t for t in argv if not t.startswith("-")
-                    and t != path), None)
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    if command not in subparsers.choices:
-        return
-    sp = subparsers.choices[command]
-    known = {}
-    for action in sp._actions + parser._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                known[opt[2:]] = action
+def _apply_config_file(parser: argparse.ArgumentParser, args) -> None:
+    """Load the --config file and install it as the subcommand's defaults."""
+    path = args.config
+    sp = next(a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    known = {opt[2:]: action for action in sp._actions
+             for opt in action.option_strings if opt.startswith("--")}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -423,7 +71,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> None:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise UsageError(f"{path}:{ln}: unknown parameter {key!r} "
-                             f"for command {command!r}")
+                             f"for command {args.command!r}")
         action = known[key]
         if action.type is not None:
             try:
@@ -441,9 +89,15 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-    except UsageError as exc:
+        if args.config is not None:
+            # explicit flags win: parse again over the file's defaults
+            _apply_config_file(parser, args)
+            args = parser.parse_args(argv)
+        command = COMMANDS[args.command]
+        params = command.params(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(command.params)})
+    except ValueError as exc:   # UsageError, or a domain error of the params
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
@@ -452,11 +106,7 @@ def main(argv=None) -> int:
     out_dir = (args.out_dir or os.environ.get("PTGAUGE_REPORT_DIR")
                or "reports")
     t0 = time.perf_counter()
-    try:
-        report = args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    report = command.run(params)
     report.wall_time = time.perf_counter() - t0
 
     for rec in report.records:

@@ -33,7 +33,7 @@ import numpy as np
 from .cartan import CartanComponents, GaugeAlgebraElement, ThetaSignature, \
     cartan_split
 from .linalg import Grid1D, eig, match_spectra
-from .schrodinger import ConstantGauge, MatrixPotential, build_and_regauge
+from .schrodinger import ConstantGauge, MatrixPotential, build_gauged
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,21 @@ class JcEquivalenceReport:
     fock_eigenvalues: np.ndarray
 
 
-def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
-                         grid: Grid1D, n_max: int,
-                         n_compare: int = 6) -> JcEquivalenceReport:
-    """Cross-validate the grid build of (p - A)^2 + V against the Fock build."""
-    box = grid.nodes[-1]
+def require_oscillator_box(grid: Grid1D, n_max: int) -> None:
+    """Raise ValueError unless the grid reaches past the n_max-th turning point."""
+    box = (grid.half_count - 0.5) * grid.spacing   # the outermost node
     needed = np.sqrt(2 * n_max) + 4
     if box < needed:
         raise ValueError(
             f"grid box half-width {box:.2f} too small to resolve n_max={n_max} "
             f"oscillator states (need >= {needed:.2f})")
+
+
+def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
+                         grid: Grid1D, n_max: int,
+                         n_compare: int = 6) -> JcEquivalenceReport:
+    """Cross-validate the grid build of (p - A)^2 + V against the Fock build."""
+    require_oscillator_box(grid, n_max)
     split = nilpotent_split(el)
     a = split.a
     c = split.c
@@ -162,10 +167,9 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     def V(x):
         return ((x**2 - 1) * np.eye(m) + 2 * cc * x + a2 + 2 * omega.matrix)
 
-    res = build_and_regauge(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V),
-                            grid)
+    H_g = build_gauged(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V), grid)
     k = min(n_compare, n_max // 2)
-    e_grid = eig(res.H_g.matrix).eigenvalues
+    e_grid = eig(H_g.matrix).eigenvalues
     low_grid = e_grid[np.argsort(e_grid.real)[:k]]
 
     devs = {}

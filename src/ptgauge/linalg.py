@@ -249,6 +249,12 @@ def match_spectra(a, b) -> np.ndarray:
     return dists
 
 
+def worst_residual(residuals) -> float:
+    """Largest residual, 0.0 for none, NaN if any is NaN (unlike max(),
+    which drops a NaN that is not its first argument)."""
+    return float(np.fromiter(residuals, dtype=float).max(initial=0.0))
+
+
 def operator_norm_estimate(M: np.ndarray, iters: int = 30, seed: int = 0) -> float:
     """2-norm estimate by power iteration on M^H M (cheap, deterministic)."""
     rng = np.random.default_rng(seed)

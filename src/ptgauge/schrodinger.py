@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
 from .cartan import ThetaSignature
@@ -91,13 +92,19 @@ def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
                                passed=max(residuals.values()) <= tol)
 
 
-def _blockdiag(blocks: np.ndarray) -> np.ndarray:
-    """(n, m, m) stack -> (n*m, n*m) block-diagonal matrix."""
-    n, m, _ = blocks.shape
-    out = np.zeros((n * m, n * m), dtype=complex)
-    for j in range(n):
-        out[j * m:(j + 1) * m, j * m:(j + 1) * m] = blocks[j]
-    return out
+def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
+                 grid: Grid1D) -> GridOperator:
+    """H_g = p^2 - 2 A p + A^2 + V, the expansion of (p - A)^2 + V."""
+    m = gauge.m
+    if pot.m != m:
+        raise ValueError("gauge and potential dimensions differ")
+    A = gauge.A
+    p = grid_operator(grid, "momentum").matrix
+    L = grid_operator(grid, "second_derivative").matrix
+    H_g = (np.kron(L, np.eye(m)) - 2 * np.kron(p, A)
+           + np.kron(np.eye(grid.size), A @ A)
+           + block_diag(*pot.sample(grid.nodes)))
+    return GridOperator(grid=grid, block_dim=m, matrix=H_g)
 
 
 @dataclass(frozen=True)
@@ -105,23 +112,16 @@ class RegaugeResult:
     H_g: GridOperator
     H: GridOperator          # direct build p^2 + e^{-iAx} V e^{iAx}
     H_similar: GridOperator  # U_grid H_g U_grid^{-1}
-    U_grid: GridOperator
 
 
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
                       grid: Grid1D) -> RegaugeResult:
+    H_g = build_gauged(gauge, pot, grid)
     m = gauge.m
-    if pot.m != m:
-        raise ValueError("gauge and potential dimensions differ")
     x = grid.nodes
     A = gauge.A
-    p = grid_operator(grid, "momentum").matrix
     L = grid_operator(grid, "second_derivative").matrix
-    eye_m = np.eye(m)
     Vs = pot.sample(x)
-
-    H_g = (np.kron(L, eye_m) - 2 * np.kron(p, A) + np.kron(np.eye(len(x)), A @ A)
-           + _blockdiag(Vs))
 
     U_blocks = np.empty((len(x), m, m), dtype=complex)
     Ui_blocks = np.empty_like(U_blocks)
@@ -130,14 +130,11 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
         U_blocks[j] = expm(-1j * A * xj)
         Ui_blocks[j] = expm(1j * A * xj)
         Vt_blocks[j] = U_blocks[j] @ Vs[j] @ Ui_blocks[j]
-    U_m = _blockdiag(U_blocks)
-    Ui_m = _blockdiag(Ui_blocks)
-    H_direct = np.kron(L, eye_m) + _blockdiag(Vt_blocks)
-    H_sim = U_m @ H_g @ Ui_m
+    H_direct = np.kron(L, np.eye(m)) + block_diag(*Vt_blocks)
+    H_sim = block_diag(*U_blocks) @ H_g.matrix @ block_diag(*Ui_blocks)
 
     wrap = lambda M: GridOperator(grid=grid, block_dim=m, matrix=M)
-    return RegaugeResult(H_g=wrap(H_g), H=wrap(H_direct), H_similar=wrap(H_sim),
-                         U_grid=wrap(U_m))
+    return RegaugeResult(H_g=H_g, H=wrap(H_direct), H_similar=wrap(H_sim))
 
 
 @dataclass(frozen=True)

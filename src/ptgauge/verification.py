@@ -1,55 +1,234 @@
-"""Desk-scale verification suite backing the `verify-all` CLI command.
+"""The checks behind `verify-all` and every other subcommand.
 
-Each check_* function covers one acceptance area and returns a list of
-CheckRecords; run_verify_all aggregates them into a single Report.
+COMMANDS maps each subcommand to a frozen params dataclass (its flags,
+defaults and domain checks) and the function that runs it; `verify-all`
+runs the check_* functions of ALL_CHECKS, which share their loops with the
+subcommands and take their parameters from the subcommands' defaults.
 Boolean outcomes are encoded as residual 0.0 (ok) / 1.0 (violated) with
 tolerance 0.5 so every record fits the residual-vs-tolerance scheme.
-
-Default parameters are fixed here (dataclass config) so repeated runs are
-reproducible; every random draw uses an explicitly seeded generator.
+Every random draw uses an explicitly seeded generator.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from . import abelian, cartan, cliffords, jaynes, pointint, schrodinger
-from .linalg import Grid1D, eig, expm, grid_operator, match_spectra
+from .linalg import Grid1D, eig, expm, grid_operator, match_spectra, \
+    pairing_check, worst_residual
 from .reporting import Report, Table
+
+BETA = 0.3             # imaginary gauge slope of the abelian check
+N_PARITY_DRAWS = 500
+# point interaction grid oracle; the finite-width bias of the square
+# well is about 2*width/3 on the energy, so width stays at 1e-3
+WELL_WIDTH = 0.001
+WELL_H = 0.00025
+WELL_BOX = 8.0
+
+
+class UsageError(ValueError):
+    """A parameter outside its domain; the command line exits 2 on it."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _parse_complex(text: str, key: str) -> complex:
+    """Parse 're+imi' style complex entries ('1', '0.5-2i', '3i')."""
+    try:
+        value = complex(str(text).replace("i", "j").replace(" ", ""))
+    except ValueError:
+        raise UsageError(f"malformed complex value for {key}: {text!r}")
+    _require(cmath.isfinite(value), f"{key} must be finite, got {text!r}")
+    return value
+
+
+def _parse_range(text: str, key: str) -> np.ndarray:
+    """Parse a 'start:stop:count' sweep range into a linspace."""
+    try:
+        start, stop, count = str(text).split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise UsageError(f"malformed range for {key}: {text!r} "
+                         "(expected start:stop:count)")
+    _require(math.isfinite(start) and math.isfinite(stop),
+             f"range bounds for {key} must be finite, got {text!r}")
+    _require(count >= 1, f"sweep count for {key} must be >= 1")
+    return np.linspace(start, stop, count)
+
+
+def _grid(box: float, h: float) -> Grid1D:
+    """The staggered grid on [-box, box]; a usage error if it has no node."""
+    _require(h > 0 and 0.5 < box / h < math.inf,
+             f"need h > 0 and box > h / 2, got box {box}, h {h}")
+    return Grid1D.from_box(box, h)
+
+
+# --------------------------------------------------------------------------
+# Parameters: one frozen dataclass per subcommand.
+
+@dataclass(frozen=True)
+class _Params:
+    """Float fields must be finite; check() rejects out-of-domain values."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                _require(math.isfinite(value),
+                         f"{f.name} must be finite, got {value}")
+        self.check()
 
 
 @dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = 20260823
-    # grids
-    coarse_h: float = 0.05
+class GaugeScalarParams(_Params):
+    alpha: float = field(default=1.0,
+                         metadata={"help": "constant real part of A"})
+    beta: float = field(default=0.0, metadata={
+        "help": "slope of the imaginary part of A (A = alpha + i beta x)"})
     box: float = 8.0
-    fine_h: float = 0.00625        # pseudo-Hermiticity weak-form residual
-    # abelian parameters
-    alpha: float = 1.0
-    beta: float = 0.3
-    # cartan sampling
-    n_triples: int = 1000
-    n_parity_draws: int = 500
-    # matrix Schroedinger
-    gauge_alpha: float = 0.3
-    # Jaynes-Cummings
-    jc_alpha: float = 0.3
-    jc_delta: float = 0.5
-    jc_nmax: int = 12
-    # point interaction grid oracle; the finite-width bias of the square
-    # well is about 2*width/3 on the energy, so width stays at 1e-3
-    well_width: float = 0.001
-    well_h: float = 0.00025
-    well_box: float = 8.0
+    h: float = 0.00625
+    tol: float = 1e-8
 
+    def check(self):
+        self.grid()
+        _require(self.tol > 0, "tol must be positive")
+
+    def grid(self) -> Grid1D:
+        return _grid(self.box, self.h)
+
+
+@dataclass(frozen=True)
+class CartanParams(_Params):
+    p: int = 2
+    q: int = 1
+    samples: int = 100
+    seed: int = 0
+
+    def check(self):
+        self.signature()   # ValueError unless p >= 1 and q >= 0
+        _require(self.samples >= 1, "samples must be >= 1")
+        _require(self.seed >= 0, "seed must be >= 0")
+
+    def signature(self) -> cartan.ThetaSignature:
+        return cartan.ThetaSignature(p=self.p, q=self.q)
+
+
+@dataclass(frozen=True)
+class LtsParams(CartanParams):
+    samples: int = 1000
+
+
+@dataclass(frozen=True)
+class SpectrumMatrixParams(_Params):
+    gauge_alpha: float = 0.3
+    box: float = 8.0
+    h: float = 0.05
+    n_low: int = 16
+
+    def check(self):
+        self.grid()
+        _require(self.n_low >= 1, "n-low must be >= 1")
+
+    def grid(self) -> Grid1D:
+        return _grid(self.box, self.h)
+
+
+@dataclass(frozen=True)
+class JcParams(_Params):
+    alpha: float = 0.3
+    delta: float = 0.5
+    n_max: int = 12
+    h: float = 0.045
+
+    def check(self):
+        _require(self.n_max >= 2, "n-max must be >= 2")
+        jaynes.require_oscillator_box(self.grid(), self.n_max)
+
+    def grid(self) -> Grid1D:
+        return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)
+
+
+@dataclass(frozen=True)
+class CouplingParams(_Params):
+    t11: str = "1"
+    t12: str = "1i"
+    t21: str = "-1i"
+    t22: str = "0"
+
+    def check(self):
+        self.coupling()
+
+    def coupling(self) -> pointint.CouplingMatrixT:
+        return pointint.CouplingMatrixT(
+            **{k: _parse_complex(v, k) for k, v in asdict(self).items()})
+
+
+@dataclass(frozen=True)
+class PointAngleParams(CouplingParams):
+    """The coupling of point-angle, which must be PT-symmetric."""
+
+    def check(self):
+        _require(self.coupling().is_pt_symmetric,
+                 "coupling matrix is not PT-symmetric (t11, t22 must be real; "
+                 "t12, t21 purely imaginary)")
+
+
+@dataclass(frozen=True)
+class PhaseDiagramParams(_Params):
+    t11_range: str = "-2:1:4"
+    t22_range: str = "-1:1:3"
+    im_t12_range: str = "-1.5:1.5:4"
+    im_t21_range: str = "-1.5:1.5:4"
+
+    def check(self):
+        self.axes()
+
+    def axes(self) -> tuple:
+        return tuple(_parse_range(v, k.replace("_", "-"))
+                     for k, v in asdict(self).items())
+
+
+@dataclass(frozen=True)
+class VerifyConfig(_Params):
+    seed: int = 20260823
+
+    def check(self):
+        _require(self.seed >= 0, "seed must be >= 0")
+
+
+# --------------------------------------------------------------------------
+# Checks and subcommands, by area.
 
 def _bool(rep: Report, name: str, ok: bool):
     rep.add(name, 0.0 if ok else 1.0, 0.5)
+
+
+def _element_11(v: float):
+    """Theta = sigma_3 and the element of g_Theta with off-diagonal block v."""
+    sig = cartan.ThetaSignature(p=1, q=1)
+    return sig, cartan.make_element(sig, np.zeros((1, 1)), [[v]],
+                                    np.zeros((1, 1)))
+
+
+def _units(shape, antisymmetric=False):
+    """Unit matrices E_ij in row-major order (E_ij - E_ji for i < j if
+    antisymmetric)."""
+    for i, j in np.ndindex(*shape):
+        if not antisymmetric or i < j:
+            E = np.zeros(shape)
+            E[i, j] = 1.0
+            yield E - E.T if antisymmetric else E
 
 
 def check_clifford_relations(rep: Report, cfg: VerifyConfig):
@@ -68,23 +247,34 @@ def check_rotated_involution(rep: Report, cfg: VerifyConfig):
     P = grid_operator(grid, "parity")
     R = grid_operator(grid, "sign")
     eye = np.eye(grid.size)
-    worst_sq = worst_herm = 0.0
+    squares, hermitian = [], []
     for phi in np.linspace(-3.0, 3.0, 20):
         M = cliffords.rotated_involution(P, R, float(phi)).matrix
-        worst_sq = max(worst_sq, float(np.abs(M @ M - eye).max()))
-        worst_herm = max(worst_herm, float(np.abs(M - M.conj().T).max()))
-    rep.add("rotated_involution/squares_to_identity", worst_sq, 1e-12)
-    rep.add("rotated_involution/hermitian", worst_herm, 1e-12)
+        squares.append(np.abs(M @ M - eye).max())
+        hermitian.append(np.abs(M - M.conj().T).max())
+    rep.add("rotated_involution/squares_to_identity",
+            worst_residual(squares), 1e-12)
+    rep.add("rotated_involution/hermitian", worst_residual(hermitian), 1e-12)
+
+
+def _weak_form(A, grid: Grid1D, tol: float):
+    """Factorization residuals and weak-form pseudo-Hermiticity of
+    H_g = (p - A)^2 + x^2; the dense operators are freed on return."""
+    fact = abelian.gauge_factorization(A, grid)
+    H = abelian.build_scalar_hamiltonian(
+        abelian.ScalarPotentials(A=A, V=lambda t: t**2), grid)
+    return fact.residuals, abelian.verify_pseudo_hermiticity(H, fact, tol=tol)
 
 
 def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
-    grid = Grid1D.from_box(cfg.box, cfg.coarse_h)
+    scalar = GaugeScalarParams()
+    grid = Grid1D.from_box(scalar.box, SpectrumMatrixParams.h)
     x = grid.nodes
 
     # closed forms at desk resolution
-    fact_b = abelian.gauge_factorization(lambda t: 1j * cfg.beta * t, grid)
+    fact_b = abelian.gauge_factorization(lambda t: 1j * BETA * t, grid)
     uh = np.diagonal(fact_b.U_h.matrix)
-    ref_uh = np.exp(cfg.beta * x**2 / 2)
+    ref_uh = np.exp(BETA * x**2 / 2)
     rep.add("abelian/Uh_closed_form_beta",
             float(np.abs((uh - ref_uh) / ref_uh).max()), 1e-11)
     rep.add("abelian/abs_eta_closed_form_beta",
@@ -94,10 +284,10 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
     rep.add("abelian/J_equals_parity_beta",
             float(np.abs(fact_b.J.matrix - P).max()), 1e-12)
 
-    fact_a = abelian.gauge_factorization(lambda t: cfg.alpha + 0j, grid)
+    fact_a = abelian.gauge_factorization(lambda t: scalar.alpha + 0j, grid)
     uu = np.diagonal(fact_a.U_u.matrix)
     rep.add("abelian/Uu_closed_form_alpha",
-            float(np.abs(uu - np.exp(-1j * cfg.alpha * x)).max()), 1e-10)
+            float(np.abs(uu - np.exp(-1j * scalar.alpha * x)).max()), 1e-10)
     rep.add("abelian/abs_eta_identity_alpha",
             float(np.abs(np.diagonal(fact_a.abs_eta.matrix) - 1.0).max()), 1e-12)
     J = fact_a.J.matrix
@@ -107,19 +297,13 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
           float(np.abs(J - P).max()) > 0.1)
     for name, fact in (("beta", fact_b), ("alpha", fact_a)):
         rep.add(f"abelian/polar_identities_{name}",
-                max(fact.residuals["polar"], fact.residuals["J_involution"],
-                    fact.residuals["J_hermitian"]), 1e-10)
+                worst_residual(fact.residuals[k] for k in
+                               ("polar", "J_involution", "J_hermitian")), 1e-10)
 
     # weak-form pseudo-Hermiticity on the fine grid
-    fine = Grid1D.from_box(cfg.box, cfg.fine_h)
-    for name, A, V in (
-        ("alpha", lambda t: cfg.alpha + 0j, lambda t: t**2),
-        ("beta", lambda t: 1j * cfg.beta * t, lambda t: t**2),
-    ):
-        fact = abelian.gauge_factorization(A, fine)
-        H = abelian.build_scalar_hamiltonian(
-            abelian.ScalarPotentials(A=A, V=V), fine)
-        out = abelian.verify_pseudo_hermiticity(H, fact, tol=1e-8)
+    for name, A in (("alpha", lambda t: scalar.alpha + 0j),
+                    ("beta", lambda t: 1j * BETA * t)):
+        out = _weak_form(A, scalar.grid(), 1e-8)[1]
         rep.add(f"abelian/pseudo_hermiticity_r1_{name}", out.r1, 1e-8)
         _bool(rep, f"abelian/naive_parity_residual_large_{name}",
               out.r2_abs > 0.1)
@@ -127,18 +311,40 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
                 out.weighted_form_residual, 1e-5)
 
 
+def run_gauge_scalar(params: GaugeScalarParams) -> Report:
+    rep = Report(command="gauge-scalar", seed=0, config=asdict(params))
+    A = lambda x: params.alpha + 1j * params.beta * x
+    residuals, out = _weak_form(A, params.grid(), params.tol)
+    for name, val in sorted(residuals.items()):
+        rep.add(f"factorization/{name}", val, 1e-10)
+    rep.add("pseudo_hermiticity/r1", out.r1, params.tol)
+    rep.add("pseudo_hermiticity/weighted_form", out.weighted_form_residual, 1e-5)
+    if abs(params.alpha) > 0:
+        _bool(rep, "pseudo_hermiticity/naive_parity_r2_large", out.r2_abs > 0.1)
+    rep.config.update(r1_abs=out.r1_abs, r2_abs=out.r2_abs, norm_H=out.norm_H)
+    return rep
+
+
+def _triple_residuals(sig: cartan.ThetaSignature, rng, samples: int):
+    """Worst ternary-closure residual and largest binary escape, both
+    relative to the scale, over sampled triples of g_Theta."""
+    closure, escape = [], []
+    for _ in range(samples):
+        a1 = cartan.random_element(sig, rng)
+        a2 = cartan.random_element(sig, rng)
+        a3 = cartan.random_element(sig, rng)
+        out = cartan.lts_check(a1, a2, a3)
+        closure.append(out.closure_residual / out.scale)
+        escape.append(out.binary_escape / out.scale)
+    return worst_residual(closure), worst_residual(escape)
+
+
 def check_cartan_lts(rep: Report, cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed)
     for (p, q) in ((2, 1), (2, 2), (3, 1)):
         sig = cartan.ThetaSignature(p=p, q=q)
-        worst = 0.0
-        for _ in range(cfg.n_triples):
-            a1 = cartan.random_element(sig, rng)
-            a2 = cartan.random_element(sig, rng)
-            a3 = cartan.random_element(sig, rng)
-            out = cartan.lts_check(a1, a2, a3)
-            worst = max(worst, out.closure_residual / out.scale)
-        rep.add(f"cartan/ternary_closure_p{p}q{q}", worst, 1e-12)
+        closure = _triple_residuals(sig, rng, LtsParams.samples)[0]
+        rep.add(f"cartan/ternary_closure_p{p}q{q}", closure, 1e-12)
 
         # generic binary brackets escape g_Theta
         min_escape = np.inf
@@ -156,28 +362,13 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
         _bool(rep, f"cartan/binary_escape_p{p}q{q}", min_escape > 0.1)
 
         # dimension counts via rank of the parameterization
-        basis_k, basis_p = [], []
-        for i in range(p):
-            for j in range(q):
-                v = np.zeros((p, q))
-                v[i, j] = 1.0
-                el = cartan.make_element(sig, np.zeros((p, p)), v,
-                                         np.zeros((q, q)))
-                basis_k.append(cartan.cartan_split(el).b.ravel())
-        for i in range(p):
-            for j in range(i + 1, p):
-                u = np.zeros((p, p))
-                u[i, j] = 1.0
-                el = cartan.make_element(sig, u - u.T, np.zeros((p, q)),
-                                         np.zeros((q, q)))
-                basis_p.append(cartan.cartan_split(el).c.ravel())
-        for i in range(q):
-            for j in range(i + 1, q):
-                w = np.zeros((q, q))
-                w[i, j] = 1.0
-                el = cartan.make_element(sig, np.zeros((p, p)),
-                                         np.zeros((p, q)), w - w.T)
-                basis_p.append(cartan.cartan_split(el).c.ravel())
+        def split(u, v, w):
+            return cartan.cartan_split(cartan.make_element(sig, u, v, w))
+
+        u0, v0, w0 = np.zeros((p, p)), np.zeros((p, q)), np.zeros((q, q))
+        basis_k = [split(u0, v, w0).b.ravel() for v in _units((p, q))]
+        basis_p = ([split(u, v0, w0).c.ravel() for u in _units((p, p), True)]
+                   + [split(u0, v0, w).c.ravel() for w in _units((q, q), True)])
         dim_k = int(np.linalg.matrix_rank(np.stack(basis_k))) if basis_k else 0
         dim_p = int(np.linalg.matrix_rank(np.stack(basis_p))) if basis_p else 0
         _bool(rep, f"cartan/dim_k_pq_p{p}q{q}", dim_k == p * q)
@@ -185,129 +376,208 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
               dim_p == p * (p - 1) // 2 + q * (q - 1) // 2)
 
 
+def run_lts_check(params: LtsParams) -> Report:
+    rep = Report(command="lts-check", seed=params.seed, config=asdict(params))
+    closure, escape = _triple_residuals(
+        params.signature(), np.random.default_rng(params.seed), params.samples)
+    rep.add("lts/ternary_closure", closure, 1e-12)
+    _bool(rep, "lts/binary_bracket_escapes", escape > 0.1)
+    rep.config["max_binary_escape"] = escape
+    return rep
+
+
+def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
+                  x: float) -> float:
+    """Gap between the closed-form exponentials of b x, c x and expm."""
+    return worst_residual((
+        np.abs(cartan.exp_compact(comp, sig, x) - expm(comp.b * x)).max(),
+        np.abs(cartan.exp_noncompact(comp, sig, x) - expm(comp.c * x)).max()))
+
+
 def check_closed_form_exponentials(rep: Report, cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed + 1)
-    worst = 0.0
+    residuals = []
     for (p, q) in ((1, 1), (2, 1), (2, 2), (3, 1)):
         sig = cartan.ThetaSignature(p=p, q=q)
         for _ in range(5):
-            el = cartan.random_element(sig, rng)
-            comp = cartan.cartan_split(el)
-            for x in np.linspace(-5, 5, 11):
-                Uk = cartan.exp_compact(comp, sig, float(x))
-                Up = cartan.exp_noncompact(comp, sig, float(x))
-                worst = max(worst, float(np.abs(Uk - expm(comp.b * x)).max()))
-                worst = max(worst, float(np.abs(Up - expm(comp.c * x)).max()))
-    rep.add("cartan/closed_form_exponentials", worst, 1e-10)
+            comp = cartan.cartan_split(cartan.random_element(sig, rng))
+            residuals += [_exp_residual(comp, sig, float(x))
+                          for x in np.linspace(-5, 5, 11)]
+    rep.add("cartan/closed_form_exponentials", worst_residual(residuals), 1e-10)
 
     # m = 2 worked cases: SO(2) rotation (Theta = sigma_3) and cosh/sinh boost
     alpha = 0.7
-    sig_r = cartan.ThetaSignature(p=1, q=1)
-    el = cartan.make_element(sig_r, np.zeros((1, 1)), [[alpha]], np.zeros((1, 1)))
-    worst_r = 0.0
+    sig_r, el = _element_11(alpha)
+    rotation = []
     for x in (-2.0, 0.3, 1.0):
         Uk = cartan.exp_compact(cartan.cartan_split(el), sig_r, x)
         ref = np.array([[np.cos(alpha * x), np.sin(alpha * x)],
                         [-np.sin(alpha * x), np.cos(alpha * x)]])
-        worst_r = max(worst_r, float(np.abs(Uk - ref).max()))
-    rep.add("cartan/so2_rotation_example", worst_r, 1e-12)
+        rotation.append(np.abs(Uk - ref).max())
+    rep.add("cartan/so2_rotation_example", worst_residual(rotation), 1e-12)
 
     sig_b = cartan.ThetaSignature(p=2, q=0)
     u = alpha * np.array([[0.0, -1.0], [1.0, 0.0]])
     el = cartan.make_element(sig_b, u, np.zeros((2, 0)), np.zeros((0, 0)))
     sigma2 = np.array([[0, -1j], [1j, 0]])
-    worst_b = 0.0
+    boost = []
     for x in (-1.5, 0.4, 1.0):
         Up = cartan.exp_noncompact(cartan.cartan_split(el), sig_b, x)
         ref = np.cosh(alpha * x) * np.eye(2) + np.sinh(alpha * x) * sigma2
-        worst_b = max(worst_b, float(np.abs(Up - ref).max()))
-    rep.add("cartan/boost_example", worst_b, 1e-12)
+        boost.append(np.abs(Up - ref).max())
+    rep.add("cartan/boost_example", worst_residual(boost), 1e-12)
 
 
 def check_parity_metric_relations(rep: Report, cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed + 2)
     sig = cartan.ThetaSignature(p=2, q=1)
-    worst = 0.0
-    for _ in range(cfg.n_parity_draws):
+    residuals = []
+    for _ in range(N_PARITY_DRAWS):
         el = cartan.random_element(sig, rng)
         x = float(rng.uniform(-2, 2))
-        out = cartan.parity_relations_check(el, x)
-        worst = max(worst, out.max_residual)
-    rep.add("cartan/parity_metric_relations_random", worst, 1e-10)
+        residuals.append(cartan.parity_relations_check(el, x).max_residual)
+    rep.add("cartan/parity_metric_relations_random",
+            worst_residual(residuals), 1e-10)
 
-    worst_ex = 0.0
-    sig_r = cartan.ThetaSignature(p=1, q=1)
-    el_r = cartan.make_element(sig_r, np.zeros((1, 1)), [[0.5]], np.zeros((1, 1)))
+    el_r = _element_11(0.5)[1]
     sig_b = cartan.ThetaSignature(p=2, q=0)
     u = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     el_b = cartan.make_element(sig_b, u, np.zeros((2, 0)), np.zeros((0, 0)))
-    for el in (el_r, el_b):
-        for x in (0.5, 2.0):
-            worst_ex = max(worst_ex, cartan.parity_relations_check(el, x).max_residual)
-    rep.add("cartan/parity_metric_relations_m2_examples", worst_ex, 1e-10)
+    rep.add("cartan/parity_metric_relations_m2_examples",
+            worst_residual(cartan.parity_relations_check(el, x).max_residual
+                           for el in (el_r, el_b) for x in (0.5, 2.0)), 1e-10)
 
 
-def _matrix_example(cfg: VerifyConfig):
-    sig = cartan.ThetaSignature(p=1, q=1)
-    el = cartan.make_element(sig, np.zeros((1, 1)), [[-cfg.gauge_alpha]],
-                             np.zeros((1, 1)))
+def run_cartan(params: CartanParams) -> Report:
+    sig = params.signature()
+    rng = np.random.default_rng(params.seed)
+    rep = Report(command="cartan", seed=params.seed, config=asdict(params))
+    wick_res, exp_res, parity_res, polar_res = [], [], [], []
+    for _ in range(params.samples):
+        el = cartan.random_element(sig, rng)
+        comp = cartan.cartan_split(el)
+        x = float(rng.uniform(-3, 3))
+        wick = cartan.wick_check(el)
+        wick_res += [wick.su_pq_residual, wick.antisymmetry_residual,
+                     wick.compact_block_residual, wick.noncompact_block_residual]
+        exp_res.append(_exp_residual(comp, sig, x))
+        parity_res.append(cartan.parity_relations_check(el, x).max_residual)
+        U = cartan.exp_compact(comp, sig, x) @ cartan.exp_noncompact(comp, sig, x)
+        polar_res += cartan.group_polar(U, sig).residuals.values()
+    rep.add("cartan/wick_membership", worst_residual(wick_res), 1e-12)
+    rep.add("cartan/closed_form_exponentials", worst_residual(exp_res), 1e-10)
+    rep.add("cartan/parity_metric_relations", worst_residual(parity_res), 1e-10)
+    rep.add("cartan/group_polar_structure", worst_residual(polar_res), 1e-8)
+    return rep
+
+
+def _matrix_example(gauge_alpha: float):
+    sig, el = _element_11(-gauge_alpha)
     gauge = schrodinger.ConstantGauge(A=el.gauge_potential)  # = alpha sigma_2
     pot = schrodinger.MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2))
     return sig, gauge, pot
 
 
-def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
-    sig, gauge, pot = _matrix_example(cfg)
-    audit = schrodinger.symmetry_audit(gauge, pot, sig,
-                                       Grid1D.from_box(cfg.box, cfg.coarse_h))
-    rep.add("matrix/symmetry_audit", max(audit.residuals.values()), 1e-12)
+def _matrix_records(rep: Report, example, grid: Grid1D, n_low: int,
+                    match_name: str):
+    """Symmetry audit and dual-build spectral records of the matrix example."""
+    sig, gauge, pot = example
+    audit = schrodinger.symmetry_audit(gauge, pot, sig, grid)
+    rep.add("matrix/symmetry_audit", worst_residual(audit.residuals.values()),
+            1e-12)
+    res = schrodinger.build_and_regauge(gauge, pot, grid)
+    out = schrodinger.spectral_compare(res, sig, n_low=n_low)
+    rep.add(match_name, out.max_match_dist, 5e-2)
+    _bool(rep, "matrix/pairing_Hg", out.pairing_Hg != "unpaired")
+    _bool(rep, "matrix/pairing_H", out.pairing_H != "unpaired")
+    rep.add("matrix/parity_pseudo_hermiticity", out.parity_residual, 1e-6)
+    return res, out
 
-    dists = {}
-    for h in (cfg.coarse_h, cfg.coarse_h / 2):
-        grid = Grid1D.from_box(cfg.box, h)
-        res = schrodinger.build_and_regauge(gauge, pot, grid)
-        out = schrodinger.spectral_compare(res, sig, n_low=16)
-        dists[h] = out.max_match_dist
-        if h == cfg.coarse_h:
-            rep.add("matrix/spectral_match_h0.05", out.max_match_dist, 5e-2)
-            _bool(rep, "matrix/pairing_Hg", out.pairing_Hg != "unpaired")
-            _bool(rep, "matrix/pairing_H", out.pairing_H != "unpaired")
-            rep.add("matrix/parity_pseudo_hermiticity", out.parity_residual, 1e-6)
-            # the literal similarity transform is spectrally exact
-            sim = match_spectra(
-                eig(res.H_g.matrix).eigenvalues,
-                eig(res.H_similar.matrix).eigenvalues)
-            rep.add("matrix/similarity_spectrum_exact",
-                    float(sim.max()), 1e-6)
-    order = float(np.log2(dists[cfg.coarse_h] / dists[cfg.coarse_h / 2]))
+
+def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
+    params = SpectrumMatrixParams()
+    example = _matrix_example(params.gauge_alpha)
+    res, coarse = _matrix_records(rep, example, params.grid(), params.n_low,
+                                  "matrix/spectral_match_h0.05")
+    # the literal similarity transform is spectrally exact
+    sim = match_spectra(eig(res.H_g.matrix).eigenvalues,
+                        eig(res.H_similar.matrix).eigenvalues)
+    rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
+    sig, gauge, pot = example
+    fine = schrodinger.spectral_compare(
+        schrodinger.build_and_regauge(gauge, pot,
+                                      replace(params, h=params.h / 2).grid()),
+        sig, n_low=params.n_low)
+    order = float(np.log2(coarse.max_match_dist / fine.max_match_dist))
     _bool(rep, "matrix/convergence_order_ge_1.8", order >= 1.8)
     rep.config["matrix_convergence_order"] = order
 
 
-def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
-    sig = cartan.ThetaSignature(p=1, q=1)
-    omega = jaynes.LevelEnergies(omega=np.array([0.0, cfg.jc_delta]))
+def run_spectrum_matrix(params: SpectrumMatrixParams) -> Report:
+    rep = Report(command="spectrum-matrix", seed=0, config=asdict(params))
+    out = _matrix_records(rep, _matrix_example(params.gauge_alpha),
+                          params.grid(), params.n_low, "matrix/spectral_match")[1]
 
+    def low(e):
+        return e[np.lexsort((e.imag, e.real))][:params.n_low]
+
+    rows = [[i, float(lg.real), float(lg.imag), float(lh.real), float(lh.imag),
+             float(abs(lg - lh) / (1 + abs(lg)))]
+            for i, (lg, lh) in enumerate(zip(low(out.eigenvalues_Hg),
+                                             low(out.eigenvalues_H)))]
+    rep.tables.append(Table(
+        name="spectrum",
+        columns=["index", "re_lambda_Hg", "im_lambda_Hg",
+                 "re_lambda_H", "im_lambda_H", "match_dist"],
+        rows=rows))
+    return rep
+
+
+def _jc_model(params: JcParams):
+    sig, el = _element_11(params.alpha)
+    return sig, el, jaynes.LevelEnergies(omega=np.array([0.0, params.delta]))
+
+
+def _jc_records(rep: Report, params: JcParams, grid_vs_fock_name: str):
+    """PT symmetry of the Fock build and its agreement with the grid build."""
+    sig, el, omega = _jc_model(params)
+    H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, params.n_max)
+    pt = jaynes.jc_pt_check(H, sig, params.n_max)
+    rep.add("jc/pt_symmetry", pt.residual, 1e-12)
+    eq = jaynes.jc_equivalence_check(el, omega, params.grid(), params.n_max)
+    rep.add(grid_vs_fock_name, eq.max_dev, 5e-2)
+    rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
+    return eq
+
+
+def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
+    params = JcParams()
     # decoupled case: spectrum is exactly {2(n + omega_j)}
-    el0 = cartan.make_element(sig, np.zeros((1, 1)), [[0.0]], np.zeros((1, 1)))
-    H0 = jaynes.build_jc(jaynes.nilpotent_split(el0), omega, cfg.jc_nmax)
+    _, el0, omega = _jc_model(replace(params, alpha=0.0))
+    H0 = jaynes.build_jc(jaynes.nilpotent_split(el0), omega, params.n_max)
     expected = np.sort(np.array(
-        [2 * (n + wj) for n in range(cfg.jc_nmax + 1) for wj in omega.omega]))
+        [2 * (n + wj) for n in range(params.n_max + 1) for wj in omega.omega]))
     got = np.sort(eig(H0).eigenvalues.real)
     rep.add("jc/decoupled_spectrum_exact",
             float(np.abs(got - expected).max()), 1e-12)
 
-    el = cartan.make_element(sig, np.zeros((1, 1)), [[cfg.jc_alpha]],
-                             np.zeros((1, 1)))
-    H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, cfg.jc_nmax)
-    pt = jaynes.jc_pt_check(H, sig, cfg.jc_nmax)
-    rep.add("jc/pt_symmetry", pt.residual, 1e-12)
-
-    grid = Grid1D.from_box(np.sqrt(2 * cfg.jc_nmax) + 4.2, 0.045)
-    eq = jaynes.jc_equivalence_check(el, omega, grid, cfg.jc_nmax)
-    rep.add("jc/grid_vs_fock_lowest6", eq.max_dev, 5e-2)
-    rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
+    eq = _jc_records(rep, params, "jc/grid_vs_fock_lowest6")
     rep.config.setdefault("jc_sign_convention", eq.sign_convention)
+
+
+def run_jc(params: JcParams) -> Report:
+    rep = Report(command="jc", seed=0, config=asdict(params))
+    eq = _jc_records(rep, params, "jc/grid_vs_fock")
+    rep.config["sign_convention"] = eq.sign_convention
+    rows = [[i, float(lg.real), float(lg.imag), float(lf.real), float(lf.imag)]
+            for i, (lg, lf) in enumerate(zip(eq.grid_eigenvalues,
+                                             eq.fock_eigenvalues))]
+    rep.tables.append(Table(
+        name="levels",
+        columns=["index", "re_lambda_grid", "im_lambda_grid",
+                 "re_lambda_fock", "im_lambda_fock"],
+        rows=rows))
+    return rep
 
 
 def check_point_angle(rep: Report, cfg: VerifyConfig):
@@ -322,7 +592,7 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
             abs(sol1.phi - np.arctan2(4, 3)), 1e-13)
     rep.add("point/phi_defining_relation_residual", sol1.residual, 1e-13)
 
-    worst = 0.0
+    residuals = []
     min_perturbed = np.inf
     for _ in range(100):
         T = pointint.CouplingMatrixT(
@@ -330,7 +600,7 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
             t12=1j * float(rng.uniform(-3, 3)),
             t21=1j * float(rng.uniform(-3, 3)))
         sol = pointint.clifford_angle(T)
-        worst = max(worst, pointint._matrix_relation_residual(T, sol.m1, sol.m2))
+        residuals.append(pointint._matrix_relation_residual(T, sol.m1, sol.m2))
         if not sol.degenerate:
             phi_bad = sol.phi + 0.1
             m1 = np.cos(phi_bad) * pointint.SIGMA_3
@@ -338,22 +608,58 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
             min_perturbed = min(
                 min_perturbed,
                 pointint._matrix_relation_residual(T, m1, m2))
-    rep.add("point/matrix_relation_at_solved_phi", worst, 1e-12)
+    rep.add("point/matrix_relation_at_solved_phi",
+            worst_residual(residuals), 1e-12)
     _bool(rep, "point/matrix_relation_fails_at_wrong_phi",
           min_perturbed > 1e-6)
 
 
-def delta_well_grid_energy(t11: float, cfg: VerifyConfig) -> float:
+def run_point_angle(params: PointAngleParams) -> Report:
+    T = params.coupling()
+    sol = pointint.clifford_angle(T)
+    rep = Report(command="point-angle", seed=0, config=asdict(params))
+    rep.config.update(phi=sol.phi, degenerate=sol.degenerate)
+    rep.add("point/defining_relation", sol.residual, 1e-13)
+    samples = [
+        pointint.PiecewiseFunction(1.0, 0.5, -0.3, 0.7),
+        pointint.PiecewiseFunction(0.2 + 1j, -0.4, 1.1, -0.6 + 0.3j),
+    ]
+    bt = pointint.boundary_transform_check(T, sol, samples)
+    rep.add("point/trace_identities", bt.trace_residual, 1e-12)
+    rep.add("point/gamma_transform", bt.gamma_residual, 1e-12)
+    rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
+    sa = pointint.p_phi_selfadjointness_check(T, sol)
+    rep.add("point/p_phi_selfadjointness", sa.residual, 1e-12)
+    return rep
+
+
+def delta_well_grid_energy(t11: float) -> float:
     """Independent grid oracle: delta well as a narrow deep square well."""
-    h = cfg.well_h
-    n = int(round(2 * cfg.well_box / h))
+    h = WELL_H
+    n = int(round(2 * WELL_BOX / h))
     x = (np.arange(n) - (n - 1) / 2) * h
-    V = np.where(np.abs(x) < cfg.well_width / 2, t11 / cfg.well_width, 0.0)
+    V = np.where(np.abs(x) < WELL_WIDTH / 2, t11 / WELL_WIDTH, 0.0)
     diag = 2 / h**2 + V
     off = -np.ones(n - 1) / h**2
     vals = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
                                          select_range=(0, 0))[0]
     return float(vals[0])
+
+
+def _sweep_records(rep: Report, params: PhaseDiagramParams, paired_name: str):
+    """Conjugate pairing over a coupling sweep, and its phase-diagram table."""
+    rows = pointint.pt_phase_sweep(*params.axes())
+    _bool(rep, paired_name, all(r.classification != "unpaired" for r in rows))
+    rep.tables.append(Table(
+        name="phase_diagram",
+        columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
+                 "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
+                 "classification"],
+        rows=[[r.t11, r.t22, r.im_t12, r.im_t21, r.phi, r.degenerate,
+               r.n_bound, float(r.energies[0].real), float(r.energies[0].imag),
+               float(r.energies[1].real), float(r.energies[1].imag),
+               r.classification] for r in rows]))
+    return rows
 
 
 def check_point_spectrum(rep: Report, cfg: VerifyConfig):
@@ -363,31 +669,39 @@ def check_point_spectrum(rep: Report, cfg: VerifyConfig):
     rep.add("point/delta_well_energy", abs(states[0].energy - (-1.0)), 1e-12)
     rep.add("point/delta_well_domain_residual", states[0].domain_residual, 1e-10)
     rep.add("point/delta_well_grid_oracle",
-            abs(delta_well_grid_energy(-2.0, cfg) - (-1.0)), 1e-3)
+            abs(delta_well_grid_energy(-2.0) - (-1.0)), 1e-3)
 
-    rows = pointint.pt_phase_sweep(
-        t11_values=np.linspace(-2, 1, 4), t22_values=np.linspace(-1, 1, 3),
-        im_t12_values=np.linspace(-1.5, 1.5, 4),
-        im_t21_values=np.linspace(-1.5, 1.5, 4))
-    _bool(rep, "point/sweep_all_rows_paired",
-          all(r.classification != "unpaired" for r in rows))
+    rows = _sweep_records(rep, PhaseDiagramParams(),
+                          "point/sweep_all_rows_paired")
     _bool(rep, "point/sweep_phi_zero_slice",
           all(abs(r.phi) < 1e-14 for r in rows
               if abs(r.im_t12 - r.im_t21) < 1e-14))
-    table_rows = []
-    for r in rows:
-        table_rows.append([
-            r.t11, r.t22, r.im_t12, r.im_t21, r.phi, r.degenerate, r.n_bound,
-            float(r.energies[0].real), float(r.energies[0].imag),
-            float(r.energies[1].real), float(r.energies[1].imag),
-            r.classification,
-        ])
+
+
+def run_point_spectrum(params: CouplingParams) -> Report:
+    rep = Report(command="point-spectrum", seed=0, config=asdict(params))
+    states = pointint.bound_states(params.coupling())
+    rep.config["n_bound"] = len(states)
+    rep.add("point/domain_residuals",
+            worst_residual(s.domain_residual for s in states), 1e-10)
+    if states:
+        cls = pairing_check([s.energy for s in states], 1e-8).classification
+        _bool(rep, "point/conjugate_pairing", cls != "unpaired")
+        rep.config["classification"] = cls
     rep.tables.append(Table(
-        name="phase_diagram",
-        columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
-                 "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
-                 "classification"],
-        rows=table_rows))
+        name="bound_states",
+        columns=["index", "kappa_re", "kappa_im", "e_re", "e_im",
+                 "domain_residual"],
+        rows=[[i, float(s.kappa.real), float(s.kappa.imag),
+               float(s.energy.real), float(s.energy.imag), s.domain_residual]
+              for i, s in enumerate(states)]))
+    return rep
+
+
+def run_phase_diagram(params: PhaseDiagramParams) -> Report:
+    rep = Report(command="phase-diagram", seed=0, config=asdict(params))
+    _sweep_records(rep, params, "sweep/conjugate_pairing")
+    return rep
 
 
 ALL_CHECKS = [
@@ -406,9 +720,36 @@ ALL_CHECKS = [
 
 def run_verify_all(cfg: VerifyConfig | None = None) -> Report:
     cfg = cfg or VerifyConfig()
-    rep = Report(command="verify-all", config={"seed": cfg.seed}, seed=cfg.seed)
+    rep = Report(command="verify-all", config=asdict(cfg), seed=cfg.seed)
     t0 = time.perf_counter()
     for check in ALL_CHECKS:
         check(rep, cfg)
     rep.wall_time = time.perf_counter() - t0
     return rep
+
+
+@dataclass(frozen=True)
+class Command:
+    params: type
+    run: Callable[..., Report]
+    help: str
+    format: str = "json"   # default --format
+
+
+COMMANDS = {
+    "gauge-scalar": Command(GaugeScalarParams, run_gauge_scalar,
+                            "Abelian gauge factorization and metric checks"),
+    "cartan": Command(CartanParams, run_cartan, "gauge algebra structure checks"),
+    "lts-check": Command(LtsParams, run_lts_check, "Lie-triple closure sampling"),
+    "spectrum-matrix": Command(SpectrumMatrixParams, run_spectrum_matrix,
+                               "matrix Schrodinger dual-build spectra", "both"),
+    "jc": Command(JcParams, run_jc, "truncated-Fock two-level model checks"),
+    "point-angle": Command(PointAngleParams, run_point_angle,
+                           "point angle for one coupling matrix"),
+    "point-spectrum": Command(CouplingParams, run_point_spectrum,
+                              "point spectrum for one coupling matrix"),
+    "phase-diagram": Command(PhaseDiagramParams, run_phase_diagram,
+                             "sweep over coupling matrices", "csv"),
+    "verify-all": Command(VerifyConfig, run_verify_all,
+                          "run the full verification suite", "both"),
+}

@@ -122,6 +122,16 @@ class TestHamiltonian:
         out = verify_pseudo_hermiticity(H, fact, tol=1.0)
         assert out.r2_abs > 0.1
 
+    def test_nan_potential_poisons_every_residual(self):
+        """A NaN in H must not be reported as a zero weighted-form residual."""
+        grid = Grid1D.from_box(4.0, 0.1)
+        fact = gauge_factorization(lambda x: 1.0 + 0j, grid)
+        H = build_scalar_hamiltonian(
+            ScalarPotentials(A=lambda x: 1.0 + 0j, V=lambda x: np.nan), grid)
+        out = verify_pseudo_hermiticity(H, fact, tol=1.0)
+        assert np.isnan(out.r1)
+        assert np.isnan(out.weighted_form_residual)
+
 
 class TestInteriorVectors:
     def test_shape_normalization_boundary(self):

@@ -114,6 +114,50 @@ def test_criterion_10_point_spectra(report):
                     "grid oracle to 1e-3, sweep conjugate pairing", recs)
 
 
+VERIFY_ALL_RECORDS = [
+    "clifford/anticommutation_and_squares", "clifford/span_dim_4",
+    "rotated_involution/squares_to_identity", "rotated_involution/hermitian",
+    "abelian/Uh_closed_form_beta", "abelian/abs_eta_closed_form_beta",
+    "abelian/J_equals_parity_beta", "abelian/Uu_closed_form_alpha",
+    "abelian/abs_eta_identity_alpha", "abelian/J_involution_alpha",
+    "abelian/J_differs_from_parity_alpha", "abelian/polar_identities_beta",
+    "abelian/polar_identities_alpha", "abelian/pseudo_hermiticity_r1_alpha",
+    "abelian/naive_parity_residual_large_alpha",
+    "abelian/weighted_form_identity_alpha",
+    "abelian/pseudo_hermiticity_r1_beta",
+    "abelian/naive_parity_residual_large_beta",
+    "abelian/weighted_form_identity_beta",
+    "cartan/ternary_closure_p2q1", "cartan/binary_escape_p2q1",
+    "cartan/dim_k_pq_p2q1", "cartan/dim_p_p2q1",
+    "cartan/ternary_closure_p2q2", "cartan/binary_escape_p2q2",
+    "cartan/dim_k_pq_p2q2", "cartan/dim_p_p2q2",
+    "cartan/ternary_closure_p3q1", "cartan/binary_escape_p3q1",
+    "cartan/dim_k_pq_p3q1", "cartan/dim_p_p3q1",
+    "cartan/closed_form_exponentials", "cartan/so2_rotation_example",
+    "cartan/boost_example", "cartan/parity_metric_relations_random",
+    "cartan/parity_metric_relations_m2_examples",
+    "matrix/symmetry_audit", "matrix/spectral_match_h0.05",
+    "matrix/pairing_Hg", "matrix/pairing_H",
+    "matrix/parity_pseudo_hermiticity", "matrix/similarity_spectrum_exact",
+    "matrix/convergence_order_ge_1.8",
+    "jc/decoupled_spectrum_exact", "jc/pt_symmetry", "jc/grid_vs_fock_lowest6",
+    "jc/truncation_convergence",
+    "point/phi_zero_when_t12_equals_t21", "point/phi_reference_value",
+    "point/phi_defining_relation_residual",
+    "point/matrix_relation_at_solved_phi",
+    "point/matrix_relation_fails_at_wrong_phi",
+    "point/delta_well_single_state", "point/delta_well_energy",
+    "point/delta_well_domain_residual", "point/delta_well_grid_oracle",
+    "point/sweep_all_rows_paired", "point/sweep_phi_zero_slice",
+]
+
+
+def test_verify_all_record_names_and_config_keys(report):
+    assert [r.name for r in report.records] == VERIFY_ALL_RECORDS
+    assert sorted(report.config) == ["jc_sign_convention",
+                                     "matrix_convergence_order", "seed"]
+
+
 def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):
     d1 = str(tmp_path_factory.mktemp("run1"))
     d2 = str(tmp_path_factory.mktemp("run2"))

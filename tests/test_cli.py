@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from ptgauge.cli import _parse_complex, _parse_range, main
-from ptgauge.cli import UsageError
+from ptgauge.cli import build_parser, main
+from ptgauge.verification import UsageError, _parse_complex, _parse_range
 
 
 class TestParsers:
@@ -145,6 +146,18 @@ class TestOutputs:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
 
+    @pytest.mark.parametrize("argv, written", [
+        (["phase-diagram", "--t11-range=-2:0:2", "--t22-range=0:0:1",
+          "--im-t12-range=-1:1:2", "--im-t21-range=-1:1:2"],
+         ["phase-diagram_phase_diagram.csv"]),
+        (["point-spectrum", "--t11=-2"], ["point-spectrum.json"]),
+        (["spectrum-matrix", "--h", "0.2", "--n-low", "4"],
+         ["spectrum-matrix.json", "spectrum-matrix_spectrum.csv"]),
+    ])
+    def test_default_format_per_command(self, argv, written, tmp_path, capsys):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
     def test_lts_json_report(self, tmp_path, capsys):
         code = main(["lts-check", "--samples", "20", "--seed", "5",
                      "--out-dir", str(tmp_path)])
@@ -154,3 +167,138 @@ class TestOutputs:
         assert payload["pass"] is True
         names = [r["name"] for r in payload["records"]]
         assert "lts/ternary_closure" in names
+
+
+# One invalid input per subcommand (some have more): each is rejected while
+# the params are built, before any computation.
+INVALID = [
+    ["gauge-scalar", "--h", "100"],          # no grid node
+    ["gauge-scalar", "--h", "0"],
+    ["gauge-scalar", "--beta", "nan", "--h", "0.1"],
+    ["gauge-scalar", "--tol", "0"],
+    ["cartan", "--p", "0"],
+    ["cartan", "--seed=-1"],
+    ["lts-check", "--p", "0"],
+    ["lts-check", "--samples", "0"],
+    ["spectrum-matrix", "--h", "100"],
+    ["spectrum-matrix", "--n-low", "0"],
+    ["spectrum-matrix", "--gauge-alpha", "inf"],
+    ["jc", "--h", "100"],
+    ["jc", "--h", "0"],
+    ["jc", "--h", "3"],                      # box too small for n_max
+    ["jc", "--n-max", "1"],
+    ["jc", "--delta", "nan"],
+    ["point-angle", "--t11", "1i"],
+    ["point-angle", "--t12", "nan"],
+    ["point-spectrum", "--t11", "nan"],
+    ["point-spectrum", "--t22", "1e400"],
+    ["phase-diagram", "--t11-range=nan:1:2"],
+    ["phase-diagram", "--t22-range=0:inf:2"],
+    ["verify-all", "--seed=-1"],
+]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        code = main(argv + ["--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+        assert not list(tmp_path.iterdir())
+
+    def test_config_file_value_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h = 100\n")
+        assert main(["jc", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+
+# Every subcommand's flags as (flag, default, type), and its default format.
+COMMON = {"-h", "--config", "--out-dir", "--format"}
+POINT = [("--t11", "1", None), ("--t12", "1i", None),
+         ("--t21", "-1i", None), ("--t22", "0", None)]
+FLAGS = {
+    "gauge-scalar": ("json", [("--alpha", 1.0, float), ("--beta", 0.0, float),
+                              ("--box", 8.0, float), ("--h", 0.00625, float),
+                              ("--tol", 1e-8, float)]),
+    "cartan": ("json", [("--p", 2, int), ("--q", 1, int),
+                        ("--samples", 100, int), ("--seed", 0, int)]),
+    "lts-check": ("json", [("--p", 2, int), ("--q", 1, int),
+                           ("--samples", 1000, int), ("--seed", 0, int)]),
+    "spectrum-matrix": ("both", [("--gauge-alpha", 0.3, float),
+                                 ("--box", 8.0, float), ("--h", 0.05, float),
+                                 ("--n-low", 16, int)]),
+    "jc": ("json", [("--alpha", 0.3, float), ("--delta", 0.5, float),
+                    ("--n-max", 12, int), ("--h", 0.045, float)]),
+    "point-angle": ("json", POINT),
+    "point-spectrum": ("json", POINT),
+    "phase-diagram": ("csv", [("--t11-range", "-2:1:4", None),
+                              ("--t22-range", "-1:1:3", None),
+                              ("--im-t12-range", "-1.5:1.5:4", None),
+                              ("--im-t21-range", "-1.5:1.5:4", None)]),
+    "verify-all": ("both", [("--seed", 20260823, int)]),
+}
+
+# Record names and config keys of each subcommand's report at cheap flags.
+REPORTS = {
+    "gauge-scalar": (["--h", "0.1"], [
+        "factorization/J_hermitian", "factorization/J_involution",
+        "factorization/P_RQ_anticommute", "factorization/P_U",
+        "factorization/P_Uh", "factorization/P_Uu", "factorization/polar",
+        "factorization/sign_split", "pseudo_hermiticity/r1",
+        "pseudo_hermiticity/weighted_form",
+        "pseudo_hermiticity/naive_parity_r2_large"],
+        ["alpha", "beta", "box", "h", "norm_H", "r1_abs", "r2_abs", "tol"]),
+    "cartan": (["--samples", "5"], [
+        "cartan/wick_membership", "cartan/closed_form_exponentials",
+        "cartan/parity_metric_relations", "cartan/group_polar_structure"],
+        ["p", "q", "samples", "seed"]),
+    "lts-check": (["--samples", "5"], [
+        "lts/ternary_closure", "lts/binary_bracket_escapes"],
+        ["max_binary_escape", "p", "q", "samples", "seed"]),
+    "spectrum-matrix": (["--h", "0.2", "--n-low", "4"], [
+        "matrix/symmetry_audit", "matrix/spectral_match", "matrix/pairing_Hg",
+        "matrix/pairing_H", "matrix/parity_pseudo_hermiticity"],
+        ["box", "gauge_alpha", "h", "n_low"]),
+    "jc": (["--n-max", "4", "--h", "0.1"], [
+        "jc/pt_symmetry", "jc/grid_vs_fock", "jc/truncation_convergence"],
+        ["alpha", "delta", "h", "n_max", "sign_convention"]),
+    "point-angle": ([], [
+        "point/defining_relation", "point/trace_identities",
+        "point/gamma_transform", "point/matrix_relation",
+        "point/p_phi_selfadjointness"],
+        ["degenerate", "phi", "t11", "t12", "t21", "t22"]),
+    "point-spectrum": (["--t11=-2"], [
+        "point/domain_residuals", "point/conjugate_pairing"],
+        ["classification", "n_bound", "t11", "t12", "t21", "t22"]),
+    "phase-diagram": (["--t11-range=-2:0:2", "--t22-range=0:0:1",
+                       "--im-t12-range=-1:1:2", "--im-t21-range=-1:1:2"],
+                      ["sweep/conjugate_pairing"],
+                      ["im_t12_range", "im_t21_range", "t11_range", "t22_range"]),
+}
+
+
+class TestInterface:
+    def _subparsers(self):
+        return next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_flags_defaults_types_and_format(self):
+        subparsers = self._subparsers()
+        assert list(subparsers) == list(FLAGS)
+        for name, (fmt, flags) in FLAGS.items():
+            sp = subparsers[name]
+            got = [(a.option_strings[-1], a.default, a.type)
+                   for a in sp._actions if not COMMON & set(a.option_strings)]
+            assert got == flags, name
+            assert sp.get_default("format") == fmt, name
+
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_record_names_and_config_keys(self, command, tmp_path, capsys):
+        flags, names, keys = REPORTS[command]
+        main([command, *flags, "--format", "json", "--out-dir", str(tmp_path)])
+        payload = json.loads((tmp_path / f"{command}.json").read_text())
+        assert [r["name"] for r in payload["records"]] == names
+        assert list(payload["config"]) == keys

@@ -11,6 +11,7 @@ from ptgauge.linalg import (
     match_spectra,
     operator_norm_estimate,
     pairing_check,
+    worst_residual,
 )
 
 SIGMA_2 = np.array([[0, -1j], [1j, 0]])
@@ -246,3 +247,17 @@ def test_norm_estimate_matches_svd():
     est = operator_norm_estimate(M, iters=200)
     exact = np.linalg.norm(M, 2)
     assert abs(est - exact) <= 1e-6 * exact
+
+
+class TestWorstResidual:
+    def test_exact_max_and_empty(self):
+        assert worst_residual([0.1, 3e-12, 0.25]) == 0.25
+        assert worst_residual([]) == 0.0
+        assert worst_residual(x for x in (1e-3, 2e-3)) == 2e-3
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_anywhere_propagates(self, position):
+        values = [0.5, 1.0, 2.0]
+        values[position] = np.nan
+        # Python's max() returns 2.0 here unless the NaN comes first
+        assert np.isnan(worst_residual(values))

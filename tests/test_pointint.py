@@ -14,7 +14,7 @@ from ptgauge.pointint import (
     p_phi_selfadjointness_check,
     pt_phase_sweep,
 )
-from ptgauge.verification import VerifyConfig, delta_well_grid_energy
+from ptgauge.verification import delta_well_grid_energy
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -138,9 +138,8 @@ class TestBoundStates:
 
     def test_grid_oracle(self):
         """Independent narrow-square-well discretization of the delta well."""
-        cfg = VerifyConfig()
-        assert abs(delta_well_grid_energy(-2.0, cfg) - (-1.0)) <= 1e-3
-        assert abs(delta_well_grid_energy(-1.0, cfg) - (-0.25)) <= 1e-3
+        assert abs(delta_well_grid_energy(-2.0) - (-1.0)) <= 1e-3
+        assert abs(delta_well_grid_energy(-1.0) - (-0.25)) <= 1e-3
 
     # half-integer lattice keeps the quadratic coefficients away from the
     # near-degenerate regime where kappa blows up and rounding dominates
