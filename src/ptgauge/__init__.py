@@ -2,7 +2,7 @@
 
 Modules
 -------
-linalg       staggered grid, dense eigensolvers, pairing and matching
+linalg       staggered grid, sparse grid operators, eigensolvers, pairing
 cliffords    generating involutions, Clifford relations, rotated involution
 abelian      scalar gauge factorization U = U_u U_h and metric eta = J |eta|
 cartan       gauge algebra g_Theta, Cartan split, closed-form exponentials

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm
+from .linalg import expm, worst_residual
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,12 @@ def wick_check(a: GaugeAlgebraElement, tol: float = 1e-13) -> WickReport:
     comp = cartan_split(a)
     fb = -1j * comp.b
     fc = -1j * comp.c
-    r_q = float(max(np.abs(fb[:p, :p]).max(initial=0.0),
-                    np.abs(fb[p:, p:]).max(initial=0.0)))
-    r_l = float(max(np.abs(fc[:p, p:]).max(initial=0.0),
-                    np.abs(fc[p:, :p]).max(initial=0.0)))
+    r_q = worst_residual((np.abs(fb[:p, :p]).max(initial=0.0),
+                          np.abs(fb[p:, p:]).max(initial=0.0)))
+    r_l = worst_residual((np.abs(fc[:p, p:]).max(initial=0.0),
+                          np.abs(fc[p:, :p]).max(initial=0.0)))
     scale = max(1.0, float(np.abs(f).max()))
-    ok = max(r_su, r_as, r_q, r_l) <= tol * scale
+    ok = worst_residual((r_su, r_as, r_q, r_l)) <= tol * scale
     return WickReport(su_pq_residual=r_su, antisymmetry_residual=r_as,
                       compact_block_residual=r_q, noncompact_block_residual=r_l,
                       passed=ok)
@@ -288,8 +288,8 @@ class ParityRelationsReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.compact_residual, self.noncompact_residual,
-                   self.metric_residual)
+        return worst_residual((self.compact_residual, self.noncompact_residual,
+                               self.metric_residual))
 
 
 def parity_relations_check(a: GaugeAlgebraElement, x: float) -> ParityRelationsReport:

@@ -16,8 +16,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
-from .linalg import GridOperator, expm
+from .linalg import GridOperator, expm, worst_residual
+
+
+def _dense(M) -> np.ndarray:
+    """Dense complex copy of an array or a scipy.sparse matrix; the checks
+    here run on small grids (n <= 128)."""
+    return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
+                      dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -55,18 +63,18 @@ def verify_clifford_relations(gens: CliffordGenerators, tol: float) -> CliffordR
     For two generators the rank of vec{I, e1, e2, e1 e2} is reported as
     span_dim (4 means the products are linearly independent).
     """
-    mats = [np.asarray(g, dtype=complex) for g in gens.generators]
+    mats = [_dense(g) for g in gens.generators]
     dim = mats[0].shape[0]
     for g in mats:
         if g.shape != (dim, dim):
             raise ValueError("all generators must be square of equal dimension")
     eye = np.eye(dim)
-    res = 0.0
+    residuals = []
     for i, gi in enumerate(mats):
         target = eye if i < gens.m_plus else -eye
-        res = max(res, float(np.abs(gi @ gi - target).max()))
-        for gk in mats[i + 1:]:
-            res = max(res, float(np.abs(gi @ gk + gk @ gi).max()))
+        residuals.append(np.abs(gi @ gi - target).max())
+        residuals += [np.abs(gi @ gk + gk @ gi).max() for gk in mats[i + 1:]]
+    res = worst_residual(residuals)
     span_dim = None
     if len(mats) == 2:
         basis = [eye, mats[0], mats[1], mats[0] @ mats[1]]
@@ -80,8 +88,8 @@ def rotated_involution(
     parity: GridOperator, sign_op: GridOperator, phi: float
 ) -> RotatedInvolution:
     """Build P_phi = P exp(i phi R), cross-checked against the symmetric form."""
-    P = parity.matrix
-    R = sign_op.matrix
+    P = _dense(parity.matrix)
+    R = _dense(sign_op.matrix)
     eye = np.eye(P.shape[0])
     if np.abs(P @ P - eye).max() > 1e-12 or np.abs(R @ R - eye).max() > 1e-12:
         raise ValueError("parity and sign operators must be involutions")

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra and 1D staggered-grid operators.
+"""Eigensolver and exponential wrappers and sparse 1D staggered-grid operators.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -10,8 +10,11 @@ Difference stencils (Dirichlet closure, values outside the box are zero):
   momentum          p f_j = -i (f_{j+1} - f_{j-1}) / (2h)
   second_derivative (-d^2/dx^2) f_j = (2 f_j - f_{j+1} - f_{j-1}) / h^2
 
-Block operators are Kronecker products  grid_part (x) I_m  with the grid
-index slowest, i.e. node j occupies rows j*m .. j*m+m-1.
+Grid operators are complex scipy.sparse CSR arrays: momentum and
+second_derivative are tridiagonal, parity is anti-diagonal, and sign,
+position and multiply are diagonal.  Block operators are Kronecker
+products  grid_part (x) I_m  with the grid index slowest, i.e. node j
+occupies rows j*m .. j*m+m-1.  eig and expm work on dense matrices.
 
 Eigenvalues are always returned sorted by (real part, imaginary part) so
 that repeated runs and CSV exports are reproducible.
@@ -24,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 def _as_square_matrix(M) -> np.ndarray:
@@ -74,9 +78,13 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class GridOperator:
+    """An operator on grid (x) C^block_dim.  matrix is a scipy.sparse CSR
+    array, except for the matrix Schrodinger builds, which are dense
+    because their spectra are computed in full."""
+
     grid: Grid1D
     block_dim: int
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array | np.ndarray
 
     def __post_init__(self):
         n = self.grid.size * self.block_dim
@@ -120,22 +128,12 @@ def expm(M) -> np.ndarray:
     return E
 
 
-def _momentum_matrix(n: int, h: float) -> np.ndarray:
-    D = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    D[idx, idx + 1] = 1.0 / (2 * h)
-    D[idx + 1, idx] = -1.0 / (2 * h)
-    return -1j * D
-
-
-def _second_derivative_matrix(n: int, h: float) -> np.ndarray:
-    L = np.zeros((n, n))
-    idx = np.arange(n)
-    L[idx, idx] = 2.0 / h**2
-    idx = np.arange(n - 1)
-    L[idx, idx + 1] = -1.0 / h**2
-    L[idx + 1, idx] = -1.0 / h**2
-    return L
+def antidiagonal(values) -> scipy.sparse.csr_array:
+    """The n x n operator with M[j, n-1-j] = values[j] and no other entry."""
+    values = np.asarray(values, dtype=complex)
+    n = len(values)
+    return scipy.sparse.csr_array((values, np.arange(n)[::-1], np.arange(n + 1)),
+                                  shape=(n, n))
 
 
 def grid_operator(
@@ -153,41 +151,43 @@ def grid_operator(
     h = grid.spacing
     x = grid.nodes
     if kind == "momentum":
-        core = _momentum_matrix(n, h)
+        off = np.full(n - 1, 1j / (2 * h))
+        core = scipy.sparse.diags_array([off, -off], offsets=(-1, 1))
     elif kind == "second_derivative":
-        core = _second_derivative_matrix(n, h).astype(complex)
+        core = scipy.sparse.diags_array(
+            [np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2),
+             np.full(n - 1, -1.0 / h**2)], offsets=(-1, 0, 1), dtype=complex)
     elif kind == "parity":
-        core = np.eye(n)[::-1].astype(complex)
+        core = antidiagonal(np.ones(n))
     elif kind == "sign":
-        core = np.diag(np.sign(x)).astype(complex)
+        core = scipy.sparse.diags_array(np.sign(x), dtype=complex)
     elif kind == "position":
-        core = np.diag(x).astype(complex)
+        core = scipy.sparse.diags_array(x, dtype=complex)
     elif kind == "multiply":
         if func is None:
             raise ValueError("kind='multiply' requires func")
-        vals = np.asarray([func(xi) for xi in x], dtype=complex)
-        core = np.diag(vals)
+        core = scipy.sparse.diags_array(
+            np.asarray([func(xi) for xi in x], dtype=complex))
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     if block_dim > 1:
-        core = np.kron(core, np.eye(block_dim))
+        core = scipy.sparse.kron(core, scipy.sparse.eye_array(block_dim))
+    core = scipy.sparse.csr_array(core)
     return GridOperator(grid=grid, block_dim=block_dim, matrix=core)
 
 
-def indefinite_inner(f, g, J: GridOperator, weight: GridOperator) -> complex:
+def indefinite_inner(f, g, J: GridOperator, weight) -> complex:
     """Quadrature of the indefinite form [f, g] = (f, W J g).
 
-    Returns h * sum_j w_j (J g)_j conj(f_j).  weight must be diagonal with
-    positive entries.
+    Returns h * sum_j w_j (J g)_j conj(f_j), where weight holds the node
+    values w_j of the diagonal operator W; they must be real and positive.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    w = np.diagonal(weight.matrix)
-    if np.any(np.abs(weight.matrix - np.diag(w)) > 0):
-        raise ValueError("weight operator must be diagonal")
-    if np.any(w.real <= 0) or np.any(np.abs(w.imag) > 0):
+    w = np.asarray(weight)
+    if not (np.isrealobj(w) and np.all(w > 0)):
         raise ValueError("weight entries must be real positive")
-    if f.shape != g.shape or f.shape[0] != J.matrix.shape[0]:
+    if not (f.shape == g.shape == w.shape and f.shape[0] == J.matrix.shape[0]):
         raise ValueError("dimension mismatch between vectors and operators")
     return complex(J.grid.spacing * np.sum(w * (J.matrix @ g) * np.conj(f)))
 
@@ -255,14 +255,24 @@ def worst_residual(residuals) -> float:
     return float(np.fromiter(residuals, dtype=float).max(initial=0.0))
 
 
-def operator_norm_estimate(M: np.ndarray, iters: int = 30, seed: int = 0) -> float:
-    """2-norm estimate by power iteration on M^H M (cheap, deterministic)."""
+def smallest(values) -> float:
+    """Smallest value, inf for none, NaN if any is NaN (unlike min(),
+    which drops a NaN that is not its first argument)."""
+    return float(np.fromiter(values, dtype=float).min(initial=np.inf))
+
+
+def operator_norm_estimate(M, iters: int = 30, seed: int = 0) -> float:
+    """2-norm estimate by power iteration on M^H M (cheap, deterministic).
+
+    M may be a dense array or a scipy.sparse matrix.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M.shape[0]) + 0j
     v /= np.linalg.norm(v)
+    MH = M.conj().T
     n = 0.0
     for _ in range(iters):
-        w = M.conj().T @ (M @ v)
+        w = MH @ (M @ v)
         n = np.linalg.norm(w)
         if n == 0:
             return 0.0

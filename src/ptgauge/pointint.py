@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import pairing_check
+from .linalg import pairing_check, worst_residual
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -189,8 +189,8 @@ def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
     if not f_samples:
         raise ValueError("f_samples must be nonempty")
     phi = sol.phi
-    trace_res = 0.0
-    gamma_res = 0.0
+    trace_res = []
+    gamma_res = []
     for f in f_samples:
         g = apply_p_phi_traces(f, phi)
         # independent trace check: P_phi = P e^{i phi R} acts on the half-line
@@ -201,14 +201,16 @@ def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
             g.df_plus + np.exp(-1j * phi) * f.df_minus,
             g.df_minus + np.exp(1j * phi) * f.df_plus,
         ])
-        trace_res = max(trace_res, float(np.abs(tr).max()))
+        trace_res.append(np.abs(tr).max())
         bf = boundary_maps(f)
         bg = boundary_maps(g)
         r0 = bg.gamma0 - (sol.m1 @ bf.gamma0 + sol.m2 @ bf.gamma1)
         r1 = bg.gamma1 - (-4 * sol.m2 @ bf.gamma0 + sol.m1 @ bf.gamma1)
-        gamma_res = max(gamma_res, float(np.abs(np.concatenate([r0, r1])).max()))
+        gamma_res.append(np.abs(np.concatenate([r0, r1])).max())
+    trace_res = worst_residual(trace_res)
+    gamma_res = worst_residual(gamma_res)
     mat_res = _matrix_relation_residual(T, sol.m1, sol.m2)
-    passed = max(trace_res, gamma_res, mat_res) <= tol
+    passed = worst_residual((trace_res, gamma_res, mat_res)) <= tol
     return BoundaryTransformReport(trace_residual=trace_res,
                                    gamma_residual=gamma_res,
                                    matrix_residual=mat_res, passed=passed)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from ptgauge.abelian import (
@@ -13,7 +14,7 @@ from ptgauge.abelian import (
     verify_pseudo_hermiticity,
     weak_pseudo_hermiticity_residual,
 )
-from ptgauge.linalg import Grid1D, grid_operator
+from ptgauge.linalg import Grid1D, GridOperator, grid_operator
 
 
 GRID = Grid1D.from_box(6.0, 0.05)
@@ -44,20 +45,18 @@ class TestFactorization:
         fact = gauge_factorization(lambda x: alpha + 0j, GRID)
         x = GRID.nodes
         assert np.abs(fact.Q - alpha * x).max() <= 1e-13
-        u = np.diagonal(fact.U_u.matrix)
-        assert np.abs(u - np.exp(-1j * alpha * x)).max() <= 1e-12
-        assert np.abs(np.diagonal(fact.abs_eta.matrix) - 1.0).max() <= 1e-13
+        assert np.abs(fact.u_u - np.exp(-1j * alpha * x)).max() <= 1e-12
+        assert np.abs(fact.abs_eta - 1.0).max() <= 1e-13
 
     def test_linear_imaginary_closed_form(self):
         beta = 0.3
         fact = gauge_factorization(lambda x: 1j * beta * x, GRID)
         x = GRID.nodes
         ref = np.exp(beta * x**2 / 2)
-        uh = np.diagonal(fact.U_h.matrix)
-        assert np.abs((uh - ref) / ref).max() <= 1e-12
+        assert np.abs((fact.u_h - ref) / ref).max() <= 1e-12
         # Q = 0 so the unitary factor is trivial and J reduces to parity
         P = grid_operator(GRID, "parity").matrix
-        assert np.abs(fact.J.matrix - P).max() == 0.0
+        assert np.abs((fact.J.matrix - P).toarray()).max() == 0.0
 
     def test_q_odd_s_even_exactly(self):
         fact = gauge_factorization(lambda x: np.cos(x) + 1j * x, GRID)
@@ -76,12 +75,25 @@ class TestFactorization:
         fact = gauge_factorization(lambda x: 1j * x, GRID)
         assert fact.R_Q is None
 
+    def test_nan_potential_raises(self):
+        with pytest.raises(ValueError, match="PT-symmetric"):
+            gauge_factorization(lambda t: complex(np.nan), GRID)
+
+    def test_nan_at_origin_raises(self):
+        """x = 0 is no node, so the split passes; the quadrature's half
+        cell at the origin then makes every node value of Q and S NaN."""
+        A = lambda t: complex(np.nan) if t == 0 else 1.0 + 0j
+        with pytest.raises(ValueError, match="identities violated"):
+            gauge_factorization(A, GRID)
+
     def test_u_commutes_with_pt(self):
         fact = gauge_factorization(lambda x: np.cos(x) + 1j * x, GRID)
         rng = np.random.default_rng(1)
         samples = rng.standard_normal((GRID.size, 4)) \
             + 1j * rng.standard_normal((GRID.size, 4))
-        assert pt_commutation_defect(fact.U, samples) <= 1e-10
+        U = GridOperator(grid=GRID, block_dim=1,
+                         matrix=scipy.sparse.diags_array(fact.u))
+        assert pt_commutation_defect(U, samples) <= 1e-10
 
 
 class TestHamiltonian:
@@ -90,7 +102,7 @@ class TestHamiltonian:
         H = build_scalar_hamiltonian(
             ScalarPotentials(A=lambda x: 0j, V=lambda x: x**2),
             Grid1D.from_box(8.0, 0.05))
-        vals = np.sort(np.linalg.eigvalsh(H.matrix.real))[:4]
+        vals = np.sort(np.linalg.eigvalsh(H.matrix.toarray().real))[:4]
         assert np.abs(vals - np.array([1, 3, 5, 7])).max() <= 1e-2
 
     def test_a_zero_both_residuals_machine(self):

@@ -7,15 +7,21 @@ stated tolerance.  Criterion 11 exercises the command-line entry point
 twice and byte-compares the emitted reports.
 """
 
+import dataclasses
 import time
 
+import numpy as np
 import pytest
 
+from ptgauge import cartan, pointint
 from ptgauge.cli import main
 from ptgauge.reporting import Report
 from ptgauge.verification import (
+    LtsParams,
     VerifyConfig,
+    check_cartan_lts,
     check_clifford_relations,
+    check_point_angle,
     run_verify_all,
 )
 
@@ -156,6 +162,28 @@ def test_verify_all_record_names_and_config_keys(report):
     assert [r.name for r in report.records] == VERIFY_ALL_RECORDS
     assert sorted(report.config) == ["jc_sign_convention",
                                      "matrix_convergence_order", "seed"]
+
+
+def _record(rep, name):
+    return next(r for r in rep.records if r.name == name)
+
+
+def test_nan_binary_escape_fails_its_record(monkeypatch):
+    lts_check = cartan.lts_check
+    monkeypatch.setattr(cartan, "lts_check", lambda *a: dataclasses.replace(
+        lts_check(*a), binary_escape=np.nan))
+    monkeypatch.setattr(LtsParams, "samples", 2)
+    rep = Report(command="nan", config={})
+    check_cartan_lts(rep, VerifyConfig())
+    assert not _record(rep, "cartan/binary_escape_p2q1").passed
+
+
+def test_nan_perturbed_relation_fails_its_record(monkeypatch):
+    monkeypatch.setattr(pointint, "_matrix_relation_residual",
+                        lambda *a: np.nan)
+    rep = Report(command="nan", config={})
+    check_point_angle(rep, VerifyConfig())
+    assert not _record(rep, "point/matrix_relation_fails_at_wrong_phi").passed
 
 
 def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):

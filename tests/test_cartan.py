@@ -9,6 +9,8 @@ from ptgauge.cartan import (
     exp_noncompact,
     group_polar,
     kappa,
+    GaugeAlgebraElement,
+    ParityRelationsReport,
     lts_check,
     make_element,
     membership_residual,
@@ -78,6 +80,14 @@ class TestCartanSplit:
     @settings(max_examples=40)
     def test_wick_rotation_block_placement(self, sig_pq, seed):
         assert wick_check(_el(sig_pq, seed)).passed
+
+
+    def test_wick_check_fails_on_nan(self):
+        sig = ThetaSignature(2, 1)
+        el = GaugeAlgebraElement(sig, u=np.zeros((2, 2)),
+                                 v=np.array([[0.5], [np.nan]]),
+                                 w=np.zeros((1, 1)))
+        assert not wick_check(el).passed
 
 
 class TestLts:
@@ -157,6 +167,12 @@ class TestPolar:
 
 
 class TestParityRelations:
+    def test_max_residual_propagates_nan(self):
+        out = ParityRelationsReport(compact_residual=0.0,
+                                    noncompact_residual=np.nan,
+                                    metric_residual=0.0)
+        assert np.isnan(out.max_residual)
+
     @given(sig_strategy, seed_strategy, st.floats(min_value=-2, max_value=2))
     @settings(max_examples=60, deadline=None)
     def test_relations_hold(self, sig_pq, seed, x):

@@ -176,6 +176,9 @@ INVALID = [
     ["gauge-scalar", "--h", "0"],
     ["gauge-scalar", "--beta", "nan", "--h", "0.1"],
     ["gauge-scalar", "--tol", "0"],
+    ["gauge-scalar", "--alpha", "1e308", "--h", "0.1"],   # Q overflows
+    ["gauge-scalar", "--beta", "11", "--h", "0.1"],       # e^{beta box^2}
+    ["gauge-scalar", "--beta=-11", "--h", "0.1"],
     ["cartan", "--p", "0"],
     ["cartan", "--seed=-1"],
     ["lts-check", "--p", "0"],

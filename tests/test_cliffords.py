@@ -45,6 +45,18 @@ def test_commuting_generators_fail():
     assert not out.passed
 
 
+def test_nan_generator_fails():
+    """A NaN in a later generator must not be dropped by the reduction;
+    three generators, so no rank (which would need an SVD of NaN)."""
+    e1 = np.diag([1.0, -1.0])
+    e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e3 = np.array([[0.0, np.nan], [1.0, 0.0]])
+    out = verify_clifford_relations(
+        CliffordGenerators(m_plus=3, m_minus=0, generators=[e1, e2, e3]), 1.0)
+    assert np.isnan(out.max_residual)
+    assert not out.passed
+
+
 def test_wrong_square_sign_detected():
     P, R = _pr()
     out = verify_clifford_relations(
@@ -66,7 +78,7 @@ class TestRotatedInvolution:
     def test_phi_zero_is_parity(self):
         P, R = _pr()
         M = rotated_involution(P, R, 0.0).matrix
-        assert np.abs(M - P.matrix).max() <= 1e-15
+        assert np.abs(M - P.matrix.toarray()).max() <= 1e-15
 
     @given(st.floats(min_value=-3, max_value=3))
     @settings(max_examples=20, deadline=None)
@@ -82,8 +94,9 @@ class TestRotatedInvolution:
         from ptgauge.linalg import expm
         P, R = _pr()
         phi = 0.83
-        lhs = P.matrix @ expm(1j * phi * R.matrix)
-        rhs = expm(-1j * phi * R.matrix) @ P.matrix
+        P, R = P.matrix.toarray(), R.matrix.toarray()
+        lhs = P @ expm(1j * phi * R)
+        rhs = expm(-1j * phi * R) @ P
         assert np.abs(lhs - rhs).max() <= 1e-13
 
     def test_rejects_noninvolution(self):

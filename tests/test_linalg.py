@@ -11,6 +11,7 @@ from ptgauge.linalg import (
     match_spectra,
     operator_norm_estimate,
     pairing_check,
+    smallest,
     worst_residual,
 )
 
@@ -105,36 +106,36 @@ class TestGrid:
     def test_parity_is_exact_involution(self):
         g = Grid1D(half_count=17, spacing=0.3)
         P = grid_operator(g, "parity").matrix
-        assert np.array_equal(P @ P, np.eye(g.size))
+        assert np.array_equal((P @ P).toarray(), np.eye(g.size))
 
     def test_sign_parity_anticommute_exactly(self):
         g = Grid1D(half_count=9, spacing=0.11)
         P = grid_operator(g, "parity").matrix
         R = grid_operator(g, "sign").matrix
-        assert np.abs(P @ R + R @ P).max() == 0.0
+        assert np.abs((P @ R + R @ P).toarray()).max() == 0.0
 
     def test_momentum_antihermitian_structure(self):
         g = Grid1D(half_count=20, spacing=0.1)
-        p = grid_operator(g, "momentum").matrix
+        p = grid_operator(g, "momentum").matrix.toarray()
         assert np.abs(p - p.conj().T).max() <= 1e-14
 
     def test_second_derivative_spd(self):
         g = Grid1D(half_count=20, spacing=0.1)
-        L = grid_operator(g, "second_derivative").matrix
+        L = grid_operator(g, "second_derivative").matrix.toarray()
         vals = np.linalg.eigvalsh(L.real)
         assert vals.min() > 0
 
     def test_oscillator_spectrum(self):
         """Harmonic oscillator oracle: p^2 + x^2 has levels 1, 3, 5, ..."""
         g = Grid1D.from_box(8.0, 0.05)
-        L = grid_operator(g, "second_derivative").matrix
+        L = grid_operator(g, "second_derivative").matrix.toarray()
         H = L + np.diag(g.nodes**2)
         vals = np.sort(np.linalg.eigvalsh(H.real))[:5]
         assert np.abs(vals - np.array([1, 3, 5, 7, 9])).max() < 1e-2
 
     def test_block_kron_ordering(self):
         g = Grid1D(half_count=2, spacing=0.5)
-        P = grid_operator(g, "parity", block_dim=2).matrix
+        P = grid_operator(g, "parity", block_dim=2).matrix.toarray()
         # node j maps to node -j with the 2x2 block untouched
         v = np.zeros(8)
         v[0] = 1.0
@@ -157,21 +158,21 @@ class TestIndefiniteInner:
         eye = grid_operator(g, "multiply", func=lambda x: 1.0)
         rng = np.random.default_rng(0)
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        val = indefinite_inner(f, f, eye, eye)
+        val = indefinite_inner(f, f, eye, np.ones(g.size))
         want = g.spacing * np.vdot(f, f)
         assert abs(val - want) <= 1e-12 * abs(want)
 
     def test_direct_summation_oracle(self):
         g = Grid1D(half_count=4, spacing=0.5)
         J = grid_operator(g, "parity")
-        W = grid_operator(g, "multiply", func=lambda x: 1.0 + x**2)
+        w = 1.0 + g.nodes**2
         rng = np.random.default_rng(3)
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         gv = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        w = np.diagonal(W.matrix)
+        Jd = J.matrix.toarray()
         want = g.spacing * sum(
-            w[j] * (J.matrix @ gv)[j] * np.conj(f[j]) for j in range(g.size))
-        assert abs(indefinite_inner(f, gv, J, W) - want) <= 1e-12
+            w[j] * (Jd @ gv)[j] * np.conj(f[j]) for j in range(g.size))
+        assert abs(indefinite_inner(f, gv, J, w) - want) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=25, deadline=None)
@@ -179,21 +180,20 @@ class TestIndefiniteInner:
         g = Grid1D(half_count=6, spacing=0.3)
         J = grid_operator(g, "parity")
         # even weight makes W J Hermitian
-        W = grid_operator(g, "multiply", func=lambda x: 1.0 + x**2)
+        w = 1.0 + g.nodes**2
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         h = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        a = indefinite_inner(f, h, J, W)
-        b = indefinite_inner(h, f, J, W)
+        a = indefinite_inner(f, h, J, w)
+        b = indefinite_inner(h, f, J, w)
         assert abs(a - np.conj(b)) <= 1e-10 * max(1.0, abs(a))
 
     def test_rejects_nonpositive_weight(self):
         g = Grid1D(half_count=4, spacing=0.5)
         J = grid_operator(g, "parity")
-        W = grid_operator(g, "multiply", func=lambda x: x)  # changes sign
         f = np.ones(g.size)
         with pytest.raises(ValueError):
-            indefinite_inner(f, f, J, W)
+            indefinite_inner(f, f, J, g.nodes)  # changes sign
 
 
 class TestPairing:
@@ -261,3 +261,16 @@ class TestWorstResidual:
         values[position] = np.nan
         # Python's max() returns 2.0 here unless the NaN comes first
         assert np.isnan(worst_residual(values))
+
+
+class TestSmallest:
+    def test_exact_min_and_empty(self):
+        assert smallest([0.1, 3e-12, 0.25]) == 3e-12
+        assert smallest([]) == np.inf
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_anywhere_propagates(self, position):
+        values = [0.5, 1.0, 2.0]
+        values[position] = np.nan
+        # min(np.inf, nan) is inf: Python's min() drops this NaN
+        assert np.isnan(smallest(values))

@@ -106,6 +106,14 @@ class TestBoundaryTransform:
         out = boundary_transform_check(T, bad, [f])
         assert not out.passed
 
+    def test_nan_trace_fails(self):
+        T = CouplingMatrixT(t11=1, t12=1j, t21=-1j, t22=0)
+        fs = [PiecewiseFunction(1.0, 0.5, -0.3, 0.7),
+              PiecewiseFunction(np.nan, 0.5, -0.3, 0.7)]
+        out = boundary_transform_check(T, clifford_angle(T), fs)
+        assert np.isnan(out.trace_residual)
+        assert not out.passed
+
     @given(st.floats(min_value=-1.5, max_value=1.5), st.integers(0, 500))
     @settings(max_examples=40)
     def test_p_phi_is_involution_on_traces(self, phi, seed):

@@ -56,6 +56,18 @@ class TestAudit:
         assert out.residuals["A_antisym"] > 0.1
         assert not out.passed
 
+    def test_nan_potential_fails(self):
+        """sample() rejects a non-finite V, so the NaN is injected past it."""
+        class NanAtOneNode(MatrixPotential):
+            def sample(self, x):
+                out = super().sample(x)
+                out[3, 0, 1] = np.nan
+                return out
+
+        out = symmetry_audit(_gauge(), NanAtOneNode(m=2, V=_well().V), SIG, GRID)
+        assert np.isnan(out.residuals["V_pt"])
+        assert not out.passed
+
 
 class TestRegauge:
     def test_similarity_is_spectrally_exact(self):

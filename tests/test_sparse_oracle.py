@@ -1,0 +1,166 @@
+"""Dense n x n oracles for the sparse grid operators and the abelian chain.
+
+The library stores diagonal factors as node vectors and the stencils, eta,
+J and H_g as sparse matrices.  Here each is rebuilt densely with plain
+numpy at n <= 320, entry by entry from its defining formula, and the
+structured results must match: operators entrywise, the factorization
+residuals bit for bit (the anti-diagonal entries are the only nonzero
+ones, computed by the same floating-point operations), and the weak-form
+figures to 1e-10 relative (sparse and dense products sum in different
+orders).
+"""
+
+import numpy as np
+import pytest
+
+from ptgauge.abelian import (
+    ScalarPotentials,
+    build_scalar_hamiltonian,
+    gauge_factorization,
+    interior_test_vectors,
+    verify_pseudo_hermiticity,
+    weak_pseudo_hermiticity_residual,
+)
+from ptgauge.linalg import Grid1D, grid_operator, operator_norm_estimate
+
+GAUGES = {
+    "alpha": lambda t: 1.0 + 0j,
+    "beta": lambda t: 0.3j * t,
+    "mixed": lambda t: np.cos(t) + 0.3j * t,
+}
+GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.05)]  # n = 6, 320
+
+
+def dense_stencils(grid):
+    n, h, x = grid.size, grid.spacing, grid.nodes
+    D = np.zeros((n, n))
+    i = np.arange(n - 1)
+    D[i, i + 1] = 1.0 / (2 * h)
+    D[i + 1, i] = -1.0 / (2 * h)
+    L = np.zeros((n, n))
+    L[np.arange(n), np.arange(n)] = 2.0 / h**2
+    L[i, i + 1] = L[i + 1, i] = -1.0 / h**2
+    return {
+        "momentum": -1j * D,
+        "second_derivative": L.astype(complex),
+        "parity": np.eye(n)[::-1].astype(complex),
+        "sign": np.diag(np.sign(x)).astype(complex),
+        "position": np.diag(x).astype(complex),
+    }
+
+
+def dense_chain(A, grid):
+    """eta, J, |eta| and the factorization residuals from dense matrices."""
+    fact = gauge_factorization(A, grid)
+    Q, u_u, u_h = fact.Q, fact.u_u, fact.u_h
+    u = u_u * u_h
+    P = dense_stencils(grid)["parity"]
+    eta = np.conj(u)[:, None] * P * u[None, :]
+    J = np.exp(1j * Q)[:, None] * P * u_u[None, :]
+
+    def rel(diff, scale):
+        return float((np.abs(diff) / np.maximum(1.0, np.abs(scale))).max())
+
+    residuals = {
+        "P_Uu": float(np.abs(P * u_u[None, :] - np.conj(u_u)[:, None] * P).max()),
+        "P_Uh": rel(P * u_h[None, :] - u_h[:, None] * P, P * u_h[None, :]),
+        "P_U": rel(P * u[None, :] - np.conj(u)[:, None] * P, P * u[None, :]),
+        "polar": rel(eta - J * (u_h**2)[None, :], eta),
+        "J_involution": float(np.abs(
+            np.exp(1j * (Q + Q[::-1])) * u_u * u_u[::-1] - 1.0).max()),
+        "J_hermitian": float(np.abs(J - J.conj().T).max()),
+    }
+    if not np.any(Q == 0.0):
+        sgn = np.sign(Q)
+        residuals["sign_split"] = float(np.abs(sgn * np.abs(Q) - Q).max())
+        residuals["P_RQ_anticommute"] = float(
+            np.abs(P * sgn[None, :] + sgn[:, None] * P).max())
+    return fact, eta, J, residuals
+
+
+def dense_hamiltonian(A, grid):
+    x = grid.nodes
+    A_v = np.asarray([A(t) for t in x], dtype=complex)
+    st = dense_stencils(grid)
+    p, L = st["momentum"], st["second_derivative"]
+    return (L - p * A_v[None, :] - A_v[:, None] * p
+            + np.diag(A_v**2 + x.astype(complex)**2))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
+@pytest.mark.parametrize("kind", ["momentum", "second_derivative", "parity",
+                                  "sign", "position"])
+def test_stencils_entrywise(grid, kind):
+    M = grid_operator(grid, kind).matrix
+    assert np.array_equal(M.toarray(), dense_stencils(grid)[kind])
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
+def test_block_operator_is_kron(grid):
+    M = grid_operator(grid, "momentum", block_dim=3).matrix
+    assert np.array_equal(M.toarray(),
+                          np.kron(dense_stencils(grid)["momentum"], np.eye(3)))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
+@pytest.mark.parametrize("name", GAUGES)
+def test_factorization_entrywise_and_bitwise(grid, name):
+    fact, eta, J, residuals = dense_chain(GAUGES[name], grid)
+    assert np.array_equal(fact.eta.matrix.toarray(), eta)
+    assert np.array_equal(fact.J.matrix.toarray(), J)
+    assert np.array_equal(fact.abs_eta, fact.u_h**2)
+    assert fact.residuals == residuals
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
+@pytest.mark.parametrize("name", GAUGES)
+def test_hamiltonian_entrywise(grid, name):
+    A = GAUGES[name]
+    H = build_scalar_hamiltonian(ScalarPotentials(A=A, V=lambda t: t**2), grid)
+    assert np.array_equal(H.matrix.toarray(), dense_hamiltonian(A, grid))
+    assert H.matrix.nnz == 3 * grid.size - 2
+
+
+@pytest.mark.parametrize("name", GAUGES)
+def test_weak_form_matches_dense(name):
+    A = GAUGES[name]
+    grid = GRIDS[1]
+    fact, eta, J, _ = dense_chain(A, grid)
+    H = dense_hamiltonian(A, grid)
+    T = interior_test_vectors(grid)
+    P = dense_stencils(grid)["parity"]
+    norm_H = operator_norm_estimate(H)
+    r1_abs = weak_pseudo_hermiticity_residual(H, eta, T)
+    r2_abs = weak_pseudo_hermiticity_residual(H, P, T)
+    # the weighted-form loop of verify_pseudo_hermiticity, summed densely
+    rng = np.random.default_rng(7)
+    w = np.diag(fact.u_h**2)
+    wf = []
+    for _ in range(5):
+        phi = T @ rng.standard_normal(T.shape[1])
+        psi = T @ rng.standard_normal(T.shape[1])
+        lhs = grid.spacing * np.vdot(H @ phi, w @ J @ psi)
+        rhs = grid.spacing * np.vdot(phi, w @ J @ H @ psi)
+        wf.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+
+    out = verify_pseudo_hermiticity(
+        build_scalar_hamiltonian(ScalarPotentials(A=A, V=lambda t: t**2), grid),
+        fact, tol=1e-8)
+    for got, want in ((out.norm_H, norm_H), (out.r1, r1_abs / norm_H),
+                      (out.r2_abs, r2_abs),
+                      (out.weighted_form_residual, max(wf))):
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def test_weak_residual_order_beyond_dense_reach():
+    """r1 keeps its fourth order at n = 5120 -> 10240, where one dense
+    complex operator would take 1.6 GB."""
+    A = lambda t: 1.0 + 0.3j * t
+    pots = ScalarPotentials(A=A, V=lambda t: t**2)
+    r1 = []
+    for n in (5120, 10240):
+        grid = Grid1D(half_count=n // 2, spacing=16.0 / n)
+        out = verify_pseudo_hermiticity(build_scalar_hamiltonian(pots, grid),
+                                        gauge_factorization(A, grid), tol=1.0)
+        r1.append(out.r1)
+    assert np.log2(r1[0] / r1[1]) >= 3.5
