@@ -172,7 +172,7 @@ def test_nan_binary_escape_fails_its_record(monkeypatch):
     lts_check = cartan.lts_check
     monkeypatch.setattr(cartan, "lts_check", lambda *a: dataclasses.replace(
         lts_check(*a), binary_escape=np.nan))
-    monkeypatch.setattr(LtsParams, "samples", 2)
+    monkeypatch.setattr(LtsParams, "samples", 2)   # closure is not under test
     rep = Report(command="nan", config={})
     check_cartan_lts(rep, VerifyConfig())
     assert not _record(rep, "cartan/binary_escape_p2q1").passed
