@@ -3,12 +3,14 @@
 Assembles the gauged operator H_g and the independently regauged
 H = p^2 + e^{-Ax} V e^{Ax} on a sequence of halved spacings and reports
 the worst relative eigenvalue mismatch over the lowest modes together
-with the observed convergence order (expected around 2).
+with the observed convergence order (expected around 2).  It exits 1 if
+any observed order is below MIN_ORDER, else 0.
 
     python3 scripts/matrix_convergence_study.py --gauge-alpha 0.3
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -21,15 +23,17 @@ from ptgauge.schrodinger import (
     spectral_compare,
 )
 
+MIN_ORDER = 1.8   # the bound of the test suite and the benchmark
 
-def main():
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--gauge-alpha", type=float, default=0.3)
     ap.add_argument("--box", type=float, default=6.0)
     ap.add_argument("--h0", type=float, default=0.2)
     ap.add_argument("--levels", type=int, default=4)
     ap.add_argument("--n-low", type=int, default=12)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     sig = ThetaSignature(1, 1)
     el = make_element(sig, np.zeros((1, 1)), [[-args.gauge_alpha]],
@@ -41,15 +45,23 @@ def main():
           f"lowest {args.n_low} modes")
     print(f"{'h':>8} {'max match dist':>15} {'order':>7} {'pairing':>12}")
     prev = None
+    orders = []
     for level in range(args.levels):
         h = args.h0 / 2**level
         res = build_and_regauge(gauge, pot, Grid1D.from_box(args.box, h))
         out = spectral_compare(res, sig, n_low=args.n_low)
-        order = "" if prev is None else f"{np.log2(prev / out.max_match_dist):7.2f}"
+        if prev is not None:
+            orders.append(np.log2(prev / out.max_match_dist))
+        order = f"{orders[-1]:7.2f}" if prev is not None else ""
         print(f"{h:8.4f} {out.max_match_dist:15.3e} {order:>7} "
               f"{out.pairing_Hg:>12}")
         prev = out.max_match_dist
+    # a NaN order fails as well
+    if not all(order >= MIN_ORDER for order in orders):
+        print(f"FAIL: an observed order is below {MIN_ORDER}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

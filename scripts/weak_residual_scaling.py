@@ -4,11 +4,13 @@ For the scalar gauge A = alpha + i beta x the interior weak residual r1
 of eta H - H^H eta should drop at fourth order in h (two orders from the
 stencil, two from testing against smooth vectors).  This script tabulates
 r1 over a dyadic sequence of spacings and prints the observed orders.
+It exits 1 if any observed order is below MIN_ORDER, else 0.
 
     python3 scripts/weak_residual_scaling.py --alpha 1.0 --beta 0.3
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -20,8 +22,10 @@ from ptgauge.abelian import (
 )
 from ptgauge.linalg import Grid1D
 
+MIN_ORDER = 3.5   # the bound of the test suite and the benchmark
 
-def main():
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alpha", type=float, default=1.0)
     ap.add_argument("--beta", type=float, default=0.3)
@@ -29,7 +33,7 @@ def main():
     ap.add_argument("--h0", type=float, default=0.1,
                     help="coarsest spacing; halved at each step")
     ap.add_argument("--levels", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     A = lambda x: args.alpha + 1j * args.beta * x
     pots = ScalarPotentials(A=A, V=lambda x: x**2)
@@ -37,16 +41,24 @@ def main():
     print(f"# A = {args.alpha} + {args.beta} i x on |x| <= {args.box}")
     print(f"{'h':>10} {'r1':>12} {'r1_abs':>12} {'order':>7}")
     prev = None
+    orders = []
     for level in range(args.levels):
         h = args.h0 / 2**level
         grid = Grid1D.from_box(args.box, h)
         fact = gauge_factorization(A, grid)
         H = build_scalar_hamiltonian(pots, grid)
         out = verify_pseudo_hermiticity(H, fact, tol=np.inf)
-        order = "" if prev is None else f"{np.log2(prev / out.r1):7.2f}"
+        if prev is not None:
+            orders.append(np.log2(prev / out.r1))
+        order = f"{orders[-1]:7.2f}" if prev is not None else ""
         print(f"{h:10.5f} {out.r1:12.3e} {out.r1_abs:12.3e} {order:>7}")
         prev = out.r1
+    # a NaN order fails as well
+    if not all(order >= MIN_ORDER for order in orders):
+        print(f"FAIL: an observed order is below {MIN_ORDER}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

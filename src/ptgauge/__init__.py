@@ -2,7 +2,7 @@
 
 Modules
 -------
-linalg       staggered grid, sparse grid operators, eigensolvers, pairing
+linalg       staggered grid, CSR grid operators, eigensolvers, pairing
 cliffords    generating involutions, Clifford relations, rotated involution
 abelian      scalar gauge factorization U = U_u U_h and metric eta = J |eta|
 cartan       gauge algebra g_Theta, Cartan split, closed-form exponentials
@@ -14,8 +14,6 @@ verification desk-scale acceptance suite behind `ptgauge verify-all`
 
 from .linalg import (
     Grid1D,
-    GridOperator,
-    SpectrumResult,
     eig,
     expm,
     grid_operator,

@@ -32,21 +32,14 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import Grid1D, GridOperator, antidiagonal, grid_operator, \
-    indefinite_inner, operator_norm_estimate, worst_residual
+from .linalg import Grid1D, antidiagonal, grid_operator, indefinite_inner, \
+    operator_norm_estimate, worst_residual
 
 
 @dataclass(frozen=True)
 class ScalarPotentials:
     A: Callable[[float], complex]
     V: Callable[[float], complex]
-
-
-def pt_symmetry_defect(f: Callable[[float], complex], grid: Grid1D) -> float:
-    """max_j |f(-x_j) - conj(f(x_j))| on the grid."""
-    x = grid.nodes
-    vals = np.asarray([f(xi) for xi in x], dtype=complex)
-    return float(np.abs(vals[::-1] - np.conj(vals)).max())
 
 
 def split_even_odd(A: Callable[[float], complex], grid: Grid1D, tol: float = 1e-10):
@@ -84,16 +77,16 @@ def _cumulative_from_origin(node_vals: np.ndarray, value_at_0: float,
 
 @dataclass(frozen=True)
 class GaugeFactorization:
-    """Node values of the diagonal factors, and eta, J as anti-diagonal
-    operators (row j holds the entry in column n-1-j)."""
+    """Node values of the diagonal factors, and eta, J as anti-diagonal CSR
+    arrays (row j holds the entry in column n-1-j)."""
 
     grid: Grid1D
     u_u: np.ndarray                  # U_u = diag(u_u), u_u = e^{-iQ}
     u_h: np.ndarray                  # U_h = diag(u_h), u_h = e^{S}
     u: np.ndarray                    # U = U_u U_h
     abs_eta: np.ndarray              # |eta| = U_h^2
-    eta: GridOperator
-    J: GridOperator
+    eta: scipy.sparse.csr_array
+    J: scipy.sparse.csr_array
     Q: np.ndarray
     q_abs: np.ndarray
     R_Q: Optional[np.ndarray]        # sign(Q); None when Q vanishes at some node
@@ -147,26 +140,26 @@ def gauge_factorization(A: Callable[[float], complex], grid: Grid1D,
 
     return GaugeFactorization(
         grid=grid, u_u=u_u, u_h=u_h, u=u, abs_eta=u_h**2,
-        eta=GridOperator(grid=grid, block_dim=1, matrix=antidiagonal(eta_d)),
-        J=GridOperator(grid=grid, block_dim=1, matrix=antidiagonal(J_d)),
+        eta=antidiagonal(eta_d), J=antidiagonal(J_d),
         Q=Q, q_abs=q_abs, R_Q=R_Q, sign_split_note=note, residuals=residuals,
     )
 
 
-def build_scalar_hamiltonian(pots: ScalarPotentials, grid: Grid1D) -> GridOperator:
+def build_scalar_hamiltonian(pots: ScalarPotentials,
+                             grid: Grid1D) -> scipy.sparse.csr_array:
     """H_g = p^2 - p A - A p + A^2 + V with p^2 the 3-point stencil, as a
-    sparse tridiagonal operator."""
+    tridiagonal CSR array."""
     x = grid.nodes
     A_v = np.asarray([pots.A(xi) for xi in x], dtype=complex)
     V_v = np.asarray([pots.V(xi) for xi in x], dtype=complex)
-    p = grid_operator(grid, "momentum").matrix
-    L = grid_operator(grid, "second_derivative").matrix
+    p = grid_operator(grid, "momentum")
+    L = grid_operator(grid, "second_derivative")
     A = scipy.sparse.diags_array(A_v)
     H = L - p @ A - A @ p + scipy.sparse.diags_array(A_v**2 + V_v)
-    return GridOperator(grid=grid, block_dim=1, matrix=scipy.sparse.csr_array(H))
+    return scipy.sparse.csr_array(H)
 
 
-def interior_test_vectors(grid: Grid1D, block_dim: int = 1, n_boundary: int = 5,
+def interior_test_vectors(grid: Grid1D, n_boundary: int = 5,
                           count: int = 9) -> np.ndarray:
     """Smooth test vectors vanishing within n_boundary nodes of the box edge.
 
@@ -187,8 +180,6 @@ def interior_test_vectors(grid: Grid1D, block_dim: int = 1, n_boundary: int = 5,
         v = v.astype(complex)
         v[:n_boundary] = 0.0
         v[-n_boundary:] = 0.0
-        if block_dim > 1:
-            v = np.kron(v, np.ones(block_dim))
         v = v / np.linalg.norm(v)
         vecs.append(v)
     return np.array(vecs).T
@@ -214,13 +205,14 @@ class PseudoHermiticityReport:
     passed: bool
 
 
-def verify_pseudo_hermiticity(H_g: GridOperator, fact: GaugeFactorization,
-                              tol: float, seed: int = 7) -> PseudoHermiticityReport:
-    H = H_g.matrix
-    T = interior_test_vectors(H_g.grid)
-    P = grid_operator(H_g.grid, "parity").matrix
+def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float,
+                              seed: int = 7) -> PseudoHermiticityReport:
+    """Weak-form residuals of H on the grid of fact."""
+    grid = fact.grid
+    T = interior_test_vectors(grid)
+    P = grid_operator(grid, "parity")
     norm_H = operator_norm_estimate(H)
-    r1_abs = weak_pseudo_hermiticity_residual(H, fact.eta.matrix, T)
+    r1_abs = weak_pseudo_hermiticity_residual(H, fact.eta, T)
     r2_abs = weak_pseudo_hermiticity_residual(H, P, T)
     r1 = r1_abs / norm_H
     r2 = r2_abs / norm_H
@@ -231,8 +223,8 @@ def verify_pseudo_hermiticity(H_g: GridOperator, fact: GaugeFactorization,
     for _ in range(5):
         phi = T @ rng.standard_normal(T.shape[1])
         psi = T @ rng.standard_normal(T.shape[1])
-        lhs = indefinite_inner(H @ phi, psi, fact.J, fact.abs_eta)
-        rhs = indefinite_inner(phi, H @ psi, fact.J, fact.abs_eta)
+        lhs = indefinite_inner(H @ phi, psi, fact.J, fact.abs_eta, grid.spacing)
+        rhs = indefinite_inner(phi, H @ psi, fact.J, fact.abs_eta, grid.spacing)
         scale = max(abs(lhs), abs(rhs), 1.0)
         wf_res.append(abs(lhs - rhs) / scale)
 
@@ -241,11 +233,3 @@ def verify_pseudo_hermiticity(H_g: GridOperator, fact: GaugeFactorization,
         weighted_form_residual=worst_residual(wf_res), norm_H=norm_H,
         passed=r1 <= tol,
     )
-
-
-def pt_commutation_defect(U: GridOperator, samples: np.ndarray) -> float:
-    """Defect of [PT, U] = 0: compares P conj(U conj(P f)) against U f."""
-    P = grid_operator(U.grid, "parity", block_dim=U.block_dim).matrix
-    return worst_residual(
-        np.abs(P @ np.conj(U.matrix @ np.conj(P @ f)) - U.matrix @ f).max()
-        for f in samples.T)

@@ -16,21 +16,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
-from .linalg import GridOperator, expm, worst_residual
-
-
-def _dense(M) -> np.ndarray:
-    """Dense complex copy of an array or a scipy.sparse matrix; the checks
-    here run on small grids (n <= 128)."""
-    return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
-                      dtype=complex)
+from .linalg import densify, expm, worst_residual
 
 
 @dataclass(frozen=True)
 class CliffordGenerators:
-    """Concrete matrix generators e_k with squares +I (first m_plus) / -I."""
+    """Concrete matrix generators e_k with squares +I (first m_plus) / -I,
+    dense or sparse; the checks densify them (small grids, n <= 128)."""
 
     m_plus: int
     m_minus: int
@@ -51,8 +44,6 @@ class CliffordReport:
 @dataclass(frozen=True)
 class RotatedInvolution:
     phi: float
-    base_parity: GridOperator
-    base_sign: GridOperator
     matrix: np.ndarray
     agreement: float  # distance between the two defining expressions
 
@@ -63,7 +54,7 @@ def verify_clifford_relations(gens: CliffordGenerators, tol: float) -> CliffordR
     For two generators the rank of vec{I, e1, e2, e1 e2} is reported as
     span_dim (4 means the products are linearly independent).
     """
-    mats = [_dense(g) for g in gens.generators]
+    mats = [densify(g) for g in gens.generators]
     dim = mats[0].shape[0]
     for g in mats:
         if g.shape != (dim, dim):
@@ -84,12 +75,13 @@ def verify_clifford_relations(gens: CliffordGenerators, tol: float) -> CliffordR
     return CliffordReport(max_residual=res, span_dim=span_dim, passed=passed)
 
 
-def rotated_involution(
-    parity: GridOperator, sign_op: GridOperator, phi: float
-) -> RotatedInvolution:
-    """Build P_phi = P exp(i phi R), cross-checked against the symmetric form."""
-    P = _dense(parity.matrix)
-    R = _dense(sign_op.matrix)
+def rotated_involution(parity, sign_op, phi: float) -> RotatedInvolution:
+    """Build P_phi = P exp(i phi R), cross-checked against the symmetric form.
+
+    parity and sign_op are dense or sparse matrices; P_phi is dense.
+    """
+    P = densify(parity)
+    R = densify(sign_op)
     eye = np.eye(P.shape[0])
     if np.abs(P @ P - eye).max() > 1e-12 or np.abs(R @ R - eye).max() > 1e-12:
         raise ValueError("parity and sign operators must be involutions")
@@ -102,10 +94,4 @@ def rotated_involution(
         raise ValueError(
             f"defining expressions for P_phi disagree by {agreement:.3e}"
         )
-    return RotatedInvolution(
-        phi=phi,
-        base_parity=parity,
-        base_sign=sign_op,
-        matrix=one_sided,
-        agreement=agreement,
-    )
+    return RotatedInvolution(phi=phi, matrix=one_sided, agreement=agreement)

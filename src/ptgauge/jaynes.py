@@ -169,7 +169,7 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
 
     H_g = build_gauged(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V), grid)
     k = min(n_compare, n_max // 2)
-    e_grid = eig(H_g.matrix).eigenvalues
+    e_grid = eig(H_g)
     low_grid = e_grid[np.argsort(e_grid.real)[:k]]
 
     devs = {}
@@ -177,7 +177,7 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     for s in (+1, -1):
         split_s = nilpotent_split(_flip_element(el, s))
         H_jc = build_jc(split_s, omega, n_max)
-        e_f = eig(H_jc).eigenvalues
+        e_f = eig(H_jc)
         low_f = e_f[np.argsort(e_f.real)[:k]]
         devs[s] = float(match_spectra(low_grid, low_f).max())
         fock_low[s] = low_f
@@ -186,7 +186,7 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     # truncation sanity at the matching convention
     n_big = int(np.ceil(1.5 * n_max))
     H_big = build_jc(nilpotent_split(_flip_element(el, s_best)), omega, n_big)
-    e_big = eig(H_big).eigenvalues
+    e_big = eig(H_big)
     low_big = e_big[np.argsort(e_big.real)[:k]]
     trunc = float(match_spectra(fock_low[s_best], low_big).max())
 

@@ -14,7 +14,9 @@ Grid operators are complex scipy.sparse CSR arrays: momentum and
 second_derivative are tridiagonal, parity is anti-diagonal, and sign,
 position and multiply are diagonal.  Block operators are Kronecker
 products  grid_part (x) I_m  with the grid index slowest, i.e. node j
-occupies rows j*m .. j*m+m-1.  eig and expm work on dense matrices.
+occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input
+and work on a dense copy; densify is the one place a sparse operator is
+made dense.
 
 Eigenvalues are always returned sorted by (real part, imaginary part) so
 that repeated runs and CSV exports are reproducible.
@@ -30,22 +32,20 @@ import scipy.linalg
 import scipy.sparse
 
 
+def densify(M) -> np.ndarray:
+    """Dense complex copy of an array or a scipy.sparse matrix (no copy for
+    a complex ndarray)."""
+    return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
+                      dtype=complex)
+
+
 def _as_square_matrix(M) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    M = densify(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains NaN/Inf entries")
     return M
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalues in deterministic order, optional eigenvectors, residual."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
-    residual_norm: float
 
 
 @dataclass(frozen=True)
@@ -76,47 +76,14 @@ class Grid1D:
         return cls(half_count=int(round(half_width / spacing)), spacing=spacing)
 
 
-@dataclass(frozen=True)
-class GridOperator:
-    """An operator on grid (x) C^block_dim.  matrix is a scipy.sparse CSR
-    array, except for the matrix Schrodinger builds, which are dense
-    because their spectra are computed in full."""
-
-    grid: Grid1D
-    block_dim: int
-    matrix: scipy.sparse.csr_array | np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.size * self.block_dim
-        if self.matrix.shape != (n, n):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match grid "
-                f"({self.grid.size} nodes, block_dim {self.block_dim})"
-            )
-
-
-def eig(M, want_vectors: bool = False) -> SpectrumResult:
-    """Eigen-decomposition with deterministic (real, imag) ordering.
+def eig(M) -> np.ndarray:
+    """All eigenvalues, sorted by (real part, imaginary part).
 
     Raises scipy/numpy LinAlgError on QR-iteration non-convergence; the
     message then carries the partial diagnostics LAPACK provides.
     """
-    M = _as_square_matrix(M)
-    if want_vectors:
-        vals, vecs = np.linalg.eig(M)
-    else:
-        vals = np.linalg.eigvals(M)
-        vecs = None
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    residual = 0.0
-    if vecs is not None:
-        vecs = vecs[:, order]
-        scale = np.linalg.norm(M, 2)
-        if scale > 0:
-            res = np.linalg.norm(M @ vecs - vecs * vals[None, :], axis=0)
-            residual = float(np.max(res) / scale)
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, residual_norm=residual)
+    vals = np.linalg.eigvals(_as_square_matrix(M))
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def expm(M) -> np.ndarray:
@@ -141,8 +108,8 @@ def grid_operator(
     kind: str,
     block_dim: int = 1,
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> GridOperator:
-    """Assemble a discrete operator on the staggered grid.
+) -> scipy.sparse.csr_array:
+    """Assemble a discrete operator on grid (x) C^block_dim as a CSR array.
 
     kind is one of 'momentum', 'parity', 'sign', 'position', 'multiply',
     'second_derivative'.  'multiply' requires func, evaluated on the nodes.
@@ -172,24 +139,24 @@ def grid_operator(
         raise ValueError(f"unknown operator kind {kind!r}")
     if block_dim > 1:
         core = scipy.sparse.kron(core, scipy.sparse.eye_array(block_dim))
-    core = scipy.sparse.csr_array(core)
-    return GridOperator(grid=grid, block_dim=block_dim, matrix=core)
+    return scipy.sparse.csr_array(core)
 
 
-def indefinite_inner(f, g, J: GridOperator, weight) -> complex:
+def indefinite_inner(f, g, J, weight, h: float) -> complex:
     """Quadrature of the indefinite form [f, g] = (f, W J g).
 
     Returns h * sum_j w_j (J g)_j conj(f_j), where weight holds the node
     values w_j of the diagonal operator W; they must be real and positive.
+    h is the grid spacing.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     w = np.asarray(weight)
     if not (np.isrealobj(w) and np.all(w > 0)):
         raise ValueError("weight entries must be real positive")
-    if not (f.shape == g.shape == w.shape and f.shape[0] == J.matrix.shape[0]):
+    if not (f.shape == g.shape == w.shape and f.shape[0] == J.shape[0]):
         raise ValueError("dimension mismatch between vectors and operators")
-    return complex(J.grid.spacing * np.sum(w * (J.matrix @ g) * np.conj(f)))
+    return complex(h * np.sum(w * (J @ g) * np.conj(f)))
 
 
 @dataclass(frozen=True)
@@ -264,7 +231,8 @@ def smallest(values) -> float:
 def operator_norm_estimate(M, iters: int = 30, seed: int = 0) -> float:
     """2-norm estimate by power iteration on M^H M (cheap, deterministic).
 
-    M may be a dense array or a scipy.sparse matrix.
+    M may be a dense array or a scipy.sparse matrix.  A non-finite entry
+    of M gives NaN; raises OverflowError if the iterate overflows.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(M.shape[0]) + 0j
@@ -274,6 +242,10 @@ def operator_norm_estimate(M, iters: int = 30, seed: int = 0) -> float:
     for _ in range(iters):
         w = MH @ (M @ v)
         n = np.linalg.norm(w)
+        if not np.isfinite(n):
+            if np.isfinite(M.data if scipy.sparse.issparse(M) else M).all():
+                raise OverflowError("power iteration overflowed (extreme norm input)")
+            return float("nan")
         if n == 0:
             return 0.0
         v = w / n

@@ -33,6 +33,9 @@ N_PARITY_DRAWS = 500
 WELL_WIDTH = 0.001
 WELL_H = 0.00025
 WELL_BOX = 8.0
+# bytes of the largest single array a command may allocate; each params
+# check() sizes its own largest array from the flags, before allocating it
+MAX_ARRAY_BYTES = 2**30
 
 
 class UsageError(ValueError):
@@ -66,6 +69,17 @@ def _parse_range(text: str, key: str) -> np.ndarray:
              f"range bounds for {key} must be finite, got {text!r}")
     _require(count >= 1, f"sweep count for {key} must be >= 1")
     return np.linspace(start, stop, count)
+
+
+def _require_budget(entries: int, what: str) -> None:
+    """A usage error unless an array of that many complex entries fits."""
+    _require(16 * entries <= MAX_ARRAY_BYTES,
+             f"{what} would allocate {16 * entries} bytes, over the "
+             f"{MAX_ARRAY_BYTES}-byte array budget")
+
+
+def _require_dense(dim: int, what: str) -> None:
+    _require_budget(dim * dim, f"{what} (a dense {dim} x {dim} complex matrix)")
 
 
 def _grid(box: float, h: float) -> Grid1D:
@@ -102,7 +116,9 @@ class GaugeScalarParams(_Params):
     tol: float = 1e-8
 
     def check(self):
-        self.grid()
+        # the largest array holds the weak form's nine test vectors
+        n = self.grid().size
+        _require_budget(9 * n, f"the test vectors on {n} grid nodes")
         _require(self.tol > 0, "tol must be positive")
         # |eta| = e^{beta x^2} must stay a positive finite float on the box,
         # and the squared norm of H_g^H H_g v, about alpha^8, must not overflow
@@ -124,7 +140,8 @@ class CartanParams(_Params):
     seed: int = 0
 
     def check(self):
-        self.signature()   # ValueError unless p >= 1 and q >= 0
+        m = self.signature().m   # ValueError unless p >= 1 and q >= 0
+        _require_dense(m, "signature (p, q)")
         _require(self.samples >= 1, "samples must be >= 1")
         _require(self.seed >= 0, "seed must be >= 0")
 
@@ -145,7 +162,7 @@ class SpectrumMatrixParams(_Params):
     n_low: int = 16
 
     def check(self):
-        self.grid()
+        _require_dense(2 * self.grid().size, "the two-level grid build")
         _require(self.n_low >= 1, "n-low must be >= 1")
 
     def grid(self) -> Grid1D:
@@ -161,7 +178,11 @@ class JcParams(_Params):
 
     def check(self):
         _require(self.n_max >= 2, "n-max must be >= 2")
-        jaynes.require_oscillator_box(self.grid(), self.n_max)
+        # two levels; the truncation check rebuilds at ceil(1.5 n_max)
+        _require_dense(2 * ((3 * self.n_max + 1) // 2 + 1), "the Fock build")
+        grid = self.grid()
+        _require_dense(2 * grid.size, "the two-level grid build")
+        jaynes.require_oscillator_box(grid, self.n_max)
 
     def grid(self) -> Grid1D:
         return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)
@@ -243,8 +264,7 @@ def check_clifford_relations(rep: Report, cfg: VerifyConfig):
     grid = Grid1D(half_count=64, spacing=0.1)
     P = grid_operator(grid, "parity")
     R = grid_operator(grid, "sign")
-    gens = cliffords.CliffordGenerators(m_plus=2, m_minus=0,
-                                        generators=[P.matrix, R.matrix])
+    gens = cliffords.CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
     out = cliffords.verify_clifford_relations(gens, tol=0.0)
     rep.add("clifford/anticommutation_and_squares", out.max_residual, 0.0)
     _bool(rep, "clifford/span_dim_4", out.span_dim == 4)
@@ -289,16 +309,16 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
     rep.add("abelian/abs_eta_closed_form_beta",
             float(np.abs((fact_b.abs_eta - ref_uh**2) * (1 / ref_uh**2)).max()),
             1e-11)
-    P = grid_operator(grid, "parity").matrix
+    P = grid_operator(grid, "parity")
     rep.add("abelian/J_equals_parity_beta",
-            worst_residual(abs(fact_b.J.matrix - P).data), 1e-12)
+            worst_residual(abs(fact_b.J - P).data), 1e-12)
 
     fact_a = abelian.gauge_factorization(lambda t: scalar.alpha + 0j, grid)
     rep.add("abelian/Uu_closed_form_alpha",
             float(np.abs(fact_a.u_u - np.exp(-1j * scalar.alpha * x)).max()), 1e-10)
     rep.add("abelian/abs_eta_identity_alpha",
             float(np.abs(fact_a.abs_eta - 1.0).max()), 1e-12)
-    J = fact_a.J.matrix
+    J = fact_a.J
     rep.add("abelian/J_involution_alpha",
             worst_residual(abs(J @ J - scipy.sparse.eye_array(grid.size)).data),
             1e-12)
@@ -509,8 +529,7 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     res, coarse = _matrix_records(rep, example, params.grid(), params.n_low,
                                   "matrix/spectral_match_h0.05")
     # the literal similarity transform is spectrally exact
-    sim = match_spectra(eig(res.H_g.matrix).eigenvalues,
-                        eig(res.H_similar.matrix).eigenvalues)
+    sim = match_spectra(coarse.eigenvalues_Hg, eig(res.H_similar))
     rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
     sig, gauge, pot = example
     fine = schrodinger.spectral_compare(
@@ -566,7 +585,7 @@ def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
     H0 = jaynes.build_jc(jaynes.nilpotent_split(el0), omega, params.n_max)
     expected = np.sort(np.array(
         [2 * (n + wj) for n in range(params.n_max + 1) for wj in omega.omega]))
-    got = np.sort(eig(H0).eigenvalues.real)
+    got = np.sort(eig(H0).real)
     rep.add("jc/decoupled_spectrum_exact",
             float(np.abs(got - expected).max()), 1e-12)
 

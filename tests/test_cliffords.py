@@ -20,8 +20,7 @@ def _pr(half=8, h=0.2):
 @settings(max_examples=40)
 def test_relations_exact_on_any_grid(half, h):
     P, R = _pr(half, h)
-    gens = CliffordGenerators(m_plus=2, m_minus=0,
-                              generators=[P.matrix, R.matrix])
+    gens = CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
     out = verify_clifford_relations(gens, tol=0.0)
     assert out.max_residual == 0.0
     assert out.span_dim == 4
@@ -31,8 +30,7 @@ def test_relations_exact_on_any_grid(half, h):
 def test_signature_mismatch_rejected():
     P, R = _pr()
     with pytest.raises(ValueError):
-        CliffordGenerators(m_plus=1, m_minus=0,
-                           generators=[P.matrix, R.matrix])
+        CliffordGenerators(m_plus=1, m_minus=0, generators=[P, R])
 
 
 def test_commuting_generators_fail():
@@ -60,8 +58,7 @@ def test_nan_generator_fails():
 def test_wrong_square_sign_detected():
     P, R = _pr()
     out = verify_clifford_relations(
-        CliffordGenerators(m_plus=0, m_minus=2,
-                           generators=[P.matrix, R.matrix]), 1e-12)
+        CliffordGenerators(m_plus=0, m_minus=2, generators=[P, R]), 1e-12)
     assert out.max_residual >= 2.0
 
 
@@ -78,7 +75,7 @@ class TestRotatedInvolution:
     def test_phi_zero_is_parity(self):
         P, R = _pr()
         M = rotated_involution(P, R, 0.0).matrix
-        assert np.abs(M - P.matrix.toarray()).max() <= 1e-15
+        assert np.abs(M - P.toarray()).max() <= 1e-15
 
     @given(st.floats(min_value=-3, max_value=3))
     @settings(max_examples=20, deadline=None)
@@ -94,7 +91,7 @@ class TestRotatedInvolution:
         from ptgauge.linalg import expm
         P, R = _pr()
         phi = 0.83
-        P, R = P.matrix.toarray(), R.matrix.toarray()
+        P, R = P.toarray(), R.toarray()
         lhs = P @ expm(1j * phi * R)
         rhs = expm(-1j * phi * R) @ P
         assert np.abs(lhs - rhs).max() <= 1e-13

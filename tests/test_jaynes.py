@@ -58,7 +58,7 @@ class TestBuild:
         H = build_jc(nilpotent_split(_el(0.0)), omega, n_max)
         want = np.sort([2 * (n + w) for n in range(n_max + 1)
                         for w in (0.0, 0.7)])
-        got = np.sort(eig(H).eigenvalues.real)
+        got = np.sort(eig(H).real)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_polariton_block_oracle(self):
@@ -76,7 +76,7 @@ class TestBuild:
             g = 2 * np.sqrt(2) * alpha * np.sqrt(n + 1)
             block = np.array([[2 * (n + 1), g], [g, 2 * n + 2 * delta]])
             expected.extend(np.linalg.eigvalsh(block))
-        got = np.sort(eig(H).eigenvalues.real)
+        got = np.sort(eig(H).real)
         assert np.abs(got - np.sort(expected)).max() <= 1e-10
 
     def test_omega_length_checked(self):

@@ -1,17 +1,20 @@
-"""Dense n x n oracles for the sparse grid operators and the abelian chain.
+"""Dense n x n oracles for the sparse grid operators, the abelian chain and
+the matrix Schrodinger chain.
 
-The library stores diagonal factors as node vectors and the stencils, eta,
-J and H_g as sparse matrices.  Here each is rebuilt densely with plain
-numpy at n <= 320, entry by entry from its defining formula, and the
-structured results must match: operators entrywise, the factorization
-residuals bit for bit (the anti-diagonal entries are the only nonzero
-ones, computed by the same floating-point operations), and the weak-form
-figures to 1e-10 relative (sparse and dense products sum in different
-orders).
+The library stores diagonal factors as node vectors and every operator as
+a sparse matrix.  Here each is rebuilt densely with plain numpy at small
+n, entry by entry from its defining formula or by dense Kronecker and
+block-diagonal assembly, and the structured results must match: operators
+entrywise, the factorization residuals and the eig spectra bit for bit
+(the same floating-point operations produce every entry), and the
+weak-form figures and the similarity transform to rounding (sparse and
+dense products sum in different orders).
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from ptgauge.abelian import (
     ScalarPotentials,
@@ -21,7 +24,11 @@ from ptgauge.abelian import (
     verify_pseudo_hermiticity,
     weak_pseudo_hermiticity_residual,
 )
-from ptgauge.linalg import Grid1D, grid_operator, operator_norm_estimate
+from ptgauge.cartan import ThetaSignature, make_element, random_element
+from ptgauge.linalg import Grid1D, eig, expm, grid_operator, \
+    operator_norm_estimate
+from ptgauge.schrodinger import ConstantGauge, MatrixPotential, \
+    build_and_regauge, sample_audited_potential
 
 GAUGES = {
     "alpha": lambda t: 1.0 + 0j,
@@ -91,13 +98,13 @@ def dense_hamiltonian(A, grid):
 @pytest.mark.parametrize("kind", ["momentum", "second_derivative", "parity",
                                   "sign", "position"])
 def test_stencils_entrywise(grid, kind):
-    M = grid_operator(grid, kind).matrix
+    M = grid_operator(grid, kind)
     assert np.array_equal(M.toarray(), dense_stencils(grid)[kind])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
 def test_block_operator_is_kron(grid):
-    M = grid_operator(grid, "momentum", block_dim=3).matrix
+    M = grid_operator(grid, "momentum", block_dim=3)
     assert np.array_equal(M.toarray(),
                           np.kron(dense_stencils(grid)["momentum"], np.eye(3)))
 
@@ -106,8 +113,8 @@ def test_block_operator_is_kron(grid):
 @pytest.mark.parametrize("name", GAUGES)
 def test_factorization_entrywise_and_bitwise(grid, name):
     fact, eta, J, residuals = dense_chain(GAUGES[name], grid)
-    assert np.array_equal(fact.eta.matrix.toarray(), eta)
-    assert np.array_equal(fact.J.matrix.toarray(), J)
+    assert np.array_equal(fact.eta.toarray(), eta)
+    assert np.array_equal(fact.J.toarray(), J)
     assert np.array_equal(fact.abs_eta, fact.u_h**2)
     assert fact.residuals == residuals
 
@@ -117,8 +124,8 @@ def test_factorization_entrywise_and_bitwise(grid, name):
 def test_hamiltonian_entrywise(grid, name):
     A = GAUGES[name]
     H = build_scalar_hamiltonian(ScalarPotentials(A=A, V=lambda t: t**2), grid)
-    assert np.array_equal(H.matrix.toarray(), dense_hamiltonian(A, grid))
-    assert H.matrix.nnz == 3 * grid.size - 2
+    assert np.array_equal(H.toarray(), dense_hamiltonian(A, grid))
+    assert H.nnz == 3 * grid.size - 2
 
 
 @pytest.mark.parametrize("name", GAUGES)
@@ -164,3 +171,66 @@ def test_weak_residual_order_beyond_dense_reach():
                                         gauge_factorization(A, grid), tol=1.0)
         r1.append(out.r1)
     assert np.log2(r1[0] / r1[1]) >= 3.5
+
+
+def matrix_examples():
+    """The verification suite's example (alpha sigma_2, harmonic well) and a
+    random m = 3 gauge with an audited potential that has off-diagonal
+    blocks."""
+    sig = ThetaSignature(1, 1)
+    el = make_element(sig, np.zeros((1, 1)), [[-0.3]], np.zeros((1, 1)))
+    yield "alpha_sigma2", ConstantGauge(A=el.gauge_potential), \
+        MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2))
+    rng = np.random.default_rng(4)
+    sig = ThetaSignature(2, 1)
+    yield "random_m3", ConstantGauge(A=random_element(sig, rng).gauge_potential), \
+        sample_audited_potential(sig, rng)
+
+
+MATRIX_EXAMPLES = list(matrix_examples())
+MATRIX_GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.1)]
+
+
+def dense_matrix_chain(gauge, pot, grid):
+    """H_g, H and the block-diagonal U, U^{-1} by dense Kronecker and
+    block-diagonal assembly."""
+    m, A, x = gauge.m, gauge.A, grid.nodes
+    st = dense_stencils(grid)
+    p, L = st["momentum"], st["second_derivative"]
+    Vs = pot.sample(x)
+    H_g = (np.kron(L, np.eye(m)) - 2 * np.kron(p, A)
+           + np.kron(np.eye(grid.size), A @ A) + scipy.linalg.block_diag(*Vs))
+    U = [scipy.linalg.expm(-1j * A * xj) for xj in x]
+    Ui = [scipy.linalg.expm(1j * A * xj) for xj in x]
+    H = np.kron(L, np.eye(m)) + scipy.linalg.block_diag(
+        *[u @ V @ ui for u, V, ui in zip(U, Vs, Ui)])
+    return H_g, H, scipy.linalg.block_diag(*U), scipy.linalg.block_diag(*Ui)
+
+
+@pytest.mark.parametrize("grid", MATRIX_GRIDS, ids=lambda g: f"n{g.size}")
+@pytest.mark.parametrize("name, gauge, pot", MATRIX_EXAMPLES,
+                         ids=[e[0] for e in MATRIX_EXAMPLES])
+def test_matrix_chain_entrywise(grid, name, gauge, pot):
+    res = build_and_regauge(gauge, pot, grid)
+    H_g, H, U, Ui = dense_matrix_chain(gauge, pot, grid)
+    for got in (res.H_g, res.H, res.H_similar):
+        assert isinstance(got, scipy.sparse.csr_array)
+    assert np.array_equal(res.H_g.toarray(), H_g)
+    assert np.array_equal(res.H.toarray(), H)
+    # sparse and dense products sum in different orders; U grows like
+    # e^{|a| |x|}, so the rounding bound is taken entrywise from |U||H_g||U^-1|
+    bound = 1e-14 * (np.abs(U) @ np.abs(H_g) @ np.abs(Ui))
+    assert np.all(np.abs(res.H_similar.toarray() - U @ H_g @ Ui) <= bound)
+    assert np.array_equal(eig(res.H_g), eig(H_g))
+    assert np.array_equal(eig(res.H), eig(H))
+    # block-tridiagonal storage: at most 3 m^2 entries per block row
+    m = gauge.m
+    assert res.H_g.nnz <= 3 * m * m * grid.size
+
+
+def test_eig_and_expm_accept_sparse():
+    grid = Grid1D(half_count=4, spacing=0.5)
+    M = grid_operator(grid, "second_derivative") \
+        + 0.3j * grid_operator(grid, "momentum", block_dim=1)
+    assert np.array_equal(eig(M), eig(M.toarray()))
+    assert np.array_equal(expm(0.1 * M), expm(0.1 * M.toarray()))
