@@ -35,6 +35,10 @@ import scipy.sparse
 from .linalg import Grid1D, antidiagonal, grid_operator, indefinite_inner, \
     operator_norm_estimate, worst_residual
 
+# bound on the PT defect of A and on the factorization identities, which
+# hold to rounding on the staggered grid
+IDENTITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ScalarPotentials:
@@ -42,12 +46,13 @@ class ScalarPotentials:
     V: Callable[[float], complex]
 
 
-def split_even_odd(A: Callable[[float], complex], grid: Grid1D, tol: float = 1e-10):
-    """Split a PT-symmetric A into real-even A_+ and real-odd A_- node values."""
+def split_even_odd(A: Callable[[float], complex], grid: Grid1D):
+    """Split a PT-symmetric A into real-even A_+ and real-odd A_- node values;
+    raises ValueError if |A(-x) - conj(A(x))| exceeds IDENTITY_TOL."""
     x = grid.nodes
     vals = np.asarray([A(xi) for xi in x], dtype=complex)
     defect = np.abs(vals[::-1] - np.conj(vals))
-    if not worst_residual(defect) <= tol:   # a NaN defect fails as well
+    if not worst_residual(defect) <= IDENTITY_TOL:   # NaN fails as well
         worst = int(np.argmax(defect))
         raise ValueError(
             f"A must be finite and PT-symmetric on the grid: worst node "
@@ -88,15 +93,15 @@ class GaugeFactorization:
     eta: scipy.sparse.csr_array
     J: scipy.sparse.csr_array
     Q: np.ndarray
-    q_abs: np.ndarray
     R_Q: Optional[np.ndarray]        # sign(Q); None when Q vanishes at some node
-    sign_split_note: str
     residuals: dict
 
 
-def gauge_factorization(A: Callable[[float], complex], grid: Grid1D,
-                        tol: float = 1e-10) -> GaugeFactorization:
-    a_plus, a_minus = split_even_odd(A, grid, tol=tol)
+def gauge_factorization(A: Callable[[float], complex],
+                        grid: Grid1D) -> GaugeFactorization:
+    """Factor the gauge of A on grid; raises ValueError if A is not
+    PT-symmetric or a factorization residual exceeds IDENTITY_TOL."""
+    a_plus, a_minus = split_even_odd(A, grid)
     a0 = complex(A(0.0))
     Q = _cumulative_from_origin(a_plus, a0.real, grid)
     S = _cumulative_from_origin(a_minus, a0.imag, grid)
@@ -125,23 +130,22 @@ def gauge_factorization(A: Callable[[float], complex], grid: Grid1D,
         "J_hermitian": float(np.abs(J_d - np.conj(J_d[::-1])).max()),
     }
 
+    # the sign split R_Q |Q| = Q needs Q nonzero at every node
     q_abs = np.abs(Q)
     if np.any(q_abs == 0.0):
         R_Q = None
-        note = "Q vanishes at some node; sign-split R_Q q = Q excluded"
     else:
         R_Q = np.sign(Q)
-        note = "ok"
         residuals["sign_split"] = float(np.abs(R_Q * q_abs - Q).max())
         residuals["P_RQ_anticommute"] = float(np.abs(R_Q[::-1] + R_Q).max())
 
-    if not worst_residual(residuals.values()) <= tol:   # NaN fails as well
+    if not worst_residual(residuals.values()) <= IDENTITY_TOL:   # NaN fails
         raise ValueError(f"gauge factorization identities violated: {residuals}")
 
     return GaugeFactorization(
         grid=grid, u_u=u_u, u_h=u_h, u=u, abs_eta=u_h**2,
         eta=antidiagonal(eta_d), J=antidiagonal(J_d),
-        Q=Q, q_abs=q_abs, R_Q=R_Q, sign_split_note=note, residuals=residuals,
+        Q=Q, R_Q=R_Q, residuals=residuals,
     )
 
 
@@ -159,13 +163,14 @@ def build_scalar_hamiltonian(pots: ScalarPotentials,
     return scipy.sparse.csr_array(H)
 
 
-def interior_test_vectors(grid: Grid1D, n_boundary: int = 5,
-                          count: int = 9) -> np.ndarray:
-    """Smooth test vectors vanishing within n_boundary nodes of the box edge.
+def interior_test_vectors(grid: Grid1D) -> np.ndarray:
+    """Nine smooth unit test vectors, the columns of the result, vanishing
+    within five nodes of the box edge.
 
     Gaussian-envelope polynomials and sines; the envelope is narrow enough
     that the hard cutoff at the buffer introduces only a ~1e-8 jump.
     """
+    n_boundary, count = 5, 9
     x = grid.nodes
     L = x[-1]
     env = np.exp(-x**2 / (2 * (L / 6) ** 2))

@@ -24,7 +24,7 @@ that repeated runs and CSV exports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,44 +159,22 @@ def indefinite_inner(f, g, J, weight, h: float) -> complex:
     return complex(h * np.sum(w * (J @ g) * np.conj(f)))
 
 
-@dataclass(frozen=True)
-class PairingReport:
-    classification: str  # 'all_real' | 'conjugate_paired' | 'unpaired'
-    real_values: np.ndarray
-    pairs: list
-    unpaired: np.ndarray = field(default_factory=lambda: np.array([]))
-
-
-def pairing_check(eigenvalues, tol: float) -> PairingReport:
-    """Classify a spectrum as real / conjugate-paired / PT-violating."""
+def pairing_check(eigenvalues, tol: float) -> str:
+    """Classify a spectrum: 'all_real', 'conjugate_paired' (every non-real
+    value pairs with a conjugate partner within tol) or 'unpaired'."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     vals = np.asarray(eigenvalues, dtype=complex)
-    real_mask = np.abs(vals.imag) <= tol
-    real_vals = vals[real_mask]
-    rest = list(vals[~real_mask])
-    pairs = []
-    unpaired = []
+    rest = list(vals[~(np.abs(vals.imag) <= tol)])   # a NaN is never real
+    if not rest:
+        return "all_real"
     while rest:
         lam = rest.pop(0)
         dists = [abs(lam - np.conj(mu)) for mu in rest]
-        if dists and min(dists) <= tol:
-            k = int(np.argmin(dists))
-            pairs.append((lam, rest.pop(k)))
-        else:
-            unpaired.append(lam)
-    if unpaired:
-        cls = "unpaired"
-    elif pairs:
-        cls = "conjugate_paired"
-    else:
-        cls = "all_real"
-    return PairingReport(
-        classification=cls,
-        real_values=real_vals,
-        pairs=pairs,
-        unpaired=np.asarray(unpaired),
-    )
+        if not (dists and min(dists) <= tol):
+            return "unpaired"
+        rest.pop(int(np.argmin(dists)))
+    return "conjugate_paired"
 
 
 def match_spectra(a, b) -> np.ndarray:
@@ -228,18 +206,19 @@ def smallest(values) -> float:
     return float(np.fromiter(values, dtype=float).min(initial=np.inf))
 
 
-def operator_norm_estimate(M, iters: int = 30, seed: int = 0) -> float:
-    """2-norm estimate by power iteration on M^H M (cheap, deterministic).
+def operator_norm_estimate(M) -> float:
+    """2-norm estimate by 30 steps of power iteration on M^H M, from a
+    fixed seeded start (cheap, deterministic).
 
     M may be a dense array or a scipy.sparse matrix.  A non-finite entry
     of M gives NaN; raises OverflowError if the iterate overflows.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(M.shape[0]) + 0j
     v /= np.linalg.norm(v)
     MH = M.conj().T
     n = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         w = MH @ (M @ v)
         n = np.linalg.norm(w)
         if not np.isfinite(n):

@@ -30,7 +30,7 @@ whose roots with Re k > 0 give energies E = -k^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class CouplingMatrixT:
                 and abs(self.t21.real) <= _STRUCT_TOL)
 
     @property
-    def is_p_selfadjoint(self) -> bool:
-        return self.is_pt_symmetric and abs(self.t12 - self.t21) <= _STRUCT_TOL
-
-    @property
     def det(self) -> complex:
         return self.t11 * self.t22 - self.t12 * self.t21
 
@@ -93,19 +89,10 @@ def boundary_maps(f: PiecewiseFunction) -> BoundaryPair:
     return BoundaryPair(gamma0=g0, gamma1=g1)
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    residual: float
-    passed: bool
-
-
-def domain_check(T: CouplingMatrixT, f: PiecewiseFunction,
-                 adjoint: bool = False, tol: float = 1e-10) -> DomainReport:
-    """Residual of T Gamma_0 f = Gamma_1 f (T^H when adjoint)."""
+def domain_check(T: CouplingMatrixT, f: PiecewiseFunction) -> float:
+    """Residual of the domain condition T Gamma_0 f = Gamma_1 f."""
     bp = boundary_maps(f)
-    M = T.matrix.conj().T if adjoint else T.matrix
-    res = float(np.abs(M @ bp.gamma0 - bp.gamma1).max())
-    return DomainReport(residual=res, passed=res <= tol)
+    return float(np.abs(T.matrix @ bp.gamma0 - bp.gamma1).max())
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,6 @@ class BoundaryTransformReport:
     trace_residual: float
     gamma_residual: float
     matrix_residual: float
-    passed: bool
 
 
 def _matrix_relation_residual(T: CouplingMatrixT, m1: np.ndarray,
@@ -178,9 +164,10 @@ def _matrix_relation_residual(T: CouplingMatrixT, m1: np.ndarray,
 
 
 def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
-                             f_samples: Sequence[PiecewiseFunction],
-                             tol: float = 1e-12) -> BoundaryTransformReport:
-    """Verify the boundary transform of P_phi and the coupling-matrix relation.
+                             f_samples: Sequence[PiecewiseFunction]
+                             ) -> BoundaryTransformReport:
+    """Residuals of the boundary transform of P_phi and the coupling-matrix
+    relation.
 
     (i) trace identities (checked by construction of apply_p_phi_traces via
     an independent rotation of the pieces), (ii) both Gamma transform lines,
@@ -209,43 +196,33 @@ def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
         gamma_res.append(np.abs(np.concatenate([r0, r1])).max())
     trace_res = worst_residual(trace_res)
     gamma_res = worst_residual(gamma_res)
-    mat_res = _matrix_relation_residual(T, sol.m1, sol.m2)
-    passed = worst_residual((trace_res, gamma_res, mat_res)) <= tol
-    return BoundaryTransformReport(trace_residual=trace_res,
-                                   gamma_residual=gamma_res,
-                                   matrix_residual=mat_res, passed=passed)
+    return BoundaryTransformReport(
+        trace_residual=trace_res, gamma_residual=gamma_res,
+        matrix_residual=_matrix_relation_residual(T, sol.m1, sol.m2))
 
 
-@dataclass(frozen=True)
-class SelfadjointnessReport:
-    residual: float
-    passed: bool
-
-
-def p_phi_selfadjointness_check(T: CouplingMatrixT, sol: PhiSolution,
-                                tol: float = 1e-12) -> SelfadjointnessReport:
-    """P_phi maps the domain data of H_T into the domain data of H_T^H.
+def p_phi_selfadjointness_check(T: CouplingMatrixT, sol: PhiSolution) -> float:
+    """Residual of P_phi mapping the domain data of H_T into that of H_T^H.
 
     For a basis Gamma_0 = e_i with Gamma_1 = T e_i, the transformed data
     (Gamma_0', Gamma_1') must satisfy T^H Gamma_0' = Gamma_1'.
     """
     M = T.matrix
-    res = 0.0
+    residuals = []
     for i in range(2):
         g0 = np.zeros(2, dtype=complex)
         g0[i] = 1.0
         g1 = M @ g0
         g0p = sol.m1 @ g0 + sol.m2 @ g1
         g1p = -4 * sol.m2 @ g0 + sol.m1 @ g1
-        res = max(res, float(np.abs(M.conj().T @ g0p - g1p).max()))
-    return SelfadjointnessReport(residual=res, passed=res <= tol)
+        residuals.append(np.abs(M.conj().T @ g0p - g1p).max())
+    return worst_residual(residuals)
 
 
 @dataclass(frozen=True)
 class BoundState:
     kappa: complex
     energy: complex
-    amplitudes: np.ndarray   # (a, b) for the decaying ansatz
     domain_residual: float
 
 
@@ -256,8 +233,11 @@ def _matching_matrix(T: CouplingMatrixT, kappa: complex) -> np.ndarray:
     return T.matrix @ G0 - G1
 
 
-def bound_states(T: CouplingMatrixT, imag_tol: float = 1e-10) -> list[BoundState]:
-    """Closed-form roots of det M(k) = t11 + (2 - det T / 2) k - t22 k^2."""
+def bound_states(T: CouplingMatrixT) -> list[BoundState]:
+    """Closed-form roots of det M(k) = t11 + (2 - det T / 2) k - t22 k^2.
+
+    A root with |Im k| <= 1e-10 is taken as real.
+    """
     c0 = T.t11
     c1 = 2 - T.det / 2
     c2 = -T.t22
@@ -271,17 +251,16 @@ def bound_states(T: CouplingMatrixT, imag_tol: float = 1e-10) -> list[BoundState
     for k in roots:
         if k.real <= 1e-12:
             continue
-        if abs(k.imag) <= imag_tol:
+        if abs(k.imag) <= 1e-10:
             k = k.real + 0j
         M = _matching_matrix(T, k)
-        # null vector of the 2x2 matching matrix
+        # amplitudes (a, b) of the decaying ansatz: the null vector of the
+        # 2x2 matching matrix
         _, _, vh = np.linalg.svd(M)
-        ab = vh[-1].conj()
-        a, b = ab
+        a, b = vh[-1].conj()
         f = PiecewiseFunction(f_plus=a, f_minus=b, df_plus=-k * a, df_minus=k * b)
-        rep = domain_check(T, f, tol=1e-10)
-        out.append(BoundState(kappa=k, energy=-k**2, amplitudes=ab,
-                              domain_residual=rep.residual))
+        out.append(BoundState(kappa=k, energy=-k**2,
+                              domain_residual=domain_check(T, f)))
     out.sort(key=lambda s: (s.energy.real, s.energy.imag))
     return out
 
@@ -299,9 +278,13 @@ class SweepRow:
     classification: str
 
 
-def pt_phase_sweep(t11_values, t22_values, im_t12_values, im_t21_values,
-                   pair_tol: float = 1e-8) -> list[SweepRow]:
-    """Grid sweep over PT-symmetric couplings; rows in deterministic order."""
+def pt_phase_sweep(t11_values, t22_values, im_t12_values,
+                   im_t21_values) -> list[SweepRow]:
+    """Grid sweep over PT-symmetric couplings; rows in deterministic order.
+
+    Each row's bound-state energies are classified by pairing_check at
+    tolerance 1e-8.
+    """
     rows = []
     for t11 in t11_values:
         for t22 in t22_values:
@@ -315,8 +298,7 @@ def pt_phase_sweep(t11_values, t22_values, im_t12_values, im_t21_values,
                     for i, s in enumerate(states[:2]):
                         energies[i] = s.energy
                     evals = [s.energy for s in states]
-                    cls = (pairing_check(evals, pair_tol).classification
-                           if evals else "all_real")
+                    cls = pairing_check(evals, 1e-8) if evals else "all_real"
                     rows.append(SweepRow(
                         t11=float(t11), t22=float(t22), im_t12=float(b12),
                         im_t21=float(b21), phi=sol.phi,

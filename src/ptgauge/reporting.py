@@ -7,11 +7,16 @@ byte-identical files:
   * complex table values are split into _re/_im columns by the producer;
   * wall time is kept on the in-memory report for logging but excluded
     from the serialized output.
+
+CheckRecord.passed is the one pass/fail rule of the package: a record
+passes only if its residual is finite and at most its tolerance.  The
+library's check functions return residuals and leave the verdict here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -25,7 +30,7 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return math.isfinite(self.residual) and self.residual <= self.tolerance
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ import scipy.sparse
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
 from .cartan import ThetaSignature
 from .linalg import Grid1D, eig, expm, grid_operator, match_spectra, \
-    operator_norm_estimate, pairing_check, worst_residual
+    operator_norm_estimate, pairing_check
+
+PAIR_TOL = 1e-6   # conjugate-pairing tolerance of spectral_compare
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,9 @@ class ConstantGauge:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class SymmetryAuditReport:
-    residuals: dict
-    passed: bool
-
-
 def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
-                   sig: ThetaSignature, grid: Grid1D,
-                   tol: float = 1e-12) -> SymmetryAuditReport:
-    """Residuals of the PT / parity-selfadjointness matrix identities.
+                   sig: ThetaSignature, grid: Grid1D) -> dict:
+    """Residuals of the PT / parity-selfadjointness matrix identities, by name.
 
     A-side: Theta A* Theta = A, Theta A^H Theta = -A, A = -A^T.
     V-side (max over nodes): Theta V*(-x) Theta = V(x),
@@ -84,7 +79,7 @@ def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
     x = grid.nodes
     Vs = pot.sample(x)
     Vrev = Vs[::-1]
-    residuals = {
+    return {
         "A_pt": float(np.abs(th @ A.conj() @ th - A).max()),
         "A_selfadj": float(np.abs(th @ A.conj().T @ th + A).max()),
         "A_antisym": float(np.abs(A + A.T).max()),
@@ -93,8 +88,6 @@ def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
                                   - Vs).max()),
         "V_sym": float(np.abs(Vs - np.swapaxes(Vs, 1, 2)).max()),
     }
-    return SymmetryAuditReport(residuals=residuals,
-                               passed=worst_residual(residuals.values()) <= tol)
 
 
 def _block_diagonal(blocks: np.ndarray) -> scipy.sparse.csr_array:
@@ -157,12 +150,12 @@ class SpectralCompareReport:
     parity_residual: float       # weak-form P_bold-pseudo-Hermiticity of H_g
     eigenvalues_Hg: np.ndarray
     eigenvalues_H: np.ndarray
-    match_dists: np.ndarray
 
 
 def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
-                     n_low: int = 20, pair_tol: float = 1e-6) -> SpectralCompareReport:
-    """Compare the lowest modes of H_g against the direct re-gauged build."""
+                     n_low: int = 20) -> SpectralCompareReport:
+    """Compare the lowest modes of H_g against the direct re-gauged build;
+    the pairing classes use the tolerance PAIR_TOL."""
     e1 = eig(res.H_g)
     e2 = eig(res.H)
     k = min(n_low, len(e1))
@@ -179,21 +172,21 @@ def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
 
     return SpectralCompareReport(
         max_match_dist=float(dists.max()),
-        pairing_Hg=pairing_check(e1, pair_tol).classification,
-        pairing_H=pairing_check(e2, pair_tol).classification,
+        pairing_Hg=pairing_check(e1, PAIR_TOL),
+        pairing_H=pairing_check(e2, PAIR_TOL),
         parity_residual=r,
-        eigenvalues_Hg=e1, eigenvalues_H=e2, match_dists=dists,
+        eigenvalues_Hg=e1, eigenvalues_H=e2,
     )
 
 
-def sample_audited_potential(sig: ThetaSignature, rng: np.random.Generator,
-                             well: bool = True) -> MatrixPotential:
+def sample_audited_potential(sig: ThetaSignature,
+                             rng: np.random.Generator) -> MatrixPotential:
     """Random V(x) satisfying the PT and selfadjointness audit by construction.
 
     Real part: Theta-diagonal blocks even in x, off blocks odd.
     Imaginary part: Theta-diagonal blocks odd, off blocks even.
-    All blocks symmetric, so V = V^T.  An optional x^2 well keeps the
-    spectrum discrete on the box.
+    All blocks symmetric, so V = V^T.  An x^2 well keeps the spectrum
+    discrete on the box.
     """
     m = sig.m
     p = sig.p
@@ -215,10 +208,9 @@ def sample_audited_potential(sig: ThetaSignature, rng: np.random.Generator,
     Bi_even[p:, p:] = 0.0
 
     def V(x):
-        base = x**2 * np.eye(m) if well else np.zeros((m, m))
         even = np.exp(-x**2)
         odd = x * np.exp(-x**2)
-        return (base + D_even * even + B_odd * odd
+        return (x**2 * np.eye(m) + D_even * even + B_odd * odd
                 + 1j * (Di_odd * odd + Bi_even * even))
 
     return MatrixPotential(m=m, V=V)

@@ -4,8 +4,11 @@ COMMANDS maps each subcommand to a frozen params dataclass (its flags,
 defaults and domain checks) and the function that runs it; `verify-all`
 runs the check_* functions of ALL_CHECKS, which share their loops with the
 subcommands and take their parameters from the subcommands' defaults.
-Boolean outcomes are encoded as residual 0.0 (ok) / 1.0 (violated) with
-tolerance 0.5 so every record fits the residual-vs-tolerance scheme.
+The library functions return residuals; each check turns them into
+records, and CheckRecord.passed (finite and within the tolerance) is the
+only pass/fail decision.  Boolean outcomes are encoded as residual 0.0
+(ok) / 1.0 (violated) with tolerance 0.5 so every record fits the
+residual-vs-tolerance scheme.
 Every random draw uses an explicitly seeded generator.
 """
 
@@ -57,8 +60,8 @@ def _parse_complex(text: str, key: str) -> complex:
     return value
 
 
-def _parse_range(text: str, key: str) -> np.ndarray:
-    """Parse a 'start:stop:count' sweep range into a linspace."""
+def _range_parts(text: str, key: str) -> tuple:
+    """Parse a 'start:stop:count' sweep range into (start, stop, count)."""
     try:
         start, stop, count = str(text).split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -68,7 +71,12 @@ def _parse_range(text: str, key: str) -> np.ndarray:
     _require(math.isfinite(start) and math.isfinite(stop),
              f"range bounds for {key} must be finite, got {text!r}")
     _require(count >= 1, f"sweep count for {key} must be >= 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
+
+
+def _parse_range(text: str, key: str) -> np.ndarray:
+    """Parse a 'start:stop:count' sweep range into a linspace."""
+    return np.linspace(*_range_parts(text, key))
 
 
 def _require_budget(entries: int, what: str) -> None:
@@ -196,7 +204,10 @@ class CouplingParams(_Params):
     t22: str = "0"
 
     def check(self):
-        self.coupling()
+        # the angle and the bound states are built from det T + 4
+        d = self.coupling().det + 4
+        _require(cmath.isfinite(d),
+                 f"det T + 4 of the coupling matrix must be finite, got {d}")
 
     def coupling(self) -> pointint.CouplingMatrixT:
         return pointint.CouplingMatrixT(
@@ -208,6 +219,7 @@ class PointAngleParams(CouplingParams):
     """The coupling of point-angle, which must be PT-symmetric."""
 
     def check(self):
+        super().check()
         _require(self.coupling().is_pt_symmetric,
                  "coupling matrix is not PT-symmetric (t11, t22 must be real; "
                  "t12, t21 purely imaginary)")
@@ -220,12 +232,18 @@ class PhaseDiagramParams(_Params):
     im_t12_range: str = "-1.5:1.5:4"
     im_t21_range: str = "-1.5:1.5:4"
 
+    def _ranges(self) -> list:
+        return [(k.replace("_", "-"), v) for k, v in asdict(self).items()]
+
     def check(self):
-        self.axes()
+        # sized before any linspace: each sweep row is a table row of 12 cells
+        rows = math.prod(_range_parts(v, k)[2] for k, v in self._ranges())
+        flags = ", ".join("--" + k for k, _ in self._ranges())
+        _require_budget(12 * rows, f"the {rows}-row sweep of {flags} "
+                        "(12 cells a row)")
 
     def axes(self) -> tuple:
-        return tuple(_parse_range(v, k.replace("_", "-"))
-                     for k, v in asdict(self).items())
+        return tuple(_parse_range(v, k) for k, v in self._ranges())
 
 
 @dataclass(frozen=True)
@@ -265,7 +283,7 @@ def check_clifford_relations(rep: Report, cfg: VerifyConfig):
     P = grid_operator(grid, "parity")
     R = grid_operator(grid, "sign")
     gens = cliffords.CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
-    out = cliffords.verify_clifford_relations(gens, tol=0.0)
+    out = cliffords.verify_clifford_relations(gens)
     rep.add("clifford/anticommutation_and_squares", out.max_residual, 0.0)
     _bool(rep, "clifford/span_dim_4", out.span_dim == 4)
 
@@ -375,7 +393,11 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
         closure = _triple_residuals(sig, rng, LtsParams.samples)[0]
         rep.add(f"cartan/ternary_closure_p{p}q{q}", closure, 1e-12)
 
-        # generic binary brackets escape g_Theta
+        # generic binary brackets escape g_Theta: [a_k, a_p] is i times a
+        # real off-diagonal block, whose membership residual is
+        # 2 max|[a_k, a_p]|.  It is measured against the bracket's own size:
+        # for odd p the antisymmetric u is singular, so the bracket is small
+        # whenever v lies near its kernel
         escapes = []
         for _ in range(50):
             ak = cartan.make_element(sig, np.zeros((p, p)),
@@ -386,8 +408,8 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
             ap = cartan.make_element(sig, (u - u.T) / 2, np.zeros((p, q)),
                                      (w - w.T) / 2)
             out = cartan.lts_check(ak, ap, ap)
-            scale = max(np.abs(ak.matrix).max() * np.abs(ap.matrix).max(), 1e-30)
-            escapes.append(out.binary_escape / scale)
+            bracket = np.abs(ak.matrix @ ap.matrix - ap.matrix @ ak.matrix).max()
+            escapes.append(out.binary_escape / max(bracket, 1e-30))
         _bool(rep, f"cartan/binary_escape_p{p}q{q}", smallest(escapes) > 0.1)
 
         # dimension counts via rank of the parameterization
@@ -512,8 +534,7 @@ def _matrix_records(rep: Report, example, grid: Grid1D, n_low: int,
     """Symmetry audit and dual-build spectral records of the matrix example."""
     sig, gauge, pot = example
     audit = schrodinger.symmetry_audit(gauge, pot, sig, grid)
-    rep.add("matrix/symmetry_audit", worst_residual(audit.residuals.values()),
-            1e-12)
+    rep.add("matrix/symmetry_audit", worst_residual(audit.values()), 1e-12)
     res = schrodinger.build_and_regauge(gauge, pot, grid)
     out = schrodinger.spectral_compare(res, sig, n_low=n_low)
     rep.add(match_name, out.max_match_dist, 5e-2)
@@ -570,8 +591,7 @@ def _jc_records(rep: Report, params: JcParams, grid_vs_fock_name: str):
     """PT symmetry of the Fock build and its agreement with the grid build."""
     sig, el, omega = _jc_model(params)
     H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, params.n_max)
-    pt = jaynes.jc_pt_check(H, sig, params.n_max)
-    rep.add("jc/pt_symmetry", pt.residual, 1e-12)
+    rep.add("jc/pt_symmetry", jaynes.jc_pt_check(H, sig, params.n_max), 1e-12)
     eq = jaynes.jc_equivalence_check(el, omega, params.grid(), params.n_max)
     rep.add(grid_vs_fock_name, eq.max_dev, 5e-2)
     rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
@@ -654,8 +674,8 @@ def run_point_angle(params: PointAngleParams) -> Report:
     rep.add("point/trace_identities", bt.trace_residual, 1e-12)
     rep.add("point/gamma_transform", bt.gamma_residual, 1e-12)
     rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
-    sa = pointint.p_phi_selfadjointness_check(T, sol)
-    rep.add("point/p_phi_selfadjointness", sa.residual, 1e-12)
+    rep.add("point/p_phi_selfadjointness",
+            pointint.p_phi_selfadjointness_check(T, sol), 1e-12)
     return rep
 
 
@@ -711,7 +731,7 @@ def run_point_spectrum(params: CouplingParams) -> Report:
     rep.add("point/domain_residuals",
             worst_residual(s.domain_residual for s in states), 1e-10)
     if states:
-        cls = pairing_check([s.energy for s in states], 1e-8).classification
+        cls = pairing_check([s.energy for s in states], 1e-8)
         _bool(rep, "point/conjugate_pairing", cls != "unpaired")
         rep.config["classification"] = cls
     rep.tables.append(Table(

@@ -178,6 +178,17 @@ def test_nan_binary_escape_fails_its_record(monkeypatch):
     assert not _record(rep, "cartan/binary_escape_p2q1").passed
 
 
+@pytest.mark.parametrize("seed", [8, 11, 12])
+def test_binary_escape_passes_at_small_bracket_seeds(seed):
+    """At these seeds some draw of v lies near the kernel of the singular
+    3 x 3 u, so |[a_k, a_p]| is small; relative to the bracket's own size
+    the escape is still 2."""
+    rep = Report(command="seed", config={})
+    check_cartan_lts(rep, VerifyConfig(seed=seed))
+    for name in ("p2q1", "p2q2", "p3q1"):
+        assert _record(rep, f"cartan/binary_escape_{name}").passed, name
+
+
 def test_nan_perturbed_relation_fails_its_record(monkeypatch):
     monkeypatch.setattr(pointint, "_matrix_relation_residual",
                         lambda *a: np.nan)

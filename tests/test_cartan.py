@@ -8,7 +8,6 @@ from ptgauge.cartan import (
     exp_compact,
     exp_noncompact,
     group_polar,
-    kappa,
     GaugeAlgebraElement,
     ParityRelationsReport,
     lts_check,
@@ -18,7 +17,8 @@ from ptgauge.cartan import (
     random_element,
     wick_check,
 )
-from ptgauge.linalg import expm
+from ptgauge.linalg import expm, worst_residual
+from ptgauge.reporting import CheckRecord
 
 SIGS = [(1, 1), (2, 1), (2, 2), (3, 1), (2, 0)]
 
@@ -32,19 +32,20 @@ def _el(sig_pq, seed, scale=1.0):
     return random_element(sig, rng, scale=scale)
 
 
+def _wick_residual(a):
+    """The residual behind the `cartan/wick_membership` record."""
+    out = wick_check(a)
+    return worst_residual((out.su_pq_residual, out.antisymmetry_residual,
+                           out.compact_block_residual,
+                           out.noncompact_block_residual))
+
+
 class TestElements:
     @given(sig_strategy, seed_strategy)
     @settings(max_examples=60)
     def test_membership(self, sig_pq, seed):
         el = _el(sig_pq, seed)
         assert membership_residual(el.matrix, el.sig) <= 1e-12
-
-    @given(sig_strategy, seed_strategy)
-    @settings(max_examples=40)
-    def test_kappa_fixes_members(self, sig_pq, seed):
-        """Theta-Hermiticity reads kappa(a) = -a on g_Theta elements."""
-        el = _el(sig_pq, seed)
-        assert np.abs(kappa(el.matrix, el.sig) + el.matrix).max() <= 1e-12
 
     def test_symmetric_u_rejected(self):
         sig = ThetaSignature(2, 1)
@@ -79,15 +80,16 @@ class TestCartanSplit:
     @given(sig_strategy, seed_strategy)
     @settings(max_examples=40)
     def test_wick_rotation_block_placement(self, sig_pq, seed):
-        assert wick_check(_el(sig_pq, seed)).passed
-
+        el = _el(sig_pq, seed)
+        assert _wick_residual(el) <= 1e-13 * max(1.0, np.abs(el.matrix).max())
 
     def test_wick_check_fails_on_nan(self):
         sig = ThetaSignature(2, 1)
         el = GaugeAlgebraElement(sig, u=np.zeros((2, 2)),
                                  v=np.array([[0.5], [np.nan]]),
                                  w=np.zeros((1, 1)))
-        assert not wick_check(el).passed
+        assert not CheckRecord("cartan/wick_membership", _wick_residual(el),
+                               1e-12).passed
 
 
 class TestLts:

@@ -203,8 +203,16 @@ INVALID = [
     ["point-angle", "--t12", "nan"],
     ["point-spectrum", "--t11", "nan"],
     ["point-spectrum", "--t22", "1e400"],
+    # det T + 4 = inf - inf
+    ["point-angle", "--t11", "1e200", "--t12", "1e200i", "--t21=-1e200i",
+     "--t22", "1e200"],
+    ["point-spectrum", "--t11", "1e200", "--t12", "1e200i", "--t21=-1e200i",
+     "--t22", "1e200"],
     ["phase-diagram", "--t11-range=nan:1:2"],
     ["phase-diagram", "--t22-range=0:inf:2"],
+    # sweeps whose rows, 12 table cells each, are over the budget
+    ["phase-diagram", "--t11-range=0:1:100000000000000000000"],
+    ["phase-diagram", "--t11-range=0:1:100000", "--t22-range=0:1:100000"],
     ["verify-all", "--seed=-1"],
 ]
 

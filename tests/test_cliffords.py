@@ -8,6 +8,7 @@ from ptgauge.cliffords import (
     verify_clifford_relations,
 )
 from ptgauge.linalg import Grid1D, grid_operator
+from ptgauge.reporting import CheckRecord
 
 
 def _pr(half=8, h=0.2):
@@ -21,10 +22,9 @@ def _pr(half=8, h=0.2):
 def test_relations_exact_on_any_grid(half, h):
     P, R = _pr(half, h)
     gens = CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
-    out = verify_clifford_relations(gens, tol=0.0)
+    out = verify_clifford_relations(gens)
     assert out.max_residual == 0.0
     assert out.span_dim == 4
-    assert out.passed
 
 
 def test_signature_mismatch_rejected():
@@ -38,9 +38,8 @@ def test_commuting_generators_fail():
     e1 = np.diag([1.0, -1.0])
     e2 = np.diag([-1.0, 1.0])
     out = verify_clifford_relations(
-        CliffordGenerators(m_plus=2, m_minus=0, generators=[e1, e2]), 1e-12)
+        CliffordGenerators(m_plus=2, m_minus=0, generators=[e1, e2]))
     assert out.max_residual > 1.0
-    assert not out.passed
 
 
 def test_nan_generator_fails():
@@ -50,15 +49,15 @@ def test_nan_generator_fails():
     e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     e3 = np.array([[0.0, np.nan], [1.0, 0.0]])
     out = verify_clifford_relations(
-        CliffordGenerators(m_plus=3, m_minus=0, generators=[e1, e2, e3]), 1.0)
+        CliffordGenerators(m_plus=3, m_minus=0, generators=[e1, e2, e3]))
     assert np.isnan(out.max_residual)
-    assert not out.passed
+    assert not CheckRecord("relations", out.max_residual, 1.0).passed
 
 
 def test_wrong_square_sign_detected():
     P, R = _pr()
     out = verify_clifford_relations(
-        CliffordGenerators(m_plus=0, m_minus=2, generators=[P, R]), 1e-12)
+        CliffordGenerators(m_plus=0, m_minus=2, generators=[P, R]))
     assert out.max_residual >= 2.0
 
 

@@ -95,14 +95,14 @@ class TestPt:
     def test_pt_symmetry(self, alpha, delta):
         omega = LevelEnergies(omega=np.array([0.0, delta]))
         H = build_jc(nilpotent_split(_el(alpha)), omega, 6)
-        assert jc_pt_check(H, SIG, 6).passed
+        assert jc_pt_check(H, SIG, 6) <= 1e-12 * max(1.0, np.abs(H).max())
 
     def test_broken_symmetry_detected(self):
         """Negative control: a complex level energy breaks PT."""
         omega = LevelEnergies(omega=np.array([0.0, 0.5]))
         H = build_jc(nilpotent_split(_el(0.3)), omega, 6)
         H = H + 1j * np.diag(np.arange(H.shape[0], dtype=float))
-        assert not jc_pt_check(H, SIG, 6).passed
+        assert jc_pt_check(H, SIG, 6) > 1e-12 * max(1.0, np.abs(H).max())
 
 
 class TestEquivalence:

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptgauge.reporting import CheckRecord, Report, Table, emit
 
@@ -24,6 +25,20 @@ class TestRecords:
         assert CheckRecord("x", 1e-12, 1e-10).passed
         assert not CheckRecord("x", 2e-10, 1e-10).passed
         assert CheckRecord("edge", 1e-10, 1e-10).passed
+
+    @given(st.floats(), st.floats(min_value=0, exclude_min=True))
+    @example(float("-inf"), 1e-10)
+    @example(float("inf"), float("inf"))
+    @example(float("nan"), 1.0)
+    @settings(max_examples=200)
+    def test_passed_iff_finite_and_within_tolerance(self, residual, tolerance):
+        """The one pass rule, for every float residual (NaN and +-inf
+        included) and every positive tolerance, on the record and on the
+        report that holds it."""
+        want = math.isfinite(residual) and residual <= tolerance
+        rep = Report(command="c", config={})
+        assert rep.add("r", residual, tolerance).passed is want
+        assert rep.passed is want
 
     def test_report_passed_requires_all(self):
         rep = _report()

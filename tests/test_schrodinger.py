@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptgauge.cartan import ThetaSignature, make_element
-from ptgauge.linalg import Grid1D, eig, match_spectra
+from ptgauge.linalg import Grid1D, eig, match_spectra, worst_residual
+from ptgauge.reporting import CheckRecord
 from ptgauge.schrodinger import (
     ConstantGauge,
     MatrixPotential,
@@ -29,7 +30,7 @@ def _well():
 class TestAudit:
     def test_reference_pair_passes(self):
         out = symmetry_audit(_gauge(), _well(), SIG, GRID)
-        assert out.passed
+        assert worst_residual(out.values()) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=5000),
            st.sampled_from([(1, 1), (2, 1), (2, 2)]))
@@ -38,7 +39,8 @@ class TestAudit:
         sig = ThetaSignature(*sig_pq)
         pot = sample_audited_potential(sig, np.random.default_rng(seed))
         gauge = ConstantGauge(A=np.zeros((sig.m, sig.m)))
-        assert symmetry_audit(gauge, pot, sig, GRID).passed
+        assert worst_residual(
+            symmetry_audit(gauge, pot, sig, GRID).values()) <= 1e-12
 
     def test_broken_pt_detected(self):
         """Negative control: even imaginary diagonal part violates the PT
@@ -46,15 +48,13 @@ class TestAudit:
         pot = MatrixPotential(
             m=2, V=lambda x: x**2 * np.eye(2) + 1j * np.exp(-x**2) * np.eye(2))
         out = symmetry_audit(_gauge(), pot, SIG, GRID)
-        assert not out.passed
-        assert out.residuals["V_pt"] > 0.1
+        assert out["V_pt"] > 0.1
 
     def test_symmetric_gauge_detected(self):
         """A = sigma_1 violates the antisymmetry condition A = -A^T."""
         A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         out = symmetry_audit(ConstantGauge(A=A), _well(), SIG, GRID)
-        assert out.residuals["A_antisym"] > 0.1
-        assert not out.passed
+        assert out["A_antisym"] > 0.1
 
     def test_nan_potential_fails(self):
         """sample() rejects a non-finite V, so the NaN is injected past it."""
@@ -65,8 +65,9 @@ class TestAudit:
                 return out
 
         out = symmetry_audit(_gauge(), NanAtOneNode(m=2, V=_well().V), SIG, GRID)
-        assert np.isnan(out.residuals["V_pt"])
-        assert not out.passed
+        assert np.isnan(out["V_pt"])
+        assert not CheckRecord("matrix/symmetry_audit",
+                               worst_residual(out.values()), 1e-12).passed
 
 
 class TestRegauge:
