@@ -5,26 +5,35 @@ rotation-angle bin, how many cells sit in the exact phase (all bound-state
 energies real) versus the broken phase (complex-conjugate pairs).  The
 full per-cell table is available through `ptgauge phase-diagram`.
 
+It exits 1 unless the exact and broken counts sum to the sweep size (no
+cell is unpaired), the angle bins, the last one closed at pi/2, hold
+every cell, and the classification counts agree with those of
+`ptgauge phase-diagram` on the same axes; else 0.
+
     python3 scripts/point_phase_summary.py --resolution 7
 """
 
 import argparse
+import sys
 from collections import Counter
 
 import numpy as np
 
 from ptgauge.pointint import pt_phase_sweep
+from ptgauge.verification import PhaseDiagramParams, run_phase_diagram
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--resolution", type=int, default=7,
                     help="points per sweep axis")
     ap.add_argument("--coupling-max", type=float, default=3.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     n = args.resolution
     c = args.coupling_max
+    axis = f"{-c}:{c}:{n}"
+    params = PhaseDiagramParams(axis, axis, axis, axis)   # checks n and c
     rows = pt_phase_sweep(np.linspace(-c, c, n), np.linspace(-c, c, n),
                           np.linspace(-c, c, n), np.linspace(-c, c, n))
 
@@ -33,17 +42,37 @@ def main():
 
     edges = np.linspace(-np.pi / 2, np.pi / 2, 9)
     print(f"{'phi bin':>22} {'cells':>7} {'all real':>9} {'conj pairs':>11}")
+    binned = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        cells = [r for r in rows if lo <= r.phi < hi]
+        last = hi == edges[-1]
+        cells = [r for r in rows if lo <= r.phi < hi or (last and r.phi == hi)]
+        binned += len(cells)
         if not cells:
             continue
         real = sum(r.classification == "all_real" for r in cells)
         broken = sum(r.classification == "conjugate_paired" for r in cells)
-        print(f"[{lo:8.4f}, {hi:8.4f}) {len(cells):7d} {real:9d} "
-              f"{broken:11d}")
+        print(f"[{lo:8.4f}, {hi:8.4f}{']' if last else ')'} {len(cells):7d} "
+              f"{real:9d} {broken:11d}")
     n_deg = sum(r.degenerate for r in rows)
     print(f"# degenerate-angle cells: {n_deg}")
 
+    failed = False
+    exact, broken = by_class["all_real"], by_class["conjugate_paired"]
+    if exact + broken != n**4:
+        print(f"FAIL: {exact} exact + {broken} broken cells is not the "
+              f"sweep size {n**4}")
+        failed = True
+    if binned != n**4:
+        print(f"FAIL: the angle bins hold {binned} of {n**4} cells")
+        failed = True
+    table = run_phase_diagram(params).tables[0]
+    column = table.columns.index("classification")
+    cli_class = Counter(row[column] for row in table.rows)
+    if cli_class != by_class:
+        print(f"FAIL: phase-diagram on the same axes counts {dict(cli_class)}")
+        failed = True
+    return 1 if failed else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

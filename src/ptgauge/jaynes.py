@@ -22,6 +22,12 @@ whenever omega is level-asymmetric, and the dual build detects it at
 O(1).  The overall sign of a is spectrally irrelevant (conjugation by
 the Fock parity diag((-1)^n) flips d and d^H), but the comparison still
 reports both conventions a -> s a (s = +-1); see jc_equivalence_check.
+
+The lowest modes of the grid build come from linalg.lowest_modes
+(certified sparse shift-invert); the Fock builds are small (dimension
+m (n_max + 1)) and keep dense eig.  Every comparison cuts its spectra at
+a common pair-safe k (linalg.lowest_common), so no cut splits a conjugate
+pair.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .cartan import CartanComponents, GaugeAlgebraElement, ThetaSignature, \
     cartan_split
-from .linalg import Grid1D, eig, match_spectra
+from .linalg import Grid1D, eig, lowest_common, lowest_modes, match_spectra
 from .schrodinger import ConstantGauge, MatrixPotential, build_gauged
 
 N_COMPARE = 6   # lowest modes compared between the grid and Fock builds
@@ -163,26 +169,22 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
 
     H_g = build_gauged(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V), grid)
     k = min(N_COMPARE, n_max // 2)
-    e_grid = eig(H_g)
-    low_grid = e_grid[np.argsort(e_grid.real)[:k]]
 
-    devs = {}
-    fock_low = {}
-    for s in (+1, -1):
-        split_s = nilpotent_split(_flip_element(el, s))
-        H_jc = build_jc(split_s, omega, n_max)
-        e_f = eig(H_jc)
-        low_f = e_f[np.argsort(e_f.real)[:k]]
-        devs[s] = float(match_spectra(low_grid, low_f).max())
-        fock_low[s] = low_f
+    def fock_spectrum(s, n):
+        return eig(build_jc(nilpotent_split(_flip_element(el, s)), omega, n))
+
+    fock = {s: fock_spectrum(s, n_max) for s in (+1, -1)}
+    low_grid, *lows = lowest_common(k, lambda j: lowest_modes(H_g, j),
+                                    fock[+1], fock[-1])
+    fock_low = dict(zip((+1, -1), lows))
+    devs = {s: float(match_spectra(low_grid, fock_low[s]).max())
+            for s in (+1, -1)}
     s_best = +1 if devs[+1] <= devs[-1] else -1
 
     # truncation sanity at the matching convention
-    n_big = int(np.ceil(1.5 * n_max))
-    H_big = build_jc(nilpotent_split(_flip_element(el, s_best)), omega, n_big)
-    e_big = eig(H_big)
-    low_big = e_big[np.argsort(e_big.real)[:k]]
-    trunc = float(match_spectra(fock_low[s_best], low_big).max())
+    low_n, low_big = lowest_common(
+        k, fock[s_best], fock_spectrum(s_best, int(np.ceil(1.5 * n_max))))
+    trunc = float(match_spectra(low_n, low_big).max())
 
     return JcEquivalenceReport(
         sign_convention=s_best, max_dev=devs[s_best], max_dev_other=devs[-s_best],

@@ -18,8 +18,15 @@ occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input
 and work on a dense copy; densify is the one place a sparse operator is
 made dense.
 
-Eigenvalues are always returned sorted by (real part, imaginary part) so
-that repeated runs and CSV exports are reproducible.
+Where only the lowest modes are read, lowest_modes takes them from a
+sparse operator by certified shift-invert Arnoldi, without densifying.
+Dense eig remains for whole spectra (pairing classes, spectral
+similarity), for small operators and as the oracle of lowest_modes.
+Every lowest-k cut goes through lowest, which never splits a conjugate
+pair, and lowest_common cuts spectra that are compared at one such k.
+
+eig returns eigenvalues sorted by (real part, imaginary part) so that
+repeated runs and CSV exports are reproducible.
 """
 
 from __future__ import annotations
@@ -192,6 +199,121 @@ def match_spectra(a, b) -> np.ndarray:
         k = int(np.argmin([abs(lam - mu) for mu in b]))
         dists[i] = abs(lam - b.pop(k))
     return dists
+
+
+REAL_TOL = 1e-9   # |Im lambda| <= REAL_TOL (1 + |lambda|) counts as real
+
+
+def lowest(e, k: int) -> np.ndarray:
+    """The k lowest values; the cut is extended so it splits no conjugate pair.
+
+    Values are ordered by (real part, |imag|), where |Im lambda| <=
+    REAL_TOL (1 + |lambda|) counts as real.  The partner of a kept nonreal
+    lambda not yet paired is the unpaired value nearest conj(lambda), if it
+    lies within |Im lambda| of it (so across the real axis); when that
+    partner is outside the cut, the cut moves past it.
+    """
+    e = np.asarray(e, dtype=complex)
+    nonreal = np.abs(e.imag) > REAL_TOL * (1 + np.abs(e))
+    order = np.lexsort((e.imag, np.where(nonreal, np.abs(e.imag), 0.0), e.real))
+    e, nonreal = e[order], nonreal[order]
+    paired = np.zeros(len(e), dtype=bool)
+    cut = min(k, len(e))
+    i = 0
+    while i < cut:
+        if nonreal[i] and not paired[i]:
+            d = np.abs(e - np.conj(e[i]))
+            d[paired] = np.inf
+            d[i] = np.inf
+            j = int(np.argmin(d))
+            if d[j] < abs(e[i].imag):
+                paired[[i, j]] = True
+                cut = max(cut, j + 1)
+        i += 1
+    return e[:cut]
+
+
+def lowest_common(k: int, *spectra) -> list:
+    """Cut several spectra at the smallest common k' >= k that splits no
+    conjugate pair in any of them (see lowest).
+
+    Each spectrum is an array of values or a callable mapping a cut to its
+    pair-safe lowest values, such as lambda j: lowest_modes(M, j).
+    """
+    def low(s, j):
+        return s(j) if callable(s) else lowest(s, j)
+
+    while True:
+        lows = [low(s, k) for s in spectra]
+        lengths = {len(v) for v in lows}
+        if len(lengths) == 1:
+            return lows
+        if min(lengths) < k:
+            raise ValueError(f"a spectrum has fewer than {k} values")
+        k = max(lengths)
+
+
+MAX_ARNOLDI_MODES = 256   # largest set lowest_modes asks ARPACK for
+
+
+def lowest_modes(M, k: int) -> np.ndarray:
+    """The lowest eigenvalues of a sparse operator, as lowest(eig(M), k) would
+    give them, by certified shift-invert Arnoldi.
+
+    Shift-invert returns the values nearest its shift sigma, not the lowest
+    by real part, so the selection is certified.  Re lambda >= mu, the
+    lowest eigenvalue of the Hermitian part (M + M^H)/2 (one eigsh
+    shift-invert from its Gershgorin lower bound), and |Im lambda| <= b,
+    with b = sqrt(|S|_1 |S|_inf) >= |S|_2 for S = (M - M^H)/2 (Bendixson).
+    eigs returns the k + margin values nearest sigma, just below mu; let R
+    be the largest |lambda - sigma| among them and r_cut the largest real
+    part kept.  Every eigenvalue with real part <= r_cut lies in
+    [sigma, r_cut] x [-b, b], so if R^2 > (r_cut - sigma)^2 + b^2 all of
+    them were returned and the kept set is the true lowest one.  The
+    margin doubles until that holds; past MAX_ARNOLDI_MODES values (or
+    n - 2) it raises RuntimeError rather than return an uncertified set.
+    An operator too small for a first request of k + 4 values is solved by
+    dense eig.
+
+    The certificate cannot see a copy of an exactly degenerate eigenvalue
+    that the Krylov space misses; verify-all checks this route against
+    dense eig on the coarse matrix grid (matrix/lowest_modes_vs_dense_*).
+    """
+    import scipy.sparse.linalg   # 1.3 MB RSS, so only where it is used
+
+    M = scipy.sparse.csc_array(M, dtype=complex)
+    n = M.shape[0]
+    if M.shape != (n, n) or not np.all(np.isfinite(M.data)):
+        raise ValueError(f"expected a finite square matrix, got {M.shape}")
+    margin = 4
+    if k + margin > n - 2:
+        return lowest(eig(M), k)
+    MH = M.conj().T
+    herm = (M + MH) / 2
+    skew = abs((M - MH) / 2)
+    b = float(np.sqrt(skew.sum(axis=0).max(initial=0.0)
+                      * skew.sum(axis=1).max(initial=0.0)))
+    diag = herm.diagonal().real
+    gershgorin = float(np.min(diag + abs(diag) - abs(herm).sum(axis=1)))
+    v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
+    mu = scipy.sparse.linalg.eigsh(
+        herm, 1, sigma=gershgorin - 1e-3 * (1 + abs(gershgorin)), v0=v0,
+        return_eigenvectors=False)[0]
+    sigma = mu - 1e-3 * (1 + abs(mu))
+    nev_max = min(MAX_ARNOLDI_MODES, n - 2)
+    while True:
+        nev = min(k + margin, nev_max)
+        vals = scipy.sparse.linalg.eigs(M, nev, sigma=sigma, v0=v0,
+                                        return_eigenvectors=False)
+        kept = lowest(vals, k)
+        R = np.abs(vals - sigma).max()
+        if R**2 > (kept.real.max() - sigma)**2 + b**2:
+            return kept
+        if nev == nev_max:
+            raise RuntimeError(
+                f"lowest_modes: no certified lowest {k} of {n} modes within "
+                f"{nev} shift-invert values (Bendixson bound |Im| <= {b:.3g})")
+        margin *= 2
 
 
 def worst_residual(residuals) -> float:

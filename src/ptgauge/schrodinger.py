@@ -10,8 +10,10 @@ gauge transform U = (+)_j e^{-iAx_j}, is spectrally exact by construction;
 it feeds the similarity check of the verification suite.
 
 All three operators are block-tridiagonal and U is block-diagonal; they
-are assembled as scipy.sparse CSR arrays, and eig densifies them only for
-the full spectra.
+are assembled as scipy.sparse CSR arrays.  spectral_compare takes the whole
+spectra by dense eig, because it classifies their conjugate pairing;
+lowest_mode_match, which reads only the lowest modes, takes them from
+linalg.lowest_modes (certified sparse shift-invert) and never densifies.
 
 Tensor convention: grid index slowest, kron(grid_op, matrix_part).
 The extended parity is P_bold = kron(parity_grid, Theta).
@@ -27,8 +29,8 @@ import scipy.sparse
 
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
 from .cartan import ThetaSignature
-from .linalg import Grid1D, eig, expm, grid_operator, match_spectra, \
-    operator_norm_estimate, pairing_check
+from .linalg import Grid1D, eig, expm, grid_operator, lowest_common, \
+    lowest_modes, match_spectra, operator_norm_estimate, pairing_check
 
 PAIR_TOL = 1e-6   # conjugate-pairing tolerance of spectral_compare
 
@@ -152,16 +154,21 @@ class SpectralCompareReport:
     eigenvalues_H: np.ndarray
 
 
+def match_distance(low1, low2) -> float:
+    """max_k |lam_k - mu_k| / (1 + |lam_k|) over the matched pairs."""
+    return float((match_spectra(low1, low2)
+                  / (1 + np.abs(np.sort_complex(low1)))).max())
+
+
 def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
                      n_low: int = 20) -> SpectralCompareReport:
-    """Compare the lowest modes of H_g against the direct re-gauged build;
-    the pairing classes use the tolerance PAIR_TOL."""
+    """Compare the lowest modes of H_g against the direct re-gauged build,
+    both cut at a common pair-safe k >= n_low (linalg.lowest_common), from
+    the whole spectra by dense eig; the pairing classes of the whole
+    spectra use the tolerance PAIR_TOL."""
     e1 = eig(res.H_g)
     e2 = eig(res.H)
-    k = min(n_low, len(e1))
-    low1 = e1[np.argsort(e1.real)[:k]]
-    low2 = e2[np.argsort(e2.real)[:k]]
-    dists = match_spectra(low1, low2) / (1 + np.abs(np.sort_complex(low1)))
+    low1, low2 = lowest_common(n_low, e1, e2)
 
     P_bold = scipy.sparse.kron(grid_operator(res.grid, "parity"), sig.theta,
                                format="csr")
@@ -171,12 +178,20 @@ def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
     r = r_abs / operator_norm_estimate(res.H_g)
 
     return SpectralCompareReport(
-        max_match_dist=float(dists.max()),
+        max_match_dist=match_distance(low1, low2),
         pairing_Hg=pairing_check(e1, PAIR_TOL),
         pairing_H=pairing_check(e2, PAIR_TOL),
         parity_residual=r,
         eigenvalues_Hg=e1, eigenvalues_H=e2,
     )
+
+
+def lowest_mode_match(res: RegaugeResult, n_low: int) -> float:
+    """The max_match_dist of spectral_compare, from the lowest modes of H_g
+    and H by sparse shift-invert (linalg.lowest_modes) instead of dense eig."""
+    return match_distance(*lowest_common(
+        n_low, lambda k: lowest_modes(res.H_g, k),
+        lambda k: lowest_modes(res.H, k)))
 
 
 def sample_audited_potential(sig: ThetaSignature,

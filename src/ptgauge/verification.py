@@ -15,6 +15,7 @@ Every random draw uses an explicitly seeded generator.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,8 +26,8 @@ import scipy.linalg
 import scipy.sparse
 
 from . import abelian, cartan, cliffords, jaynes, pointint, schrodinger
-from .linalg import Grid1D, eig, expm, grid_operator, match_spectra, \
-    pairing_check, smallest, worst_residual
+from .linalg import Grid1D, eig, expm, grid_operator, lowest_common, \
+    lowest_modes, match_spectra, pairing_check, smallest, worst_residual
 from .reporting import Report, Table
 
 BETA = 0.3             # imaginary gauge slope of the abelian check
@@ -237,10 +238,20 @@ class PhaseDiagramParams(_Params):
 
     def check(self):
         # sized before any linspace: each sweep row is a table row of 12 cells
-        rows = math.prod(_range_parts(v, k)[2] for k, v in self._ranges())
+        parts = [_range_parts(v, k) for k, v in self._ranges()]
+        rows = math.prod(count for _, _, count in parts)
         flags = ", ".join("--" + k for k, _ in self._ranges())
         _require_budget(12 * rows, f"the {rows}-row sweep of {flags} "
                         "(12 cells a row)")
+        # det T + 4 = t11 t22 + im_t12 im_t21 + 4 is bilinear in each pair
+        # of couplings, so its values at the 16 corners bound it on the sweep
+        for t11, t22, b12, b21 in itertools.product(
+                *[(start, stop) for start, stop, _ in parts]):
+            d = pointint.CouplingMatrixT(t11=t11, t12=1j * b12, t21=1j * b21,
+                                         t22=t22).det + 4
+            _require(cmath.isfinite(d), f"det T + 4 must be finite over the "
+                     f"sweep of {flags}, got {d} at t11={t11}, t22={t22}, "
+                     f"im_t12={b12}, im_t21={b21}")
 
     def axes(self) -> tuple:
         return tuple(_parse_range(v, k) for k, v in self._ranges())
@@ -552,12 +563,20 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     # the literal similarity transform is spectrally exact
     sim = match_spectra(coarse.eigenvalues_Hg, eig(res.H_similar))
     rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
+    # the dense spectra are the oracle of the sparse lowest modes
+    gaps = []
+    for M, e in ((res.H_g, coarse.eigenvalues_Hg),
+                 (res.H, coarse.eigenvalues_H)):
+        dense, sparse = lowest_common(params.n_low, e,
+                                      lambda k: lowest_modes(M, k))
+        gaps.append(schrodinger.match_distance(dense, sparse))
+    rep.add("matrix/lowest_modes_vs_dense_h0.05", worst_residual(gaps), 1e-10)
     sig, gauge, pot = example
-    fine = schrodinger.spectral_compare(
+    fine = schrodinger.lowest_mode_match(
         schrodinger.build_and_regauge(gauge, pot,
                                       replace(params, h=params.h / 2).grid()),
-        sig, n_low=params.n_low)
-    order = float(np.log2(coarse.max_match_dist / fine.max_match_dist))
+        params.n_low)
+    order = float(np.log2(coarse.max_match_dist / fine))
     _bool(rep, "matrix/convergence_order_ge_1.8", order >= 1.8)
     rep.config["matrix_convergence_order"] = order
 
@@ -566,14 +585,10 @@ def run_spectrum_matrix(params: SpectrumMatrixParams) -> Report:
     rep = Report(command="spectrum-matrix", seed=0, config=asdict(params))
     out = _matrix_records(rep, _matrix_example(params.gauge_alpha),
                           params.grid(), params.n_low, "matrix/spectral_match")[1]
-
-    def low(e):
-        return e[np.lexsort((e.imag, e.real))][:params.n_low]
-
     rows = [[i, float(lg.real), float(lg.imag), float(lh.real), float(lh.imag),
              float(abs(lg - lh) / (1 + abs(lg)))]
-            for i, (lg, lh) in enumerate(zip(low(out.eigenvalues_Hg),
-                                             low(out.eigenvalues_H)))]
+            for i, (lg, lh) in enumerate(zip(*lowest_common(
+                params.n_low, out.eigenvalues_Hg, out.eigenvalues_H)))]
     rep.tables.append(Table(
         name="spectrum",
         columns=["index", "re_lambda_Hg", "im_lambda_Hg",

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ptgauge import cartan, pointint
+from ptgauge import cartan, linalg, pointint, verification
 from ptgauge.cli import main
 from ptgauge.reporting import Report
 from ptgauge.verification import (
@@ -21,6 +21,7 @@ from ptgauge.verification import (
     VerifyConfig,
     check_cartan_lts,
     check_clifford_relations,
+    check_matrix_schrodinger,
     check_point_angle,
     run_verify_all,
 )
@@ -145,7 +146,7 @@ VERIFY_ALL_RECORDS = [
     "matrix/symmetry_audit", "matrix/spectral_match_h0.05",
     "matrix/pairing_Hg", "matrix/pairing_H",
     "matrix/parity_pseudo_hermiticity", "matrix/similarity_spectrum_exact",
-    "matrix/convergence_order_ge_1.8",
+    "matrix/lowest_modes_vs_dense_h0.05", "matrix/convergence_order_ge_1.8",
     "jc/decoupled_spectrum_exact", "jc/pt_symmetry", "jc/grid_vs_fock_lowest6",
     "jc/truncation_convergence",
     "point/phi_zero_when_t12_equals_t21", "point/phi_reference_value",
@@ -187,6 +188,17 @@ def test_binary_escape_passes_at_small_bracket_seeds(seed):
     check_cartan_lts(rep, VerifyConfig(seed=seed))
     for name in ("p2q1", "p2q2", "p3q1"):
         assert _record(rep, f"cartan/binary_escape_{name}").passed, name
+
+
+def test_wrong_sparse_mode_fails_its_record(monkeypatch):
+    """The dense coarse-grid spectra catch a sparse route that drops the
+    lowest mode for the next one."""
+    monkeypatch.setattr(verification, "lowest_modes",
+                        lambda M, k: linalg.lowest_modes(M, k + 1)[1:])
+    rep = Report(command="wrong-mode", config={})
+    check_matrix_schrodinger(rep, VerifyConfig())
+    assert not _record(rep, "matrix/lowest_modes_vs_dense_h0.05").passed
+    assert _record(rep, "matrix/convergence_order_ge_1.8").passed
 
 
 def test_nan_perturbed_relation_fails_its_record(monkeypatch):

@@ -213,6 +213,9 @@ INVALID = [
     # sweeps whose rows, 12 table cells each, are over the budget
     ["phase-diagram", "--t11-range=0:1:100000000000000000000"],
     ["phase-diagram", "--t11-range=0:1:100000", "--t22-range=0:1:100000"],
+    # det T + 4 at a corner of the sweep is not finite
+    ["phase-diagram", "--t11-range=1e200:1e200:1", "--t22-range=1e200:1e200:1",
+     "--im-t12-range=1e200:1e200:1", "--im-t21-range=-1e200:-1e200:1"],
     ["verify-all", "--seed=-1"],
 ]
 

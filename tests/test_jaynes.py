@@ -11,7 +11,7 @@ from ptgauge.jaynes import (
     jc_pt_check,
     nilpotent_split,
 )
-from ptgauge.linalg import Grid1D, eig
+from ptgauge.linalg import Grid1D, eig, pairing_check
 
 SIG = ThetaSignature(1, 1)
 
@@ -116,6 +116,24 @@ class TestEquivalence:
         # the overall sign of a is spectrally irrelevant, so both sign
         # conventions must agree with the grid build
         assert out.max_dev_other <= 5e-2
+
+    def test_three_level_cut_keeps_conjugate_pairs(self):
+        """Signature (2, 1): the lowest six modes end inside a conjugate
+        pair near 3.99 +- 1.46i.  A cut by real part alone keeps whichever
+        member rounding puts first, and the grid and Fock builds kept
+        different ones (a deviation of 2.91 = 2 Im); the pair-safe cut
+        keeps both members on every side."""
+        sig = ThetaSignature(2, 1)
+        el = random_element(sig, np.random.default_rng(3), 0.3)
+        omega = LevelEnergies(omega=np.array([0.0, 0.5, 1.0]))
+        n_max = 18
+        grid = Grid1D.from_box(np.sqrt(2 * n_max) + 4.2, 0.045)
+        out = jc_equivalence_check(el, omega, grid, n_max)
+        assert out.truncation_shift < 1e-6
+        assert out.max_dev <= 5e-2
+        for low in (out.grid_eigenvalues, out.fock_eigenvalues):
+            assert len(low) == 7
+            assert pairing_check(low, 1e-6) == "conjugate_paired"
 
     def test_small_box_rejected(self):
         grid = Grid1D.from_box(3.0, 0.05)

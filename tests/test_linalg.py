@@ -9,6 +9,8 @@ from ptgauge.linalg import (
     expm,
     grid_operator,
     indefinite_inner,
+    lowest,
+    lowest_common,
     match_spectra,
     operator_norm_estimate,
     pairing_check,
@@ -226,6 +228,63 @@ class TestMatching:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             match_spectra([1.0], [1.0, 2.0])
+
+
+class TestLowest:
+    def test_orders_by_real_part_then_abs_imag(self):
+        e = [3.0, 1 - 2j, 0.5, 1 + 2j, 1 + 1j, 1 - 1j]
+        assert list(lowest(e, 6)) == [0.5, 1 - 1j, 1 + 1j, 1 - 2j, 1 + 2j, 3.0]
+
+    def test_cut_never_splits_a_conjugate_pair(self):
+        """Rounding puts a real value between the members of a pair, so a
+        cut by real part alone keeps one member of it."""
+        e = np.array([0.0, 4.013 + 1.422j, 4.013 + 1e-13,
+                      4.013 + 2e-13 - 1.422j, 6.0])
+        assert len(e[np.argsort(e.real)[:2]]) == 2   # the split cut
+        got = lowest(e, 2)
+        assert len(got) == 4
+        assert pairing_check(got, 1e-9) == "conjugate_paired"
+
+    def test_near_real_values_count_as_real(self):
+        # |Im| <= 1e-9 (1 + |lambda|): no partner is needed, the cut stays
+        assert len(lowest([1.0 + 1e-12j, 2.0, 3.0 - 1e-12j], 1)) == 1
+
+    def test_unpartnered_value_does_not_extend_the_cut(self):
+        assert len(lowest([1.0 + 1j, 2.0, 3.0 - 1j], 1)) == 1
+
+    @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False),
+                    min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=1000),
+           st.integers(min_value=1, max_value=16))
+    @settings(max_examples=60)
+    def test_conjugate_closed_sets_stay_closed(self, vals, seed, k):
+        """Partners differ by rounding-sized perturbations; the kept set is
+        conjugate-paired and holds the k lowest real parts."""
+        rng = np.random.default_rng(seed)
+        vals = np.asarray(vals)
+        vals = vals[np.abs(vals.imag) > 1e-6]
+        partners = np.conj(vals) * (1 + 1e-14 * rng.standard_normal(len(vals)))
+        e = np.concatenate([vals, partners, rng.uniform(-10, 10, 3)])
+        got = lowest(e, k)
+        assert len(got) >= min(k, len(e))
+        assert pairing_check(got, 1e-9) != "unpaired"
+        assert np.abs(np.sort(got.real) - np.sort(e.real)[:len(got)]).max() \
+            <= 1e-12
+
+    def test_common_cut_extends_every_spectrum(self):
+        a = [0.0, 1 + 1j, 1 - 1j, 3.0]
+        b = [0.0, 0.5, 1.2, 4.0]
+        low_a, low_b = lowest_common(2, a, b)
+        assert len(low_a) == len(low_b) == 3
+        # a callable source is asked for the common cut
+        asked = []
+        low_a, low_c = lowest_common(
+            2, a, lambda j: asked.append(j) or lowest(b, j))
+        assert asked == [2, 3] and len(low_c) == 3
+
+    def test_common_cut_rejects_a_short_spectrum(self):
+        with pytest.raises(ValueError):
+            lowest_common(2, [0.0, 1 + 1j, 1 - 1j], [0.0, 1.0])
 
 
 def test_norm_estimate_matches_svd():

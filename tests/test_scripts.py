@@ -1,5 +1,8 @@
-"""The study scripts exit 0 only if every observed order meets the bound."""
+"""The scripts exit 0 only if their checked invariant holds: every observed
+order meets the bound, or the phase summary's counts add up and agree with
+phase-diagram."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -34,3 +37,34 @@ def test_weak_residual_low_order_exits_one(weak_residual_scaling, capsys):
 def test_matrix_convergence_orders_pass(capsys):
     study = _load("matrix_convergence_study")
     assert study.main(["--levels", "2", "--n-low", "6"]) == 0
+
+
+@pytest.mark.parametrize("dist", [1e-3, float("nan")])
+def test_matrix_convergence_low_order_exits_one(monkeypatch, capsys, dist):
+    # a mismatch that does not shrink under refinement has order 0
+    study = _load("matrix_convergence_study")
+    monkeypatch.setattr(study, "lowest_mode_match", lambda res, n_low: dist)
+    assert study.main(["--levels", "2", "--n-low", "6"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_point_phase_summary_counts_agree(capsys):
+    summary = _load("point_phase_summary")
+    assert summary.main(["--resolution", "4"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
+    summary = _load("point_phase_summary")
+    sweep = summary.pt_phase_sweep
+
+    def one_unpaired(*axes):
+        rows = sweep(*axes)
+        rows[0] = dataclasses.replace(rows[0], classification="unpaired")
+        return rows
+
+    monkeypatch.setattr(summary, "pt_phase_sweep", one_unpaired)
+    assert summary.main(["--resolution", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "is not the sweep size 81" in out
+    assert "phase-diagram on the same axes counts" in out

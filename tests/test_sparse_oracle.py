@@ -1,5 +1,5 @@
-"""Dense n x n oracles for the sparse grid operators, the abelian chain and
-the matrix Schrodinger chain.
+"""Dense n x n oracles for the sparse grid operators, the abelian chain,
+the matrix Schrodinger chain and the sparse lowest-mode solver.
 
 The library stores diagonal factors as node vectors and every operator as
 a sparse matrix.  Here each is rebuilt densely with plain numpy at small
@@ -8,13 +8,16 @@ block-diagonal assembly, and the structured results must match: operators
 entrywise, the factorization residuals and the eig spectra bit for bit
 (the same floating-point operations produce every entry), and the
 weak-form figures and the similarity transform to rounding (sparse and
-dense products sum in different orders).
+dense products sum in different orders).  linalg.lowest_modes must find
+the lowest(eig(M), k) of dense eig to 1e-10 (1 + |lambda|), and raise
+where its certificate cannot be met.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from ptgauge.abelian import (
     ScalarPotentials,
@@ -25,8 +28,8 @@ from ptgauge.abelian import (
     weak_pseudo_hermiticity_residual,
 )
 from ptgauge.cartan import ThetaSignature, make_element, random_element
-from ptgauge.linalg import Grid1D, eig, expm, grid_operator, \
-    operator_norm_estimate
+from ptgauge.linalg import Grid1D, eig, expm, grid_operator, lowest, \
+    lowest_common, lowest_modes, operator_norm_estimate
 from ptgauge.schrodinger import ConstantGauge, MatrixPotential, \
     build_and_regauge, sample_audited_potential
 
@@ -234,3 +237,84 @@ def test_eig_and_expm_accept_sparse():
         + 0.3j * grid_operator(grid, "momentum", block_dim=1)
     assert np.array_equal(eig(M), eig(M.toarray()))
     assert np.array_equal(expm(0.1 * M), expm(0.1 * M.toarray()))
+
+
+def assert_lowest_modes_match_dense(M, k):
+    """lowest_modes(M, k) and lowest(eig(M), k), cut at a common k' >= k,
+    hold the same values to 1e-10 (1 + |lambda|), matched one to one."""
+    sparse, dense = lowest_common(k, lambda j: lowest_modes(M, j), eig(M))
+    assert len(sparse) == len(dense) >= k
+    rest = list(dense)
+    for lam in sparse:
+        d = np.abs(np.asarray(rest) - lam)
+        assert d.min() <= 1e-10 * (1 + abs(lam)), (lam, rest[int(np.argmin(d))])
+        rest.pop(int(np.argmin(d)))
+    return sparse
+
+
+def test_lowest_modes_default_hermitian_example():
+    gauge, pot = MATRIX_EXAMPLES[0][1:]
+    res = build_and_regauge(gauge, pot, MATRIX_GRIDS[1])
+    for M in (res.H_g, res.H):
+        assert_lowest_modes_match_dense(M, 16)
+
+
+def test_lowest_modes_nonhermitian_m3():
+    """The random m = 3 gauge with an audited potential at dim 480: most of
+    the lowest modes come in conjugate pairs."""
+    gauge, pot = MATRIX_EXAMPLES[1][1:]
+    res = build_and_regauge(gauge, pot, MATRIX_GRIDS[1])
+    assert res.H_g.shape == (480, 480)
+    low = assert_lowest_modes_match_dense(res.H_g, 16)
+    assert np.sum(np.abs(low.imag) > 1e-3) >= 8
+
+
+def _upper_blocks(n_blocks, c):
+    """Blocks [[j, c], [0, j + 1/2]]: real eigenvalues j, j + 1/2, while the
+    skew-Hermitian part, and so the bound on |Im lambda|, is c / 2."""
+    j = np.arange(n_blocks, dtype=float)
+    blocks = np.zeros((n_blocks, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = j
+    blocks[:, 1, 1] = j + 0.5
+    blocks[:, 0, 1] = c
+    return scipy.sparse.csr_array(scipy.sparse.block_diag(list(blocks)))
+
+
+def _counting_eigs(monkeypatch):
+    calls = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counted(A, k, **kw):
+        calls.append(k)
+        return eigs(A, k, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+    return calls
+
+
+def test_lowest_modes_margin_grows_until_certified(monkeypatch):
+    calls = _counting_eigs(monkeypatch)
+    assert_lowest_modes_match_dense(_upper_blocks(100, 20.0), 8)
+    assert len(calls) >= 2 and calls == sorted(calls)
+
+
+def test_lowest_modes_raises_without_certificate(monkeypatch):
+    """|Im lambda| <= 100 is all the certificate knows, and no disk the
+    80 x 80 operator's values can fill is that wide."""
+    calls = _counting_eigs(monkeypatch)
+    with pytest.raises(RuntimeError, match="no certified"):
+        lowest_modes(_upper_blocks(40, 200.0), 8)
+    assert calls[-1] == 78   # grew to the largest request eigs accepts
+
+
+def test_lowest_modes_small_operator_is_dense():
+    M = _upper_blocks(4, 1.0)
+    assert np.array_equal(lowest_modes(M, 6), lowest(eig(M), 6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lowest_modes_rejects_nonfinite(bad):
+    M = _upper_blocks(20, 1.0).tolil()
+    M[3, 4] = bad
+    with pytest.raises(ValueError):
+        lowest_modes(scipy.sparse.csr_array(M), 4)
