@@ -6,12 +6,14 @@ the worst relative eigenvalue mismatch over the lowest modes together
 with the observed convergence order (expected around 2).  The lowest
 modes come from certified sparse shift-invert (linalg.lowest_modes), so
 no whole spectrum is computed.  It exits 1 if any observed order is below
-MIN_ORDER, else 0.
+MIN_ORDER, 2 with a one-line usage error on arguments that give no grid or
+no order (fewer than two levels), else 0.
 
     python3 scripts/matrix_convergence_study.py --gauge-alpha 0.3
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -28,6 +30,24 @@ from ptgauge.schrodinger import (
 MIN_ORDER = 1.8   # the bound of the test suite and the benchmark
 
 
+def grids(args) -> list:
+    """The grids of the study, one a level; ValueError on unusable arguments."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, "
+                             f"got {value}")
+    if args.levels < 2:
+        raise ValueError(f"--levels must be >= 2 to observe an order, "
+                         f"got {args.levels}")
+    if args.n_low < 1:
+        raise ValueError(f"--n-low must be >= 1, got {args.n_low}")
+    if not (args.h0 > 0 and args.box > 0):
+        raise ValueError(f"--h0 and --box must be positive, got {args.h0} "
+                         f"and {args.box}")
+    return [Grid1D.from_box(args.box, args.h0 / 2**level)
+            for level in range(args.levels)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--gauge-alpha", type=float, default=0.3)
@@ -36,6 +56,11 @@ def main(argv=None) -> int:
     ap.add_argument("--levels", type=int, default=4)
     ap.add_argument("--n-low", type=int, default=12)
     args = ap.parse_args(argv)
+    try:
+        study_grids = grids(args)
+    except ValueError as exc:   # the rule of ptgauge's command line
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     sig = ThetaSignature(1, 1)
     el = make_element(sig, np.zeros((1, 1)), [[-args.gauge_alpha]],
@@ -48,9 +73,9 @@ def main(argv=None) -> int:
     print(f"{'h':>8} {'max match dist':>15} {'order':>7}")
     prev = None
     orders = []
-    for level in range(args.levels):
-        h = args.h0 / 2**level
-        res = build_and_regauge(gauge, pot, Grid1D.from_box(args.box, h))
+    for grid in study_grids:
+        h = grid.spacing
+        res = build_and_regauge(gauge, pot, grid)
         dist = lowest_mode_match(res, args.n_low)
         if prev is not None:
             orders.append(np.log2(prev / dist))

@@ -8,7 +8,8 @@ full per-cell table is available through `ptgauge phase-diagram`.
 It exits 1 unless the exact and broken counts sum to the sweep size (no
 cell is unpaired), the angle bins, the last one closed at pi/2, hold
 every cell, and the classification counts agree with those of
-`ptgauge phase-diagram` on the same axes; else 0.
+`ptgauge phase-diagram` on the same axes; 2 with a one-line usage error
+on a sweep that phase-diagram rejects; else 0.
 
     python3 scripts/point_phase_summary.py --resolution 7
 """
@@ -33,7 +34,11 @@ def main(argv=None) -> int:
     n = args.resolution
     c = args.coupling_max
     axis = f"{-c}:{c}:{n}"
-    params = PhaseDiagramParams(axis, axis, axis, axis)   # checks n and c
+    try:
+        params = PhaseDiagramParams(axis, axis, axis, axis)   # checks n and c
+    except ValueError as exc:   # the rule of ptgauge's command line
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     rows = pt_phase_sweep(np.linspace(-c, c, n), np.linspace(-c, c, n),
                           np.linspace(-c, c, n), np.linspace(-c, c, n))
 

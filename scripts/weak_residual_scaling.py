@@ -4,12 +4,15 @@ For the scalar gauge A = alpha + i beta x the interior weak residual r1
 of eta H - H^H eta should drop at fourth order in h (two orders from the
 stencil, two from testing against smooth vectors).  This script tabulates
 r1 over a dyadic sequence of spacings and prints the observed orders.
-It exits 1 if any observed order is below MIN_ORDER, else 0.
+It exits 1 if any observed order is below MIN_ORDER, 2 with a one-line
+usage error on arguments that give no grid or no order (fewer than two
+levels), else 0.
 
     python3 scripts/weak_residual_scaling.py --alpha 1.0 --beta 0.3
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -25,6 +28,22 @@ from ptgauge.linalg import Grid1D
 MIN_ORDER = 3.5   # the bound of the test suite and the benchmark
 
 
+def grids(args) -> list:
+    """The grids of the study, one a level; ValueError on unusable arguments."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, "
+                             f"got {value}")
+    if args.levels < 2:
+        raise ValueError(f"--levels must be >= 2 to observe an order, "
+                         f"got {args.levels}")
+    if not (args.h0 > 0 and args.box > 0):
+        raise ValueError(f"--h0 and --box must be positive, got {args.h0} "
+                         f"and {args.box}")
+    return [Grid1D.from_box(args.box, args.h0 / 2**level)
+            for level in range(args.levels)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alpha", type=float, default=1.0)
@@ -34,6 +53,11 @@ def main(argv=None) -> int:
                     help="coarsest spacing; halved at each step")
     ap.add_argument("--levels", type=int, default=5)
     args = ap.parse_args(argv)
+    try:
+        study_grids = grids(args)
+    except ValueError as exc:   # the rule of ptgauge's command line
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     A = lambda x: args.alpha + 1j * args.beta * x
     pots = ScalarPotentials(A=A, V=lambda x: x**2)
@@ -42,9 +66,8 @@ def main(argv=None) -> int:
     print(f"{'h':>10} {'r1':>12} {'r1_abs':>12} {'order':>7}")
     prev = None
     orders = []
-    for level in range(args.levels):
-        h = args.h0 / 2**level
-        grid = Grid1D.from_box(args.box, h)
+    for grid in study_grids:
+        h = grid.spacing
         fact = gauge_factorization(A, grid)
         H = build_scalar_hamiltonian(pots, grid)
         out = verify_pseudo_hermiticity(H, fact, tol=np.inf)

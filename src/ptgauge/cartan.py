@@ -284,16 +284,20 @@ def parity_relations_check(a: GaugeAlgebraElement, x: float) -> ParityRelationsR
 
     Checks Theta U_k(-x) Theta = U_k(x), Theta U_p(-x) Theta = U_p(x)^{-1}
     and U(x)^H Theta U(-x) = Theta with U = U_k U_p from the split parts.
+    The last two residuals are relative to |U_p(x)|_max |U_p(-x)|_max
+    (largest entry moduli, a product >= 1 since U_p(-x) = U_p(x)^{-1} is
+    positive definite): their rounding error grows like e^{|c||x|}.
     """
     sig = a.sig
     th = sig.theta
     comp = cartan_split(a)
     Uk_p, Uk_m = exp_compact(comp, sig, x), exp_compact(comp, sig, -x)
     Up_p, Up_m = exp_noncompact(comp, sig, x), exp_noncompact(comp, sig, -x)
+    scale = np.abs(Up_p).max() * np.abs(Up_m).max()
     r_k = float(np.abs(th @ Uk_m @ th - Uk_p).max())
-    r_p = float(np.abs(th @ Up_m @ th - np.linalg.inv(Up_p)).max())
+    r_p = float(np.abs(th @ Up_m @ th - np.linalg.inv(Up_p)).max() / scale)
     U_pos = Uk_p @ Up_p
     U_neg = Uk_m @ Up_m
-    r_eta = float(np.abs(U_pos.conj().T @ th @ U_neg - th).max())
+    r_eta = float(np.abs(U_pos.conj().T @ th @ U_neg - th).max() / scale)
     return ParityRelationsReport(compact_residual=r_k, noncompact_residual=r_p,
                                  metric_residual=r_eta)

@@ -16,7 +16,11 @@ position and multiply are diagonal.  Block operators are Kronecker
 products  grid_part (x) I_m  with the grid index slowest, i.e. node j
 occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input
 and work on a dense copy; densify is the one place a sparse operator is
-made dense.
+made dense.  expm's copy is complex.  eig reads the input's exact
+structure first and densifies into float64 when every entry is real: a
+matrix equal to its conjugate transpose goes to scipy.linalg.eigvalsh
+(dsyevr, or zheevr when complex), any other real matrix to real geev
+(dgeev), the rest to complex geev (zgeev).
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Arnoldi, without densifying.
@@ -39,17 +43,21 @@ import scipy.linalg
 import scipy.sparse
 
 
-def densify(M) -> np.ndarray:
-    """Dense complex copy of an array or a scipy.sparse matrix (no copy for
-    a complex ndarray)."""
+def densify(M, dtype=complex) -> np.ndarray:
+    """Dense copy of an array or a scipy.sparse matrix in dtype (no copy for
+    an ndarray already of that dtype)."""
     return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
-                      dtype=complex)
+                      dtype=dtype)
 
 
-def _as_square_matrix(M) -> np.ndarray:
-    M = densify(M)
+def _check_square(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+
+
+def _as_square_matrix(M, dtype=complex) -> np.ndarray:
+    M = densify(M, dtype)
+    _check_square(M)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains NaN/Inf entries")
     return M
@@ -84,12 +92,35 @@ class Grid1D:
 
 
 def eig(M) -> np.ndarray:
-    """All eigenvalues, sorted by (real part, imaginary part).
+    """All eigenvalues as a complex array, sorted by (real part, imaginary
+    part), from the cheapest LAPACK driver the input's exact structure
+    allows.
 
-    Raises scipy/numpy LinAlgError on QR-iteration non-convergence; the
-    message then carries the partial diagnostics LAPACK provides.
+    A matrix equal to its conjugate transpose entry for entry goes to
+    scipy.linalg.eigvalsh (dsyevr on real symmetric, zheevr on complex
+    Hermitian input; the imaginary parts returned are exactly 0).  Any
+    other matrix whose entries have zero imaginary part goes to real
+    geev (dgeev), which returns nonreal eigenvalues as exact conjugate
+    pairs; the rest to complex geev (zgeev).  The structure is read from
+    the input (for sparse input from its stored entries), which is then
+    densified once, into float64 when it is real.
+
+    Raises ValueError on a non-square or non-finite matrix, and LinAlgError
+    on QR-iteration non-convergence; the message then carries the partial
+    diagnostics LAPACK provides.
     """
-    vals = np.linalg.eigvals(_as_square_matrix(M))
+    sparse = scipy.sparse.issparse(M)
+    M = scipy.sparse.csr_array(M) if sparse else np.asarray(M)
+    _check_square(M)
+    entries = M.data if sparse else M
+    real = not np.iscomplexobj(entries) or not entries.imag.any()
+    MH = M.conj().T
+    hermitian = ((M != MH).count_nonzero() == 0 if sparse
+                 else np.array_equal(M, MH))
+    A = _as_square_matrix(M.real if real else M, float if real else complex)
+    if hermitian:   # ascending real values, already in eig's order
+        return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
+    vals = np.linalg.eigvals(A).astype(complex, copy=False)
     return vals[np.lexsort((vals.imag, vals.real))]
 
 

@@ -14,6 +14,9 @@ are assembled as scipy.sparse CSR arrays.  spectral_compare takes the whole
 spectra by dense eig, because it classifies their conjugate pairing;
 lowest_mode_match, which reads only the lowest modes, takes them from
 linalg.lowest_modes (certified sparse shift-invert) and never densifies.
+eig picks the LAPACK driver by exact structure: in verify-all's default
+example H_g is real symmetric and goes to dsyevr, while H and U H_g U^{-1}
+are real and go to dgeev.
 
 Tensor convention: grid index slowest, kron(grid_op, matrix_part).
 The extended parity is P_bold = kron(parity_grid, Theta).

@@ -22,6 +22,7 @@ from ptgauge.verification import (
     check_cartan_lts,
     check_clifford_relations,
     check_matrix_schrodinger,
+    check_parity_metric_relations,
     check_point_angle,
     run_verify_all,
 )
@@ -188,6 +189,15 @@ def test_binary_escape_passes_at_small_bracket_seeds(seed):
     check_cartan_lts(rep, VerifyConfig(seed=seed))
     for name in ("p2q1", "p2q2", "p3q1"):
         assert _record(rep, f"cartan/binary_escape_{name}").passed, name
+
+
+def test_parity_metric_relations_pass_at_seed_34():
+    """At this seed the worst absolute residual reads 1.4e-10, over the
+    1e-10 bound: rounding in U_p(+-x) grows like e^{|c||x|}.  Relative to
+    |U_p(x)|_max |U_p(-x)|_max it reads 1.3e-14."""
+    rep = Report(command="seed", config={})
+    check_parity_metric_relations(rep, VerifyConfig(seed=34))
+    assert _record(rep, "cartan/parity_metric_relations_random").passed
 
 
 def test_wrong_sparse_mode_fails_its_record(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +65,103 @@ class TestEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eig(np.ones((2, 3)))
+
+    def test_rejects_nonfinite_sparse(self):
+        M = scipy.sparse.csr_array(np.diag([1.0, np.inf]))
+        with pytest.raises(ValueError):
+            eig(M)
+
+
+def _zgeev(M):
+    """The general complex route, which eig took for every input before it
+    chose drivers by structure."""
+    return np.linalg.eigvals(np.asarray(M, dtype=complex))
+
+
+def _assert_matches_zgeev(got, M):
+    want = _zgeev(M)
+    scale = 1 + np.abs(np.sort_complex(got))
+    assert (match_spectra(got, want) <= 1e-12 * scale).all()
+
+
+@pytest.fixture
+def drivers(monkeypatch):
+    """Records (driver, dtype) for each LAPACK call eig makes."""
+    calls = []
+    eigvalsh, eigvals = scipy.linalg.eigvalsh, np.linalg.eigvals
+
+    def spy_h(A, **kw):
+        calls.append(("eigvalsh", A.dtype))
+        return eigvalsh(A, **kw)
+
+    def spy_g(A):
+        calls.append(("eigvals", A.dtype))
+        return eigvals(A)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", spy_h)
+    monkeypatch.setattr(np.linalg, "eigvals", spy_g)
+    return calls
+
+
+def _random(n, seed, real=True):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    return M if real else M + 1j * rng.standard_normal((n, n))
+
+
+class TestEigDrivers:
+    """eig picks its LAPACK driver by exact structure: Hermitian input goes
+    to eigvalsh, other real input to real geev, the rest to complex geev.
+    Each route must agree with the complex route to rounding."""
+
+    def test_real_symmetric_in_real_arithmetic(self, drivers):
+        X = _random(40, 1)
+        S = (X + X.T) / 2
+        got = eig(S.astype(complex))   # complex dtype, zero imaginary part
+        assert drivers == [("eigvalsh", np.float64)]
+        assert got.dtype == complex and not got.imag.any()
+        _assert_matches_zgeev(got, S)
+
+    def test_complex_hermitian(self, drivers):
+        X = _random(40, 2, real=False)
+        H = (X + X.conj().T) / 2
+        got = eig(H)
+        assert drivers == [("eigvalsh", np.complex128)]
+        assert got.dtype == complex and not got.imag.any()
+        _assert_matches_zgeev(got, H)
+
+    def test_real_nonsymmetric_pairs_exactly(self, drivers):
+        M = _random(30, 3)
+        got = eig(M)
+        assert drivers == [("eigvals", np.float64)]
+        assert got.dtype == complex and got.imag.any()
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+        _assert_matches_zgeev(got, M)
+
+    def test_complex_general(self, drivers):
+        M = _random(20, 4, real=False)
+        got = eig(M)
+        assert drivers == [("eigvals", np.complex128)]
+        _assert_matches_zgeev(got, M)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_one_ulp_off_hermitian_takes_general_path(self, drivers, real):
+        X = _random(30, 5, real=real)
+        H = (X + X.conj().T) / 2
+        re = H[0, 1].real
+        H[0, 1] += np.nextafter(re, np.inf) - re   # one ulp up, real part
+        got = eig(H)
+        assert drivers == [("eigvals", np.float64 if real else np.complex128)]
+        _assert_matches_zgeev(got, H)
+
+    def test_sparse_and_dense_identical(self):
+        X = _random(24, 6, real=False)
+        Y = _random(24, 7)
+        for M in ((X + X.conj().T) / 2, (Y + Y.T) / 2 + 0j, Y, Y + 0j, X,
+                  np.eye(24, dtype=int)):
+            dense, sparse = eig(M), eig(scipy.sparse.csr_array(M))
+            assert dense.dtype == sparse.dtype == complex
+            assert np.array_equal(dense, sparse)
 
 
 class TestExpm:

@@ -1,6 +1,6 @@
 """The scripts exit 0 only if their checked invariant holds: every observed
 order meets the bound, or the phase summary's counts add up and agree with
-phase-diagram."""
+phase-diagram.  Arguments they cannot use end with exit 2 and one line."""
 
 import dataclasses
 import importlib.util
@@ -68,3 +68,20 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "is not the sweep size 81" in out
     assert "phase-diagram on the same axes counts" in out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("matrix_convergence_study", ["--h0", "0"]),
+    ("matrix_convergence_study", ["--levels", "1"]),
+    ("matrix_convergence_study", ["--levels", "0"]),
+    ("matrix_convergence_study", ["--gauge-alpha", "nan"]),
+    ("weak_residual_scaling", ["--h0", "0"]),
+    ("weak_residual_scaling", ["--levels", "1"]),
+    ("point_phase_summary", ["--resolution", "0"]),
+])
+def test_unusable_arguments_exit_two(capsys, name, argv):
+    assert _load(name).main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
