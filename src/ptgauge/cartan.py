@@ -19,11 +19,23 @@ Closed-form exponentials:
             sin(s x)/s spectral function switching to its series limit x
             below a 1e-8 singular-value threshold.
   exp(c x): block-diagonal Hermitian exponential diag(e^{iux}, e^{iwx}).
+
+Per-call cost.  The checks call these kernels thousands of times on 3x3
+to 5x5 matrices, so nothing is recomputed per call that is fixed per
+object.  A ThetaSignature holds its sign vector s, Theta = diag(s) and the
+sign mask s s^T as read-only arrays built once, and every Theta X Theta is
+the entry-wise product mask * X: for finite X this equals the two matrix
+products bit for bit, since a product with a +-1 diagonal adds only exact
+zeros.  An element's matrix is assembled once, on first access, and is
+read-only.  make_element validates u, v, w (finite; u, w antisymmetric);
+those checks imply both g_Theta conditions on the assembled matrix, so it
+is not re-checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,36 +55,59 @@ class ThetaSignature:
     def m(self) -> int:
         return self.p + self.q
 
-    @property
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The diagonal s of Theta: p ones, then q minus ones (read-only)."""
+        return _read_only(np.concatenate([np.ones(self.p), -np.ones(self.q)]))
+
+    @cached_property
     def theta(self) -> np.ndarray:
-        return np.diag(np.concatenate([np.ones(self.p), -np.ones(self.q)]))
+        """Theta = diag(s) (read-only)."""
+        return _read_only(np.diag(self.signs))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """s s^T, so that Theta X Theta = mask * X (read-only)."""
+        return _read_only(np.outer(self.signs, self.signs))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _check_antisymmetric_real(M, name, n):
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n} real")
-    if n and np.abs(M + M.T).max() > 1e-13 * max(1.0, np.abs(M).max()):
+    scale = np.abs(M).max(initial=0.0)   # NaN or inf unless M is finite
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} must be finite")
+    if np.abs(M + M.T).max(initial=0.0) > 1e-13 * max(1.0, scale):
         raise ValueError(f"{name} must be antisymmetric")
     return M
 
 
 @dataclass(frozen=True)
 class GaugeAlgebraElement:
+    """An element of g_Theta from its blocks; u, v, w are not to be changed
+    in place, since the matrix is assembled from them once."""
+
     sig: ThetaSignature
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
+        """The assembled m x m block matrix, built on first access (read-only)."""
         p, q = self.sig.p, self.sig.q
         a = np.zeros((p + q, p + q), dtype=complex)
         a[:p, :p] = 1j * self.u
         a[:p, p:] = self.v
         a[p:, :p] = -self.v.T
         a[p:, p:] = 1j * self.w
-        return a
+        return _read_only(a)
 
     @property
     def gauge_potential(self) -> np.ndarray:
@@ -87,20 +122,21 @@ class CartanComponents:
 
 
 def make_element(sig: ThetaSignature, u, v, w) -> GaugeAlgebraElement:
+    """The checked constructor: u, v, w finite and real, u and w antisymmetric
+    to 1e-13 of their scale.
+
+    Raises ValueError otherwise.  Both defining residuals of the assembled
+    matrix a, |a + a^T| and |Theta a^H Theta - a|, equal
+    max(|u + u^T|, |w + w^T|), and the scale max(1, |a|) is at least that of
+    u and of w, so these checks imply a in g_Theta to 1e-13 of its scale.
+    """
     p, q = sig.p, sig.q
     u = _check_antisymmetric_real(u, "u", p)
     w = _check_antisymmetric_real(w, "w", q)
     v = np.asarray(v, dtype=float).reshape(p, q)
-    el = GaugeAlgebraElement(sig=sig, u=u, v=v, w=w)
-    a = el.matrix
-    th = sig.theta
-    r1 = np.abs(a + a.T).max()
-    r2 = np.abs(th @ a.conj().T @ th - a).max()
-    scale = max(1.0, np.abs(a).max())
-    if r1 > 1e-13 * scale or r2 > 1e-13 * scale:
-        raise ValueError(f"assembled element violates g_Theta conditions "
-                         f"(residuals {r1:.2e}, {r2:.2e})")
-    return el
+    if not np.isfinite(v).all():
+        raise ValueError("v must be finite")
+    return GaugeAlgebraElement(sig=sig, u=u, v=v, w=w)
 
 
 def random_element(sig: ThetaSignature, rng: np.random.Generator,
@@ -115,9 +151,8 @@ def random_element(sig: ThetaSignature, rng: np.random.Generator,
 def membership_residual(X, sig: ThetaSignature) -> float:
     """Distance of X from g_Theta: max of the two defining residuals."""
     X = np.asarray(X, dtype=complex)
-    th = sig.theta
     return float(max(np.abs(X + X.T).max(),
-                     np.abs(th @ X.conj().T @ th - X).max()))
+                     np.abs(sig.mask * X.conj().T - X).max()))
 
 
 def cartan_split(a: GaugeAlgebraElement) -> CartanComponents:
@@ -172,10 +207,9 @@ def wick_check(a: GaugeAlgebraElement) -> WickReport:
     the block-diagonal subalgebra part.
     """
     sig = a.sig
-    th = sig.theta
     p = sig.p
     f = -1j * a.matrix
-    r_su = float(np.abs(th @ f.conj().T @ th + f).max())
+    r_su = float(np.abs(sig.mask * f.conj().T + f).max())
     r_as = float(np.abs(f + f.T).max())
     comp = cartan_split(a)
     fb = -1j * comp.b
@@ -212,9 +246,9 @@ def exp_compact(comp: CartanComponents, sig: ThetaSignature, x: float) -> np.nda
         out[~small] = np.sin(s_arr[~small] * x) / s_arr[~small]
         return out
 
-    cos_p = W @ np.diag(np.cos(s_full_p * x)) @ W.T
-    cos_q = Z @ np.diag(np.cos(s_full_q * x)) @ Z.T
-    sin_over = Z @ np.diag(sinc_s(s_full_q)) @ Z.T
+    cos_p = (W * np.cos(s_full_p * x)) @ W.T
+    cos_q = (Z * np.cos(s_full_q * x)) @ Z.T
+    sin_over = (Z * sinc_s(s_full_q)) @ Z.T
     U = np.zeros((sig.m, sig.m))
     U[:p, :p] = cos_p
     U[:p, p:] = v @ sin_over
@@ -242,15 +276,21 @@ class PolarFactors:
 
 
 def group_polar(U, sig: ThetaSignature) -> PolarFactors:
-    """Polar split U = U_k U_p with U_p = (U^H U)^{1/2}; validates membership."""
+    """Polar split U = U_k U_p with U_p = (U^H U)^{1/2}; validates membership.
+
+    The factors come from the SVD U = W Sigma V^H: U_p = V Sigma V^H,
+    U_k = W V^H and log U_p = V log(Sigma) V^H.  Forming U^H U instead
+    would square the condition number of U, and its eigenvectors lose
+    about eps cond(U)^2.
+    """
     U = np.asarray(U, dtype=complex)
-    G = U.conj().T @ U
-    vals, vecs = np.linalg.eigh(G)
-    if vals.min() <= 0:
-        raise np.linalg.LinAlgError("U^H U is singular; no polar factorization")
-    U_p = vecs @ np.diag(np.sqrt(vals)) @ vecs.conj().T
-    U_k = U @ (vecs @ np.diag(1 / np.sqrt(vals)) @ vecs.conj().T)
-    log_p = vecs @ np.diag(0.5 * np.log(vals)) @ vecs.conj().T
+    W, s, Vh = np.linalg.svd(U)
+    if not s.min() > 0:
+        raise np.linalg.LinAlgError("U is singular; no polar factorization")
+    V = Vh.conj().T
+    U_p = (V * s) @ Vh
+    U_k = W @ Vh
+    log_p = (V * np.log(s)) @ Vh
     p = sig.p
     # log_p must be i * real-antisymmetric, block-diagonal in the signature
     lp = -1j * log_p
@@ -289,15 +329,16 @@ def parity_relations_check(a: GaugeAlgebraElement, x: float) -> ParityRelationsR
     positive definite): their rounding error grows like e^{|c||x|}.
     """
     sig = a.sig
-    th = sig.theta
     comp = cartan_split(a)
     Uk_p, Uk_m = exp_compact(comp, sig, x), exp_compact(comp, sig, -x)
     Up_p, Up_m = exp_noncompact(comp, sig, x), exp_noncompact(comp, sig, -x)
     scale = np.abs(Up_p).max() * np.abs(Up_m).max()
-    r_k = float(np.abs(th @ Uk_m @ th - Uk_p).max())
-    r_p = float(np.abs(th @ Up_m @ th - np.linalg.inv(Up_p)).max() / scale)
+    r_k = float(np.abs(sig.mask * Uk_m - Uk_p).max())
+    r_p = float(np.abs(sig.mask * Up_m - np.linalg.inv(Up_p)).max() / scale)
     U_pos = Uk_p @ Up_p
     U_neg = Uk_m @ Up_m
-    r_eta = float(np.abs(U_pos.conj().T @ th @ U_neg - th).max() / scale)
+    # U^H Theta is U^H with its columns scaled by s
+    r_eta = float(np.abs((U_pos.conj().T * sig.signs) @ U_neg - sig.theta).max()
+                  / scale)
     return ParityRelationsReport(compact_residual=r_k, noncompact_residual=r_p,
                                  metric_residual=r_eta)

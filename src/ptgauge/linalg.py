@@ -35,6 +35,7 @@ repeated runs and CSV exports are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -87,8 +88,24 @@ class Grid1D:
 
     @classmethod
     def from_box(cls, half_width: float, spacing: float) -> "Grid1D":
-        """Grid covering roughly [-half_width, half_width]."""
-        return cls(half_count=int(round(half_width / spacing)), spacing=spacing)
+        """Grid covering roughly [-half_width, half_width].
+
+        Raises ValueError, naming the argument, unless spacing is positive
+        and finite and half_width / spacing is finite and above 1/2 (so the
+        grid has a node).
+        """
+        if not 0 < spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {spacing}")
+        if not math.isfinite(half_width):
+            raise ValueError(f"half_width must be finite, got {half_width}")
+        ratio = half_width / spacing
+        if not math.isfinite(ratio):
+            raise ValueError(f"half_width / spacing overflows, got "
+                             f"half_width {half_width}, spacing {spacing}")
+        if not ratio > 0.5:
+            raise ValueError(f"half_width must exceed spacing / 2, got "
+                             f"half_width {half_width}, spacing {spacing}")
+        return cls(half_count=int(round(ratio)), spacing=spacing)
 
 
 def eig(M) -> np.ndarray:

@@ -25,10 +25,21 @@ the matching determinant is the closed-form polynomial
     det M(k) = t11 + (2 - det(T)/2) k - t22 k^2,
 
 whose roots with Re k > 0 give energies E = -k^2.
+
+The phase sweep works on arrays: the couplings of all rows come from one
+meshgrid, det T, phi and the degenerate flag are computed entry-wise, and
+the roots of the quadratic rows come from one stacked eigvals call on
+companion matrices built as np.roots builds them.  Rows where np.roots
+strips a zero coefficient (t11 = 0) or the polynomial is not quadratic
+(|t22| <= 1e-14) take the per-coupling root route of bound_states.  Both
+share one root filter; only bound_states computes amplitudes and domain
+residuals.  Every row equals, bit for bit, the per-coupling result of
+clifford_angle and bound_states.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,26 +115,26 @@ class PhiSolution:
     residual: float
 
 
-def _reduce_principal(phi: float) -> float:
-    """Fold to (-pi/2, pi/2]; phi and phi + pi define the same condition."""
-    while phi > np.pi / 2:
-        phi -= np.pi
-    while phi <= -np.pi / 2:
-        phi += np.pi
-    return phi
+def _principal_angle(d, beta):
+    """phi with tan(phi) = 2 beta / d on (-pi/2, pi/2], and the degenerate
+    flag (|beta|, |d| <= 1e-13, where phi is 0); entry-wise on arrays.
+
+    arctan2 lies in [-pi, pi], and one fold by pi reaches the principal
+    branch: phi and phi + pi define the same condition.
+    """
+    degenerate = (np.abs(beta) <= _STRUCT_TOL) & (np.abs(d) <= _STRUCT_TOL)
+    phi = np.arctan2(2 * beta, d)
+    phi = np.where(phi > np.pi / 2, phi - np.pi,
+                   np.where(phi <= -np.pi / 2, phi + np.pi, phi))
+    return np.where(degenerate, 0.0, phi), degenerate
 
 
 def clifford_angle(T: CouplingMatrixT) -> PhiSolution:
     """Solve i sin(phi) [det T + 4] = 2 cos(phi) (t12 - t21) for PT-symmetric T."""
     if not T.is_pt_symmetric:
         raise ValueError("clifford_angle requires a PT-symmetric coupling matrix")
-    d = (T.det + 4).real
-    beta = (T.t12 - T.t21).imag
-    degenerate = abs(beta) <= _STRUCT_TOL and abs(d) <= _STRUCT_TOL
-    if degenerate:
-        phi = 0.0
-    else:
-        phi = _reduce_principal(float(np.arctan2(2 * beta, d)))
+    phi, degenerate = _principal_angle((T.det + 4).real, (T.t12 - T.t21).imag)
+    phi, degenerate = float(phi), bool(degenerate)
     m1 = np.cos(phi) * SIGMA_3
     m2 = (1j / 2) * np.sin(phi) * SIGMA_1
     lhs = 1j * np.sin(phi) * (T.det + 4)
@@ -233,26 +244,37 @@ def _matching_matrix(T: CouplingMatrixT, kappa: complex) -> np.ndarray:
     return T.matrix @ G0 - G1
 
 
+_ZERO_COEF = 1e-14   # a polynomial coefficient of modulus <= this counts as 0
+
+
+def _coefficients(t11, det, t22) -> tuple:
+    """(c0, c1, c2) of det M(k) = c0 + c1 k + c2 k^2; scalars or arrays."""
+    return t11, 2 - det / 2, -t22
+
+
+def _roots(T: CouplingMatrixT) -> np.ndarray:
+    c0, c1, c2 = _coefficients(T.t11, T.det, T.t22)
+    if abs(c2) > _ZERO_COEF:
+        return np.roots([c2, c1, c0])
+    if abs(c1) > _ZERO_COEF:
+        return np.array([-c0 / c1])
+    return np.array([], dtype=complex)
+
+
+def _decaying(k: np.ndarray) -> tuple:
+    """The root filter: which roots decay (Re k > 1e-12; a NaN root is kept,
+    so that it shows), and the roots with |Im k| <= 1e-10 taken as real."""
+    return ~(k.real <= 1e-12), np.where(np.abs(k.imag) <= 1e-10, k.real + 0j, k)
+
+
 def bound_states(T: CouplingMatrixT) -> list[BoundState]:
     """Closed-form roots of det M(k) = t11 + (2 - det T / 2) k - t22 k^2.
 
     A root with |Im k| <= 1e-10 is taken as real.
     """
-    c0 = T.t11
-    c1 = 2 - T.det / 2
-    c2 = -T.t22
-    if abs(c2) > 1e-14:
-        roots = np.roots([c2, c1, c0])
-    elif abs(c1) > 1e-14:
-        roots = np.array([-c0 / c1])
-    else:
-        roots = np.array([])
+    keep, roots = _decaying(_roots(T))
     out = []
-    for k in roots:
-        if k.real <= 1e-12:
-            continue
-        if abs(k.imag) <= 1e-10:
-            k = k.real + 0j
+    for k in roots[keep]:
         M = _matching_matrix(T, k)
         # amplitudes (a, b) of the decaying ansatz: the null vector of the
         # 2x2 matching matrix
@@ -280,28 +302,69 @@ class SweepRow:
 
 def pt_phase_sweep(t11_values, t22_values, im_t12_values,
                    im_t21_values) -> list[SweepRow]:
-    """Grid sweep over PT-symmetric couplings; rows in deterministic order.
+    """Grid sweep over PT-symmetric couplings; rows in deterministic order
+    (t11 slowest, im_t21 fastest).
 
-    Each row's bound-state energies are classified by pairing_check at
-    tolerance 1e-8.
+    Each row's phi and degenerate flag are those of clifford_angle, its
+    energies those of bound_states (sorted by real, then imaginary part),
+    and its energies are classified by pairing_check at tolerance 1e-8.
     """
-    rows = []
-    for t11 in t11_values:
-        for t22 in t22_values:
-            for b12 in im_t12_values:
-                for b21 in im_t21_values:
-                    T = CouplingMatrixT(t11=complex(t11), t12=1j * b12,
-                                        t21=1j * b21, t22=complex(t22))
-                    sol = clifford_angle(T)
-                    states = bound_states(T)
-                    energies = np.full(2, complex(np.nan, np.nan))
-                    for i, s in enumerate(states[:2]):
-                        energies[i] = s.energy
-                    evals = [s.energy for s in states]
-                    cls = pairing_check(evals, 1e-8) if evals else "all_real"
-                    rows.append(SweepRow(
-                        t11=float(t11), t22=float(t22), im_t12=float(b12),
-                        im_t21=float(b21), phi=sol.phi,
-                        degenerate=sol.degenerate, n_bound=len(states),
-                        energies=energies, classification=cls))
-    return rows
+    axes = [np.asarray(v, dtype=float)
+            for v in (t11_values, t22_values, im_t12_values, im_t21_values)]
+    phi, degenerate, n_bound, energies = _sweep_columns(
+        *(a.ravel() for a in np.meshgrid(*axes, indexing="ij")))
+    # product() runs in the meshgrid's "ij" order, and rows share the
+    # float object of each axis value
+    return [SweepRow(t11, t22, b12, b21, ph, dg, nb, e,
+                     pairing_check(e[:nb], 1e-8) if nb else "all_real")
+            for (t11, t22, b12, b21), ph, dg, nb, e in zip(
+                itertools.product(*(a.tolist() for a in axes)), phi.tolist(),
+                degenerate.tolist(), n_bound.tolist(), energies)]
+
+
+def _sweep_columns(t11, t22, b12, b21) -> tuple:
+    """Per sweep row: phi, the degenerate flag, the bound-state count and
+    the energies, sorted and padded to length 2 with NaN."""
+    # complex arrays, formed as CouplingMatrixT.det forms them, so that
+    # every sign of zero matches too
+    z11, z12, z21, z22 = (t11.astype(complex), 1j * b12, 1j * b21,
+                          t22.astype(complex))
+    det = z11 * z22 - z12 * z21
+    phi, degenerate = _principal_angle((det + 4).real, (z12 - z21).imag)
+    c0, c1, c2 = _coefficients(z11, det, z22)
+
+    # two roots a row; a missing one is padded with k = 0, which the filter
+    # drops as it drops the zero root np.roots appends when c0 = 0
+    roots = np.zeros((t11.size, 2), dtype=complex)
+    # quadratic rows with c0 != 0: np.roots's companion matrix, stacked
+    stacked = (np.abs(c2) > _ZERO_COEF) & (c0 != 0)
+    A = np.zeros((int(stacked.sum()), 2, 2), dtype=complex)
+    A[:, 0, 0] = -c1[stacked] / c2[stacked]
+    A[:, 0, 1] = -c0[stacked] / c2[stacked]
+    A[:, 1, 0] = 1
+    roots[stacked] = np.linalg.eigvals(A)
+    # the other rows from the coupling in Python complex, as bound_states
+    # receives it
+    for i in np.flatnonzero(~stacked):
+        r = _roots(CouplingMatrixT(t11=complex(t11[i]), t12=1j * float(b12[i]),
+                                   t21=1j * float(b21[i]),
+                                   t22=complex(t22[i])))
+        roots[i, :len(r)] = r
+
+    keep, kappa = _decaying(roots)
+    # E = -k^2 with k^2 formed in separate real operations, as a complex
+    # scalar squares; the vectorised complex product may fuse a multiply-add
+    # and differ from bound_states in the last bit
+    re, im = kappa.real, kappa.imag
+    E = np.empty_like(kappa)
+    E.real = re * re - im * im
+    E.imag = 2 * (re * im)
+    E = -E
+    # order the kept energies by (real, imaginary part), stably
+    e0, e1 = E[:, 0], E[:, 1]
+    swap = keep[:, 1] & (~keep[:, 0] | (e1.real < e0.real)
+                         | ((e1.real == e0.real) & (e1.imag < e0.imag)))
+    E[swap] = E[swap, ::-1]
+    n_bound = keep.sum(axis=1)
+    E[np.arange(2) >= n_bound[:, None]] = complex(np.nan, np.nan)
+    return phi, degenerate, n_bound, E

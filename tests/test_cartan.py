@@ -53,6 +53,35 @@ class TestElements:
             make_element(sig, np.ones((2, 2)), np.zeros((2, 1)),
                          np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("bad, value",
+                             [("u", np.nan), ("v", np.inf), ("w", -np.inf)])
+    def test_nonfinite_input_rejected(self, bad, value):
+        parts = {name: np.zeros((2, 2)) for name in "uvw"}
+        parts[bad][0, 1] = value
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            make_element(ThetaSignature(2, 2), **parts)
+
+    @given(sig_strategy, seed_strategy)
+    @settings(max_examples=30)
+    def test_membership_residual_matches_matrix_products(self, sig_pq, seed):
+        """The sign mask gives the Theta X^H Theta of two matrix products,
+        bit for bit."""
+        sig = ThetaSignature(*sig_pq)
+        rng = np.random.default_rng(seed)
+        X = (rng.standard_normal((sig.m, sig.m))
+             + 1j * rng.standard_normal((sig.m, sig.m)))
+        th = np.diag(np.r_[np.ones(sig.p), -np.ones(sig.q)])
+        expected = max(np.abs(X + X.T).max(),
+                       np.abs(th @ X.conj().T @ th - X).max())
+        assert membership_residual(X, sig) == expected
+
+    def test_cached_arrays_read_only(self):
+        el = _el((2, 1), 0)
+        for a in (el.sig.signs, el.sig.theta, el.sig.mask, el.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert el.matrix is el.matrix
+
     def test_generic_antisymmetric_complex_not_member(self):
         """Negative control: so(m, C) elements without Theta-Hermiticity."""
         sig = ThetaSignature(2, 1)
@@ -162,6 +191,19 @@ class TestPolar:
         fac = group_polar(U, el.sig)
         assert np.abs(fac.U_k @ fac.U_p - U).max() <= 1e-9
         assert max(fac.residuals.values()) <= 1e-8
+
+    def test_ill_conditioned_factors(self):
+        """cond(U) = e^12 = 1.6e5.  Factors taken from U^H U (cond 2.6e10)
+        miss the 1e-8 bound of cartan/group_polar_structure by 66x."""
+        sig = ThetaSignature(2, 1)
+        u = 3.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        comp = cartan_split(make_element(sig, u, [[0.3], [-0.7]],
+                                         np.zeros((1, 1))))
+        Uk, Up = exp_compact(comp, sig, 2.0), exp_noncompact(comp, sig, 2.0)
+        fac = group_polar(Uk @ Up, sig)
+        assert max(fac.residuals.values()) <= 1e-10
+        assert np.abs(fac.U_k - Uk).max() <= 1e-10
+        assert np.abs(fac.U_p - Up).max() <= 1e-12 * np.abs(Up).max()
 
     def test_singular_input_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):

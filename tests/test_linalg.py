@@ -195,6 +195,19 @@ class TestGrid:
         assert np.array_equal(x[::-1], -x)
         assert np.abs(x).min() > 0
 
+    def test_from_box(self):
+        assert Grid1D.from_box(8.0, 0.05) == Grid1D(half_count=160, spacing=0.05)
+        assert Grid1D.from_box(0.11, 0.2).half_count == 1
+
+    @pytest.mark.parametrize("half_width, spacing, name", [
+        (6.0, 0.0, "spacing"), (6.0, -0.1, "spacing"), (6.0, np.inf, "spacing"),
+        (6.0, np.nan, "spacing"), (np.inf, 0.1, "half_width"),
+        (np.nan, 0.1, "half_width"), (0.01, 0.2, "half_width"),
+        (0.1, 0.2, "half_width"), (1e308, 1e-10, "half_width")])
+    def test_from_box_names_the_bad_argument(self, half_width, spacing, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            Grid1D.from_box(half_width, spacing)
+
     def test_parity_is_exact_involution(self):
         g = Grid1D(half_count=17, spacing=0.3)
         P = grid_operator(g, "parity")

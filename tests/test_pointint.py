@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptgauge.linalg import worst_residual
+from ptgauge.linalg import pairing_check, worst_residual
 from ptgauge.pointint import (
     CouplingMatrixT,
     PiecewiseFunction,
@@ -181,6 +183,39 @@ class TestSweep:
             assert np.array_equal(np.nan_to_num(r1.energies),
                                   np.nan_to_num(r2.energies))
             assert r1.classification != "unpaired"
+
+    def test_rows_match_per_coupling_reference(self):
+        """Every row equals, bit for bit, clifford_angle and bound_states on
+        its coupling.  The axes hold t22 = 0 (linear, and c1 = 0 at
+        im_t12 = im_t21 = 2: no root), t11 = 0 (np.roots strips a zero
+        root), det T + 4 = 0 with beta = 0 (degenerate, at t11 = -t22 = 2)
+        and a double root (k = 1 at t11 = -t22 = 1, im_t12 = im_t21 = 3)."""
+        axes = ([-2.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 2.0],
+                [0.0, 2.0, 3.0], [-1.0, 0.0, 2.0, 3.0])
+        rows = pt_phase_sweep(*axes)
+        bits = lambda a: np.atleast_1d(np.asarray(a, dtype=complex)).view(
+            np.uint64).tolist()
+        seen = set()
+        for row, (t11, t22, b12, b21) in zip(rows, itertools.product(*axes),
+                                             strict=True):
+            T = pt_coupling(t11, t22, b12, b21)
+            sol = clifford_angle(T)
+            states = bound_states(T)
+            energies = np.full(2, complex(np.nan, np.nan))
+            energies[:len(states)] = [s.energy for s in states]
+            cls = (pairing_check([s.energy for s in states], 1e-8) if states
+                   else "all_real")
+            assert (row.t11, row.t22, row.im_t12, row.im_t21) == (t11, t22, b12, b21)
+            assert bits(row.phi) == bits(sol.phi)
+            assert row.degenerate is sol.degenerate
+            assert row.n_bound == len(states)
+            assert bits(row.energies) == bits(energies)
+            assert row.classification == cls
+            seen.add((len(states), sol.degenerate))
+            if t11 == 1 and t22 == -1 and b12 == b21 == 3:
+                assert len(states) == 2
+                assert abs(states[0].energy + 1) <= 1e-7
+        assert {(0, False), (1, False), (2, False), (0, True)} <= seen
 
     def test_broken_phase_present(self):
         """Couplings with complex-pair energies appear in a generic sweep."""
