@@ -45,6 +45,7 @@ from .cartan import (
     make_element,
     parity_relations_check,
     random_element,
+    random_elements,
     wick_check,
 )
 from .schrodinger import (

@@ -20,16 +20,31 @@ Closed-form exponentials:
             below a 1e-8 singular-value threshold.
   exp(c x): block-diagonal Hermitian exponential diag(e^{iux}, e^{iwx}).
 
-Per-call cost.  The checks call these kernels thousands of times on 3x3
-to 5x5 matrices, so nothing is recomputed per call that is fixed per
-object.  A ThetaSignature holds its sign vector s, Theta = diag(s) and the
-sign mask s s^T as read-only arrays built once, and every Theta X Theta is
-the entry-wise product mask * X: for finite X this equals the two matrix
-products bit for bit, since a product with a +-1 diagonal adds only exact
-zeros.  An element's matrix is assembled once, on first access, and is
-read-only.  make_element validates u, v, w (finite; u, w antisymmetric);
-those checks imply both g_Theta conditions on the assembled matrix, so it
-is not re-checked.
+Stacks.  Every kernel works on the trailing (m, m) axes, so one body
+serves one matrix and a stack.  An element whose u, v, w carry leading
+axes, say (k,), is a stack of k elements: its matrix is (k, m, m), it is
+indexed like an array (stack[i] is the i-th element), and lts_check,
+membership_residual, wick_check, exp_compact, exp_noncompact,
+parity_relations_check and group_polar give an array of per-element
+residuals where one element gives a float.  x may be an array that
+broadcasts against the leading axes.  Each slice of a stacked result
+equals the per-element call bit for bit: numpy's stacked matmul, svd and
+inv and scipy's stacked expm run the same kernel on every slice, and the
+entry-wise steps do not depend on the stack.
+
+Per-call cost.  The checks run these kernels on thousands of 3x3 to 5x5
+matrices: as a few stacks in the sampled checks of verification, and one
+at a time through the per-element calls, whose cost is Python overhead.
+So a stack is validated once, and nothing is recomputed per call that is
+fixed per object.  A ThetaSignature holds its sign vector s,
+Theta = diag(s) and the sign mask s s^T as read-only arrays built once,
+and every Theta X Theta is the entry-wise product mask * X: for finite X
+this equals the two matrix products bit for bit, since a product with a
++-1 diagonal adds only exact zeros.  An element's matrix is assembled
+once, on first access, and is read-only.  make_element checks u, v, w
+(finite; u, w antisymmetric to 1e-13 of each slice's own scale, never of
+the stack's largest entry); those checks imply both g_Theta conditions on
+the assembled matrix, so it is not re-checked.
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import expm, worst_residual
+from .linalg import expm, max_abs
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,11 @@ class ThetaSignature:
     @property
     def m(self) -> int:
         return self.p + self.q
+
+    @property
+    def n_draws(self) -> int:
+        """Normal draws behind one random element: u, then w, then v."""
+        return self.p * self.p + self.q * self.q + self.p * self.q
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -76,37 +96,57 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _out(r):
+    """A float for one element, the array of per-element values for a stack."""
+    return float(r) if r.ndim == 0 else r
+
+
+def _all(b) -> bool:
+    """True if every entry of a boolean scalar or array is (a scalar costs no
+    reduction, which is most of a per-element check)."""
+    return bool(b) if b.ndim == 0 else bool(b.all())
+
+
 def _check_antisymmetric_real(M, name, n):
     M = np.asarray(M, dtype=float)
-    if M.shape != (n, n):
+    if M.shape[-2:] != (n, n):
         raise ValueError(f"{name} must be {n}x{n} real")
-    scale = np.abs(M).max(initial=0.0)   # NaN or inf unless M is finite
-    if not np.isfinite(scale):
+    scale = max_abs(M)   # per slice; NaN or inf unless the slice is finite
+    if not _all(np.isfinite(scale)):
         raise ValueError(f"{name} must be finite")
-    if np.abs(M + M.T).max(initial=0.0) > 1e-13 * max(1.0, scale):
+    # |M + M^T| <= 1e-13 max(1, scale), slice by slice, as two comparisons
+    gap = max_abs(M + M.mT)
+    if not _all((gap <= 1e-13) | (gap <= 1e-13 * scale)):
         raise ValueError(f"{name} must be antisymmetric")
     return M
 
 
 @dataclass(frozen=True)
 class GaugeAlgebraElement:
-    """An element of g_Theta from its blocks; u, v, w are not to be changed
-    in place, since the matrix is assembled from them once."""
+    """An element of g_Theta from its blocks, or a stack of elements when
+    u, v, w carry leading axes; u, v, w are not to be changed in place,
+    since the matrix is assembled from them once."""
 
     sig: ThetaSignature
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
 
+    def __getitem__(self, index) -> "GaugeAlgebraElement":
+        """The element or sub-stack at index of the leading axes."""
+        return GaugeAlgebraElement(sig=self.sig, u=self.u[index],
+                                   v=self.v[index], w=self.w[index])
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The assembled m x m block matrix, built on first access (read-only)."""
-        p, q = self.sig.p, self.sig.q
-        a = np.zeros((p + q, p + q), dtype=complex)
-        a[:p, :p] = 1j * self.u
-        a[:p, p:] = self.v
-        a[p:, :p] = -self.v.T
-        a[p:, p:] = 1j * self.w
+        """The assembled (..., m, m) block matrix, built on first access
+        (read-only)."""
+        p, m = self.sig.p, self.sig.m
+        a = np.zeros(self.v.shape[:-2] + (m, m), dtype=complex)
+        a[..., :p, :p] = 1j * self.u
+        a[..., :p, p:] = self.v
+        a[..., p:, :p] = -self.v.mT
+        a[..., p:, p:] = 1j * self.w
         return _read_only(a)
 
     @property
@@ -123,47 +163,70 @@ class CartanComponents:
 
 def make_element(sig: ThetaSignature, u, v, w) -> GaugeAlgebraElement:
     """The checked constructor: u, v, w finite and real, u and w antisymmetric
-    to 1e-13 of their scale.
+    to 1e-13 of their scale.  u (..., p, p) and w (..., q, q) with leading
+    axes make a stack; v is then reshaped to (..., p, q).
 
-    Raises ValueError otherwise.  Both defining residuals of the assembled
-    matrix a, |a + a^T| and |Theta a^H Theta - a|, equal
-    max(|u + u^T|, |w + w^T|), and the scale max(1, |a|) is at least that of
-    u and of w, so these checks imply a in g_Theta to 1e-13 of its scale.
+    Raises ValueError otherwise, if any element of a stack fails.  Both
+    defining residuals of the assembled matrix a, |a + a^T| and
+    |Theta a^H Theta - a|, equal max(|u + u^T|, |w + w^T|), and the scale
+    max(1, |a|) is at least that of u and of w, so these checks imply a in
+    g_Theta to 1e-13 of its scale.
     """
     p, q = sig.p, sig.q
     u = _check_antisymmetric_real(u, "u", p)
     w = _check_antisymmetric_real(w, "w", q)
-    v = np.asarray(v, dtype=float).reshape(p, q)
+    if u.shape[:-2] != w.shape[:-2]:
+        raise ValueError("u and w must have the same leading axes")
+    v = np.asarray(v, dtype=float).reshape(u.shape[:-2] + (p, q))
     if not np.isfinite(v).all():
         raise ValueError("v must be finite")
     return GaugeAlgebraElement(sig=sig, u=u, v=v, w=w)
 
 
+def elements_from_draws(sig: ThetaSignature, z) -> GaugeAlgebraElement:
+    """The element(s) random_element makes from its normal draws z, of shape
+    (..., sig.n_draws): u, then w, then v, row-major; u and w are
+    antisymmetrized as (M - M^T) / 2."""
+    p, q = sig.p, sig.q
+    z = np.asarray(z, dtype=float)
+    lead = z.shape[:-1]
+    u = z[..., :p * p].reshape(lead + (p, p))
+    w = z[..., p * p:p * p + q * q].reshape(lead + (q, q))
+    v = z[..., p * p + q * q:]
+    return make_element(sig, (u - u.mT) / 2, v, (w - w.mT) / 2)
+
+
 def random_element(sig: ThetaSignature, rng: np.random.Generator,
                    scale: float = 1.0) -> GaugeAlgebraElement:
-    p, q = sig.p, sig.q
-    u = rng.standard_normal((p, p)) * scale
-    w = rng.standard_normal((q, q)) * scale
-    v = rng.standard_normal((p, q)) * scale
-    return make_element(sig, (u - u.T) / 2, v, (w - w.T) / 2)
+    return elements_from_draws(sig, rng.standard_normal(sig.n_draws) * scale)
 
 
-def membership_residual(X, sig: ThetaSignature) -> float:
+def random_elements(sig: ThetaSignature, rng: np.random.Generator,
+                    shape, scale: float = 1.0) -> GaugeAlgebraElement:
+    """A stack of the given leading shape, drawn in row-major order: the
+    generator ends where as many random_element calls leave it, and each
+    element equals theirs bit for bit."""
+    shape = tuple(np.atleast_1d(shape))
+    return elements_from_draws(
+        sig, rng.standard_normal(shape + (sig.n_draws,)) * scale)
+
+
+def membership_residual(X, sig: ThetaSignature):
     """Distance of X from g_Theta: max of the two defining residuals."""
     X = np.asarray(X, dtype=complex)
-    return float(max(np.abs(X + X.T).max(),
-                     np.abs(sig.mask * X.conj().T - X).max()))
+    return _out(np.maximum(max_abs(X + X.mT),
+                           max_abs(sig.mask * X.conj().mT - X)))
 
 
 def cartan_split(a: GaugeAlgebraElement) -> CartanComponents:
-    p, q = a.sig.p, a.sig.q
-    m = p + q
-    b = np.zeros((m, m), dtype=complex)
-    b[:p, p:] = a.v
-    b[p:, :p] = -a.v.T
-    c = np.zeros((m, m), dtype=complex)
-    c[:p, :p] = 1j * a.u
-    c[p:, p:] = 1j * a.w
+    p, m = a.sig.p, a.sig.m
+    lead = a.v.shape[:-2]
+    b = np.zeros(lead + (m, m), dtype=complex)
+    b[..., :p, p:] = a.v
+    b[..., p:, :p] = -a.v.mT
+    c = np.zeros(lead + (m, m), dtype=complex)
+    c[..., :p, :p] = 1j * a.u
+    c[..., p:, p:] = 1j * a.w
     return CartanComponents(b=b, c=c)
 
 
@@ -184,11 +247,10 @@ def lts_check(a1: GaugeAlgebraElement, a2: GaugeAlgebraElement,
     inner = A2 @ A3 - A3 @ A2
     triple = A1 @ inner - inner @ A1
     binary = A1 @ A2 - A2 @ A1
-    scale = max(1.0, float(np.abs(A1).max() * np.abs(A2).max() * np.abs(A3).max()))
     return LtsReport(
         closure_residual=membership_residual(triple, sig),
         binary_escape=membership_residual(binary, sig),
-        scale=scale,
+        scale=_out(np.maximum(1.0, max_abs(A1) * max_abs(A2) * max_abs(A3))),
     )
 
 
@@ -209,62 +271,62 @@ def wick_check(a: GaugeAlgebraElement) -> WickReport:
     sig = a.sig
     p = sig.p
     f = -1j * a.matrix
-    r_su = float(np.abs(sig.mask * f.conj().T + f).max())
-    r_as = float(np.abs(f + f.T).max())
     comp = cartan_split(a)
     fb = -1j * comp.b
     fc = -1j * comp.c
-    r_q = worst_residual((np.abs(fb[:p, :p]).max(initial=0.0),
-                          np.abs(fb[p:, p:]).max(initial=0.0)))
-    r_l = worst_residual((np.abs(fc[:p, p:]).max(initial=0.0),
-                          np.abs(fc[p:, :p]).max(initial=0.0)))
-    return WickReport(su_pq_residual=r_su, antisymmetry_residual=r_as,
-                      compact_block_residual=r_q, noncompact_block_residual=r_l)
+    return WickReport(
+        su_pq_residual=_out(max_abs(sig.mask * f.conj().mT + f)),
+        antisymmetry_residual=_out(max_abs(f + f.mT)),
+        compact_block_residual=_out(np.maximum(max_abs(fb[..., :p, :p]),
+                                               max_abs(fb[..., p:, p:]))),
+        noncompact_block_residual=_out(np.maximum(max_abs(fc[..., :p, p:]),
+                                                  max_abs(fc[..., p:, :p]))))
 
 
 _SING_TOL = 1e-8  # below this the sin(s x)/s spectral function uses its limit x
 
 
-def exp_compact(comp: CartanComponents, sig: ThetaSignature, x: float) -> np.ndarray:
-    """Closed-form exp(b x) for b in the compact (off-diagonal) part."""
-    p, q = sig.p, sig.q
-    v = comp.b[:p, p:].real
-    if q == 0 or p == 0:
-        return np.eye(sig.m)
-    W, s, Zt = np.linalg.svd(v)        # v = W diag(s) Zt, W pxp, Zt qxq slices
-    s_full_p = np.zeros(p)
-    s_full_q = np.zeros(q)
+def exp_compact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray:
+    """Closed-form exp(b x) for b in the compact (off-diagonal) part; x is a
+    number or an array that broadcasts against the leading axes of b."""
+    p, q, m = sig.p, sig.q, sig.m
+    v = comp.b[..., :p, p:].real
+    x = np.asarray(x, dtype=float)
+    lead = np.broadcast_shapes(v.shape[:-2], x.shape)
+    if q == 0:
+        return np.broadcast_to(np.eye(m), lead + (m, m)).copy()
+    W, s, Zt = np.linalg.svd(v)   # v = W diag(s) Zt, W pxp, Zt qxq slices
     k = min(p, q)
-    s_full_p[:k] = s
-    s_full_q[:k] = s
-    Z = Zt.T
+    xs = x[..., None]             # x against the singular-value axis
+    s_p = np.zeros(s.shape[:-1] + (p,))
+    s_q = np.zeros(s.shape[:-1] + (q,))
+    s_p[..., :k] = s
+    s_q[..., :k] = s
+    small = s_q < _SING_TOL
+    sinc_q = np.where(small, xs, np.sin(s_q * xs) / np.where(small, 1.0, s_q))
+    Z = Zt.mT
 
-    def sinc_s(s_arr):
-        out = np.empty_like(s_arr)
-        small = s_arr < _SING_TOL
-        out[small] = x
-        out[~small] = np.sin(s_arr[~small] * x) / s_arr[~small]
-        return out
-
-    cos_p = (W * np.cos(s_full_p * x)) @ W.T
-    cos_q = (Z * np.cos(s_full_q * x)) @ Z.T
-    sin_over = (Z * sinc_s(s_full_q)) @ Z.T
-    U = np.zeros((sig.m, sig.m))
-    U[:p, :p] = cos_p
-    U[:p, p:] = v @ sin_over
-    U[p:, :p] = -sin_over @ v.T
-    U[p:, p:] = cos_q
+    cos_p = (W * np.cos(s_p * xs)[..., None, :]) @ W.mT
+    cos_q = (Z * np.cos(s_q * xs)[..., None, :]) @ Z.mT
+    sin_over = (Z * sinc_q[..., None, :]) @ Z.mT
+    U = np.zeros(lead + (m, m))
+    U[..., :p, :p] = cos_p
+    U[..., :p, p:] = v @ sin_over
+    U[..., p:, :p] = -sin_over @ v.mT
+    U[..., p:, p:] = cos_q
     return U
 
 
-def exp_noncompact(comp: CartanComponents, sig: ThetaSignature, x: float) -> np.ndarray:
-    """Block-diagonal exp(c x) = diag(e^{iux}, e^{iwx}), Hermitian positive."""
+def exp_noncompact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray:
+    """Block-diagonal exp(c x) = diag(e^{iux}, e^{iwx}), Hermitian positive;
+    x is a number or an array that broadcasts against the leading axes of c."""
     p = sig.p
-    U = np.eye(sig.m, dtype=complex)
-    if p > 0:
-        U[:p, :p] = expm(comp.c[:p, :p] * x)
+    c = comp.c
+    x = np.asarray(x, dtype=float)[..., None, None]
+    U = np.zeros(np.broadcast_shapes(c.shape, x.shape), dtype=complex)
+    U[..., :p, :p] = expm(c[..., :p, :p] * x)
     if sig.q > 0:
-        U[p:, p:] = expm(comp.c[p:, p:] * x)
+        U[..., p:, p:] = expm(c[..., p:, p:] * x)
     return U
 
 
@@ -281,30 +343,30 @@ def group_polar(U, sig: ThetaSignature) -> PolarFactors:
     The factors come from the SVD U = W Sigma V^H: U_p = V Sigma V^H,
     U_k = W V^H and log U_p = V log(Sigma) V^H.  Forming U^H U instead
     would square the condition number of U, and its eigenvectors lose
-    about eps cond(U)^2.
+    about eps cond(U)^2.  U may be a (..., m, m) stack; it raises
+    LinAlgError if any matrix of it is singular.
     """
     U = np.asarray(U, dtype=complex)
     W, s, Vh = np.linalg.svd(U)
-    if not s.min() > 0:
+    if not (s.min(axis=-1) > 0).all():
         raise np.linalg.LinAlgError("U is singular; no polar factorization")
-    V = Vh.conj().T
-    U_p = (V * s) @ Vh
+    V = Vh.conj().mT
+    U_p = (V * s[..., None, :]) @ Vh
     U_k = W @ Vh
-    log_p = (V * np.log(s)) @ Vh
+    log_p = (V * np.log(s)[..., None, :]) @ Vh
     p = sig.p
     # log_p must be i * real-antisymmetric, block-diagonal in the signature
     lp = -1j * log_p
     residuals = {
-        "U_k_unitary": float(np.abs(U_k.conj().T @ U_k - np.eye(sig.m)).max()),
-        "U_k_real": float(np.abs(U_k.imag).max()),
-        "U_p_hermitian": float(np.abs(U_p - U_p.conj().T).max()),
-        "log_p_offblock": worst_residual(
-            (np.abs(log_p[:p, p:]).max(initial=0.0),
-             np.abs(log_p[p:, :p]).max(initial=0.0))),
-        "log_p_structure": worst_residual((np.abs(lp.imag).max(),
-                                           np.abs(lp + lp.T).max())),
+        "U_k_unitary": max_abs(U_k.conj().mT @ U_k - np.eye(sig.m)),
+        "U_k_real": max_abs(U_k.imag),
+        "U_p_hermitian": max_abs(U_p - U_p.conj().mT),
+        "log_p_offblock": np.maximum(max_abs(log_p[..., :p, p:]),
+                                     max_abs(log_p[..., p:, :p])),
+        "log_p_structure": np.maximum(max_abs(lp.imag), max_abs(lp + lp.mT)),
     }
-    return PolarFactors(U_k=U_k, U_p=U_p, residuals=residuals)
+    return PolarFactors(U_k=U_k, U_p=U_p,
+                        residuals={k: _out(r) for k, r in residuals.items()})
 
 
 @dataclass(frozen=True)
@@ -314,12 +376,14 @@ class ParityRelationsReport:
     metric_residual: float
 
     @property
-    def max_residual(self) -> float:
-        return worst_residual((self.compact_residual, self.noncompact_residual,
+    def max_residual(self):
+        """The largest of the three (NaN if any is NaN), per element."""
+        return _out(np.maximum(np.maximum(self.compact_residual,
+                                          self.noncompact_residual),
                                self.metric_residual))
 
 
-def parity_relations_check(a: GaugeAlgebraElement, x: float) -> ParityRelationsReport:
+def parity_relations_check(a: GaugeAlgebraElement, x) -> ParityRelationsReport:
     """Constant-matrix content of the reversed parity relations and eta = P.
 
     Checks Theta U_k(-x) Theta = U_k(x), Theta U_p(-x) Theta = U_p(x)^{-1}
@@ -327,18 +391,20 @@ def parity_relations_check(a: GaugeAlgebraElement, x: float) -> ParityRelationsR
     The last two residuals are relative to |U_p(x)|_max |U_p(-x)|_max
     (largest entry moduli, a product >= 1 since U_p(-x) = U_p(x)^{-1} is
     positive definite): their rounding error grows like e^{|c||x|}.
+    x is a number or an array that broadcasts against a's leading axes.
     """
     sig = a.sig
     comp = cartan_split(a)
+    x = np.asarray(x, dtype=float)
     Uk_p, Uk_m = exp_compact(comp, sig, x), exp_compact(comp, sig, -x)
     Up_p, Up_m = exp_noncompact(comp, sig, x), exp_noncompact(comp, sig, -x)
-    scale = np.abs(Up_p).max() * np.abs(Up_m).max()
-    r_k = float(np.abs(sig.mask * Uk_m - Uk_p).max())
-    r_p = float(np.abs(sig.mask * Up_m - np.linalg.inv(Up_p)).max() / scale)
+    scale = max_abs(Up_p) * max_abs(Up_m)
+    r_k = max_abs(sig.mask * Uk_m - Uk_p)
+    r_p = max_abs(sig.mask * Up_m - np.linalg.inv(Up_p)) / scale
     U_pos = Uk_p @ Up_p
     U_neg = Uk_m @ Up_m
     # U^H Theta is U^H with its columns scaled by s
-    r_eta = float(np.abs((U_pos.conj().T * sig.signs) @ U_neg - sig.theta).max()
-                  / scale)
-    return ParityRelationsReport(compact_residual=r_k, noncompact_residual=r_p,
-                                 metric_residual=r_eta)
+    r_eta = max_abs((U_pos.conj().mT * sig.signs) @ U_neg - sig.theta) / scale
+    return ParityRelationsReport(compact_residual=_out(r_k),
+                                 noncompact_residual=_out(r_p),
+                                 metric_residual=_out(r_eta))

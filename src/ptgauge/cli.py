@@ -11,6 +11,10 @@ default output directory is $PTGAUGE_REPORT_DIR, else ./reports.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
 which includes every out-of-domain or non-finite value.  All sampling is
 seeded, so an identical config reproduces byte-identical output files.
+
+Standard error gets what varies from run to run or only helps to read
+one: the wall time of each check (verify-all) and the TIGHTEST records
+nearest their bound, by residual / tolerance.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import os
 import sys
 import time
 
-from .reporting import emit
+from .reporting import Report, emit
 from .verification import COMMANDS, UsageError
+
+TIGHTEST = 5   # records listed on stderr after a run, nearest their bound first
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +128,19 @@ def main(argv=None) -> int:
     overall = "PASS" if report.passed else "FAIL"
     print(f"{report.command}: {overall} "
           f"({len(report.records)} checks, {report.wall_time:.2f} s)")
+    _log_summary(report)
     return 0 if report.passed else 1
+
+
+def _log_summary(report: Report) -> None:
+    """Per-check wall times and the tightest records, on stderr only."""
+    for name, seconds in report.timings.items():
+        print(f"time {name}: {seconds:.3f} s", file=sys.stderr)
+    tightest = sorted(report.records, key=lambda r: r.margin,
+                      reverse=True)[:TIGHTEST]
+    for rec in tightest:
+        print(f"margin {rec.margin:.3e} {rec.name}: residual "
+              f"{rec.residual:.3e} (tol {rec.tolerance:.3e})", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ position and multiply are diagonal.  Block operators are Kronecker
 products  grid_part (x) I_m  with the grid index slowest, i.e. node j
 occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input
 and work on a dense copy; densify is the one place a sparse operator is
-made dense.  expm's copy is complex.  eig reads the input's exact
+made dense.  expm's copy is complex, and expm also takes a (..., m, m)
+stack of dense matrices.  eig reads the input's exact
 structure first and densifies into float64 when every entry is real: a
 matrix equal to its conjugate transpose goes to scipy.linalg.eigvalsh
 (dsyevr, or zheevr when complex), any other real matrix to real geev
@@ -142,10 +143,21 @@ def eig(M) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade)."""
-    M = _as_square_matrix(M)
+    """Matrix exponential (scaling-and-squaring Pade) of a matrix, or of each
+    matrix of a (..., m, m) stack.
+
+    scipy.linalg.expm works slice by slice, so each slice of a stacked
+    result equals the exponential of that matrix alone bit for bit.
+    Raises ValueError on non-square or non-finite input, and OverflowError
+    if any entry of the result overflows.
+    """
+    M = densify(M)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix contains NaN/Inf entries")
     E = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(E)):
+    if not np.isfinite(E).all():
         raise OverflowError("matrix exponential overflowed (extreme norm input)")
     return E
 
@@ -214,21 +226,48 @@ def indefinite_inner(f, g, J, weight, h: float) -> complex:
     return complex(h * np.sum(w * (J @ g) * np.conj(f)))
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entry by entry, bit for bit as abs() of each complex scalar gives
+    it (np.abs of a complex array may differ from that in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _nearest_free(d: np.ndarray, free: np.ndarray) -> int:
+    """Index of the smallest d[j] with free[j] set, as np.argmin over the
+    free entries alone picks it: the first of a tie, the first NaN if any.
+    Overwrites the entries of d that are not free."""
+    d[~free] = np.inf
+    k = int(np.argmin(d))
+    return k if free[k] else int(np.argmax(free))   # every free d[j] is inf
+
+
 def pairing_check(eigenvalues, tol: float) -> str:
     """Classify a spectrum: 'all_real', 'conjugate_paired' (every non-real
-    value pairs with a conjugate partner within tol) or 'unpaired'."""
+    value pairs with a conjugate partner within tol) or 'unpaired'.
+
+    Non-real values are taken in order; each pairs with the nearest
+    conj(mu) among the values not yet paired (the first of a tie).  A NaN
+    in a non-real value (a NaN imaginary part never counts as real) makes
+    the spectrum 'unpaired'.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     vals = np.asarray(eigenvalues, dtype=complex)
-    rest = list(vals[~(np.abs(vals.imag) <= tol)])   # a NaN is never real
-    if not rest:
+    rest = vals[~(np.abs(vals.imag) <= tol)]   # a NaN is never real
+    if not len(rest):
         return "all_real"
-    while rest:
-        lam = rest.pop(0)
-        dists = [abs(lam - np.conj(mu)) for mu in rest]
-        if not (dists and min(dists) <= tol):
+    free = np.ones(len(rest), dtype=bool)
+    for i in range(len(rest)):
+        if not free[i]:
+            continue
+        free[i] = False
+        if not free.any():
             return "unpaired"
-        rest.pop(int(np.argmin(dists)))
+        d = _modulus(rest[i] - np.conj(rest))
+        j = _nearest_free(d, free)
+        if not d[j] <= tol:
+            return "unpaired"
+        free[j] = False
     return "conjugate_paired"
 
 
@@ -236,16 +275,20 @@ def match_spectra(a, b) -> np.ndarray:
     """Greedy nearest-neighbor matching distance between two spectra.
 
     Both sets are sorted by (real, imag); each element of a is matched to
-    the closest not-yet-used element of b.  Adequate at desk scale.
+    the closest not-yet-used element of b (the first of a tie).  One
+    masked argmin per element, so O(n^2) array work and O(n) Python steps.
     """
     a = np.sort_complex(np.asarray(a, dtype=complex))
-    b = list(np.sort_complex(np.asarray(b, dtype=complex)))
+    b = np.sort_complex(np.asarray(b, dtype=complex))
     if len(a) != len(b):
         raise ValueError("spectra must have equal length")
+    free = np.ones(len(b), dtype=bool)
     dists = np.empty(len(a))
     for i, lam in enumerate(a):
-        k = int(np.argmin([abs(lam - mu) for mu in b]))
-        dists[i] = abs(lam - b.pop(k))
+        d = _modulus(lam - b)
+        k = _nearest_free(d, free)
+        dists[i] = d[k]
+        free[k] = False
     return dists
 
 
@@ -368,6 +411,13 @@ def worst_residual(residuals) -> float:
     """Largest residual, 0.0 for none, NaN if any is NaN (unlike max(),
     which drops a NaN that is not its first argument)."""
     return float(np.fromiter(residuals, dtype=float).max(initial=0.0))
+
+
+def max_abs(X) -> np.ndarray:
+    """Largest entry modulus of each trailing matrix of X (0.0 for an empty
+    one, NaN for one holding a NaN): a numpy scalar for one matrix, an
+    array for a stack."""
+    return np.abs(X).max(axis=(-2, -1), initial=0.0)
 
 
 def smallest(values) -> float:

@@ -5,8 +5,8 @@ byte-identical files:
   * JSON keys are written in fixed insertion order;
   * all floats use 17-significant-digit scientific notation;
   * complex table values are split into _re/_im columns by the producer;
-  * wall time is kept on the in-memory report for logging but excluded
-    from the serialized output.
+  * wall time and per-check timings are kept on the in-memory report for
+    logging (on stderr) but excluded from the serialized output.
 
 CheckRecord.passed is the one pass/fail rule of the package: a record
 passes only if its residual is finite and at most its tolerance.  The
@@ -32,6 +32,16 @@ class CheckRecord:
     def passed(self) -> bool:
         return math.isfinite(self.residual) and self.residual <= self.tolerance
 
+    @property
+    def margin(self) -> float:
+        """residual / tolerance, so a record passes at margin <= 1; inf for a
+        non-finite residual, or a nonzero one at tolerance 0."""
+        if not math.isfinite(self.residual):
+            return math.inf
+        if self.tolerance > 0:
+            return self.residual / self.tolerance
+        return 0.0 if self.residual == 0 else math.inf
+
 
 @dataclass(frozen=True)
 class Table:
@@ -48,6 +58,7 @@ class Report:
     tables: list = field(default_factory=list)
     seed: int = 0
     wall_time: float = 0.0
+    timings: dict = field(default_factory=dict)   # check name -> wall seconds
 
     @property
     def passed(self) -> bool:

@@ -133,13 +133,11 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     A = gauge.A
     Vs = pot.sample(x)
 
-    U_blocks = np.empty((len(x), m, m), dtype=complex)
-    Ui_blocks = np.empty_like(U_blocks)
-    Vt_blocks = np.empty_like(U_blocks)
-    for j, xj in enumerate(x):
-        U_blocks[j] = expm(-1j * A * xj)
-        Ui_blocks[j] = expm(1j * A * xj)
-        Vt_blocks[j] = U_blocks[j] @ Vs[j] @ Ui_blocks[j]
+    # e^{-iAx_j} and e^{iAx_j} at every node, as two stacked exponentials
+    xs = x[:, None, None]
+    U_blocks = expm(-1j * A * xs)
+    Ui_blocks = expm(1j * A * xs)
+    Vt_blocks = U_blocks @ Vs @ Ui_blocks
     H = scipy.sparse.csr_array(
         grid_operator(grid, "second_derivative", block_dim=m)
         + _block_diagonal(Vt_blocks))

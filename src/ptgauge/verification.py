@@ -27,11 +27,16 @@ import scipy.sparse
 
 from . import abelian, cartan, cliffords, jaynes, pointint, schrodinger
 from .linalg import Grid1D, eig, expm, grid_operator, lowest_common, \
-    lowest_modes, match_spectra, pairing_check, smallest, worst_residual
+    lowest_modes, match_spectra, max_abs, pairing_check, smallest, \
+    worst_residual
 from .reporting import Report, Table
 
 BETA = 0.3             # imaginary gauge slope of the abelian check
 N_PARITY_DRAWS = 500
+# bytes of one stacked (k, m, m) complex array in a sampled Cartan check;
+# these checks run batch by batch, so their peak memory does not grow with
+# the sample count, and a large m gets batches of one element
+BATCH_BYTES = 2**18
 # point interaction grid oracle; the finite-width bias of the square
 # well is about 2*width/3 on the energy, so width stays at 1e-3
 WELL_WIDTH = 0.001
@@ -279,14 +284,44 @@ def _element_11(v: float):
                                     np.zeros((1, 1)))
 
 
-def _units(shape, antisymmetric=False):
-    """Unit matrices E_ij in row-major order (E_ij - E_ji for i < j if
-    antisymmetric)."""
-    for i, j in np.ndindex(*shape):
-        if not antisymmetric or i < j:
-            E = np.zeros(shape)
-            E[i, j] = 1.0
-            yield E - E.T if antisymmetric else E
+def _units(shape, antisymmetric=False) -> np.ndarray:
+    """The stack of unit matrices E_ij in row-major order (E_ij - E_ji for
+    i < j if antisymmetric)."""
+    n, m = shape
+    E = np.eye(n * m).reshape(n * m, n, m)
+    if antisymmetric:
+        i, j = np.divmod(np.arange(n * m), m)
+        E = (E - E.mT)[i < j]
+    return E
+
+
+def _batches(total: int, m: int) -> list:
+    """Sizes of the consecutive batches that cover total samples, each
+    batch holding at most BATCH_BYTES of m x m complex matrices a stack."""
+    size = max(1, BATCH_BYTES // (16 * m * m))
+    return [min(size, total - start) for start in range(0, total, size)]
+
+
+def _worst(*residuals) -> float:
+    """worst_residual over the entries of residual arrays."""
+    return worst_residual(np.concatenate([np.ravel(r) for r in residuals]))
+
+
+def _rank(stack: np.ndarray) -> int:
+    """Rank of the matrices of a stack as vectors (0 for an empty stack)."""
+    k = len(stack)
+    return int(np.linalg.matrix_rank(stack.reshape(k, -1))) if k else 0
+
+
+def _elements_and_x(sig: cartan.ThetaSignature, rng, k: int, x_max: float):
+    """k elements and k points in [-x_max, x_max], drawn in the order of k
+    rounds of random_element(sig, rng) then rng.uniform(-x_max, x_max)."""
+    z = np.empty((k, sig.n_draws))
+    x = np.empty(k)
+    for i in range(k):
+        z[i] = rng.standard_normal(sig.n_draws)
+        x[i] = rng.uniform(-x_max, x_max)
+    return cartan.elements_from_draws(sig, z), x
 
 
 def check_clifford_relations(rep: Report, cfg: VerifyConfig):
@@ -385,15 +420,14 @@ def run_gauge_scalar(params: GaugeScalarParams) -> Report:
 
 def _triple_residuals(sig: cartan.ThetaSignature, rng, samples: int):
     """Worst ternary-closure residual and largest binary escape, both
-    relative to the scale, over sampled triples of g_Theta."""
+    relative to the scale, over sampled triples of g_Theta.  Triples are
+    drawn a1, a2, a3 one triple after another, and checked in batches."""
     closure, escape = [], []
-    for _ in range(samples):
-        a1 = cartan.random_element(sig, rng)
-        a2 = cartan.random_element(sig, rng)
-        a3 = cartan.random_element(sig, rng)
-        out = cartan.lts_check(a1, a2, a3)
-        closure.append(out.closure_residual / out.scale)
-        escape.append(out.binary_escape / out.scale)
+    for k in _batches(samples, sig.m):
+        els = cartan.random_elements(sig, rng, (k, 3))
+        out = cartan.lts_check(els[:, 0], els[:, 1], els[:, 2])
+        closure.append(_worst(out.closure_residual / out.scale))
+        escape.append(_worst(out.binary_escape / out.scale))
     return worst_residual(closure), worst_residual(escape)
 
 
@@ -409,30 +443,31 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
         # 2 max|[a_k, a_p]|.  It is measured against the bracket's own size:
         # for odd p the antisymmetric u is singular, so the bracket is small
         # whenever v lies near its kernel
-        escapes = []
-        for _ in range(50):
-            ak = cartan.make_element(sig, np.zeros((p, p)),
-                                     rng.standard_normal((p, q)),
-                                     np.zeros((q, q)))
-            u = rng.standard_normal((p, p))
-            w = rng.standard_normal((q, q))
-            ap = cartan.make_element(sig, (u - u.T) / 2, np.zeros((p, q)),
-                                     (w - w.T) / 2)
-            out = cartan.lts_check(ak, ap, ap)
-            bracket = np.abs(ak.matrix @ ap.matrix - ap.matrix @ ak.matrix).max()
-            escapes.append(out.binary_escape / max(bracket, 1e-30))
+        # each of 50 draws is v, then u, then w
+        z = rng.standard_normal((50, p * q + p * p + q * q))
+        v = z[:, :p * q]
+        u = z[:, p * q:p * q + p * p].reshape(50, p, p)
+        w = z[:, p * q + p * p:].reshape(50, q, q)
+        ak = cartan.make_element(sig, np.zeros((50, p, p)), v,
+                                 np.zeros((50, q, q)))
+        ap = cartan.make_element(sig, (u - u.mT) / 2, np.zeros((50, p, q)),
+                                 (w - w.mT) / 2)
+        out = cartan.lts_check(ak, ap, ap)
+        bracket = max_abs(ak.matrix @ ap.matrix - ap.matrix @ ak.matrix)
+        escapes = out.binary_escape / np.maximum(bracket, 1e-30)
         _bool(rep, f"cartan/binary_escape_p{p}q{q}", smallest(escapes) > 0.1)
 
         # dimension counts via rank of the parameterization
-        def split(u, v, w):
-            return cartan.cartan_split(cartan.make_element(sig, u, v, w))
-
-        u0, v0, w0 = np.zeros((p, p)), np.zeros((p, q)), np.zeros((q, q))
-        basis_k = [split(u0, v, w0).b.ravel() for v in _units((p, q))]
-        basis_p = ([split(u, v0, w0).c.ravel() for u in _units((p, p), True)]
-                   + [split(u0, v0, w).c.ravel() for w in _units((q, q), True)])
-        dim_k = int(np.linalg.matrix_rank(np.stack(basis_k))) if basis_k else 0
-        dim_p = int(np.linalg.matrix_rank(np.stack(basis_p))) if basis_p else 0
+        units_u, units_w = _units((p, p), True), _units((q, q), True)
+        n_u, n_w = len(units_u), len(units_w)
+        basis_k = cartan.cartan_split(cartan.make_element(
+            sig, np.zeros((p * q, p, p)), _units((p, q)),
+            np.zeros((p * q, q, q)))).b
+        basis_p = cartan.cartan_split(cartan.make_element(
+            sig, np.concatenate([units_u, np.zeros((n_w, p, p))]),
+            np.zeros((n_u + n_w, p, q)),
+            np.concatenate([np.zeros((n_u, q, q)), units_w]))).c
+        dim_k, dim_p = _rank(basis_k), _rank(basis_p)
         _bool(rep, f"cartan/dim_k_pq_p{p}q{q}", dim_k == p * q)
         _bool(rep, f"cartan/dim_p_p{p}q{q}",
               dim_p == p * (p - 1) // 2 + q * (q - 1) // 2)
@@ -449,65 +484,61 @@ def run_lts_check(params: LtsParams) -> Report:
 
 
 def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
-                  x: float) -> float:
-    """Gap between the closed-form exponentials of b x, c x and expm."""
-    return worst_residual((
-        np.abs(cartan.exp_compact(comp, sig, x) - expm(comp.b * x)).max(),
-        np.abs(cartan.exp_noncompact(comp, sig, x) - expm(comp.c * x)).max()))
+                  x) -> np.ndarray:
+    """Gap between the closed-form exponentials of b x, c x and expm, for
+    each element of the stack comp at each x (which broadcasts against it)."""
+    xm = np.asarray(x)[..., None, None]
+    return np.maximum(
+        max_abs(cartan.exp_compact(comp, sig, x) - expm(comp.b * xm)),
+        max_abs(cartan.exp_noncompact(comp, sig, x) - expm(comp.c * xm)))
 
 
 def check_closed_form_exponentials(rep: Report, cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed + 1)
+    x = np.linspace(-5, 5, 11)[:, None]   # each x against the 5 elements
     residuals = []
     for (p, q) in ((1, 1), (2, 1), (2, 2), (3, 1)):
         sig = cartan.ThetaSignature(p=p, q=q)
-        for _ in range(5):
-            comp = cartan.cartan_split(cartan.random_element(sig, rng))
-            residuals += [_exp_residual(comp, sig, float(x))
-                          for x in np.linspace(-5, 5, 11)]
-    rep.add("cartan/closed_form_exponentials", worst_residual(residuals), 1e-10)
+        comp = cartan.cartan_split(cartan.random_elements(sig, rng, 5))
+        residuals.append(_exp_residual(comp, sig, x))
+    rep.add("cartan/closed_form_exponentials", _worst(*residuals), 1e-10)
 
     # m = 2 worked cases: SO(2) rotation (Theta = sigma_3) and cosh/sinh boost
     alpha = 0.7
     sig_r, el = _element_11(alpha)
-    rotation = []
-    for x in (-2.0, 0.3, 1.0):
-        Uk = cartan.exp_compact(cartan.cartan_split(el), sig_r, x)
-        ref = np.array([[np.cos(alpha * x), np.sin(alpha * x)],
-                        [-np.sin(alpha * x), np.cos(alpha * x)]])
-        rotation.append(np.abs(Uk - ref).max())
-    rep.add("cartan/so2_rotation_example", worst_residual(rotation), 1e-12)
+    x = np.array([-2.0, 0.3, 1.0])
+    Uk = cartan.exp_compact(cartan.cartan_split(el), sig_r, x)
+    ref = np.array([[np.cos(alpha * x), np.sin(alpha * x)],
+                    [-np.sin(alpha * x), np.cos(alpha * x)]])
+    rep.add("cartan/so2_rotation_example",
+            worst_residual(max_abs(Uk - np.moveaxis(ref, -1, 0))), 1e-12)
 
     sig_b = cartan.ThetaSignature(p=2, q=0)
     u = alpha * np.array([[0.0, -1.0], [1.0, 0.0]])
     el = cartan.make_element(sig_b, u, np.zeros((2, 0)), np.zeros((0, 0)))
     sigma2 = np.array([[0, -1j], [1j, 0]])
-    boost = []
-    for x in (-1.5, 0.4, 1.0):
-        Up = cartan.exp_noncompact(cartan.cartan_split(el), sig_b, x)
-        ref = np.cosh(alpha * x) * np.eye(2) + np.sinh(alpha * x) * sigma2
-        boost.append(np.abs(Up - ref).max())
-    rep.add("cartan/boost_example", worst_residual(boost), 1e-12)
+    x = np.array([-1.5, 0.4, 1.0])
+    Up = cartan.exp_noncompact(cartan.cartan_split(el), sig_b, x)
+    xm = x[:, None, None]
+    ref = np.cosh(alpha * xm) * np.eye(2) + np.sinh(alpha * xm) * sigma2
+    rep.add("cartan/boost_example", worst_residual(max_abs(Up - ref)), 1e-12)
 
 
 def check_parity_metric_relations(rep: Report, cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed + 2)
     sig = cartan.ThetaSignature(p=2, q=1)
-    residuals = []
-    for _ in range(N_PARITY_DRAWS):
-        el = cartan.random_element(sig, rng)
-        x = float(rng.uniform(-2, 2))
-        residuals.append(cartan.parity_relations_check(el, x).max_residual)
+    el, x = _elements_and_x(sig, rng, N_PARITY_DRAWS, 2.0)
     rep.add("cartan/parity_metric_relations_random",
-            worst_residual(residuals), 1e-10)
+            _worst(cartan.parity_relations_check(el, x).max_residual), 1e-10)
 
     el_r = _element_11(0.5)[1]
     sig_b = cartan.ThetaSignature(p=2, q=0)
     u = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     el_b = cartan.make_element(sig_b, u, np.zeros((2, 0)), np.zeros((0, 0)))
+    x = np.array([0.5, 2.0])
     rep.add("cartan/parity_metric_relations_m2_examples",
-            worst_residual(cartan.parity_relations_check(el, x).max_residual
-                           for el in (el_r, el_b) for x in (0.5, 2.0)), 1e-10)
+            _worst(*(cartan.parity_relations_check(el, x).max_residual
+                     for el in (el_r, el_b))), 1e-10)
 
 
 def run_cartan(params: CartanParams) -> Report:
@@ -515,17 +546,18 @@ def run_cartan(params: CartanParams) -> Report:
     rng = np.random.default_rng(params.seed)
     rep = Report(command="cartan", seed=params.seed, config=asdict(params))
     wick_res, exp_res, parity_res, polar_res = [], [], [], []
-    for _ in range(params.samples):
-        el = cartan.random_element(sig, rng)
+    for k in _batches(params.samples, sig.m):
+        el, x = _elements_and_x(sig, rng, k, 3.0)
         comp = cartan.cartan_split(el)
-        x = float(rng.uniform(-3, 3))
         wick = cartan.wick_check(el)
-        wick_res += [wick.su_pq_residual, wick.antisymmetry_residual,
-                     wick.compact_block_residual, wick.noncompact_block_residual]
-        exp_res.append(_exp_residual(comp, sig, x))
-        parity_res.append(cartan.parity_relations_check(el, x).max_residual)
+        wick_res.append(_worst(
+            wick.su_pq_residual, wick.antisymmetry_residual,
+            wick.compact_block_residual, wick.noncompact_block_residual))
+        exp_res.append(_worst(_exp_residual(comp, sig, x)))
+        parity_res.append(
+            _worst(cartan.parity_relations_check(el, x).max_residual))
         U = cartan.exp_compact(comp, sig, x) @ cartan.exp_noncompact(comp, sig, x)
-        polar_res += cartan.group_polar(U, sig).residuals.values()
+        polar_res.append(_worst(*cartan.group_polar(U, sig).residuals.values()))
     rep.add("cartan/wick_membership", worst_residual(wick_res), 1e-12)
     rep.add("cartan/closed_form_exponentials", worst_residual(exp_res), 1e-10)
     rep.add("cartan/parity_metric_relations", worst_residual(parity_res), 1e-10)
@@ -784,7 +816,9 @@ def run_verify_all(cfg: VerifyConfig | None = None) -> Report:
     rep = Report(command="verify-all", config=asdict(cfg), seed=cfg.seed)
     t0 = time.perf_counter()
     for check in ALL_CHECKS:
+        t = time.perf_counter()
         check(rep, cfg)
+        rep.timings[check.__name__] = time.perf_counter() - t
     rep.wall_time = time.perf_counter() - t0
     return rep
 

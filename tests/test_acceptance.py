@@ -15,12 +15,13 @@ import pytest
 
 from ptgauge import cartan, linalg, pointint, verification
 from ptgauge.cli import main
-from ptgauge.reporting import Report
+from ptgauge.reporting import Report, emit
 from ptgauge.verification import (
     LtsParams,
     VerifyConfig,
     check_cartan_lts,
     check_clifford_relations,
+    check_closed_form_exponentials,
     check_matrix_schrodinger,
     check_parity_metric_relations,
     check_point_angle,
@@ -198,6 +199,45 @@ def test_parity_metric_relations_pass_at_seed_34():
     rep = Report(command="seed", config={})
     check_parity_metric_relations(rep, VerifyConfig(seed=34))
     assert _record(rep, "cartan/parity_metric_relations_random").passed
+
+
+SEEDED_CHECKS = (check_cartan_lts, check_closed_form_exponentials,
+                 check_parity_metric_relations, check_point_angle)
+
+
+def test_sampled_checks_pass_at_seeds_0_to_59():
+    """Every record of the seed-dependent checks passes at seeds 0-59, not
+    only at the default seed (a few seconds)."""
+    failed = []
+    for seed in range(60):
+        rep = Report(command="seeds", config={})
+        for check in SEEDED_CHECKS:
+            check(rep, VerifyConfig(seed=seed))
+        failed += [f"seed {seed}: {r.name} residual {r.residual:.3e} > "
+                   f"tol {r.tolerance:.3e}" for r in rep.records if not r.passed]
+    assert not failed, failed
+
+
+def test_verify_all_logs_to_stderr_only(report, tmp_path, capsys):
+    """verify-all writes each check's wall time and the tightest records
+    to stderr; its report files hold the bytes of the in-memory run's, and
+    standard output has neither."""
+    out_dir, ref_dir = tmp_path / "cli", tmp_path / "ref"
+    assert main(["verify-all", "--out-dir", str(out_dir)]) == 0
+    captured = capsys.readouterr()
+    for fmt in ("json", "csv"):
+        emit(report, fmt, str(ref_dir))
+    names = sorted(p.name for p in ref_dir.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+    err = captured.err.splitlines()
+    timed = [line.split()[1].rstrip(":") for line in err
+             if line.startswith("time ")]
+    assert timed == [c.__name__ for c in verification.ALL_CHECKS]
+    assert len(timed) == 10
+    assert sum(line.startswith("margin ") for line in err) == 5
+    assert "time " not in captured.out and "margin " not in captured.out
 
 
 def test_wrong_sparse_mode_fails_its_record(monkeypatch):

@@ -15,6 +15,7 @@ from ptgauge.cartan import (
     membership_residual,
     parity_relations_check,
     random_element,
+    random_elements,
     wick_check,
 )
 from ptgauge.linalg import expm, worst_residual
@@ -234,3 +235,94 @@ class TestParityRelations:
         U_pos = expm(b) @ expm(c_bad)
         U_neg = expm(-b) @ expm(-c_bad)
         assert np.abs(U_pos.conj().T @ th @ U_neg - th).max() > 1e-3
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit: the same dtype, shape and values."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+class TestStacks:
+    """A stack of k elements is k per-element calls, bit for bit."""
+
+    @given(st.sampled_from(SIGS + [(3, 2), (1, 3)]), seed_strategy,
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_per_element_calls(self, sig_pq, seed, k):
+        sig = ThetaSignature(*sig_pq)
+        rng_stack, rng_each = (np.random.default_rng(seed) for _ in range(2))
+        stack = random_elements(sig, rng_stack, (k, 3))
+        each = [random_element(sig, rng_each) for _ in range(3 * k)]
+        assert rng_stack.bit_generator.state == rng_each.bit_generator.state
+        x = np.random.default_rng(seed + 1).uniform(-3, 3, k)
+
+        a1, a2, a3 = stack[:, 0], stack[:, 1], stack[:, 2]
+        comp = cartan_split(a1)
+        lts = lts_check(a1, a2, a3)
+        wick = wick_check(a1)
+        parity = parity_relations_check(a1, x)
+        Uk, Up = exp_compact(comp, sig, x), exp_noncompact(comp, sig, x)
+        polar = group_polar(Uk @ Up, sig)
+        for i in range(k):
+            e1, e2, e3 = each[3 * i:3 * i + 3]
+            for j, e in enumerate((e1, e2, e3)):
+                assert all(_same(getattr(e, f), getattr(stack[i, j], f))
+                           for f in ("u", "v", "w", "matrix"))
+            c1 = cartan_split(e1)
+            assert _same(c1.b, comp.b[i]) and _same(c1.c, comp.c[i])
+            assert membership_residual(e1.matrix, sig) == \
+                membership_residual(a1.matrix, sig)[i]
+            for stacked, single in ((lts, lts_check(e1, e2, e3)),
+                                    (wick, wick_check(e1)),
+                                    (parity, parity_relations_check(e1, x[i]))):
+                for f, value in vars(single).items():
+                    assert type(value) is float and value == vars(stacked)[f][i]
+            assert parity.max_residual[i] == \
+                parity_relations_check(e1, x[i]).max_residual
+            uk, up = exp_compact(c1, sig, x[i]), exp_noncompact(c1, sig, x[i])
+            assert _same(uk, Uk[i]) and _same(up, Up[i])
+            fac = group_polar(uk @ up, sig)
+            assert _same(fac.U_k, polar.U_k[i]) and _same(fac.U_p, polar.U_p[i])
+            assert all(r == polar.residuals[f][i]
+                       for f, r in fac.residuals.items())
+
+    def test_x_broadcasts_against_the_stack(self):
+        """exp_compact at an (n, 1) grid of x over k elements: entry [j, i]
+        is element i at x[j]."""
+        sig = ThetaSignature(2, 2)
+        stack = random_elements(sig, np.random.default_rng(3), 4)
+        comp = cartan_split(stack)
+        x = np.linspace(-5, 5, 11)[:, None]
+        Uk, Up = exp_compact(comp, sig, x), exp_noncompact(comp, sig, x)
+        assert Uk.shape == Up.shape == (11, 4, 4, 4)
+        for j, i in np.ndindex(11, 4):
+            c = cartan_split(stack[i])
+            assert _same(Uk[j, i], exp_compact(c, sig, float(x[j, 0])))
+            assert _same(Up[j, i], exp_noncompact(c, sig, float(x[j, 0])))
+
+    def test_each_slice_validated_at_its_own_scale(self):
+        """Next to u = 1e6 J, a slice with |u + u^T| = 1e-10 is rejected:
+        that is over 1e-13 of its own scale (1), though under 1e-13 of the
+        stack's largest entry (1e-7)."""
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        big = 1e6 * J
+        skew = np.array([[0.0, 1e-10], [0.0, 0.0]])
+        sig = ThetaSignature(2, 1)
+        v, w = np.zeros((2, 2, 1)), np.zeros((2, 1, 1))
+        make_element(sig, np.stack([big, J]), v, w)
+        with pytest.raises(ValueError, match="u must be antisymmetric"):
+            make_element(sig, np.stack([big, skew]), v, w)
+
+    @pytest.mark.parametrize("bad", ["u", "v", "w"])
+    def test_one_nonfinite_slice_rejects_the_stack(self, bad):
+        parts = {"u": np.zeros((3, 2, 2)), "v": np.zeros((3, 2, 2)),
+                 "w": np.zeros((3, 2, 2))}
+        parts[bad][1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            make_element(ThetaSignature(2, 2), **parts)
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(ValueError, match="leading axes"):
+            make_element(ThetaSignature(2, 1), np.zeros((3, 2, 2)),
+                         np.zeros((3, 2, 1)), np.zeros((2, 1, 1)))

@@ -169,6 +169,20 @@ class TestOutputs:
         names = [r["name"] for r in payload["records"]]
         assert "lts/ternary_closure" in names
 
+    def test_lts_sampling_memory_does_not_grow(self, tmp_path, capsys):
+        """20000 triples at (3, 2) run in fixed-size batches: the traced
+        peak stays at a few MB (about 2.8 MB, as for 1000 triples), where
+        one stack of all of them would take over 24 MB."""
+        tracemalloc.start()
+        try:
+            code = main(["lts-check", "--p", "3", "--q", "2", "--samples",
+                         "20000", "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20
+
 
 # One invalid input per subcommand (some have more): each is rejected while
 # the params are built, before any computation.

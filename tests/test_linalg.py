@@ -184,6 +184,26 @@ class TestExpm:
         with pytest.raises(OverflowError):
             expm(np.diag([1e6, 0.0]))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_stack_equals_each_slice(self, m):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((4, 3, m, m, 2)) @ np.array([1, 1j])
+        E = expm(X)
+        assert E.shape == X.shape
+        assert all(np.array_equal(E[i, j], expm(X[i, j]))
+                   for i, j in np.ndindex(4, 3))
+
+    def test_overflow_in_one_slice_raises(self):
+        X = np.zeros((3, 2, 2))
+        X[1] = np.diag([1e6, 0.0])
+        with pytest.raises(OverflowError):
+            expm(X)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_rejects_nonsquare_stacks(self, shape):
+        with pytest.raises(ValueError):
+            expm(np.zeros(shape))
+
 
 class TestGrid:
     @given(st.integers(min_value=1, max_value=40),
@@ -301,6 +321,37 @@ class TestIndefiniteInner:
             indefinite_inner(f, f, J, g.nodes, g.spacing)  # changes sign
 
 
+def _pairing_reference(eigenvalues, tol):
+    """The list search that pairing_check replaced, as the oracle."""
+    vals = np.asarray(eigenvalues, dtype=complex)
+    rest = list(vals[~(np.abs(vals.imag) <= tol)])
+    if not rest:
+        return "all_real"
+    while rest:
+        lam = rest.pop(0)
+        dists = [abs(lam - np.conj(mu)) for mu in rest]
+        if not (dists and min(dists) <= tol):
+            return "unpaired"
+        rest.pop(int(np.argmin(dists)))
+    return "conjugate_paired"
+
+
+def _matching_reference(a, b):
+    """The list search that match_spectra replaced, as the oracle."""
+    a = np.sort_complex(np.asarray(a, dtype=complex))
+    b = list(np.sort_complex(np.asarray(b, dtype=complex)))
+    dists = np.empty(len(a))
+    for i, lam in enumerate(a):
+        k = int(np.argmin([abs(lam - mu) for mu in b]))
+        dists[i] = abs(lam - b.pop(k))
+    return dists
+
+
+# values on a coarse lattice, so that exact ties and duplicates are common
+lattice = st.lists(st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)),
+                   max_size=10)
+
+
 class TestPairing:
     def test_real_spectrum(self):
         assert pairing_check([1.0, 2.0, -0.5], 1e-8) == "all_real"
@@ -322,6 +373,24 @@ class TestPairing:
         with pytest.raises(ValueError):
             pairing_check([1.0], 0.0)
 
+    @given(lattice, st.floats(min_value=-1e-3, max_value=1e-3),
+           st.sampled_from([1e-8, 0.5, 1.0, 2.5]), st.booleans())
+    @settings(max_examples=200)
+    def test_matches_list_reference(self, vals, shift, tol, close):
+        """Ties and duplicates pair as the list search paired them."""
+        vals = np.array(vals + [np.conj(v) for v in vals] if close else vals,
+                        dtype=complex)
+        vals[::3] += shift
+        assert pairing_check(vals, tol) == _pairing_reference(vals, tol)
+
+    @pytest.mark.parametrize("bad", [complex(1, np.nan), complex(np.nan, 2)])
+    def test_nonreal_nan_is_unpaired(self, bad):
+        """Wherever it stands.  The list search called the last spectrum
+        conjugate_paired: it paired the first 1 + 2i with the NaN."""
+        for vals in ([1 + 2j, 1 - 2j, bad], [1 + 2j, bad, 1 - 2j],
+                     [1 + 2j, 1 - 2j, 1 + 2j, bad]):
+            assert pairing_check(vals, 1e-8) == "unpaired"
+
 
 class TestMatching:
     @given(st.integers(min_value=0, max_value=1000))
@@ -339,6 +408,23 @@ class TestMatching:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             match_spectra([1.0], [1.0, 2.0])
+
+    @given(st.data(), lattice, st.floats(min_value=-1e-3, max_value=1e-3))
+    @settings(max_examples=200)
+    def test_matches_list_reference(self, data, a, shift):
+        """Same matches, first of a tie, and the same distances bit for bit."""
+        b = data.draw(st.lists(st.builds(complex, st.integers(-2, 2),
+                                         st.integers(-2, 2)),
+                               min_size=len(a), max_size=len(a)))
+        a = np.array(a, dtype=complex)
+        a[::2] += shift * (1 + 1j)
+        assert np.array_equal(match_spectra(a, b), _matching_reference(a, b))
+
+    def test_infinite_distances_use_free_values(self):
+        """When every free distance is inf, the first free value is taken,
+        not an already matched one."""
+        assert np.array_equal(match_spectra([0, np.inf], [0, 1]),
+                              _matching_reference([0, np.inf], [0, 1]))
 
 
 class TestLowest:
