@@ -65,18 +65,18 @@ def split_even_odd(A: Callable[[float], complex], grid: Grid1D):
 
 def _cumulative_from_origin(node_vals: np.ndarray, value_at_0: float,
                             grid: Grid1D) -> np.ndarray:
-    """Trapezoid antiderivative int_0^{x_j} f, respecting the staggered grid."""
+    """Trapezoid antiderivative int_0^{x_j} f, respecting the staggered grid:
+    on each side, the running sum of the trapezoid steps outward from 0,
+    the first of which covers the half cell between 0 and +-h/2."""
     h = grid.spacing
     N = grid.half_count
     out = np.empty(2 * N)
-    # positive side, first step covers the half cell [0, h/2]
-    out[N] = 0.5 * (value_at_0 + node_vals[N]) * (h / 2)
-    for k in range(N, 2 * N - 1):
-        out[k + 1] = out[k] + 0.5 * (node_vals[k] + node_vals[k + 1]) * h
-    # negative side, mirrored
-    out[N - 1] = -0.5 * (value_at_0 + node_vals[N - 1]) * (h / 2)
-    for k in range(N - 1, 0, -1):
-        out[k - 1] = out[k] - 0.5 * (node_vals[k] + node_vals[k - 1]) * h
+    for outward, sign in ((np.s_[N:], 1.0), (np.s_[N - 1::-1], -1.0)):
+        v = node_vals[outward]
+        steps = np.empty(N)
+        steps[0] = 0.5 * (value_at_0 + v[0]) * (h / 2)
+        steps[1:] = 0.5 * (v[:-1] + v[1:]) * h
+        out[outward] = np.cumsum(sign * steps)
     return out
 
 

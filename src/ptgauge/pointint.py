@@ -27,14 +27,11 @@ the matching determinant is the closed-form polynomial
 whose roots with Re k > 0 give energies E = -k^2.
 
 The phase sweep works on arrays: the couplings of all rows come from one
-meshgrid, det T, phi and the degenerate flag are computed entry-wise, and
-the roots of the quadratic rows come from one stacked eigvals call on
-companion matrices built as np.roots builds them.  Rows where np.roots
-strips a zero coefficient (t11 = 0) or the polynomial is not quadratic
-(|t22| <= 1e-14) take the per-coupling root route of bound_states.  Both
-share one root filter; only bound_states computes amplitudes and domain
-residuals.  Every row equals, bit for bit, the per-coupling result of
-clifford_angle and bound_states.
+meshgrid, and det T, phi and the degenerate flag are computed entry-wise.
+bound_states and the sweep take their roots, energies and order from one
+kernel, _decaying_states, which finds the quadratic roots by one stacked
+eigvals call on companion matrices; only bound_states computes amplitudes
+and domain residuals.
 """
 
 from __future__ import annotations
@@ -129,14 +126,19 @@ def _principal_angle(d, beta):
     return np.where(degenerate, 0.0, phi), degenerate
 
 
+def p_phi_blocks(phi: float) -> tuple:
+    """(M1, M2) = (cos(phi) sigma_3, (i/2) sin(phi) sigma_1), the blocks of
+    the boundary transform of P_phi."""
+    return np.cos(phi) * SIGMA_3, (1j / 2) * np.sin(phi) * SIGMA_1
+
+
 def clifford_angle(T: CouplingMatrixT) -> PhiSolution:
     """Solve i sin(phi) [det T + 4] = 2 cos(phi) (t12 - t21) for PT-symmetric T."""
     if not T.is_pt_symmetric:
         raise ValueError("clifford_angle requires a PT-symmetric coupling matrix")
     phi, degenerate = _principal_angle((T.det + 4).real, (T.t12 - T.t21).imag)
     phi, degenerate = float(phi), bool(degenerate)
-    m1 = np.cos(phi) * SIGMA_3
-    m2 = (1j / 2) * np.sin(phi) * SIGMA_1
+    m1, m2 = p_phi_blocks(phi)
     lhs = 1j * np.sin(phi) * (T.det + 4)
     rhs = 2 * np.cos(phi) * (T.t12 - T.t21)
     res = 0.0 if degenerate else float(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
@@ -166,8 +168,9 @@ class BoundaryTransformReport:
     matrix_residual: float
 
 
-def _matrix_relation_residual(T: CouplingMatrixT, m1: np.ndarray,
-                              m2: np.ndarray) -> float:
+def matrix_relation_residual(T: CouplingMatrixT, m1: np.ndarray,
+                             m2: np.ndarray) -> float:
+    """Residual of T^H M2 T = M1 T - T^H M1 - 4 M2."""
     M = T.matrix
     lhs = M.conj().T @ m2 @ M
     rhs = m1 @ M - M.conj().T @ m1 - 4 * m2
@@ -209,7 +212,7 @@ def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
     gamma_res = worst_residual(gamma_res)
     return BoundaryTransformReport(
         trace_residual=trace_res, gamma_residual=gamma_res,
-        matrix_residual=_matrix_relation_residual(T, sol.m1, sol.m2))
+        matrix_residual=matrix_relation_residual(T, sol.m1, sol.m2))
 
 
 def p_phi_selfadjointness_check(T: CouplingMatrixT, sol: PhiSolution) -> float:
@@ -245,45 +248,74 @@ def _matching_matrix(T: CouplingMatrixT, kappa: complex) -> np.ndarray:
 
 
 _ZERO_COEF = 1e-14   # a polynomial coefficient of modulus <= this counts as 0
+# with |c0|, |c1| <= MAX_COEF and |c2| > _ZERO_COEF, Cauchy's bound
+# |k| <= 1 + max(|c0|, |c1|) / |c2| keeps every root k and -k^2 finite
+MAX_COEF = 1e140
 
 
-def _coefficients(t11, det, t22) -> tuple:
+def coefficients(t11, det, t22) -> tuple:
     """(c0, c1, c2) of det M(k) = c0 + c1 k + c2 k^2; scalars or arrays."""
     return t11, 2 - det / 2, -t22
 
 
-def _roots(T: CouplingMatrixT) -> np.ndarray:
-    c0, c1, c2 = _coefficients(T.t11, T.det, T.t22)
-    if abs(c2) > _ZERO_COEF:
-        return np.roots([c2, c1, c0])
-    if abs(c1) > _ZERO_COEF:
-        return np.array([-c0 / c1])
-    return np.array([], dtype=complex)
+def _decaying_states(c0, c1, c2) -> tuple:
+    """Per polynomial c0 + c1 k + c2 k^2 (coefficient arrays of one shape,
+    or scalars): the decaying roots kappa and energies E = -kappa^2, ordered
+    stably by (Re E, Im E) and padded to length 2 with NaN, and their count.
+    A root decays if Re k > 1e-12 (a NaN root is kept, so that it shows);
+    one with |Im k| <= 1e-10 is taken as real."""
+    c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
+    quadratic = np.abs(c2) > _ZERO_COEF
+    linear = ~quadratic & (np.abs(c1) > _ZERO_COEF)
+    # two roots a polynomial; a missing one is k = 0, which does not decay
+    roots = np.zeros(c0.shape + (2,), dtype=complex)
+    # quadratic with c0 != 0: the eigenvalues of the companion matrices
+    full = quadratic & (c0 != 0)
+    A = np.zeros((int(full.sum()), 2, 2), dtype=complex)
+    A[:, 0, 0] = -c1[full] / c2[full]
+    A[:, 0, 1] = -c0[full] / c2[full]
+    A[:, 1, 0] = 1
+    roots[full] = np.linalg.eigvals(A)
+    # quadratic with c0 = 0: -c1/c2 and the zero root
+    zero = quadratic & (c0 == 0)
+    roots[zero, 0] = -c1[zero] / c2[zero]
+    # linear: Python's complex division, which rounds a quotient of reals
+    # as a real division does; numpy's multiplies by a reciprocal
+    roots[linear, 0] = [-complex(a) / complex(b)
+                        for a, b in zip(c0[linear], c1[linear])]
 
-
-def _decaying(k: np.ndarray) -> tuple:
-    """The root filter: which roots decay (Re k > 1e-12; a NaN root is kept,
-    so that it shows), and the roots with |Im k| <= 1e-10 taken as real."""
-    return ~(k.real <= 1e-12), np.where(np.abs(k.imag) <= 1e-10, k.real + 0j, k)
+    keep = ~(roots.real <= 1e-12)
+    kappa = np.where(np.abs(roots.imag) <= 1e-10, roots.real + 0j, roots)
+    # E = -k^2 with k^2 formed in separate real operations, as a complex
+    # scalar squares; the vectorised complex product may fuse a multiply-add
+    re, im = kappa.real, kappa.imag
+    E = np.empty_like(kappa)
+    E.real, E.imag = -(re * re - im * im), -2 * (re * im)
+    e0, e1 = E[..., 0], E[..., 1]
+    swap = keep[..., 1] & (~keep[..., 0] | (e1.real < e0.real)
+                           | ((e1.real == e0.real) & (e1.imag < e0.imag)))
+    kappa[swap] = kappa[swap, ::-1]
+    E[swap] = E[swap, ::-1]
+    count = keep.sum(axis=-1)
+    pad = np.arange(2) >= count[..., None]
+    kappa[pad] = E[pad] = complex(np.nan, np.nan)
+    return kappa, E, count
 
 
 def bound_states(T: CouplingMatrixT) -> list[BoundState]:
-    """Closed-form roots of det M(k) = t11 + (2 - det T / 2) k - t22 k^2.
-
-    A root with |Im k| <= 1e-10 is taken as real.
-    """
-    keep, roots = _decaying(_roots(T))
+    """Decaying states from the roots of det M(k) = t11 + (2 - det T / 2) k
+    - t22 k^2, ordered by (Re E, Im E); see _decaying_states."""
+    kappa, energy, count = _decaying_states(*coefficients(T.t11, T.det, T.t22))
     out = []
-    for k in roots[keep]:
+    for k, e in zip(kappa[:count], energy[:count]):
         M = _matching_matrix(T, k)
         # amplitudes (a, b) of the decaying ansatz: the null vector of the
         # 2x2 matching matrix
         _, _, vh = np.linalg.svd(M)
         a, b = vh[-1].conj()
         f = PiecewiseFunction(f_plus=a, f_minus=b, df_plus=-k * a, df_minus=k * b)
-        out.append(BoundState(kappa=k, energy=-k**2,
+        out.append(BoundState(kappa=k, energy=e,
                               domain_residual=domain_check(T, f)))
-    out.sort(key=lambda s: (s.energy.real, s.energy.imag))
     return out
 
 
@@ -311,8 +343,14 @@ def pt_phase_sweep(t11_values, t22_values, im_t12_values,
     """
     axes = [np.asarray(v, dtype=float)
             for v in (t11_values, t22_values, im_t12_values, im_t21_values)]
-    phi, degenerate, n_bound, energies = _sweep_columns(
-        *(a.ravel() for a in np.meshgrid(*axes, indexing="ij")))
+    t11, t22, b12, b21 = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    # complex arrays, formed as CouplingMatrixT.det forms them, so that
+    # every sign of zero matches too
+    z11, z12, z21, z22 = (t11.astype(complex), 1j * b12, 1j * b21,
+                          t22.astype(complex))
+    det = z11 * z22 - z12 * z21
+    phi, degenerate = _principal_angle((det + 4).real, (z12 - z21).imag)
+    _, energies, n_bound = _decaying_states(*coefficients(z11, det, z22))
     # product() runs in the meshgrid's "ij" order, and rows share the
     # float object of each axis value
     return [SweepRow(t11, t22, b12, b21, ph, dg, nb, e,
@@ -320,51 +358,3 @@ def pt_phase_sweep(t11_values, t22_values, im_t12_values,
             for (t11, t22, b12, b21), ph, dg, nb, e in zip(
                 itertools.product(*(a.tolist() for a in axes)), phi.tolist(),
                 degenerate.tolist(), n_bound.tolist(), energies)]
-
-
-def _sweep_columns(t11, t22, b12, b21) -> tuple:
-    """Per sweep row: phi, the degenerate flag, the bound-state count and
-    the energies, sorted and padded to length 2 with NaN."""
-    # complex arrays, formed as CouplingMatrixT.det forms them, so that
-    # every sign of zero matches too
-    z11, z12, z21, z22 = (t11.astype(complex), 1j * b12, 1j * b21,
-                          t22.astype(complex))
-    det = z11 * z22 - z12 * z21
-    phi, degenerate = _principal_angle((det + 4).real, (z12 - z21).imag)
-    c0, c1, c2 = _coefficients(z11, det, z22)
-
-    # two roots a row; a missing one is padded with k = 0, which the filter
-    # drops as it drops the zero root np.roots appends when c0 = 0
-    roots = np.zeros((t11.size, 2), dtype=complex)
-    # quadratic rows with c0 != 0: np.roots's companion matrix, stacked
-    stacked = (np.abs(c2) > _ZERO_COEF) & (c0 != 0)
-    A = np.zeros((int(stacked.sum()), 2, 2), dtype=complex)
-    A[:, 0, 0] = -c1[stacked] / c2[stacked]
-    A[:, 0, 1] = -c0[stacked] / c2[stacked]
-    A[:, 1, 0] = 1
-    roots[stacked] = np.linalg.eigvals(A)
-    # the other rows from the coupling in Python complex, as bound_states
-    # receives it
-    for i in np.flatnonzero(~stacked):
-        r = _roots(CouplingMatrixT(t11=complex(t11[i]), t12=1j * float(b12[i]),
-                                   t21=1j * float(b21[i]),
-                                   t22=complex(t22[i])))
-        roots[i, :len(r)] = r
-
-    keep, kappa = _decaying(roots)
-    # E = -k^2 with k^2 formed in separate real operations, as a complex
-    # scalar squares; the vectorised complex product may fuse a multiply-add
-    # and differ from bound_states in the last bit
-    re, im = kappa.real, kappa.imag
-    E = np.empty_like(kappa)
-    E.real = re * re - im * im
-    E.imag = 2 * (re * im)
-    E = -E
-    # order the kept energies by (real, imaginary part), stably
-    e0, e1 = E[:, 0], E[:, 1]
-    swap = keep[:, 1] & (~keep[:, 0] | (e1.real < e0.real)
-                         | ((e1.real == e0.real) & (e1.imag < e0.imag)))
-    E[swap] = E[swap, ::-1]
-    n_bound = keep.sum(axis=1)
-    E[np.arange(2) >= n_bound[:, None]] = complex(np.nan, np.nan)
-    return phi, degenerate, n_bound, E

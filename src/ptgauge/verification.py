@@ -202,6 +202,15 @@ class JcParams(_Params):
         return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)
 
 
+def _require_roots(T: pointint.CouplingMatrixT, where: str = "") -> None:
+    """Bound states come from det M(k) = c0 + c1 k + c2 k^2: |c0|, |c1| <=
+    pointint.MAX_COEF keeps every root and -k^2 finite, and det T with c1."""
+    c0, c1, _ = pointint.coefficients(T.t11, T.det, T.t22)
+    _require(abs(c0) <= pointint.MAX_COEF and abs(c1) <= pointint.MAX_COEF,
+             f"|c0|, |c1| of det M(k) must be <= {pointint.MAX_COEF}{where}, "
+             f"got c0 = {c0}, c1 = {c1}")
+
+
 @dataclass(frozen=True)
 class CouplingParams(_Params):
     t11: str = "1"
@@ -210,10 +219,7 @@ class CouplingParams(_Params):
     t22: str = "0"
 
     def check(self):
-        # the angle and the bound states are built from det T + 4
-        d = self.coupling().det + 4
-        _require(cmath.isfinite(d),
-                 f"det T + 4 of the coupling matrix must be finite, got {d}")
+        _require_roots(self.coupling())
 
     def coupling(self) -> pointint.CouplingMatrixT:
         return pointint.CouplingMatrixT(
@@ -222,11 +228,14 @@ class CouplingParams(_Params):
 
 @dataclass(frozen=True)
 class PointAngleParams(CouplingParams):
-    """The coupling of point-angle, which must be PT-symmetric."""
+    """The coupling of point-angle, which must be PT-symmetric; point-angle
+    finds no roots, so only det T + 4 is bounded."""
 
     def check(self):
-        super().check()
-        _require(self.coupling().is_pt_symmetric,
+        T = self.coupling()
+        d = T.det + 4
+        _require(cmath.isfinite(d), f"det T + 4 must be finite, got {d}")
+        _require(T.is_pt_symmetric,
                  "coupling matrix is not PT-symmetric (t11, t22 must be real; "
                  "t12, t21 purely imaginary)")
 
@@ -248,15 +257,16 @@ class PhaseDiagramParams(_Params):
         flags = ", ".join("--" + k for k, _ in self._ranges())
         _require_budget(12 * rows, f"the {rows}-row sweep of {flags} "
                         "(12 cells a row)")
-        # det T + 4 = t11 t22 + im_t12 im_t21 + 4 is bilinear in each pair
-        # of couplings, so its values at the 16 corners bound it on the sweep
+        # c0 = t11 and c1 = 2 - (t11 t22 + im_t12 im_t21) / 2 are real and
+        # multilinear in the couplings, so their moduli on the sweep are
+        # largest at its 16 corners
         for t11, t22, b12, b21 in itertools.product(
                 *[(start, stop) for start, stop, _ in parts]):
-            d = pointint.CouplingMatrixT(t11=t11, t12=1j * b12, t21=1j * b21,
-                                         t22=t22).det + 4
-            _require(cmath.isfinite(d), f"det T + 4 must be finite over the "
-                     f"sweep of {flags}, got {d} at t11={t11}, t22={t22}, "
-                     f"im_t12={b12}, im_t21={b21}")
+            _require_roots(
+                pointint.CouplingMatrixT(t11=t11, t12=1j * b12, t21=1j * b21,
+                                         t22=t22),
+                f" over the sweep of {flags} (at t11={t11}, t22={t22}, "
+                f"im_t12={b12}, im_t21={b21})")
 
     def axes(self) -> tuple:
         return tuple(_parse_range(v, k) for k, v in self._ranges())
@@ -695,12 +705,10 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
             t12=1j * float(rng.uniform(-3, 3)),
             t21=1j * float(rng.uniform(-3, 3)))
         sol = pointint.clifford_angle(T)
-        residuals.append(pointint._matrix_relation_residual(T, sol.m1, sol.m2))
+        residuals.append(pointint.matrix_relation_residual(T, sol.m1, sol.m2))
         if not sol.degenerate:
-            phi_bad = sol.phi + 0.1
-            m1 = np.cos(phi_bad) * pointint.SIGMA_3
-            m2 = (1j / 2) * np.sin(phi_bad) * pointint.SIGMA_1
-            perturbed.append(pointint._matrix_relation_residual(T, m1, m2))
+            perturbed.append(pointint.matrix_relation_residual(
+                T, *pointint.p_phi_blocks(sol.phi + 0.1)))
     rep.add("point/matrix_relation_at_solved_phi",
             worst_residual(residuals), 1e-12)
     _bool(rep, "point/matrix_relation_fails_at_wrong_phi",

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptgauge.abelian import (
     ScalarPotentials,
+    _cumulative_from_origin,
     build_scalar_hamiltonian,
     gauge_factorization,
     interior_test_vectors,
@@ -97,6 +98,32 @@ class TestFactorization:
         pt = lambda f: np.conj(f[::-1])
         assert np.abs(pt(fact.u[:, None] * samples)
                       - fact.u[:, None] * pt(samples)).max() <= 1e-10
+
+
+def running_sum_reference(node_vals, value_at_0, grid):
+    """The trapezoid antiderivative as a node-by-node running sum outward
+    from 0, the first step covering the half cell [0, h/2] on each side."""
+    h, N = grid.spacing, grid.half_count
+    out = np.empty(2 * N)
+    out[N] = 0.5 * (value_at_0 + node_vals[N]) * (h / 2)
+    for k in range(N, 2 * N - 1):
+        out[k + 1] = out[k] + 0.5 * (node_vals[k] + node_vals[k + 1]) * h
+    out[N - 1] = -0.5 * (value_at_0 + node_vals[N - 1]) * (h / 2)
+    for k in range(N - 1, 0, -1):
+        out[k - 1] = out[k] - 0.5 * (node_vals[k] + node_vals[k - 1]) * h
+    return out
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("half_count", [1, 2, 3, 64, 2560])
+    def test_cumsum_matches_running_sum_bit_for_bit(self, half_count):
+        rng = np.random.default_rng(half_count)
+        grid = Grid1D(half_count=half_count, spacing=0.1 * np.pi)
+        vals = rng.standard_normal(grid.size) * 10.0 ** rng.integers(-3, 4)
+        v0 = float(rng.standard_normal())
+        got = _cumulative_from_origin(vals, v0, grid)
+        want = running_sum_reference(vals, v0, grid)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestHamiltonian:

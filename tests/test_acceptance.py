@@ -252,7 +252,7 @@ def test_wrong_sparse_mode_fails_its_record(monkeypatch):
 
 
 def test_nan_perturbed_relation_fails_its_record(monkeypatch):
-    monkeypatch.setattr(pointint, "_matrix_relation_residual",
+    monkeypatch.setattr(pointint, "matrix_relation_residual",
                         lambda *a: np.nan)
     rep = Report(command="nan", config={})
     check_point_angle(rep, VerifyConfig())

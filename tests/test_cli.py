@@ -230,6 +230,11 @@ INVALID = [
     # det T + 4 at a corner of the sweep is not finite
     ["phase-diagram", "--t11-range=1e200:1e200:1", "--t22-range=1e200:1e200:1",
      "--im-t12-range=1e200:1e200:1", "--im-t21-range=-1e200:-1e200:1"],
+    # |c0| or |c1| of det M(k) over 1e140: -c1/c2 would overflow
+    ["point-spectrum", "--t11", "1", "--t12", "1e150i", "--t21", "2e150i",
+     "--t22", "1e-13"],
+    ["phase-diagram", "--t11-range=1:1:1", "--t22-range=1e-13:1e-13:1",
+     "--im-t12-range=1e150:1e150:1", "--im-t21-range=2e150:2e150:1"],
     ["verify-all", "--seed=-1"],
 ]
 

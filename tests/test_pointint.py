@@ -28,6 +28,35 @@ def pt_coupling(t11, t22, b12, b21):
                            t22=complex(t22))
 
 
+def oracle_states(T):
+    """(kappa, E) of the decaying states, by np.roots on the closed-form
+    det M(k) = t11 + (2 - det T / 2) k - t22 k^2 in Python complex,
+    filtered and ordered as bound_states documents."""
+    c0, c1, c2 = T.t11, 2 - T.det / 2, -T.t22
+    if abs(c2) > 1e-14:
+        k = np.roots([c2, c1, c0])
+    elif abs(c1) > 1e-14:
+        k = np.array([-c0 / c1])
+    else:
+        k = np.array([], dtype=complex)
+    k = k[~(k.real <= 1e-12)]
+    k = np.where(np.abs(k.imag) <= 1e-10, k.real + 0j, k)
+    return sorted(((kk, -kk**2) for kk in k),
+                  key=lambda s: (s[1].real, s[1].imag))
+
+
+def bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(
+        np.uint64).tolist()
+
+
+def assert_oracle_states(T, states):
+    want = oracle_states(T)
+    assert len(states) == len(want)
+    assert bits([s.kappa for s in states]) == bits([k for k, _ in want])
+    assert bits([s.energy for s in states]) == bits([e for _, e in want])
+
+
 class TestBoundaryTriple:
     def test_exponential_well_function(self):
         """f = e^{-|x|} solves the delta-well domain condition for t11=-2."""
@@ -163,6 +192,24 @@ class TestBoundStates:
     # near-degenerate regime where kappa blows up and rounding dominates
     lattice = st.sampled_from([x / 2 for x in range(-6, 7)])
 
+    def test_matches_np_roots_on_random_complex_couplings(self):
+        """Bit for bit the np.roots oracle: quadratic couplings, linear ones
+        (t22 = 0) and ones with a zero root (t11 = 0)."""
+        rng = np.random.default_rng(11)
+        counts = set()
+        for i in range(2000):
+            t = [complex(z) for z in 2 * (rng.standard_normal(4)
+                                          + 1j * rng.standard_normal(4))]
+            if i % 4 == 1:
+                t[3] = 0j
+            elif i % 4 == 2:
+                t[0] = 0j
+            T = CouplingMatrixT(*t)
+            states = bound_states(T)
+            assert_oracle_states(T, states)
+            counts.add((i % 4, len(states)))
+        assert {(0, 2), (1, 1), (2, 1), (3, 0)} <= counts
+
     @given(lattice, lattice, lattice, lattice)
     @settings(max_examples=60)
     def test_states_satisfy_domain_condition(self, t11, t22, b12, b21):
@@ -185,25 +232,26 @@ class TestSweep:
             assert r1.classification != "unpaired"
 
     def test_rows_match_per_coupling_reference(self):
-        """Every row equals, bit for bit, clifford_angle and bound_states on
-        its coupling.  The axes hold t22 = 0 (linear, and c1 = 0 at
-        im_t12 = im_t21 = 2: no root), t11 = 0 (np.roots strips a zero
-        root), det T + 4 = 0 with beta = 0 (degenerate, at t11 = -t22 = 2)
-        and a double root (k = 1 at t11 = -t22 = 1, im_t12 = im_t21 = 3)."""
-        axes = ([-2.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 2.0],
-                [0.0, 2.0, 3.0], [-1.0, 0.0, 2.0, 3.0])
+        """Every row equals, bit for bit, clifford_angle and the np.roots
+        oracle on its coupling, and so does bound_states.  The axes hold
+        t22 = 0 (linear, and c1 = 0 at im_t12 = im_t21 = 2: no root), t11 = 0
+        (a zero root), linear roots whose quotient rounds (t11 = -2.7 at
+        im_t12 = 2, im_t21 = -2.5, and t11 = 0.3 at im_t12 = 3, im_t21 = 2.5),
+        det T + 4 = 0 with beta = 0 (degenerate, at t11 = -t22 = 2) and a
+        double root (k = 1 at t11 = -t22 = 1, im_t12 = im_t21 = 3)."""
+        axes = ([-2.7, -2.0, 0.0, 0.3, 1.0, 2.0], [-2.0, -1.0, 0.0, 2.0],
+                [0.0, 2.0, 3.0], [-2.5, -1.0, 0.0, 2.0, 2.5, 3.0])
         rows = pt_phase_sweep(*axes)
-        bits = lambda a: np.atleast_1d(np.asarray(a, dtype=complex)).view(
-            np.uint64).tolist()
         seen = set()
         for row, (t11, t22, b12, b21) in zip(rows, itertools.product(*axes),
                                              strict=True):
             T = pt_coupling(t11, t22, b12, b21)
             sol = clifford_angle(T)
             states = bound_states(T)
+            assert_oracle_states(T, states)
             energies = np.full(2, complex(np.nan, np.nan))
-            energies[:len(states)] = [s.energy for s in states]
-            cls = (pairing_check([s.energy for s in states], 1e-8) if states
+            energies[:len(states)] = [e for _, e in oracle_states(T)]
+            cls = (pairing_check(energies[:len(states)], 1e-8) if states
                    else "all_real")
             assert (row.t11, row.t22, row.im_t12, row.im_t21) == (t11, t22, b12, b21)
             assert bits(row.phi) == bits(sol.phi)
