@@ -83,8 +83,7 @@ class LevelEnergies:
     omega: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "omega", w)
+        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,7 +94,6 @@ def nilpotent_split(el: GaugeAlgebraElement) -> NilpotentSplit:
     """a = c - c^T with c strictly upper triangular (hence nilpotent)."""
     a = el.matrix
     c = np.triu(a, k=1)
-    m = a.shape[0]
     recon = float(np.abs((c - c.T) - a).max())
     if recon > 1e-13 * max(1.0, np.abs(a).max()):
         raise ValueError(f"split reconstruction failed, residual {recon:.2e}")
@@ -110,12 +108,10 @@ def build_jc(split: NilpotentSplit, omega: LevelEnergies, n_max: int) -> np.ndar
     if omega.omega.shape != (m,):
         raise ValueError("omega length must match the algebra dimension")
     fock = FockLadder(n_max)
-    eye_f = np.eye(fock.dim)
-    H = 2 * (np.kron(fock.number, np.eye(m))
-             + np.sqrt(2) * (np.kron(fock.d_dag, split.c)
-                             + np.kron(fock.d, split.c.T))
-             + np.kron(eye_f, omega.matrix))
-    return H
+    return 2 * (np.kron(fock.number, np.eye(m))
+                + np.sqrt(2) * (np.kron(fock.d_dag, split.c)
+                                + np.kron(fock.d, split.c.T))
+                + np.kron(np.eye(fock.dim), omega.matrix))
 
 
 def jc_pt_check(H_jc: np.ndarray, sig: ThetaSignature, n_max: int) -> float:

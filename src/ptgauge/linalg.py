@@ -14,14 +14,11 @@ Grid operators are complex scipy.sparse CSR arrays: momentum and
 second_derivative are tridiagonal, parity is anti-diagonal, and sign,
 position and multiply are diagonal.  Block operators are Kronecker
 products  grid_part (x) I_m  with the grid index slowest, i.e. node j
-occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input
-and work on a dense copy; densify is the one place a sparse operator is
-made dense.  expm's copy is complex, and expm also takes a (..., m, m)
-stack of dense matrices.  eig reads the input's exact
-structure first and densifies into float64 when every entry is real: a
-matrix equal to its conjugate transpose goes to scipy.linalg.eigvalsh
-(dsyevr, or zheevr when complex), any other real matrix to real geev
-(dgeev), the rest to complex geev (zgeev).
+occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input;
+densify is the one place a sparse operator is made dense.  expm works on a
+dense complex copy, and also takes a (..., m, m) stack of matrices.  eig
+picks its LAPACK driver by the input's exact structure: a Hermitian matrix
+of bandwidth kd < n/32 goes to the band driver and is never densified.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Arnoldi, without densifying.
@@ -114,14 +111,17 @@ def eig(M) -> np.ndarray:
     part), from the cheapest LAPACK driver the input's exact structure
     allows.
 
-    A matrix equal to its conjugate transpose entry for entry goes to
-    scipy.linalg.eigvalsh (dsyevr on real symmetric, zheevr on complex
-    Hermitian input; the imaginary parts returned are exactly 0).  Any
-    other matrix whose entries have zero imaginary part goes to real
-    geev (dgeev), which returns nonreal eigenvalues as exact conjugate
-    pairs; the rest to complex geev (zgeev).  The structure is read from
-    the input (for sparse input from its stored entries), which is then
-    densified once, into float64 when it is real.
+    A matrix equal to its conjugate transpose entry for entry has real
+    eigenvalues (imaginary parts returned exactly 0).  If its bandwidth kd,
+    the largest |i - j| of a nonzero entry, is below n/32, where the band
+    driver is the faster one, its diagonals M.diagonal(k), k = 0..kd, go to
+    scipy.linalg.eigvals_banded (dsbevd, or zhbevd when complex), so dense
+    and sparse storage give the same bits; a wider one goes to
+    scipy.linalg.eigvalsh (dsyevr, or zheevr).  Any other matrix whose
+    entries have zero imaginary part goes to real geev (dgeev), which
+    returns nonreal eigenvalues as exact conjugate pairs; the rest to
+    complex geev (zgeev).  Only the dense drivers densify the input (once,
+    into float64 when it is real); the structure is read before that.
 
     Raises ValueError on a non-square or non-finite matrix, and LinAlgError
     on QR-iteration non-convergence; the message then carries the partial
@@ -135,6 +135,11 @@ def eig(M) -> np.ndarray:
     MH = M.conj().T
     hermitian = ((M != MH).count_nonzero() == 0 if sparse
                  else np.array_equal(M, MH))
+    kd = int(np.abs(np.subtract(*M.nonzero())).max(initial=0))   # bandwidth
+    if hermitian and 32 * kd < M.shape[0]:   # upper band storage: row kd - k
+        band = np.array([np.pad(M.diagonal(k), (k, 0)) for k in range(kd, -1, -1)])
+        band = band.real if real else band
+        return scipy.linalg.eigvals_banded(band).astype(complex)
     A = _as_square_matrix(M.real if real else M, float if real else complex)
     if hermitian:   # ascending real values, already in eig's order
         return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)

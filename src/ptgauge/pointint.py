@@ -29,9 +29,9 @@ whose roots with Re k > 0 give energies E = -k^2.
 The phase sweep works on arrays: the couplings of all rows come from one
 meshgrid, and det T, phi and the degenerate flag are computed entry-wise.
 bound_states and the sweep take their roots, energies and order from one
-kernel, _decaying_states, which finds the quadratic roots by one stacked
-eigvals call on companion matrices; only bound_states computes amplitudes
-and domain residuals.
+kernel, _decaying_states, which finds the quadratic roots by stacked
+eigvals calls on companion matrices, in float64 for real coefficients;
+only bound_states computes amplitudes and domain residuals.
 """
 
 from __future__ import annotations
@@ -263,26 +263,32 @@ def _decaying_states(c0, c1, c2) -> tuple:
     or scalars): the decaying roots kappa and energies E = -kappa^2, ordered
     stably by (Re E, Im E) and padded to length 2 with NaN, and their count.
     A root decays if Re k > 1e-12 (a NaN root is kept, so that it shows);
-    one with |Im k| <= 1e-10 is taken as real."""
+    one with |Im k| <= 1e-10 is taken as real.  Real coefficients (every
+    PT coupling) are solved in float64, so nonreal roots pair exactly."""
     c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
-    quadratic = np.abs(c2) > _ZERO_COEF
-    linear = ~quadratic & (np.abs(c1) > _ZERO_COEF)
+    real = (c0.imag == 0) & (c1.imag == 0) & (c2.imag == 0)
     # two roots a polynomial; a missing one is k = 0, which does not decay
     roots = np.zeros(c0.shape + (2,), dtype=complex)
-    # quadratic with c0 != 0: the eigenvalues of the companion matrices
-    full = quadratic & (c0 != 0)
-    A = np.zeros((int(full.sum()), 2, 2), dtype=complex)
-    A[:, 0, 0] = -c1[full] / c2[full]
-    A[:, 0, 1] = -c0[full] / c2[full]
-    A[:, 1, 0] = 1
-    roots[full] = np.linalg.eigvals(A)
-    # quadratic with c0 = 0: -c1/c2 and the zero root
-    zero = quadratic & (c0 == 0)
-    roots[zero, 0] = -c1[zero] / c2[zero]
-    # linear: Python's complex division, which rounds a quotient of reals
-    # as a real division does; numpy's multiplies by a reciprocal
-    roots[linear, 0] = [-complex(a) / complex(b)
-                        for a, b in zip(c0[linear], c1[linear])]
+    for rows, cast in ((real, np.real), (~real, np.asarray)):
+        d0, d1, d2 = (cast(c[rows]) for c in (c0, c1, c2))
+        quadratic = np.abs(d2) > _ZERO_COEF
+        linear = ~quadratic & (np.abs(d1) > _ZERO_COEF)
+        r = np.zeros(d0.shape + (2,), dtype=complex)
+        # quadratic with c0 != 0: the eigenvalues of the companion matrices
+        full = quadratic & (d0 != 0)
+        A = np.zeros((int(full.sum()), 2, 2), dtype=d0.dtype)
+        A[:, 0, 0] = -d1[full] / d2[full]
+        A[:, 0, 1] = -d0[full] / d2[full]
+        A[:, 1, 0] = 1
+        r[full] = np.linalg.eigvals(A)
+        # quadratic with c0 = 0: -c1/c2 and the zero root
+        zero = quadratic & (d0 == 0)
+        r[zero, 0] = -d1[zero] / d2[zero]
+        # linear: Python's complex division, which rounds a quotient of reals
+        # as a real division does; numpy's multiplies by a reciprocal
+        r[linear, 0] = [-complex(a) / complex(b)
+                        for a, b in zip(d0[linear], d1[linear])]
+        roots[rows] = r
 
     keep = ~(roots.real <= 1e-12)
     kappa = np.where(np.abs(roots.imag) <= 1e-10, roots.real + 0j, roots)

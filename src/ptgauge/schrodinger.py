@@ -9,14 +9,15 @@ measures.  The literal similarity U H_g U^{-1}, with the block-diagonal
 gauge transform U = (+)_j e^{-iAx_j}, is spectrally exact by construction;
 it feeds the similarity check of the verification suite.
 
-All three operators are block-tridiagonal and U is block-diagonal; they
-are assembled as scipy.sparse CSR arrays.  spectral_compare takes the whole
-spectra by dense eig, because it classifies their conjugate pairing;
-lowest_mode_match, which reads only the lowest modes, takes them from
-linalg.lowest_modes (certified sparse shift-invert) and never densifies.
-eig picks the LAPACK driver by exact structure: in verify-all's default
-example H_g is real symmetric and goes to dsyevr, while H and U H_g U^{-1}
-are real and go to dgeev.
+All three operators are block-tridiagonal and U is block-diagonal; they are
+assembled as scipy.sparse CSR arrays.  When A and every V(x_j) are
+Hermitian, U is unitary and all three are Hermitian in exact arithmetic; H,
+U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
+the dropped skew part is checked to be rounding.  spectral_compare takes
+the whole spectra by eig, as it classifies their pairing; lowest_mode_match
+takes the lowest modes from linalg.lowest_modes (sparse shift-invert).  In
+verify-all's example all three are real symmetric of bandwidth <= 3, and
+eig solves them by the band driver dsbevd.
 
 Tensor convention: grid index slowest, kron(grid_op, matrix_part).
 The extended parity is P_bold = kron(parity_grid, Theta).
@@ -102,6 +103,32 @@ def _block_diagonal(blocks: np.ndarray) -> scipy.sparse.csr_array:
         (blocks, np.arange(n), np.arange(n + 1)), shape=(n * m, n * m)))
 
 
+def _adjoint(X):   # conjugate transpose of sparse X, or of each trailing matrix
+    return X.conj().T if scipy.sparse.issparse(X) else np.conj(np.swapaxes(X, -1, -2))
+
+
+def _is_hermitian(X) -> bool:   # the rule of linalg.eig's Hermitian drivers
+    return np.array_equal(X, _adjoint(X))
+
+
+def _norm_inf(X):   # largest absolute row sum of sparse X, or of each trailing matrix
+    return abs(X).sum(axis=-1).max(axis=-1)
+
+
+def _hermitian_part(M, m: int, scale):
+    """(M + M^H) / 2 of a matrix, or of each matrix of a stack, that is
+    Hermitian in exact arithmetic and was formed by rounded products of m x m
+    blocks whose inf-norms multiply to scale (one per matrix of a stack, shape
+    (n, 1, 1); times 1 + |A x| for factors e^{-iAx}, whose expm error grows
+    like |A x|).  Raises RuntimeError if the dropped skew part (M - M^H) / 2
+    exceeds 8 m eps scale, as it does for a U that is not unitary."""
+    worst = (abs(M - _adjoint(M)) / (16 * m * np.finfo(float).eps * scale)).max()
+    if not worst <= 1:
+        raise RuntimeError(f"skew part of a Hermitian product is {worst:.3g} "
+                           f"times its rounding bound")
+    return (M + _adjoint(M)) / 2
+
+
 def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
                  grid: Grid1D) -> scipy.sparse.csr_array:
     """H_g = p^2 - 2 A p + A^2 + V, the expansion of (p - A)^2 + V."""
@@ -109,11 +136,15 @@ def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
     if pot.m != m:
         raise ValueError("gauge and potential dimensions differ")
     A = gauge.A
+    Vs = pot.sample(grid.nodes)
+    A2 = A @ A
+    if _is_hermitian(A) and _is_hermitian(Vs) and not _is_hermitian(A2):
+        A2 = _hermitian_part(A2, m, _norm_inf(A) ** 2)
     p = grid_operator(grid, "momentum")
     H_g = (grid_operator(grid, "second_derivative", block_dim=m)
            - 2 * scipy.sparse.kron(p, A)
-           + scipy.sparse.kron(scipy.sparse.eye_array(grid.size), A @ A)
-           + _block_diagonal(pot.sample(grid.nodes)))
+           + scipy.sparse.kron(scipy.sparse.eye_array(grid.size), A2)
+           + _block_diagonal(Vs))
     return scipy.sparse.csr_array(H_g)
 
 
@@ -128,9 +159,7 @@ class RegaugeResult:
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
                       grid: Grid1D) -> RegaugeResult:
     H_g = build_gauged(gauge, pot, grid)
-    m = gauge.m
-    x = grid.nodes
-    A = gauge.A
+    m, x, A = gauge.m, grid.nodes, gauge.A
     Vs = pot.sample(x)
 
     # e^{-iAx_j} and e^{iAx_j} at every node, as two stacked exponentials
@@ -138,10 +167,16 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     U_blocks = expm(-1j * A * xs)
     Ui_blocks = expm(1j * A * xs)
     Vt_blocks = U_blocks @ Vs @ Ui_blocks
+    H_similar = _block_diagonal(U_blocks) @ H_g @ _block_diagonal(Ui_blocks)
+    if _is_hermitian(A) and _is_hermitian(Vs):   # then U is unitary
+        scale = (_norm_inf(U_blocks).max() * _norm_inf(Ui_blocks).max()
+                 * (1 + np.abs(x) * _norm_inf(A)))
+        Vt_blocks = _hermitian_part(
+            Vt_blocks, m, (scale * _norm_inf(Vs))[:, None, None])
+        H_similar = _hermitian_part(H_similar, m, scale.max() * _norm_inf(H_g))
     H = scipy.sparse.csr_array(
         grid_operator(grid, "second_derivative", block_dim=m)
         + _block_diagonal(Vt_blocks))
-    H_similar = _block_diagonal(U_blocks) @ H_g @ _block_diagonal(Ui_blocks)
     return RegaugeResult(grid=grid, H_g=H_g, H=H, H_similar=H_similar)
 
 
@@ -205,23 +240,13 @@ def sample_audited_potential(sig: ThetaSignature,
     discrete on the box.
     """
     m = sig.m
-    p = sig.p
+    diag = sig.mask > 0   # the Theta-diagonal blocks
 
-    def sym(M):
-        return (M + M.T) / 2
+    def draw(blocks):
+        M = rng.standard_normal((m, m)) * 0.3
+        return np.where(blocks, (M + M.T) / 2, 0.0)
 
-    D_even = sym(rng.standard_normal((m, m)) * 0.3)
-    D_even[:p, p:] = 0.0
-    D_even[p:, :p] = 0.0
-    B_odd = sym(rng.standard_normal((m, m)) * 0.3)
-    B_odd[:p, :p] = 0.0
-    B_odd[p:, p:] = 0.0
-    Di_odd = sym(rng.standard_normal((m, m)) * 0.3)
-    Di_odd[:p, p:] = 0.0
-    Di_odd[p:, :p] = 0.0
-    Bi_even = sym(rng.standard_normal((m, m)) * 0.3)
-    Bi_even[:p, :p] = 0.0
-    Bi_even[p:, p:] = 0.0
+    D_even, B_odd, Di_odd, Bi_even = draw(diag), draw(~diag), draw(diag), draw(~diag)
 
     def V(x):
         even = np.exp(-x**2)

@@ -613,11 +613,9 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
                                       lambda k: lowest_modes(M, k))
         gaps.append(schrodinger.match_distance(dense, sparse))
     rep.add("matrix/lowest_modes_vs_dense_h0.05", worst_residual(gaps), 1e-10)
-    sig, gauge, pot = example
+    fine_grid = replace(params, h=params.h / 2).grid()
     fine = schrodinger.lowest_mode_match(
-        schrodinger.build_and_regauge(gauge, pot,
-                                      replace(params, h=params.h / 2).grid()),
-        params.n_low)
+        schrodinger.build_and_regauge(*example[1:], fine_grid), params.n_low)
     order = float(np.log2(coarse.max_match_dist / fine))
     _bool(rep, "matrix/convergence_order_ge_1.8", order >= 1.8)
     rep.config["matrix_convergence_order"] = order

@@ -86,9 +86,11 @@ def _assert_matches_zgeev(got, M):
 
 @pytest.fixture
 def drivers(monkeypatch):
-    """Records (driver, dtype) for each LAPACK call eig makes."""
+    """Records (driver, dtype) for each LAPACK call eig makes, and the
+    bandwidth kd for the band driver."""
     calls = []
     eigvalsh, eigvals = scipy.linalg.eigvalsh, np.linalg.eigvals
+    eigvals_banded = scipy.linalg.eigvals_banded
 
     def spy_h(A, **kw):
         calls.append(("eigvalsh", A.dtype))
@@ -98,8 +100,13 @@ def drivers(monkeypatch):
         calls.append(("eigvals", A.dtype))
         return eigvals(A)
 
+    def spy_b(band, **kw):   # kd + 1 rows
+        calls.append(("eigvals_banded", band.dtype, band.shape[0] - 1))
+        return eigvals_banded(band, **kw)
+
     monkeypatch.setattr(scipy.linalg, "eigvalsh", spy_h)
     monkeypatch.setattr(np.linalg, "eigvals", spy_g)
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy_b)
     return calls
 
 
@@ -109,10 +116,16 @@ def _random(n, seed, real=True):
     return M if real else M + 1j * rng.standard_normal((n, n))
 
 
+def _banded_hermitian(n, kd, seed, real=True):
+    X = np.triu(np.tril(_random(n, seed, real), kd), -kd)
+    return (X + X.conj().T) / 2
+
+
 class TestEigDrivers:
     """eig picks its LAPACK driver by exact structure: Hermitian input goes
-    to eigvalsh, other real input to real geev, the rest to complex geev.
-    Each route must agree with the complex route to rounding."""
+    to eigvals_banded when its bandwidth kd < n / 32, else to eigvalsh,
+    other real input to real geev, the rest to complex geev.  Each route
+    must agree with the complex route to rounding."""
 
     def test_real_symmetric_in_real_arithmetic(self, drivers):
         X = _random(40, 1)
@@ -154,11 +167,56 @@ class TestEigDrivers:
         assert drivers == [("eigvals", np.float64 if real else np.complex128)]
         _assert_matches_zgeev(got, H)
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_narrow_hermitian_takes_band_driver(self, drivers, real):
+        H = _banded_hermitian(200, 3, 8, real)
+        got = eig(H.astype(complex))   # complex dtype even when real
+        assert drivers == [("eigvals_banded",
+                            np.float64 if real else np.complex128, 3)]
+        assert got.dtype == complex and not got.imag.any()
+        _assert_matches_zgeev(got, H)
+
+    def test_diagonal_is_band_zero(self, drivers):
+        D = np.diag(_random(40, 9)[0] + 0j)
+        got = eig(D)
+        assert drivers == [("eigvals_banded", np.float64, 0)]
+        assert np.array_equal(got, np.sort(D.diagonal()))
+        _assert_matches_zgeev(got, D)
+
+    @pytest.mark.parametrize("n, kd, banded", [(192, 5, True), (192, 6, False),
+                                               (64, 1, True), (64, 2, False)])
+    def test_band_rule_is_kd_below_n_over_32(self, drivers, n, kd, banded):
+        H = _banded_hermitian(n, kd, 10, real=False)
+        got = eig(scipy.sparse.csr_array(H))
+        assert drivers[0][0] == ("eigvals_banded" if banded else "eigvalsh")
+        _assert_matches_zgeev(got, H)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_band_route_never_densifies(self, drivers, monkeypatch, real):
+        H = scipy.sparse.csr_array(_banded_hermitian(300, 2, 11, real))
+        want = H.toarray()
+
+        def refuse(*args, **kw):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+        got = eig(H)
+        assert drivers[0][0] == "eigvals_banded"
+        _assert_matches_zgeev(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sparse_banded_hermitian_raises(self, bad):
+        H = _banded_hermitian(100, 1, 12)
+        H[5, 5] = bad
+        with pytest.raises(ValueError):
+            eig(scipy.sparse.csr_array(H))
+
     def test_sparse_and_dense_identical(self):
         X = _random(24, 6, real=False)
         Y = _random(24, 7)
         for M in ((X + X.conj().T) / 2, (Y + Y.T) / 2 + 0j, Y, Y + 0j, X,
-                  np.eye(24, dtype=int)):
+                  np.eye(24, dtype=int), _banded_hermitian(200, 3, 13),
+                  _banded_hermitian(200, 3, 14, real=False)):
             dense, sparse = eig(M), eig(scipy.sparse.csr_array(M))
             assert dense.dtype == sparse.dtype == complex
             assert np.array_equal(dense, sparse)

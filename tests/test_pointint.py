@@ -30,9 +30,12 @@ def pt_coupling(t11, t22, b12, b21):
 
 def oracle_states(T):
     """(kappa, E) of the decaying states, by np.roots on the closed-form
-    det M(k) = t11 + (2 - det T / 2) k - t22 k^2 in Python complex,
+    det M(k) = t11 + (2 - det T / 2) k - t22 k^2 (in float64 when every
+    coefficient is real, else in Python complex),
     filtered and ordered as bound_states documents."""
     c0, c1, c2 = T.t11, 2 - T.det / 2, -T.t22
+    if c0.imag == c1.imag == c2.imag == 0:   # np.roots then works in float64
+        c0, c1, c2 = c0.real, c1.real, c2.real
     if abs(c2) > 1e-14:
         k = np.roots([c2, c1, c0])
     elif abs(c1) > 1e-14:
@@ -264,6 +267,16 @@ class TestSweep:
                 assert len(states) == 2
                 assert abs(states[0].energy + 1) <= 1e-7
         assert {(0, False), (1, False), (2, False), (0, True)} <= seen
+
+    def test_broken_rows_pair_exactly(self):
+        """PT couplings give real coefficients, solved in float64, so the
+        two energies of every broken-PT row are exact conjugates."""
+        rows = pt_phase_sweep(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7),
+                              np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+        broken = [r for r in rows if r.n_bound == 2 and r.energies[0].imag]
+        assert len(broken) >= 20
+        for r in broken:
+            assert bits(r.energies[1]) == bits(np.conj(r.energies[0]))
 
     def test_broken_phase_present(self):
         """Couplings with complex-pair energies appear in a generic sweep."""

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from ptgauge import schrodinger
 from ptgauge.cartan import ThetaSignature, make_element
 from ptgauge.linalg import Grid1D, eig, match_spectra, worst_residual
 from ptgauge.reporting import CheckRecord
@@ -13,6 +15,7 @@ from ptgauge.schrodinger import (
     spectral_compare,
     symmetry_audit,
 )
+from ptgauge.verification import SpectrumMatrixParams, _matrix_example
 
 SIG = ThetaSignature(1, 1)
 GRID = Grid1D.from_box(6.0, 0.1)
@@ -96,6 +99,51 @@ class TestRegauge:
         res = build_and_regauge(_gauge(0.2), _well(), GRID)
         out = spectral_compare(res, SIG, n_low=8)
         assert out.pairing_Hg == "all_real"
+
+    def test_default_example_is_hermitian_and_banded(self, monkeypatch):
+        """verify-all's example: A = 0.3 sigma_2 and V = x^2 I are Hermitian,
+        so U is unitary, all three operators are stored exactly Hermitian
+        and eig solves each with the band driver, never densely."""
+        params = SpectrumMatrixParams()
+        _, gauge, pot = _matrix_example(params.gauge_alpha)
+        res = build_and_regauge(gauge, pot, params.grid())
+        bands = []
+        banded = scipy.linalg.eigvals_banded
+
+        def spy(band, **kw):
+            bands.append(band.shape)
+            return banded(band, **kw)
+
+        def refuse(*args, **kw):
+            raise AssertionError("dense driver")
+
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for M in (res.H_g, res.H, res.H_similar):
+            assert (M != M.conj().T).count_nonzero() == 0
+            eig(M)
+        assert [n for _, n in bands] == [640] * 3
+        assert max(kd1 for kd1, _ in bands) <= 4   # block-tridiagonal, m = 2
+
+    def test_non_unitary_gauge_transform_raises(self, monkeypatch):
+        """Negative twin: a U = e^{-iAx} whose first column is scaled by
+        1 + 1e-8 is no longer unitary, and the skew part it leaves in
+        U V U^{-1} is far above rounding, so the build raises instead of
+        projecting it away.  (A uniform real scale would not do: it keeps
+        U V U^{-1} Hermitian.)"""
+        expm = schrodinger.expm
+
+        def skewed(M):
+            E = expm(M)
+            E[..., :, 0] *= 1 + 1e-8
+            return E
+
+        monkeypatch.setattr(schrodinger, "expm", skewed)
+        params = SpectrumMatrixParams()
+        _, gauge, pot = _matrix_example(params.gauge_alpha)
+        with pytest.raises(RuntimeError, match="rounding bound"):
+            build_and_regauge(gauge, pot, params.grid())
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -177,9 +177,9 @@ def test_weak_residual_order_beyond_dense_reach():
 
 
 def matrix_examples():
-    """The verification suite's example (alpha sigma_2, harmonic well) and a
+    """The verification suite's example (alpha sigma_2, harmonic well), a
     random m = 3 gauge with an audited potential that has off-diagonal
-    blocks."""
+    blocks, and a random Hermitian m = 3 gauge and potential."""
     sig = ThetaSignature(1, 1)
     el = make_element(sig, np.zeros((1, 1)), [[-0.3]], np.zeros((1, 1)))
     yield "alpha_sigma2", ConstantGauge(A=el.gauge_potential), \
@@ -188,6 +188,11 @@ def matrix_examples():
     sig = ThetaSignature(2, 1)
     yield "random_m3", ConstantGauge(A=random_element(sig, rng).gauge_potential), \
         sample_audited_potential(sig, rng)
+    # Hermitian A whose A @ A is not Hermitian bit for bit, Hermitian V
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    yield "hermitian_m3", ConstantGauge(A=(X + X.conj().T) / 4), MatrixPotential(
+        m=3, V=lambda x: x**2 * np.eye(3) + np.exp(-x**2) * (B + B.conj().T))
 
 
 MATRIX_EXAMPLES = list(matrix_examples())
@@ -196,17 +201,28 @@ MATRIX_GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.1)]
 
 def dense_matrix_chain(gauge, pot, grid):
     """H_g, H and the block-diagonal U, U^{-1} by dense Kronecker and
-    block-diagonal assembly."""
+    block-diagonal assembly.  When A and every V(x_j) are Hermitian, A^2 and
+    the blocks U V U^{-1} are taken as their Hermitian parts (X + X^H) / 2,
+    as the library stores them."""
     m, A, x = gauge.m, gauge.A, grid.nodes
     st = dense_stencils(grid)
     p, L = st["momentum"], st["second_derivative"]
     Vs = pot.sample(x)
+    hermitian = np.array_equal(A, A.conj().T) and all(
+        np.array_equal(V, V.conj().T) for V in Vs)
+
+    def part(X):
+        return (X + X.conj().T) / 2 if hermitian else X
+
+    A2 = A @ A
+    if not np.array_equal(A2, A2.conj().T):
+        A2 = part(A2)
     H_g = (np.kron(L, np.eye(m)) - 2 * np.kron(p, A)
-           + np.kron(np.eye(grid.size), A @ A) + scipy.linalg.block_diag(*Vs))
+           + np.kron(np.eye(grid.size), A2) + scipy.linalg.block_diag(*Vs))
     U = [scipy.linalg.expm(-1j * A * xj) for xj in x]
     Ui = [scipy.linalg.expm(1j * A * xj) for xj in x]
     H = np.kron(L, np.eye(m)) + scipy.linalg.block_diag(
-        *[u @ V @ ui for u, V, ui in zip(U, Vs, Ui)])
+        *[part(u @ V @ ui) for u, V, ui in zip(U, Vs, Ui)])
     return H_g, H, scipy.linalg.block_diag(*U), scipy.linalg.block_diag(*Ui)
 
 
@@ -218,6 +234,8 @@ def test_matrix_chain_entrywise(grid, name, gauge, pot):
     H_g, H, U, Ui = dense_matrix_chain(gauge, pot, grid)
     for got in (res.H_g, res.H, res.H_similar):
         assert isinstance(got, scipy.sparse.csr_array)
+        if name != "random_m3":   # Hermitian A and V: kept exactly Hermitian
+            assert (got != got.conj().T).count_nonzero() == 0
     assert np.array_equal(res.H_g.toarray(), H_g)
     assert np.array_equal(res.H.toarray(), H)
     # sparse and dense products sum in different orders; U grows like
