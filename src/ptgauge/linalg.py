@@ -11,14 +11,14 @@ Difference stencils (Dirichlet closure, values outside the box are zero):
   second_derivative (-d^2/dx^2) f_j = (2 f_j - f_{j+1} - f_{j-1}) / h^2
 
 Grid operators are complex scipy.sparse CSR arrays: momentum and
-second_derivative are tridiagonal, parity is anti-diagonal, and sign,
-position and multiply are diagonal.  Block operators are Kronecker
-products  grid_part (x) I_m  with the grid index slowest, i.e. node j
-occupies rows j*m .. j*m+m-1.  eig and expm accept dense or sparse input;
-densify is the one place a sparse operator is made dense.  expm works on a
-dense complex copy, and also takes a (..., m, m) stack of matrices.  eig
-picks its LAPACK driver by the input's exact structure: a Hermitian matrix
-of bandwidth kd < n/32 goes to the band driver and is never densified.
+second_derivative are tridiagonal, parity is anti-diagonal, and sign is
+diagonal.  Block operators are Kronecker products  grid_part (x) I_m  with
+the grid index slowest, i.e. node j occupies rows j*m .. j*m+m-1.  eig and
+expm accept dense or sparse input; densify is the one place a sparse
+operator is made dense.  expm works on a dense complex copy, and also
+takes a (..., m, m) stack of matrices.  eig picks its LAPACK driver by the
+input's exact structure: a Hermitian matrix of bandwidth kd < n/32 goes
+to the band driver and is never densified.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Arnoldi, without densifying.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -47,19 +46,6 @@ def densify(M, dtype=complex) -> np.ndarray:
     an ndarray already of that dtype)."""
     return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
                       dtype=dtype)
-
-
-def _check_square(M):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-
-
-def _as_square_matrix(M, dtype=complex) -> np.ndarray:
-    M = densify(M, dtype)
-    _check_square(M)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains NaN/Inf entries")
-    return M
 
 
 @dataclass(frozen=True)
@@ -129,7 +115,8 @@ def eig(M) -> np.ndarray:
     """
     sparse = scipy.sparse.issparse(M)
     M = scipy.sparse.csr_array(M) if sparse else np.asarray(M)
-    _check_square(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     entries = M.data if sparse else M
     real = not np.iscomplexobj(entries) or not entries.imag.any()
     MH = M.conj().T
@@ -140,7 +127,9 @@ def eig(M) -> np.ndarray:
         band = np.array([np.pad(M.diagonal(k), (k, 0)) for k in range(kd, -1, -1)])
         band = band.real if real else band
         return scipy.linalg.eigvals_banded(band).astype(complex)
-    A = _as_square_matrix(M.real if real else M, float if real else complex)
+    A = densify(M.real if real else M, float if real else complex)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains NaN/Inf entries")
     if hermitian:   # ascending real values, already in eig's order
         return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
     vals = np.linalg.eigvals(A).astype(complex, copy=False)
@@ -175,20 +164,14 @@ def antidiagonal(values) -> scipy.sparse.csr_array:
                                   shape=(n, n))
 
 
-def grid_operator(
-    grid: Grid1D,
-    kind: str,
-    block_dim: int = 1,
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> scipy.sparse.csr_array:
+def grid_operator(grid: Grid1D, kind: str,
+                  block_dim: int = 1) -> scipy.sparse.csr_array:
     """Assemble a discrete operator on grid (x) C^block_dim as a CSR array.
 
-    kind is one of 'momentum', 'parity', 'sign', 'position', 'multiply',
-    'second_derivative'.  'multiply' requires func, evaluated on the nodes.
+    kind is one of 'momentum', 'parity', 'sign', 'second_derivative'.
     """
     n = grid.size
     h = grid.spacing
-    x = grid.nodes
     if kind == "momentum":
         off = np.full(n - 1, 1j / (2 * h))
         core = scipy.sparse.diags_array([off, -off], offsets=(-1, 1))
@@ -199,14 +182,7 @@ def grid_operator(
     elif kind == "parity":
         core = antidiagonal(np.ones(n))
     elif kind == "sign":
-        core = scipy.sparse.diags_array(np.sign(x), dtype=complex)
-    elif kind == "position":
-        core = scipy.sparse.diags_array(x, dtype=complex)
-    elif kind == "multiply":
-        if func is None:
-            raise ValueError("kind='multiply' requires func")
-        core = scipy.sparse.diags_array(
-            np.asarray([func(xi) for xi in x], dtype=complex))
+        core = scipy.sparse.diags_array(np.sign(grid.nodes), dtype=complex)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     if block_dim > 1:

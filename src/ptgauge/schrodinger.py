@@ -129,23 +129,29 @@ def _hermitian_part(M, m: int, scale):
     return (M + _adjoint(M)) / 2
 
 
-def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
-                 grid: Grid1D) -> scipy.sparse.csr_array:
-    """H_g = p^2 - 2 A p + A^2 + V, the expansion of (p - A)^2 + V."""
+def _assemble(gauge: ConstantGauge, pot: MatrixPotential, grid: Grid1D):
+    """H_g, the samples V(x_j), and whether A and every V(x_j) are Hermitian."""
     m = gauge.m
     if pot.m != m:
         raise ValueError("gauge and potential dimensions differ")
     A = gauge.A
     Vs = pot.sample(grid.nodes)
+    hermitian = _is_hermitian(A) and _is_hermitian(Vs)
     A2 = A @ A
-    if _is_hermitian(A) and _is_hermitian(Vs) and not _is_hermitian(A2):
+    if hermitian and not _is_hermitian(A2):
         A2 = _hermitian_part(A2, m, _norm_inf(A) ** 2)
     p = grid_operator(grid, "momentum")
     H_g = (grid_operator(grid, "second_derivative", block_dim=m)
            - 2 * scipy.sparse.kron(p, A)
            + scipy.sparse.kron(scipy.sparse.eye_array(grid.size), A2)
            + _block_diagonal(Vs))
-    return scipy.sparse.csr_array(H_g)
+    return scipy.sparse.csr_array(H_g), Vs, hermitian
+
+
+def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
+                 grid: Grid1D) -> scipy.sparse.csr_array:
+    """H_g = p^2 - 2 A p + A^2 + V, the expansion of (p - A)^2 + V."""
+    return _assemble(gauge, pot, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,8 @@ class RegaugeResult:
 
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
                       grid: Grid1D) -> RegaugeResult:
-    H_g = build_gauged(gauge, pot, grid)
+    H_g, Vs, hermitian = _assemble(gauge, pot, grid)
     m, x, A = gauge.m, grid.nodes, gauge.A
-    Vs = pot.sample(x)
 
     # e^{-iAx_j} and e^{iAx_j} at every node, as two stacked exponentials
     xs = x[:, None, None]
@@ -168,7 +173,7 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     Ui_blocks = expm(1j * A * xs)
     Vt_blocks = U_blocks @ Vs @ Ui_blocks
     H_similar = _block_diagonal(U_blocks) @ H_g @ _block_diagonal(Ui_blocks)
-    if _is_hermitian(A) and _is_hermitian(Vs):   # then U is unitary
+    if hermitian:   # then U is unitary
         scale = (_norm_inf(U_blocks).max() * _norm_inf(Ui_blocks).max()
                  * (1 + np.abs(x) * _norm_inf(A)))
         Vt_blocks = _hermitian_part(

@@ -26,9 +26,9 @@ import scipy.linalg
 import scipy.sparse
 
 from . import abelian, cartan, cliffords, jaynes, pointint, schrodinger
-from .linalg import Grid1D, eig, expm, grid_operator, lowest_common, \
-    lowest_modes, match_spectra, max_abs, pairing_check, smallest, \
-    worst_residual
+from .linalg import MAX_ARNOLDI_MODES, Grid1D, eig, expm, grid_operator, \
+    lowest_common, lowest_modes, match_spectra, max_abs, pairing_check, \
+    smallest, worst_residual
 from .reporting import Report, Table
 
 BETA = 0.3             # imaginary gauge slope of the abelian check
@@ -176,8 +176,15 @@ class SpectrumMatrixParams(_Params):
     n_low: int = 16
 
     def check(self):
-        _require_dense(2 * self.grid().size, "the two-level grid build")
+        # Hermitian for every real alpha, so eig takes the band route and the
+        # weak form's test vectors are the largest array
+        dim = 2 * self.grid().size
+        _require_budget(18 * dim, f"the {dim} x 18 block of test vectors")
         _require(self.n_low >= 1, "n-low must be >= 1")
+        # e^{-iAx} turns by up to |alpha| box rad: expm keeps no digit of
+        # that past 1/eps = 4.5e15, and near 1e18 the regauged build overflows
+        _require(abs(self.gauge_alpha) * self.box <= 1e15, "need |gauge-alpha| "
+                 f"box <= 1e15, got {self.gauge_alpha}, box {self.box}")
 
     def grid(self) -> Grid1D:
         return _grid(self.box, self.h)
@@ -194,9 +201,16 @@ class JcParams(_Params):
         _require(self.n_max >= 2, "n-max must be >= 2")
         # two levels; the truncation check rebuilds at ceil(1.5 n_max)
         _require_dense(2 * ((3 * self.n_max + 1) // 2 + 1), "the Fock build")
+        # lowest_modes solves the grid build sparsely; its largest array is
+        # an Arnoldi basis of at most 2 MAX_ARNOLDI_MODES + 1 vectors
         grid = self.grid()
-        _require_dense(2 * grid.size, "the two-level grid build")
+        _require_budget((2 * MAX_ARNOLDI_MODES + 1) * 2 * grid.size,
+                        "the Arnoldi basis of the two-level grid build")
         jaynes.require_oscillator_box(grid, self.n_max)
+        # V(x) holds a^2, about alpha^2, and 2 delta: both must stay finite
+        _require(abs(self.alpha) <= 1e150 and abs(self.delta) <= 1e300,
+                 f"need |alpha| <= 1e150 and |delta| <= 1e300, got alpha "
+                 f"{self.alpha}, delta {self.delta}")
 
     def grid(self) -> Grid1D:
         return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)
@@ -348,12 +362,12 @@ def check_rotated_involution(rep: Report, cfg: VerifyConfig):
     grid = Grid1D(half_count=32, spacing=0.1)
     P = grid_operator(grid, "parity")
     R = grid_operator(grid, "sign")
-    eye = np.eye(grid.size)
+    eye = scipy.sparse.eye_array(grid.size)
     squares, hermitian = [], []
     for phi in np.linspace(-3.0, 3.0, 20):
         M = cliffords.rotated_involution(P, R, float(phi)).matrix
-        squares.append(np.abs(M @ M - eye).max())
-        hermitian.append(np.abs(M - M.conj().T).max())
+        squares.append(abs(M @ M - eye).max())
+        hermitian.append(abs(M - M.conj().T).max())
     rep.add("rotated_involution/squares_to_identity",
             worst_residual(squares), 1e-12)
     rep.add("rotated_involution/hermitian", worst_residual(hermitian), 1e-12)

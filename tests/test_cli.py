@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 
 from ptgauge.cli import build_parser, main
-from ptgauge.verification import UsageError, _parse_complex, _parse_range
+from ptgauge.verification import JcParams, SpectrumMatrixParams, \
+    UsageError, _parse_complex, _parse_range
 
 
 class TestParsers:
@@ -192,6 +193,7 @@ INVALID = [
     ["cartan", "--p", "100000000000000000000"],
     ["lts-check", "--q", "100000000"],
     ["spectrum-matrix", "--h", "1e-6"],
+    ["spectrum-matrix", "--h", "8e-6"],      # 18 test vectors, just over
     ["jc", "--n-max", "100000000000000000000000"],
     ["jc", "--h", "1e-5"],
     ["gauge-scalar", "--h", "100"],          # no grid node
@@ -208,11 +210,15 @@ INVALID = [
     ["spectrum-matrix", "--h", "100"],
     ["spectrum-matrix", "--n-low", "0"],
     ["spectrum-matrix", "--gauge-alpha", "inf"],
+    ["spectrum-matrix", "--gauge-alpha", "1e20"],   # expm overflows
+    ["spectrum-matrix", "--gauge-alpha", "1e18"],   # U loses unitarity
     ["jc", "--h", "100"],
     ["jc", "--h", "0"],
     ["jc", "--h", "3"],                      # box too small for n_max
     ["jc", "--n-max", "1"],
     ["jc", "--delta", "nan"],
+    ["jc", "--alpha", "1e200"],              # a^2 in V(x) overflows
+    ["jc", "--delta", "1e308"],              # 2 delta in V(x) overflows
     ["point-angle", "--t11", "1i"],
     ["point-angle", "--t12", "nan"],
     ["point-spectrum", "--t11", "nan"],
@@ -253,6 +259,14 @@ class TestInvalidInput:
         assert len(err.splitlines()) == 1 and err.startswith("usage error:")
         assert not list(tmp_path.iterdir())
         assert peak < 2**20   # nothing of the problem's size was allocated
+
+    def test_budget_sizes_the_sparse_routes(self):
+        """spectrum-matrix and jc no longer densify their grid builds, so
+        grids whose dense matrix would be over the budget are accepted."""
+        assert 2 * SpectrumMatrixParams(h=0.003).grid().size == 10668
+        assert 2 * JcParams(h=0.004).grid().size > 8192
+        with pytest.raises(UsageError, match="Arnoldi basis"):
+            JcParams(h=2e-4)
 
     def test_config_file_value_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

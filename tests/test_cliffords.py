@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from ptgauge.cliffords import (
@@ -7,7 +8,7 @@ from ptgauge.cliffords import (
     rotated_involution,
     verify_clifford_relations,
 )
-from ptgauge.linalg import Grid1D, grid_operator
+from ptgauge.linalg import Grid1D, expm, grid_operator
 from ptgauge.reporting import CheckRecord
 
 
@@ -87,7 +88,6 @@ class TestRotatedInvolution:
     def test_intertwining_with_sign_exponential(self):
         """P e^{i phi R} = e^{-i phi R} P, the relation that makes the
         one-sided and symmetric definitions of P_phi agree."""
-        from ptgauge.linalg import expm
         P, R = _pr()
         phi = 0.83
         P, R = P.toarray(), R.toarray()
@@ -98,7 +98,7 @@ class TestRotatedInvolution:
     def test_rejects_noninvolution(self):
         g = Grid1D(half_count=4, spacing=0.5)
         P = grid_operator(g, "parity")
-        X = grid_operator(g, "position")
+        X = scipy.sparse.diags_array(g.nodes)
         with pytest.raises(ValueError):
             rotated_involution(P, X, 0.5)
 
@@ -107,3 +107,39 @@ class TestRotatedInvolution:
         P = grid_operator(g, "parity")
         with pytest.raises(ValueError):
             rotated_involution(P, P, 0.5)
+
+
+def _expm_forms(P, R, phi):
+    """The defining expressions P e^{i phi R} and e^{-i phi R/2} P
+    e^{i phi R/2}, by dense matrix exponentials: the oracle of the closed
+    form that rotated_involution stores."""
+    P, R = P.toarray(), R.toarray()
+    one_sided = P @ expm(1j * phi * R)
+    symmetric = expm(-1j * phi * R / 2) @ P @ expm(1j * phi * R / 2)
+    return one_sided, symmetric
+
+
+class TestRotatedInvolutionOracle:
+    @given(st.floats(min_value=-10, max_value=10))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_both_expm_forms(self, phi):
+        P, R = _pr()
+        M = rotated_involution(P, R, phi).matrix.toarray()
+        for form in _expm_forms(P, R, phi):
+            assert np.abs(M - form).max() <= 1e-15
+
+    def test_bit_for_bit_at_verify_all_angles(self):
+        g = Grid1D(half_count=32, spacing=0.1)
+        P, R = grid_operator(g, "parity"), grid_operator(g, "sign")
+        for phi in np.linspace(-3.0, 3.0, 20):
+            M = rotated_involution(P, R, float(phi)).matrix
+            assert np.array_equal(M.toarray(), _expm_forms(P, R, phi)[0])
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -np.pi / 2, np.pi])
+    def test_stored_anti_diagonal(self, phi):
+        P, R = _pr()
+        M = rotated_involution(P, R, phi).matrix
+        n = M.shape[0]
+        assert isinstance(M, scipy.sparse.csr_array)
+        assert np.array_equal(np.diff(M.indptr), np.ones(n))
+        assert np.array_equal(M.indices, np.arange(n)[::-1])

@@ -324,11 +324,6 @@ class TestGrid:
         v[0] = 1.0
         assert np.argmax(np.abs(P @ v)) == 6
 
-    def test_multiply_requires_func(self):
-        g = Grid1D(half_count=2, spacing=0.5)
-        with pytest.raises(ValueError):
-            grid_operator(g, "multiply")
-
     def test_unknown_kind(self):
         g = Grid1D(half_count=2, spacing=0.5)
         with pytest.raises(ValueError):
@@ -338,7 +333,7 @@ class TestGrid:
 class TestIndefiniteInner:
     def test_reduces_to_l2(self):
         g = Grid1D(half_count=8, spacing=0.25)
-        eye = grid_operator(g, "multiply", func=lambda x: 1.0)
+        eye = scipy.sparse.eye_array(g.size)
         rng = np.random.default_rng(0)
         f = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
         val = indefinite_inner(f, f, eye, np.ones(g.size), g.spacing)

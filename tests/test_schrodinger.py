@@ -149,6 +149,16 @@ class TestRegauge:
         with pytest.raises(ValueError):
             build_and_regauge(ConstantGauge(A=np.zeros((3, 3))), _well(), GRID)
 
+    def test_potential_sampled_once_per_build(self):
+        calls = []
+
+        def V(x):
+            calls.append(x)
+            return x**2 * np.eye(2)
+
+        build_and_regauge(_gauge(), MatrixPotential(m=2, V=V), GRID)
+        assert np.array_equal(calls, GRID.nodes)
+
 
 def test_grid_convergence_order():
     """Match distance between the two independent assemblies drops at

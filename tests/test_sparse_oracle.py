@@ -55,7 +55,6 @@ def dense_stencils(grid):
         "second_derivative": L.astype(complex),
         "parity": np.eye(n)[::-1].astype(complex),
         "sign": np.diag(np.sign(x)).astype(complex),
-        "position": np.diag(x).astype(complex),
     }
 
 
@@ -99,7 +98,7 @@ def dense_hamiltonian(A, grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
 @pytest.mark.parametrize("kind", ["momentum", "second_derivative", "parity",
-                                  "sign", "position"])
+                                  "sign"])
 def test_stencils_entrywise(grid, kind):
     M = grid_operator(grid, kind)
     assert np.array_equal(M.toarray(), dense_stencils(grid)[kind])
