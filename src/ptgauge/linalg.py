@@ -295,9 +295,9 @@ def lowest(e, k: int) -> np.ndarray:
     while i < cut:
         if nonreal[i] and not paired[i]:
             d = np.abs(e - np.conj(e[i]))
-            d[paired] = np.inf
-            d[i] = np.inf
-            j = int(np.argmin(d))
+            free = ~paired
+            free[i] = False
+            j = _nearest_free(d, free)
             if d[j] < abs(e[i].imag):
                 paired[[i, j]] = True
                 cut = max(cut, j + 1)

@@ -373,9 +373,8 @@ def check_rotated_involution(rep: Report, cfg: VerifyConfig):
     rep.add("rotated_involution/hermitian", worst_residual(hermitian), 1e-12)
 
 
-def _weak_form(A, grid: Grid1D, tol: float):
-    """Factorization residuals and weak-form pseudo-Hermiticity of
-    H_g = (p - A)^2 + x^2."""
+def weak_form(A, grid: Grid1D, tol: float):
+    """Gauge factorization residuals and weak form of H_g = (p - A)^2 + x^2."""
     fact = abelian.gauge_factorization(A, grid)
     H = abelian.build_scalar_hamiltonian(
         abelian.ScalarPotentials(A=A, V=lambda t: t**2), grid)
@@ -420,7 +419,7 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
     # weak-form pseudo-Hermiticity on the fine grid
     for name, A in (("alpha", lambda t: scalar.alpha + 0j),
                     ("beta", lambda t: 1j * BETA * t)):
-        out = _weak_form(A, scalar.grid(), 1e-8)[1]
+        out = weak_form(A, scalar.grid(), 1e-8)[1]
         rep.add(f"abelian/pseudo_hermiticity_r1_{name}", out.r1, 1e-8)
         _bool(rep, f"abelian/naive_parity_residual_large_{name}",
               out.r2_abs > 0.1)
@@ -431,7 +430,7 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
 def run_gauge_scalar(params: GaugeScalarParams) -> Report:
     rep = Report(command="gauge-scalar", seed=0, config=asdict(params))
     A = lambda x: params.alpha + 1j * params.beta * x
-    residuals, out = _weak_form(A, params.grid(), params.tol)
+    residuals, out = weak_form(A, params.grid(), params.tol)
     for name, val in sorted(residuals.items()):
         rep.add(f"factorization/{name}", val, 1e-10)
     rep.add("pseudo_hermiticity/r1", out.r1, params.tol)
@@ -589,7 +588,8 @@ def run_cartan(params: CartanParams) -> Report:
     return rep
 
 
-def _matrix_example(gauge_alpha: float):
+def matrix_example(gauge_alpha: float):
+    """Theta, the gauge alpha sigma_2 and V = x^2 I of the matrix example."""
     sig, el = _element_11(-gauge_alpha)
     gauge = schrodinger.ConstantGauge(A=el.gauge_potential)  # = alpha sigma_2
     pot = schrodinger.MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2))
@@ -613,7 +613,7 @@ def _matrix_records(rep: Report, example, grid: Grid1D, n_low: int,
 
 def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     params = SpectrumMatrixParams()
-    example = _matrix_example(params.gauge_alpha)
+    example = matrix_example(params.gauge_alpha)
     res, coarse = _matrix_records(rep, example, params.grid(), params.n_low,
                                   "matrix/spectral_match_h0.05")
     # the literal similarity transform is spectrally exact
@@ -637,7 +637,7 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
 
 def run_spectrum_matrix(params: SpectrumMatrixParams) -> Report:
     rep = Report(command="spectrum-matrix", seed=0, config=asdict(params))
-    out = _matrix_records(rep, _matrix_example(params.gauge_alpha),
+    out = _matrix_records(rep, matrix_example(params.gauge_alpha),
                           params.grid(), params.n_low, "matrix/spectral_match")[1]
     rows = [[i, float(lg.real), float(lg.imag), float(lh.real), float(lh.imag),
              float(abs(lg - lh) / (1 + abs(lg)))]

@@ -15,7 +15,7 @@ from ptgauge.schrodinger import (
     spectral_compare,
     symmetry_audit,
 )
-from ptgauge.verification import SpectrumMatrixParams, _matrix_example
+from ptgauge.verification import SpectrumMatrixParams, matrix_example
 
 SIG = ThetaSignature(1, 1)
 GRID = Grid1D.from_box(6.0, 0.1)
@@ -105,7 +105,7 @@ class TestRegauge:
         so U is unitary, all three operators are stored exactly Hermitian
         and eig solves each with the band driver, never densely."""
         params = SpectrumMatrixParams()
-        _, gauge, pot = _matrix_example(params.gauge_alpha)
+        _, gauge, pot = matrix_example(params.gauge_alpha)
         res = build_and_regauge(gauge, pot, params.grid())
         bands = []
         banded = scipy.linalg.eigvals_banded
@@ -141,7 +141,7 @@ class TestRegauge:
 
         monkeypatch.setattr(schrodinger, "expm", skewed)
         params = SpectrumMatrixParams()
-        _, gauge, pot = _matrix_example(params.gauge_alpha)
+        _, gauge, pot = matrix_example(params.gauge_alpha)
         with pytest.raises(RuntimeError, match="rounding bound"):
             build_and_regauge(gauge, pot, params.grid())
 

@@ -1,12 +1,14 @@
 """The scripts exit 0 only if their checked invariant holds: every observed
-order meets the bound, or the phase summary's counts add up and agree with
-phase-diagram.  Arguments they cannot use end with exit 2 and one line."""
+order meets the bound, or the phase summary's counts add up.  Arguments
+they cannot use end with exit 2 and one line, before any level runs."""
 
 import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from ptgauge import pointint
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -56,18 +58,22 @@ def test_point_phase_summary_counts_agree(capsys):
 
 def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     summary = _load("point_phase_summary")
-    sweep = summary.pt_phase_sweep
+    sweep = pointint.pt_phase_sweep
+    calls = []
 
     def one_unpaired(*axes):
+        calls.append(axes)
         rows = sweep(*axes)
         rows[0] = dataclasses.replace(rows[0], classification="unpaired")
         return rows
 
+    # one sweep, whether it is reached through the script or through pointint
     monkeypatch.setattr(summary, "pt_phase_sweep", one_unpaired)
+    monkeypatch.setattr(pointint, "pt_phase_sweep", one_unpaired)
     assert summary.main(["--resolution", "3"]) == 1
     out = capsys.readouterr().out
     assert "is not the sweep size 81" in out
-    assert "phase-diagram on the same axes counts" in out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -78,6 +84,13 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     ("weak_residual_scaling", ["--h0", "0"]),
     ("weak_residual_scaling", ["--levels", "1"]),
     ("point_phase_summary", ["--resolution", "0"]),
+    # |gauge-alpha| box over 1e15, where spectrum-matrix exits 2
+    ("matrix_convergence_study", ["--gauge-alpha", "1e20"]),
+    # |beta| box^2 over 700 and |alpha| over 1e30, where gauge-scalar exits 2
+    ("weak_residual_scaling", ["--beta", "100"]),
+    ("weak_residual_scaling", ["--alpha", "1e200"]),
+    # the finest of 30 levels has about 8.6e10 nodes, over the array budget
+    ("weak_residual_scaling", ["--levels", "30"]),
 ])
 def test_unusable_arguments_exit_two(capsys, name, argv):
     assert _load(name).main(argv) == 2
