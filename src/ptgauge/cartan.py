@@ -27,24 +27,23 @@ indexed like an array (stack[i] is the i-th element), and lts_check,
 membership_residual, wick_check, exp_compact, exp_noncompact,
 parity_relations_check and group_polar give an array of per-element
 residuals where one element gives a float.  x may be an array that
-broadcasts against the leading axes.  Each slice of a stacked result
-equals the per-element call bit for bit: numpy's stacked matmul, svd and
-inv and scipy's stacked expm run the same kernel on every slice, and the
-entry-wise steps do not depend on the stack.
+broadcasts against the leading axes; parity_relations_check stacks x and
+-x, so it takes one SVD and one stacked expm per block.  Each slice of a
+stacked result equals the per-element call bit for bit: numpy's stacked
+matmul, svd and inv and scipy's stacked expm run the same kernel on every
+slice, and the entry-wise steps do not depend on the stack.
 
 Per-call cost.  The checks run these kernels on thousands of 3x3 to 5x5
-matrices: as a few stacks in the sampled checks of verification, and one
-at a time through the per-element calls, whose cost is Python overhead.
-So a stack is validated once, and nothing is recomputed per call that is
-fixed per object.  A ThetaSignature holds its sign vector s,
-Theta = diag(s) and the sign mask s s^T as read-only arrays built once,
-and every Theta X Theta is the entry-wise product mask * X: for finite X
-this equals the two matrix products bit for bit, since a product with a
-+-1 diagonal adds only exact zeros.  An element's matrix is assembled
-once, on first access, and is read-only.  make_element checks u, v, w
-(finite; u, w antisymmetric to 1e-13 of each slice's own scale, never of
-the stack's largest entry); those checks imply both g_Theta conditions on
-the assembled matrix, so it is not re-checked.
+matrices, as stacks and one at a time; the per-element cost is Python
+overhead, so nothing fixed per object is recomputed per call.  A
+ThetaSignature holds s, Theta = diag(s), the sign mask s s^T (Theta X Theta
+is mask * X, equal to the two products bit for bit for finite X) and the
+draw map, all read-only and built once.  A sampled element is built as
+its matrix, through the draw map, and only checked finite: its u, v, w
+are views of that matrix.  make_element checks the u, v, w of a caller
+(finite; u, w antisymmetric to 1e-13 of each slice's own scale), which
+imply both g_Theta conditions, and assembles the matrix once, on first
+access.  Every element's matrix is read-only.
 """
 
 from __future__ import annotations
@@ -89,6 +88,24 @@ class ThetaSignature:
     def mask(self) -> np.ndarray:
         """s s^T, so that Theta X Theta = mask * X (read-only)."""
         return _read_only(np.outer(self.signs, self.signs))
+
+    @cached_property
+    def draw_map(self) -> np.ndarray:
+        """The (n_draws, m^2) map from draws z to the entries z @ map before
+        halving: +-i at the mirrored entries of each u or w draw (0 on the
+        diagonal), +-1 at those of each v draw (read-only)."""
+        p, q, n = self.p, self.q, self.n_draws
+        e = np.eye(n)
+        u = e[:, :p * p].reshape(n, p, p)
+        v = e[:, p * p + q * q:].reshape(n, p, q)
+        w = e[:, p * p:p * p + q * q].reshape(n, q, q)
+        a = GaugeAlgebraElement(self, u - u.mT, v, w - w.mT).matrix
+        return _read_only(a.reshape(n, -1))
+
+    @cached_property
+    def draw_scale(self) -> np.ndarray:
+        """1/2 on the u and w blocks, 1 on the v blocks (read-only)."""
+        return _read_only(np.where(self.mask < 0, 1.0, 0.5))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -186,14 +203,20 @@ def make_element(sig: ThetaSignature, u, v, w) -> GaugeAlgebraElement:
 def elements_from_draws(sig: ThetaSignature, z) -> GaugeAlgebraElement:
     """The element(s) random_element makes from its normal draws z, of shape
     (..., sig.n_draws): u, then w, then v, row-major; u and w are
-    antisymmetrized as (M - M^T) / 2."""
-    p, q = sig.p, sig.q
+    antisymmetrized as (M - M^T) / 2.  The matrix is (z @ draw_map) *
+    draw_scale, whose entries round(z_ij - z_ji) / 2 equal make_element's
+    route (up to signs of zeros); it is antisymmetric by construction, so
+    ValueError is raised only if z or a z_ij - z_ji is not finite."""
     z = np.asarray(z, dtype=float)
-    lead = z.shape[:-1]
-    u = z[..., :p * p].reshape(lead + (p, p))
-    w = z[..., p * p:p * p + q * q].reshape(lead + (q, q))
-    v = z[..., p * p + q * q:]
-    return make_element(sig, (u - u.mT) / 2, v, (w - w.mT) / 2)
+    p, m = sig.p, sig.m
+    a = _read_only((z @ sig.draw_map).reshape(z.shape[:-1] + (m, m))
+                   * sig.draw_scale)
+    if not (np.isfinite(z).all() and np.isfinite(a).all()):
+        raise ValueError("draws and their differences must be finite")
+    el = GaugeAlgebraElement(sig=sig, u=a[..., :p, :p].imag,
+                             v=a[..., :p, p:].real, w=a[..., p:, p:].imag)
+    el.__dict__["matrix"] = a   # the cached_property's slot
+    return el
 
 
 def random_element(sig: ThetaSignature, rng: np.random.Generator,
@@ -214,20 +237,15 @@ def random_elements(sig: ThetaSignature, rng: np.random.Generator,
 def membership_residual(X, sig: ThetaSignature):
     """Distance of X from g_Theta: max of the two defining residuals."""
     X = np.asarray(X, dtype=complex)
-    return _out(np.maximum(max_abs(X + X.mT),
-                           max_abs(sig.mask * X.conj().mT - X)))
+    return _out(np.maximum(np.abs(X + X.mT), np.abs(sig.mask * X.conj().mT - X))
+                .max(axis=(-2, -1), initial=0.0))
 
 
 def cartan_split(a: GaugeAlgebraElement) -> CartanComponents:
-    p, m = a.sig.p, a.sig.m
-    lead = a.v.shape[:-2]
-    b = np.zeros(lead + (m, m), dtype=complex)
-    b[..., :p, p:] = a.v
-    b[..., p:, :p] = -a.v.mT
-    c = np.zeros(lead + (m, m), dtype=complex)
-    c[..., :p, :p] = 1j * a.u
-    c[..., p:, p:] = 1j * a.w
-    return CartanComponents(b=b, c=c)
+    """b is the matrix on the v blocks (where mask < 0), c the rest."""
+    vblocks = a.sig.mask < 0
+    return CartanComponents(b=np.where(vblocks, a.matrix, 0),
+                            c=np.where(vblocks, 0, a.matrix))
 
 
 @dataclass(frozen=True)
@@ -396,8 +414,10 @@ def parity_relations_check(a: GaugeAlgebraElement, x) -> ParityRelationsReport:
     sig = a.sig
     comp = cartan_split(a)
     x = np.asarray(x, dtype=float)
-    Uk_p, Uk_m = exp_compact(comp, sig, x), exp_compact(comp, sig, -x)
-    Up_p, Up_m = exp_noncompact(comp, sig, x), exp_noncompact(comp, sig, -x)
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, a.v.shape[:-2]))
+    xx = np.stack([x, -x])   # one SVD and one stacked expm per block
+    Uk_p, Uk_m = exp_compact(comp, sig, xx)
+    Up_p, Up_m = exp_noncompact(comp, sig, xx)
     scale = max_abs(Up_p) * max_abs(Up_m)
     r_k = max_abs(sig.mask * Uk_m - Uk_p)
     r_p = max_abs(sig.mask * Up_m - np.linalg.inv(Up_p)) / scale

@@ -12,6 +12,10 @@ grid parity); P^2 = R^2 = I and PR = -RP, which rotated_involution checks,
 make it equal the symmetric form exp(-i phi R/2) P exp(i phi R/2) too.
 All products are sparse.  verify_clifford_relations returns residuals
 only; the records that bound them decide pass or fail.
+
+A sweep over phi passes one (P, R) pair at every angle, so
+rotated_involution keeps the last pair that passed its checks, keyed by
+the bytes of both CSR arrays, with P R: only a new or edited pair is checked.
 """
 
 from __future__ import annotations
@@ -80,16 +84,25 @@ def verify_clifford_relations(gens: CliffordGenerators) -> CliffordReport:
     return CliffordReport(max_residual=res, span_dim=span_dim)
 
 
+_checked = None   # (key, P R) of the last (P, R) pair that passed the checks
+
+
 def rotated_involution(parity, sign_op, phi: float) -> RotatedInvolution:
     """P_phi = cos(phi) P + i sin(phi) P R, the closed form of P exp(i phi R),
     as a CSR array from dense or sparse P and R.  Raises ValueError unless
     P and R are involutions that anticommute (each to 1e-12)."""
+    global _checked
     P = scipy.sparse.csr_array(parity)
     R = scipy.sparse.csr_array(sign_op)
-    PR = P @ R
-    eye = scipy.sparse.eye_array(P.shape[0], format="csr")
-    if _max_abs(P @ P - eye) > 1e-12 or _max_abs(R @ R - eye) > 1e-12:
-        raise ValueError("parity and sign operators must be involutions")
-    if _max_abs(PR + R @ P) > 1e-12:
-        raise ValueError("parity and sign operators must anticommute")
-    return RotatedInvolution(matrix=math.cos(phi) * P + 1j * math.sin(phi) * PR)
+    key = [(A.shape, A.dtype.str, A.data.tobytes(), A.indices.tobytes(),
+            A.indptr.tobytes()) for A in (P, R)]
+    if _checked is None or _checked[0] != key:
+        PR = P @ R
+        eye = scipy.sparse.eye_array(P.shape[0], format="csr")
+        if _max_abs(P @ P - eye) > 1e-12 or _max_abs(R @ R - eye) > 1e-12:
+            raise ValueError("parity and sign operators must be involutions")
+        if _max_abs(PR + R @ P) > 1e-12:
+            raise ValueError("parity and sign operators must anticommute")
+        _checked = key, PR
+    return RotatedInvolution(
+        matrix=math.cos(phi) * P + 1j * math.sin(phi) * _checked[1])

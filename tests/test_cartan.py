@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ptgauge.cartan import (
     ThetaSignature,
     cartan_split,
+    elements_from_draws,
     exp_compact,
     exp_noncompact,
     group_polar,
@@ -18,7 +19,7 @@ from ptgauge.cartan import (
     random_elements,
     wick_check,
 )
-from ptgauge.linalg import expm, worst_residual
+from ptgauge.linalg import expm, max_abs, worst_residual
 from ptgauge.reporting import CheckRecord
 
 SIGS = [(1, 1), (2, 1), (2, 2), (3, 1), (2, 0)]
@@ -326,3 +327,95 @@ class TestStacks:
         with pytest.raises(ValueError, match="leading axes"):
             make_element(ThetaSignature(2, 1), np.zeros((3, 2, 2)),
                          np.zeros((3, 2, 1)), np.zeros((2, 1, 1)))
+
+
+def _from_draws_by_blocks(sig, z):
+    """The route elements_from_draws replaced: u, w, v cut from the draws,
+    antisymmetrized as (M - M^T) / 2 and passed to make_element."""
+    p, q = sig.p, sig.q
+    lead = z.shape[:-1]
+    U = z[..., :p * p].reshape(lead + (p, p))
+    W = z[..., p * p:p * p + q * q].reshape(lead + (q, q))
+    return make_element(sig, (U - U.mT) / 2, z[..., p * p + q * q:],
+                        (W - W.mT) / 2)
+
+
+class TestDrawRoute:
+    """elements_from_draws builds the matrix from the draw map; its blocks
+    and matrix equal make_element's on the same draws."""
+
+    @pytest.mark.parametrize("pq", [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2),
+                                    (4, 3)])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e300])
+    def test_equals_make_element(self, pq, shape, scale):
+        sig = ThetaSignature(*pq)
+        rng = np.random.default_rng(10 * pq[0] + pq[1])
+        z = rng.standard_normal(shape + (sig.n_draws,)) * scale
+        el, ref = elements_from_draws(sig, z), _from_draws_by_blocks(sig, z)
+        for f in ("u", "v", "w", "matrix"):
+            assert np.array_equal(getattr(el, f), getattr(ref, f))
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1, 5, 8])   # u diagonal, u, w, v
+    def test_nonfinite_draw_rejected(self, value, index):
+        sig = ThetaSignature(2, 2)
+        z = np.zeros((3, sig.n_draws))
+        z[1, index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            elements_from_draws(sig, z)
+        with pytest.raises(ValueError, match="must be finite"):
+            _from_draws_by_blocks(sig, z)
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    @pytest.mark.parametrize("ij, ji", [(1, 2), (5, 6)])   # in u, in w
+    def test_overflowing_pair_rejected(self, ij, ji):
+        """z_ij - z_ji overflows though both draws are finite."""
+        sig = ThetaSignature(2, 2)
+        z = np.zeros(sig.n_draws)
+        z[ij], z[ji] = 1e308, -1e308
+        with pytest.raises(ValueError, match="must be finite"):
+            elements_from_draws(sig, z)
+        with pytest.raises(ValueError, match="must be finite"):
+            _from_draws_by_blocks(sig, z)
+
+    def test_matrix_and_blocks_read_only(self):
+        sig = ThetaSignature(3, 2)
+        el = random_elements(sig, np.random.default_rng(0), 4)
+        for a in (el.matrix, el.u, el.v, el.w, sig.draw_map, sig.draw_scale):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
+def _parity_by_four_exponentials(a, x):
+    """parity_relations_check's residuals with exp_compact and
+    exp_noncompact called once each at x and at -x: the oracle that the
+    stacked evaluation of x and -x must equal bit for bit."""
+    sig = a.sig
+    comp = cartan_split(a)
+    x = np.asarray(x, dtype=float)
+    Uk_p, Uk_m = exp_compact(comp, sig, x), exp_compact(comp, sig, -x)
+    Up_p, Up_m = exp_noncompact(comp, sig, x), exp_noncompact(comp, sig, -x)
+    scale = max_abs(Up_p) * max_abs(Up_m)
+    r_k = max_abs(sig.mask * Uk_m - Uk_p)
+    r_p = max_abs(sig.mask * Up_m - np.linalg.inv(Up_p)) / scale
+    U_pos, U_neg = Uk_p @ Up_p, Uk_m @ Up_m
+    r_eta = max_abs((U_pos.conj().mT * sig.signs) @ U_neg - sig.theta) / scale
+    return r_k, r_p, r_eta
+
+
+@pytest.mark.parametrize("pq", [(2, 1), (3, 2), (2, 0)])
+def test_parity_relations_pinned_to_four_exponentials(pq):
+    sig = ThetaSignature(*pq)
+    rng = np.random.default_rng(5)
+    one = random_element(sig, rng)
+    stack = random_elements(sig, rng, 6)
+    for el, x in ((one, 1.3), (one, -0.4), (stack, rng.uniform(-3, 3, 6)),
+                  (stack, 0.7), (stack, np.linspace(-2, 2, 3)[:, None])):
+        out = parity_relations_check(el, x)
+        expected = _parity_by_four_exponentials(el, x)
+        got = (out.compact_residual, out.noncompact_residual,
+               out.metric_residual)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)

@@ -207,6 +207,10 @@ INVALID = [
     ["cartan", "--seed=-1"],
     ["lts-check", "--p", "0"],
     ["lts-check", "--samples", "0"],
+    # g_Theta of dimension <= 1: no bracket can leave it
+    ["lts-check", "--p", "1", "--q", "1"],
+    ["lts-check", "--p", "2", "--q", "0"],
+    ["lts-check", "--p", "1", "--q", "0"],
     ["spectrum-matrix", "--h", "100"],
     ["spectrum-matrix", "--n-low", "0"],
     ["spectrum-matrix", "--gauge-alpha", "inf"],

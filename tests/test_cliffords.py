@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -143,3 +145,36 @@ class TestRotatedInvolutionOracle:
         assert isinstance(M, scipy.sparse.csr_array)
         assert np.array_equal(np.diff(M.indptr), np.ones(n))
         assert np.array_equal(M.indices, np.arange(n)[::-1])
+
+
+class TestRotatedInvolutionMemo:
+    """The last (P, R) pair that passed its checks is kept; any other pair,
+    an edited one included, is checked again."""
+
+    def test_invalid_pair_raises_after_a_valid_one(self):
+        P, R = _pr()
+        rotated_involution(P, R, 0.3)
+        with pytest.raises(ValueError, match="involutions"):
+            rotated_involution(P, 2 * R, 0.3)
+        rotated_involution(P, R, 0.3)
+        with pytest.raises(ValueError, match="anticommute"):
+            rotated_involution(P, P, 0.3)
+        with pytest.raises(ValueError, match="anticommute"):
+            rotated_involution(P, P, 0.3)
+
+    def test_in_place_edit_is_checked_again(self):
+        P, R = _pr()
+        P = P.copy()
+        rotated_involution(P, R, 0.3)
+        P.data[0] = 2.0
+        with pytest.raises(ValueError, match="involutions"):
+            rotated_involution(P, R, 0.3)
+
+    def test_alternating_pairs(self):
+        P, R = _pr()
+        pairs = [(P, R), (P, -R), _pr(half=5, h=0.3)]
+        for phi in np.linspace(-3.0, 3.0, 7):
+            for A, B in pairs:
+                M = rotated_involution(A, B, float(phi)).matrix
+                ref = math.cos(phi) * A + 1j * math.sin(phi) * (A @ B)
+                assert np.array_equal(M.toarray(), ref.toarray())
