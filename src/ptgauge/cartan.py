@@ -20,30 +20,29 @@ Closed-form exponentials:
             below a 1e-8 singular-value threshold.
   exp(c x): block-diagonal Hermitian exponential diag(e^{iux}, e^{iwx}).
 
-Stacks.  Every kernel works on the trailing (m, m) axes, so one body
-serves one matrix and a stack.  An element whose u, v, w carry leading
-axes, say (k,), is a stack of k elements: its matrix is (k, m, m), it is
-indexed like an array (stack[i] is the i-th element), and lts_check,
-membership_residual, wick_check, exp_compact, exp_noncompact,
-parity_relations_check and group_polar give an array of per-element
-residuals where one element gives a float.  x may be an array that
-broadcasts against the leading axes; parity_relations_check stacks x and
--x, so it takes one SVD and one stacked expm per block.  Each slice of a
-stacked result equals the per-element call bit for bit: numpy's stacked
-matmul, svd and inv and scipy's stacked expm run the same kernel on every
-slice, and the entry-wise steps do not depend on the stack.
+Stacks.  An element is its matrix: a (m, m) matrix is one element, a
+(..., m, m) stack of them, say (k, m, m), is k elements, indexed like an
+array (stack[i] is the i-th element).  Stacks come from draws
+(elements_from_draws, random_elements); make_element checks and builds
+one element from its blocks.  Every kernel works on the trailing (m, m)
+axes, so lts_check, membership_residual, wick_check, exp_compact,
+exp_noncompact, parity_relations_check and group_polar give an array of
+per-element residuals where one element gives a float.  x may be an
+array that broadcasts against the leading axes; parity_relations_check
+stacks x and -x, so it takes one SVD and one stacked expm per block.
+Each slice of a stacked result equals the per-element call bit for bit:
+numpy's stacked matmul, svd and inv and scipy's stacked expm run the same
+kernel on every slice, and the entry-wise steps do not depend on the
+stack.
 
 Per-call cost.  The checks run these kernels on thousands of 3x3 to 5x5
 matrices, as stacks and one at a time; the per-element cost is Python
 overhead, so nothing fixed per object is recomputed per call.  A
 ThetaSignature holds s, Theta = diag(s), the sign mask s s^T (Theta X Theta
 is mask * X, equal to the two products bit for bit for finite X) and the
-draw map, all read-only and built once.  A sampled element is built as
-its matrix, through the draw map, and only checked finite: its u, v, w
-are views of that matrix.  make_element checks the u, v, w of a caller
-(finite; u, w antisymmetric to 1e-13 of each slice's own scale), which
-imply both g_Theta conditions, and assembles the matrix once, on first
-access.  Every element's matrix is read-only.
+draw map, all read-only and built once.  A sampled element is its matrix,
+built through the draw map and only checked finite; u, v, w are views of
+the matrix.  Both constructors return read-only matrices.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ class ThetaSignature:
         u = e[:, :p * p].reshape(n, p, p)
         v = e[:, p * p + q * q:].reshape(n, p, q)
         w = e[:, p * p:p * p + q * q].reshape(n, q, q)
-        a = GaugeAlgebraElement(self, u - u.mT, v, w - w.mT).matrix
+        a = _assemble(self, u - u.mT, v, w - w.mT)
         return _read_only(a.reshape(n, -1))
 
     @cached_property
@@ -118,53 +117,49 @@ def _out(r):
     return float(r) if r.ndim == 0 else r
 
 
-def _all(b) -> bool:
-    """True if every entry of a boolean scalar or array is (a scalar costs no
-    reduction, which is most of a per-element check)."""
-    return bool(b) if b.ndim == 0 else bool(b.all())
+def _assemble(sig: ThetaSignature, u, v, w) -> np.ndarray:
+    """The block matrix [[i u, v], [-v^T, i w]] over the trailing axes."""
+    p, m = sig.p, sig.m
+    a = np.zeros(v.shape[:-2] + (m, m), dtype=complex)
+    a[..., :p, :p] = 1j * u
+    a[..., :p, p:] = v
+    a[..., p:, :p] = -v.mT
+    a[..., p:, p:] = 1j * w
+    return a
 
 
-def _check_antisymmetric_real(M, name, n):
+def _real_block(M, name: str, shape: tuple) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.shape[-2:] != (n, n):
-        raise ValueError(f"{name} must be {n}x{n} real")
-    scale = max_abs(M)   # per slice; NaN or inf unless the slice is finite
-    if not _all(np.isfinite(scale)):
+    if M.shape != shape:
+        raise ValueError(f"{name} must be {shape[0]}x{shape[1]} real")
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} must be finite")
-    # |M + M^T| <= 1e-13 max(1, scale), slice by slice, as two comparisons
-    gap = max_abs(M + M.mT)
-    if not _all((gap <= 1e-13) | (gap <= 1e-13 * scale)):
-        raise ValueError(f"{name} must be antisymmetric")
     return M
 
 
 @dataclass(frozen=True)
 class GaugeAlgebraElement:
-    """An element of g_Theta from its blocks, or a stack of elements when
-    u, v, w carry leading axes; u, v, w are not to be changed in place,
-    since the matrix is assembled from them once."""
+    """An element of g_Theta as its (m, m) matrix, or a stack of elements
+    as a (..., m, m) matrix; u, v, w are read-only views of its blocks."""
 
     sig: ThetaSignature
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    matrix: np.ndarray
 
     def __getitem__(self, index) -> "GaugeAlgebraElement":
         """The element or sub-stack at index of the leading axes."""
-        return GaugeAlgebraElement(sig=self.sig, u=self.u[index],
-                                   v=self.v[index], w=self.w[index])
+        return GaugeAlgebraElement(self.sig, self.matrix[index])
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The assembled (..., m, m) block matrix, built on first access
-        (read-only)."""
-        p, m = self.sig.p, self.sig.m
-        a = np.zeros(self.v.shape[:-2] + (m, m), dtype=complex)
-        a[..., :p, :p] = 1j * self.u
-        a[..., :p, p:] = self.v
-        a[..., p:, :p] = -self.v.mT
-        a[..., p:, p:] = 1j * self.w
-        return _read_only(a)
+    @property
+    def u(self) -> np.ndarray:
+        return self.matrix[..., :self.sig.p, :self.sig.p].imag
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.matrix[..., :self.sig.p, self.sig.p:].real
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.matrix[..., self.sig.p:, self.sig.p:].imag
 
     @property
     def gauge_potential(self) -> np.ndarray:
@@ -179,44 +174,38 @@ class CartanComponents:
 
 
 def make_element(sig: ThetaSignature, u, v, w) -> GaugeAlgebraElement:
-    """The checked constructor: u, v, w finite and real, u and w antisymmetric
-    to 1e-13 of their scale.  u (..., p, p) and w (..., q, q) with leading
-    axes make a stack; v is then reshaped to (..., p, q).
+    """The checked constructor of one element: u (p, p), v (p, q) and
+    w (q, q) finite and real, u and w antisymmetric to 1e-13 of their scale.
 
-    Raises ValueError otherwise, if any element of a stack fails.  Both
-    defining residuals of the assembled matrix a, |a + a^T| and
-    |Theta a^H Theta - a|, equal max(|u + u^T|, |w + w^T|), and the scale
-    max(1, |a|) is at least that of u and of w, so these checks imply a in
-    g_Theta to 1e-13 of its scale.
+    Raises ValueError otherwise.  Both defining residuals of the assembled
+    matrix a, |a + a^T| and |Theta a^H Theta - a|, equal
+    max(|u + u^T|, |w + w^T|), and the scale max(1, |a|) is at least that
+    of u and of w, so these checks imply a in g_Theta to 1e-13 of its scale.
     """
     p, q = sig.p, sig.q
-    u = _check_antisymmetric_real(u, "u", p)
-    w = _check_antisymmetric_real(w, "w", q)
-    if u.shape[:-2] != w.shape[:-2]:
-        raise ValueError("u and w must have the same leading axes")
-    v = np.asarray(v, dtype=float).reshape(u.shape[:-2] + (p, q))
-    if not np.isfinite(v).all():
-        raise ValueError("v must be finite")
-    return GaugeAlgebraElement(sig=sig, u=u, v=v, w=w)
+    u = _real_block(u, "u", (p, p))
+    w = _real_block(w, "w", (q, q))
+    v = _real_block(v, "v", (p, q))
+    for M, name in ((u, "u"), (w, "w")):
+        if max_abs(M + M.T) > 1e-13 * max(1.0, max_abs(M)):
+            raise ValueError(f"{name} must be antisymmetric")
+    return GaugeAlgebraElement(sig, _read_only(_assemble(sig, u, v, w)))
 
 
 def elements_from_draws(sig: ThetaSignature, z) -> GaugeAlgebraElement:
     """The element(s) random_element makes from its normal draws z, of shape
     (..., sig.n_draws): u, then w, then v, row-major; u and w are
     antisymmetrized as (M - M^T) / 2.  The matrix is (z @ draw_map) *
-    draw_scale, whose entries round(z_ij - z_ji) / 2 equal make_element's
-    route (up to signs of zeros); it is antisymmetric by construction, so
-    ValueError is raised only if z or a z_ij - z_ji is not finite."""
+    draw_scale, whose entries are round(z_ij - z_ji) / 2 on the u and w
+    blocks; it is antisymmetric by construction, so ValueError is raised
+    only if z or a z_ij - z_ji is not finite."""
     z = np.asarray(z, dtype=float)
-    p, m = sig.p, sig.m
+    m = sig.m
     a = _read_only((z @ sig.draw_map).reshape(z.shape[:-1] + (m, m))
                    * sig.draw_scale)
     if not (np.isfinite(z).all() and np.isfinite(a).all()):
         raise ValueError("draws and their differences must be finite")
-    el = GaugeAlgebraElement(sig=sig, u=a[..., :p, :p].imag,
-                             v=a[..., :p, p:].real, w=a[..., p:, p:].imag)
-    el.__dict__["matrix"] = a   # the cached_property's slot
-    return el
+    return GaugeAlgebraElement(sig, a)
 
 
 def random_element(sig: ThetaSignature, rng: np.random.Generator,
@@ -225,13 +214,13 @@ def random_element(sig: ThetaSignature, rng: np.random.Generator,
 
 
 def random_elements(sig: ThetaSignature, rng: np.random.Generator,
-                    shape, scale: float = 1.0) -> GaugeAlgebraElement:
+                    shape) -> GaugeAlgebraElement:
     """A stack of the given leading shape, drawn in row-major order: the
     generator ends where as many random_element calls leave it, and each
     element equals theirs bit for bit."""
     shape = tuple(np.atleast_1d(shape))
     return elements_from_draws(
-        sig, rng.standard_normal(shape + (sig.n_draws,)) * scale)
+        sig, rng.standard_normal(shape + (sig.n_draws,)))
 
 
 def membership_residual(X, sig: ThetaSignature):
@@ -414,7 +403,7 @@ def parity_relations_check(a: GaugeAlgebraElement, x) -> ParityRelationsReport:
     sig = a.sig
     comp = cartan_split(a)
     x = np.asarray(x, dtype=float)
-    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, a.v.shape[:-2]))
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, a.matrix.shape[:-2]))
     xx = np.stack([x, -x])   # one SVD and one stacked expm per block
     Uk_p, Uk_m = exp_compact(comp, sig, xx)
     Up_p, Up_m = exp_noncompact(comp, sig, xx)

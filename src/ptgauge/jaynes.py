@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import CartanComponents, GaugeAlgebraElement, ThetaSignature, \
-    cartan_split
+from .cartan import GaugeAlgebraElement, ThetaSignature
 from .linalg import Grid1D, eig, lowest_common, lowest_modes, match_spectra
 from .schrodinger import ConstantGauge, MatrixPotential, build_gauged
 
@@ -124,10 +123,6 @@ def jc_pt_check(H_jc: np.ndarray, sig: ThetaSignature, n_max: int) -> float:
     return float(np.abs(S @ H_jc.conj() @ S - H_jc).max())
 
 
-def _flip_element(el: GaugeAlgebraElement, s: int) -> GaugeAlgebraElement:
-    return GaugeAlgebraElement(sig=el.sig, u=s * el.u, v=s * el.v, w=s * el.w)
-
-
 @dataclass(frozen=True)
 class JcEquivalenceReport:
     sign_convention: int         # s in {+1, -1} giving the better match
@@ -167,7 +162,10 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     k = min(N_COMPARE, n_max // 2)
 
     def fock_spectrum(s, n):
-        return eig(build_jc(nilpotent_split(_flip_element(el, s)), omega, n))
+        flipped = s * el.matrix
+        flipped.flags.writeable = False
+        split = nilpotent_split(GaugeAlgebraElement(el.sig, flipped))
+        return eig(build_jc(split, omega, n))
 
     fock = {s: fock_spectrum(s, n_max) for s in (+1, -1)}
     low_grid, *lows = lowest_common(k, lambda j: lowest_modes(H_g, j),

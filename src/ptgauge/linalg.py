@@ -310,7 +310,8 @@ def lowest_common(k: int, *spectra) -> list:
     conjugate pair in any of them (see lowest).
 
     Each spectrum is an array of values or a callable mapping a cut to its
-    pair-safe lowest values, such as lambda j: lowest_modes(M, j).
+    pair-safe lowest values, such as lambda j: lowest_modes(M, j).  Raises
+    ValueError if a spectrum has fewer values than the cut asks for.
     """
     def low(s, j):
         return s(j) if callable(s) else lowest(s, j)
@@ -318,10 +319,10 @@ def lowest_common(k: int, *spectra) -> list:
     while True:
         lows = [low(s, k) for s in spectra]
         lengths = {len(v) for v in lows}
-        if len(lengths) == 1:
-            return lows
         if min(lengths) < k:
             raise ValueError(f"a spectrum has fewer than {k} values")
+        if len(lengths) == 1:
+            return lows
         k = max(lengths)
 
 

@@ -154,8 +154,10 @@ class CartanParams(_Params):
     seed: int = 0
 
     def check(self):
-        m = self.signature().m   # ValueError unless p >= 1 and q >= 0
-        _require_dense(m, "signature (p, q)")
+        sig = self.signature()   # ValueError unless p >= 1 and q >= 0
+        # the largest array is the draw map, n_draws x m^2
+        _require_budget(sig.n_draws * sig.m * sig.m,
+                        f"the draw map of signature ({self.p}, {self.q})")
         _require(self.samples >= 1, "samples must be >= 1")
         _require(self.seed >= 0, "seed must be >= 0")
 
@@ -186,7 +188,8 @@ class SpectrumMatrixParams(_Params):
         # weak form's test vectors are the largest array
         dim = 2 * self.grid().size
         _require_budget(18 * dim, f"the {dim} x 18 block of test vectors")
-        _require(self.n_low >= 1, "n-low must be >= 1")
+        _require(1 <= self.n_low <= dim,
+                 f"need 1 <= n-low <= {dim}, the operator dimension")
         # e^{-iAx} turns by up to |alpha| box rad: expm keeps no digit of
         # that past 1/eps = 4.5e15, and near 1e18 the regauged build overflows
         _require(abs(self.gauge_alpha) * self.box <= 1e15, "need |gauge-alpha| "

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +79,34 @@ class TestElements:
                        np.abs(th @ X.conj().T @ th - X).max())
         assert membership_residual(X, sig) == expected
 
+    def test_element_is_its_matrix(self):
+        assert [f.name for f in fields(GaugeAlgebraElement)] == \
+            ["sig", "matrix"]
+        sig = ThetaSignature(3, 2)
+        rng = np.random.default_rng(4)
+        u, w = (M - M.T for M in (rng.standard_normal((n, n)) for n in (3, 2)))
+        v = rng.standard_normal((3, 2))
+        el = make_element(sig, u, v, w)
+        assert np.array_equal(el.matrix, _block_matrix(u, v, w))
+        for f, block in zip("uvw", (u, v, w)):
+            assert np.array_equal(getattr(el, f), block)
+        with pytest.raises(ValueError, match="read-only"):
+            el.matrix[...] = 0
+
+    @pytest.mark.parametrize("bad, shape", [("u", (4, 3, 3)), ("v", (2, 3)),
+                                            ("v", (6,)), ("v", (4, 3, 2)),
+                                            ("w", (4, 2, 2))])
+    def test_block_shape_checked(self, bad, shape):
+        """One element's blocks only: v is not reshaped, and a stack of
+        blocks is rejected (stacks come from draws)."""
+        parts = {"u": np.zeros((3, 3)), "v": np.zeros((3, 2)),
+                 "w": np.zeros((2, 2))}
+        expected = {name: f"{name} must be {M.shape[0]}x{M.shape[1]} real"
+                    for name, M in parts.items()}
+        parts[bad] = np.zeros(shape)
+        with pytest.raises(ValueError, match=expected[bad]):
+            make_element(ThetaSignature(3, 2), **parts)
+
     def test_cached_arrays_read_only(self):
         el = _el((2, 1), 0)
         for a in (el.sig.signs, el.sig.theta, el.sig.mask, el.matrix):
@@ -116,9 +146,10 @@ class TestCartanSplit:
 
     def test_wick_check_fails_on_nan(self):
         sig = ThetaSignature(2, 1)
-        el = GaugeAlgebraElement(sig, u=np.zeros((2, 2)),
-                                 v=np.array([[0.5], [np.nan]]),
-                                 w=np.zeros((1, 1)))
+        a = np.zeros((3, 3), dtype=complex)
+        a[:2, 2] = [0.5, np.nan]
+        a[2, :2] = -a[:2, 2]
+        el = GaugeAlgebraElement(sig, a)
         assert not CheckRecord("cartan/wick_membership", _wick_residual(el),
                                1e-12).passed
 
@@ -302,47 +333,25 @@ class TestStacks:
             assert _same(Uk[j, i], exp_compact(c, sig, float(x[j, 0])))
             assert _same(Up[j, i], exp_noncompact(c, sig, float(x[j, 0])))
 
-    def test_each_slice_validated_at_its_own_scale(self):
-        """Next to u = 1e6 J, a slice with |u + u^T| = 1e-10 is rejected:
-        that is over 1e-13 of its own scale (1), though under 1e-13 of the
-        stack's largest entry (1e-7)."""
-        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        big = 1e6 * J
-        skew = np.array([[0.0, 1e-10], [0.0, 0.0]])
-        sig = ThetaSignature(2, 1)
-        v, w = np.zeros((2, 2, 1)), np.zeros((2, 1, 1))
-        make_element(sig, np.stack([big, J]), v, w)
-        with pytest.raises(ValueError, match="u must be antisymmetric"):
-            make_element(sig, np.stack([big, skew]), v, w)
 
-    @pytest.mark.parametrize("bad", ["u", "v", "w"])
-    def test_one_nonfinite_slice_rejects_the_stack(self, bad):
-        parts = {"u": np.zeros((3, 2, 2)), "v": np.zeros((3, 2, 2)),
-                 "w": np.zeros((3, 2, 2))}
-        parts[bad][1, 0, 1] = np.nan
-        with pytest.raises(ValueError, match=f"{bad} must be finite"):
-            make_element(ThetaSignature(2, 2), **parts)
-
-    def test_mismatched_leading_axes_rejected(self):
-        with pytest.raises(ValueError, match="leading axes"):
-            make_element(ThetaSignature(2, 1), np.zeros((3, 2, 2)),
-                         np.zeros((3, 2, 1)), np.zeros((2, 1, 1)))
-
-
-def _from_draws_by_blocks(sig, z):
-    """The route elements_from_draws replaced: u, w, v cut from the draws,
-    antisymmetrized as (M - M^T) / 2 and passed to make_element."""
+def _blocks(sig, z):
+    """u, v, w cut from one element's draws, u and w antisymmetrized as
+    (M - M^T) / 2."""
     p, q = sig.p, sig.q
-    lead = z.shape[:-1]
-    U = z[..., :p * p].reshape(lead + (p, p))
-    W = z[..., p * p:p * p + q * q].reshape(lead + (q, q))
-    return make_element(sig, (U - U.mT) / 2, z[..., p * p + q * q:],
-                        (W - W.mT) / 2)
+    U = z[:p * p].reshape(p, p)
+    W = z[p * p:p * p + q * q].reshape(q, q)
+    return (U - U.T) / 2, z[p * p + q * q:].reshape(p, q), (W - W.T) / 2
+
+
+def _block_matrix(u, v, w):
+    """[[i u, v], [-v^T, i w]], assembled here by np.block."""
+    return np.block([[1j * u, v], [-v.T, 1j * w]])
 
 
 class TestDrawRoute:
-    """elements_from_draws builds the matrix from the draw map; its blocks
-    and matrix equal make_element's on the same draws."""
+    """elements_from_draws builds the matrix from the draw map; it equals
+    the block matrix of the same draws, assembled here by np.block, and
+    make_element's element of them, slice by slice."""
 
     @pytest.mark.parametrize("pq", [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2),
                                     (4, 3)])
@@ -352,9 +361,15 @@ class TestDrawRoute:
         sig = ThetaSignature(*pq)
         rng = np.random.default_rng(10 * pq[0] + pq[1])
         z = rng.standard_normal(shape + (sig.n_draws,)) * scale
-        el, ref = elements_from_draws(sig, z), _from_draws_by_blocks(sig, z)
-        for f in ("u", "v", "w", "matrix"):
-            assert np.array_equal(getattr(el, f), getattr(ref, f))
+        el = elements_from_draws(sig, z)
+        assert el.matrix.shape == shape + (sig.m, sig.m)
+        for i in np.ndindex(shape):
+            u, v, w = _blocks(sig, z[i])
+            ref = _block_matrix(u, v, w)
+            assert np.array_equal(el.matrix[i], ref)
+            assert np.array_equal(make_element(sig, u, v, w).matrix, ref)
+            for f, block in zip("uvw", (u, v, w)):
+                assert np.array_equal(getattr(el[i], f), block)
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -366,7 +381,7 @@ class TestDrawRoute:
         with pytest.raises(ValueError, match="must be finite"):
             elements_from_draws(sig, z)
         with pytest.raises(ValueError, match="must be finite"):
-            _from_draws_by_blocks(sig, z)
+            make_element(sig, *_blocks(sig, z[1]))
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
     @pytest.mark.parametrize("ij, ji", [(1, 2), (5, 6)])   # in u, in w
@@ -378,7 +393,7 @@ class TestDrawRoute:
         with pytest.raises(ValueError, match="must be finite"):
             elements_from_draws(sig, z)
         with pytest.raises(ValueError, match="must be finite"):
-            _from_draws_by_blocks(sig, z)
+            make_element(sig, *_blocks(sig, z))
 
     def test_matrix_and_blocks_read_only(self):
         sig = ThetaSignature(3, 2)

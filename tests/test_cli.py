@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 
 from ptgauge.cli import build_parser, main
-from ptgauge.verification import JcParams, SpectrumMatrixParams, \
-    UsageError, _parse_complex, _parse_range
+from ptgauge.verification import CartanParams, JcParams, LtsParams, \
+    SpectrumMatrixParams, UsageError, _parse_complex, _parse_range
 
 
 class TestParsers:
@@ -213,6 +213,7 @@ INVALID = [
     ["lts-check", "--p", "1", "--q", "0"],
     ["spectrum-matrix", "--h", "100"],
     ["spectrum-matrix", "--n-low", "0"],
+    ["spectrum-matrix", "--n-low", "1000"],     # over the dimension, 640
     ["spectrum-matrix", "--gauge-alpha", "inf"],
     ["spectrum-matrix", "--gauge-alpha", "1e20"],   # expm overflows
     ["spectrum-matrix", "--gauge-alpha", "1e18"],   # U loses unitarity
@@ -271,6 +272,22 @@ class TestInvalidInput:
         assert 2 * JcParams(h=0.004).grid().size > 8192
         with pytest.raises(UsageError, match="Arnoldi basis"):
             JcParams(h=2e-4)
+
+    def test_budget_sizes_the_draw_map(self):
+        """cartan and lts-check size their draw map, n_draws x m^2 complex
+        entries: 1.11e9 bytes at p = q = 49, where one m x m matrix is 154 kB.
+        Constructing the params allocates nothing."""
+        for params in (CartanParams, LtsParams):
+            params(p=48, q=48)
+            with pytest.raises(UsageError, match="draw map"):
+                params(p=49, q=49)
+
+    def test_n_low_bounded_by_the_dimension(self):
+        dim = 2 * SpectrumMatrixParams().grid().size
+        assert dim == 640
+        SpectrumMatrixParams(n_low=dim)
+        with pytest.raises(UsageError, match="operator dimension"):
+            SpectrumMatrixParams(n_low=dim + 1)
 
     def test_config_file_value_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

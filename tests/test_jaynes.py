@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptgauge import jaynes
 from ptgauge.cartan import ThetaSignature, make_element, random_element
 from ptgauge.jaynes import (
     FockLadder,
@@ -116,6 +117,29 @@ class TestEquivalence:
         # the overall sign of a is spectrally irrelevant, so both sign
         # conventions must agree with the grid build
         assert out.max_dev_other <= 5e-2
+
+    def test_flipped_elements_read_only(self, monkeypatch):
+        """The Fock builds split s a for s = +1, -1 (and the better s again
+        at 1.5 n_max), each a read-only matrix of a's signature."""
+        seen = []
+
+        def spy(el):
+            seen.append(el)
+            return nilpotent_split(el)
+
+        monkeypatch.setattr(jaynes, "nilpotent_split", spy)
+        el = _el(0.3)
+        n_max = 8
+        grid = Grid1D.from_box(np.sqrt(2 * n_max) + 4.2, 0.05)
+        omega = LevelEnergies(omega=np.array([0.0, 0.5]))
+        out = jc_equivalence_check(el, omega, grid, n_max)
+        assert seen[0] is el
+        for flipped, s in zip(seen[1:], (+1, -1, out.sign_convention),
+                              strict=True):
+            assert flipped.sig == el.sig
+            assert np.array_equal(flipped.matrix, s * el.matrix)
+            with pytest.raises(ValueError, match="read-only"):
+                flipped.matrix[...] = 0
 
     def test_three_level_cut_keeps_conjugate_pairs(self):
         """Signature (2, 1): the lowest six modes end inside a conjugate

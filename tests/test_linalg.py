@@ -536,6 +536,11 @@ class TestLowest:
         with pytest.raises(ValueError):
             lowest_common(2, [0.0, 1 + 1j, 1 - 1j], [0.0, 1.0])
 
+    def test_common_cut_rejects_equally_short_spectra(self):
+        """Both spectra end below k, at the same length."""
+        with pytest.raises(ValueError, match="fewer than 3 values"):
+            lowest_common(3, [0.0, 1.0], [0.5, 2.0])
+
 
 def test_norm_estimate_matches_svd():
     """A complex 40 x 40 matrix with singular values 4, 1, 0.99, ...: the
