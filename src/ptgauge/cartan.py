@@ -40,9 +40,11 @@ matrices, as stacks and one at a time; the per-element cost is Python
 overhead, so nothing fixed per object is recomputed per call.  A
 ThetaSignature holds s, Theta = diag(s), the sign mask s s^T (Theta X Theta
 is mask * X, equal to the two products bit for bit for finite X) and the
-draw map, all read-only and built once.  A sampled element is its matrix,
-built through the draw map and only checked finite; u, v, w are views of
-the matrix.  Both constructors return read-only matrices.
+draw slots and scale, all read-only and built once.  A sampled element is
+its matrix: its draws are scattered into their slots, the result is
+antisymmetrized and scaled, and it is only checked finite; every array is
+O(m^2) per element.  u, v, w are views of the matrix.  Both constructors
+return read-only matrices.
 """
 
 from __future__ import annotations
@@ -89,22 +91,19 @@ class ThetaSignature:
         return _read_only(np.outer(self.signs, self.signs))
 
     @cached_property
-    def draw_map(self) -> np.ndarray:
-        """The (n_draws, m^2) map from draws z to the entries z @ map before
-        halving: +-i at the mirrored entries of each u or w draw (0 on the
-        diagonal), +-1 at those of each v draw (read-only)."""
-        p, q, n = self.p, self.q, self.n_draws
-        e = np.eye(n)
-        u = e[:, :p * p].reshape(n, p, p)
-        v = e[:, p * p + q * q:].reshape(n, p, q)
-        w = e[:, p * p:p * p + q * q].reshape(n, q, q)
-        a = _assemble(self, u - u.mT, v, w - w.mT)
-        return _read_only(a.reshape(n, -1))
+    def draw_slots(self) -> np.ndarray:
+        """The flat (m, m) position of each draw: the u block, then w, then
+        v, each row-major (read-only)."""
+        p, m = self.p, self.m
+        slots = np.arange(m * m).reshape(m, m)
+        return _read_only(np.concatenate([slots[:p, :p].ravel(),
+                                          slots[p:, p:].ravel(),
+                                          slots[:p, p:].ravel()]))
 
     @cached_property
     def draw_scale(self) -> np.ndarray:
-        """1/2 on the u and w blocks, 1 on the v blocks (read-only)."""
-        return _read_only(np.where(self.mask < 0, 1.0, 0.5))
+        """i/2 on the u and w blocks, 1 on the v blocks (read-only)."""
+        return _read_only(np.where(self.mask < 0, 1.0, 0.5j))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -115,17 +114,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _out(r):
     """A float for one element, the array of per-element values for a stack."""
     return float(r) if r.ndim == 0 else r
-
-
-def _assemble(sig: ThetaSignature, u, v, w) -> np.ndarray:
-    """The block matrix [[i u, v], [-v^T, i w]] over the trailing axes."""
-    p, m = sig.p, sig.m
-    a = np.zeros(v.shape[:-2] + (m, m), dtype=complex)
-    a[..., :p, :p] = 1j * u
-    a[..., :p, p:] = v
-    a[..., p:, :p] = -v.mT
-    a[..., p:, p:] = 1j * w
-    return a
 
 
 def _real_block(M, name: str, shape: tuple) -> np.ndarray:
@@ -189,23 +177,32 @@ def make_element(sig: ThetaSignature, u, v, w) -> GaugeAlgebraElement:
     for M, name in ((u, "u"), (w, "w")):
         if max_abs(M + M.T) > 1e-13 * max(1.0, max_abs(M)):
             raise ValueError(f"{name} must be antisymmetric")
-    return GaugeAlgebraElement(sig, _read_only(_assemble(sig, u, v, w)))
+    a = np.zeros((sig.m, sig.m), dtype=complex)
+    a[:p, :p] = 1j * u
+    a[:p, p:] = v
+    a[p:, :p] = -v.T
+    a[p:, p:] = 1j * w
+    return GaugeAlgebraElement(sig, _read_only(a))
 
 
 def elements_from_draws(sig: ThetaSignature, z) -> GaugeAlgebraElement:
     """The element(s) random_element makes from its normal draws z, of shape
     (..., sig.n_draws): u, then w, then v, row-major; u and w are
-    antisymmetrized as (M - M^T) / 2.  The matrix is (z @ draw_map) *
-    draw_scale, whose entries are round(z_ij - z_ji) / 2 on the u and w
-    blocks; it is antisymmetric by construction, so ValueError is raised
-    only if z or a z_ij - z_ji is not finite."""
+    antisymmetrized as (M - M^T) / 2.  The draws are scattered into a zero
+    matrix d at draw_slots, and the matrix is (d - d^T) * draw_scale: its
+    entries are round(z_ij - z_ji) i/2 on the u and w blocks, z_ij on the
+    upper and -z_ji on the lower v block.  It is antisymmetric by
+    construction, so ValueError is raised only if z or a z_ij - z_ji is not
+    finite; each draw has its own slot, so checking d - d^T covers both."""
     z = np.asarray(z, dtype=float)
-    m = sig.m
-    a = _read_only((z @ sig.draw_map).reshape(z.shape[:-1] + (m, m))
-                   * sig.draw_scale)
-    if not (np.isfinite(z).all() and np.isfinite(a).all()):
+    lead, m = z.shape[:-1], sig.m
+    d = np.zeros(lead + (m * m,))
+    d[..., sig.draw_slots] = z
+    d = d.reshape(lead + (m, m))
+    d = d - d.mT
+    if not np.isfinite(d).all():
         raise ValueError("draws and their differences must be finite")
-    return GaugeAlgebraElement(sig, a)
+    return GaugeAlgebraElement(sig, _read_only(d * sig.draw_scale))
 
 
 def random_element(sig: ThetaSignature, rng: np.random.Generator,

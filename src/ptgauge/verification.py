@@ -155,9 +155,12 @@ class CartanParams(_Params):
 
     def check(self):
         sig = self.signature()   # ValueError unless p >= 1 and q >= 0
-        # the largest array is the draw map, n_draws x m^2
-        _require_budget(sig.n_draws * sig.m * sig.m,
-                        f"the draw map of signature ({self.p}, {self.q})")
+        # the largest array is one batch's stack of element triples
+        # (lts-check; cartan stacks x and -x, two matrices an element): 3
+        # m x m complex matrices once m is so large that a batch holds one
+        m = sig.m
+        _require_budget(3 * m * m, f"one batch's stack of 3 {m} x {m} "
+                        f"complex matrices at signature ({self.p}, {self.q})")
         _require(self.samples >= 1, "samples must be >= 1")
         _require(self.seed >= 0, "seed must be >= 0")
 
@@ -463,12 +466,12 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
         # 2 max|[a_k, a_p]|.  It is measured against the bracket's own size:
         # for odd p the antisymmetric u is singular, so the bracket is small
         # whenever v lies near its kernel
-        # each of 50 draws is v, then u, then w; rolled to the draw map's
-        # order u, w, v, its v draws make a_k and the rest a_p
+        # each of 50 draws is v, then u, then w; rolled to the order u, w, v
+        # of elements_from_draws, its compact part is a_k and the rest a_p
         z = np.roll(rng.standard_normal((50, sig.n_draws)), -p * q, axis=-1)
-        on_v = np.arange(sig.n_draws) >= p * p + q * q
-        ak = cartan.elements_from_draws(sig, np.where(on_v, z, 0.0))
-        ap = cartan.elements_from_draws(sig, np.where(on_v, 0.0, z))
+        comp = cartan.cartan_split(cartan.elements_from_draws(sig, z))
+        ak = cartan.GaugeAlgebraElement(sig, comp.b)
+        ap = cartan.GaugeAlgebraElement(sig, comp.c)
         out = cartan.lts_check(ak, ap, ap)
         bracket = max_abs(ak.matrix @ ap.matrix - ap.matrix @ ak.matrix)
         escapes = out.binary_escape / np.maximum(bracket, 1e-30)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -349,12 +350,12 @@ def _block_matrix(u, v, w):
 
 
 class TestDrawRoute:
-    """elements_from_draws builds the matrix from the draw map; it equals
+    """elements_from_draws scatters the draws into the matrix; it equals
     the block matrix of the same draws, assembled here by np.block, and
     make_element's element of them, slice by slice."""
 
     @pytest.mark.parametrize("pq", [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2),
-                                    (4, 3)])
+                                    (4, 3), (9, 7), (7, 0)])
     @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
     @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e300])
     def test_equals_make_element(self, pq, shape, scale):
@@ -398,9 +399,25 @@ class TestDrawRoute:
     def test_matrix_and_blocks_read_only(self):
         sig = ThetaSignature(3, 2)
         el = random_elements(sig, np.random.default_rng(0), 4)
-        for a in (el.matrix, el.u, el.v, el.w, sig.draw_map, sig.draw_scale):
+        for a in (el.matrix, el.u, el.v, el.w, sig.draw_slots,
+                  sig.draw_scale):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+    def test_one_element_allocates_o_m_squared(self):
+        """One element at a fresh (20, 20) signature peaks under 1 MiB: its
+        slots, scale and matrix are m x m, and no n_draws x m^2 map is built
+        (that one alone took 41 MB)."""
+        sig = ThetaSignature(20, 20)
+        z = np.random.default_rng(0).standard_normal(sig.n_draws)
+        tracemalloc.start()
+        try:
+            el = elements_from_draws(sig, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert el.matrix.shape == (40, 40)
+        assert peak < 2**20
 
 
 def _parity_by_four_exponentials(a, x):

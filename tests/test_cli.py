@@ -273,14 +273,23 @@ class TestInvalidInput:
         with pytest.raises(UsageError, match="Arnoldi basis"):
             JcParams(h=2e-4)
 
-    def test_budget_sizes_the_draw_map(self):
-        """cartan and lts-check size their draw map, n_draws x m^2 complex
-        entries: 1.11e9 bytes at p = q = 49, where one m x m matrix is 154 kB.
+    def test_budget_sizes_one_batch_stack(self):
+        """cartan and lts-check size one batch's stack of element triples,
+        3 m^2 complex entries once a batch holds one element: 1073445168
+        bytes at m = 4729, 1073899200 at m = 4730, over the 1 GiB budget.
         Constructing the params allocates nothing."""
-        for params in (CartanParams, LtsParams):
-            params(p=48, q=48)
-            with pytest.raises(UsageError, match="draw map"):
-                params(p=49, q=49)
+        tracemalloc.start()
+        try:
+            for params in (CartanParams, LtsParams):
+                params(p=100, q=100)
+                params(p=2365, q=2364)
+                with pytest.raises(UsageError, match="one batch's stack of 3 "
+                                   "4730 x 4730 complex matrices"):
+                    params(p=2365, q=2365)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_n_low_bounded_by_the_dimension(self):
         dim = 2 * SpectrumMatrixParams().grid().size
