@@ -21,9 +21,21 @@ input's exact structure: a Hermitian matrix of bandwidth kd < n/32 goes
 to the band driver and is never densified.
 
 Where only the lowest modes are read, lowest_modes takes them from a
-sparse operator by certified shift-invert Arnoldi, without densifying.
-Dense eig remains for whole spectra (pairing classes, spectral
-similarity), for small operators and as the oracle of lowest_modes.
+sparse operator by certified shift-invert Krylov iteration, without
+densifying, on one of two routes chosen by the same structure test.
+A Hermitian operator narrow enough for eig's band driver takes
+shift-invert Lanczos.  A shift sigma just below its Gershgorin bound
+makes M - sigma I positive definite, so one banded Cholesky factor
+serves every solve, and the values nearest sigma are the lowest.  The
+returned values are then counted: by Sylvester's law of inertia, the
+unpivoted factorization M - cI = L D L^H has as many negative pivots
+as M has eigenvalues below c.  So when c sits in a gap past the kept
+values and the count equals the number of returned values below c, no
+eigenvalue below c was missed, not even a degenerate copy.  Any other
+operator takes shift-invert Arnoldi, whose kept set is certified by a
+Bendixson rectangle inside the disk the request covers.  Dense eig
+remains for whole spectra (pairing classes, spectral similarity), for
+small operators and as the oracle of lowest_modes.
 Every lowest-k cut goes through lowest, which never splits a conjugate
 pair, and lowest_common cuts spectra that are compared at one such k.
 
@@ -92,6 +104,31 @@ class Grid1D:
         return cls(half_count=int(round(ratio)), spacing=spacing)
 
 
+def _hermitian_band(M):
+    """The exact structure eig and lowest_modes select their routes by:
+    (real, hermitian, band) of a square scipy.sparse array or ndarray M.
+
+    real: every entry has zero imaginary part.  hermitian: M equals its
+    conjugate transpose entry for entry.  band: for a Hermitian M whose
+    bandwidth kd, the largest |i - j| of a nonzero entry, has 32 kd < n,
+    its upper band storage (LAPACK's layout: row kd - k holds the
+    diagonal M.diagonal(k), k = 0..kd, padded by k zeros in front), real
+    when M is; None otherwise.  Dense and sparse storage of one matrix
+    give the same band.
+    """
+    sparse = scipy.sparse.issparse(M)
+    entries = M.data if sparse else M
+    real = not np.iscomplexobj(entries) or not entries.imag.any()
+    MH = M.conj().T
+    hermitian = ((M != MH).count_nonzero() == 0 if sparse
+                 else np.array_equal(M, MH))
+    kd = int(np.abs(np.subtract(*M.nonzero())).max(initial=0))
+    if not (hermitian and 32 * kd < M.shape[0]):
+        return real, hermitian, None
+    band = np.array([np.pad(M.diagonal(k), (k, 0)) for k in range(kd, -1, -1)])
+    return real, hermitian, band.real if real else band
+
+
 def eig(M) -> np.ndarray:
     """All eigenvalues as a complex array, sorted by (real part, imaginary
     part), from the cheapest LAPACK driver the input's exact structure
@@ -117,15 +154,8 @@ def eig(M) -> np.ndarray:
     M = scipy.sparse.csr_array(M) if sparse else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    entries = M.data if sparse else M
-    real = not np.iscomplexobj(entries) or not entries.imag.any()
-    MH = M.conj().T
-    hermitian = ((M != MH).count_nonzero() == 0 if sparse
-                 else np.array_equal(M, MH))
-    kd = int(np.abs(np.subtract(*M.nonzero())).max(initial=0))   # bandwidth
-    if hermitian and 32 * kd < M.shape[0]:   # upper band storage: row kd - k
-        band = np.array([np.pad(M.diagonal(k), (k, 0)) for k in range(kd, -1, -1)])
-        band = band.real if real else band
+    real, hermitian, band = _hermitian_band(M)
+    if band is not None:
         return scipy.linalg.eigvals_banded(band).astype(complex)
     A = densify(M.real if real else M, float if real else complex)
     if not np.isfinite(A).all():
@@ -276,6 +306,11 @@ def match_spectra(a, b) -> np.ndarray:
 REAL_TOL = 1e-9   # |Im lambda| <= REAL_TOL (1 + |lambda|) counts as real
 
 
+def _require_cut(k) -> None:
+    if not k >= 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def lowest(e, k: int) -> np.ndarray:
     """The k lowest values; the cut is extended so it splits no conjugate pair.
 
@@ -285,6 +320,7 @@ def lowest(e, k: int) -> np.ndarray:
     lies within |Im lambda| of it (so across the real axis); when that
     partner is outside the cut, the cut moves past it.
     """
+    _require_cut(k)
     e = np.asarray(e, dtype=complex)
     nonreal = np.abs(e.imag) > REAL_TOL * (1 + np.abs(e))
     order = np.lexsort((e.imag, np.where(nonreal, np.abs(e.imag), 0.0), e.real))
@@ -313,6 +349,8 @@ def lowest_common(k: int, *spectra) -> list:
     pair-safe lowest values, such as lambda j: lowest_modes(M, j).  Raises
     ValueError if a spectrum has fewer values than the cut asks for.
     """
+    _require_cut(k)
+
     def low(s, j):
         return s(j) if callable(s) else lowest(s, j)
 
@@ -329,31 +367,90 @@ def lowest_common(k: int, *spectra) -> list:
 MAX_ARNOLDI_MODES = 256   # largest set lowest_modes asks ARPACK for
 
 
-def lowest_modes(M, k: int) -> np.ndarray:
-    """The lowest eigenvalues of a sparse operator, as lowest(eig(M), k) would
-    give them, by certified shift-invert Arnoldi.
+def _below(x: float) -> float:
+    """A shift just below x: x - 1e-3 (1 + |x|)."""
+    return x - 1e-3 * (1 + abs(x))
 
-    Shift-invert returns the values nearest its shift sigma, not the lowest
-    by real part, so the selection is certified.  Re lambda >= mu, the
-    lowest eigenvalue of the Hermitian part (M + M^H)/2 (one eigsh
-    shift-invert from its Gershgorin lower bound), and |Im lambda| <= b,
-    with b = sqrt(|S|_1 |S|_inf) >= |S|_2 for S = (M - M^H)/2 (Bendixson).
-    eigs returns the k + margin values nearest sigma, just below mu; let R
-    be the largest |lambda - sigma| among them and r_cut the largest real
-    part kept.  Every eigenvalue with real part <= r_cut lies in
-    [sigma, r_cut] x [-b, b], so if R^2 > (r_cut - sigma)^2 + b^2 all of
-    them were returned and the kept set is the true lowest one.  The
-    margin doubles until that holds; past MAX_ARNOLDI_MODES values (or
-    n - 2) it raises RuntimeError rather than return an uncertified set.
-    An operator too small for a first request of k + 4 values is solved by
-    dense eig.
 
-    The certificate cannot see a copy of an exactly degenerate eigenvalue
-    that the Krylov space misses; verify-all checks this route against
-    dense eig on the coarse matrix grid (matrix/lowest_modes_vs_dense_*).
+def _gershgorin_floor(H) -> float:
+    """min_i (H_ii - sum_{j != i} |H_ij|), a lower bound of the spectrum of
+    the Hermitian sparse matrix H (Gershgorin)."""
+    diag = H.diagonal().real
+    return float(np.min(diag + abs(diag) - abs(H).sum(axis=1)))
+
+
+def _count_below(M, c: float):
+    """The number of eigenvalues of the Hermitian sparse matrix M below c,
+    by Sylvester's law of inertia, or None where the factorization cannot
+    give it.
+
+    SuperLU factors M - cI in its natural order with diagonal pivots only
+    (threshold 0), so M - cI = L U with U = D L^H, and M - cI is congruent
+    to D = diag(U): the count of negative pivots is the count of
+    eigenvalues below c.  An exactly zero pivot raises in splu; a row or
+    column permutation would break the congruence, so either gives None.
     """
     import scipy.sparse.linalg   # 1.3 MB RSS, so only where it is used
 
+    shifted = scipy.sparse.csc_array(M - c * scipy.sparse.eye_array(M.shape[0]))
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL",
+                                      diag_pivot_thresh=0)
+    except RuntimeError:   # "Factor is exactly singular"
+        return None
+    order = np.arange(M.shape[0])
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def lowest_modes(M, k: int) -> np.ndarray:
+    """The lowest eigenvalues of a sparse operator, as lowest(eig(M), k) would
+    give them, by certified shift-invert Krylov iteration.
+
+    Shift-invert returns the nev = k + margin values nearest its shift
+    sigma, not the lowest by real part, so the selection is certified; the
+    margin starts at 4 and doubles until it is, and past
+    MAX_ARNOLDI_MODES values (or n - 2) lowest_modes raises RuntimeError
+    rather than return an uncertified set.  An operator too small for a
+    first request of k + 4 values is solved by dense eig.  M picks one of
+    two routes by the structure eig reads (_hermitian_band).
+
+    Hermitian and narrow-banded (M equals M^H entry for entry, and
+    32 kd < n): shift-invert Lanczos.  Let g be the Gershgorin lower bound
+    of the spectrum and sigma just below it.  The band of M - sigma I is
+    factored once, by Cholesky (LAPACK pbtrf); its success shows M - sigma I
+    positive definite, so sigma lies below the spectrum and the values
+    nearest sigma are the lowest.  Its band solves (pbtrs) are the
+    operator of one eigsh request (dsaupd for real M).  The returned values
+    v_0 <= ... <= v_{nev-1} are certified by a count: take the widest gap
+    (v_{j-1}, v_j) with j >= k, so past the kept values, and its midpoint
+    c.  By Sylvester's law of inertia, the number of negative pivots of
+    the unpivoted factorization M - cI = L D L^H is the number of
+    eigenvalues below c; if it equals j, the values v_0..v_{j-1} are all
+    of them, degenerate copies included, and the lowest k are
+    v_0..v_{k-1}.  The values are returned exactly real.  The count is
+    exact for M - cI plus the rounding of its factorization, which c, half
+    a gap from every returned value, keeps far from moving a pivot's sign.
+    A count that differs, or an exactly singular factor, leaves the set
+    uncertified.
+
+    Any other M: shift-invert Arnoldi.  Re lambda >= mu, the lowest
+    eigenvalue of the Hermitian part (M + M^H)/2 (one eigsh shift-invert
+    from its Gershgorin lower bound), and |Im lambda| <= b, with
+    b = sqrt(|S|_1 |S|_inf) >= |S|_2 for S = (M - M^H)/2 (Bendixson).
+    eigs returns the nev values nearest sigma, just below mu; let R be the
+    largest |lambda - sigma| among them and r_cut the largest real part
+    kept.  Every eigenvalue with real part <= r_cut lies in
+    [sigma, r_cut] x [-b, b], so if R^2 > (r_cut - sigma)^2 + b^2 all of
+    them were returned and the kept set is the true lowest one.  This
+    certificate cannot see a copy of an exactly degenerate eigenvalue that
+    the Krylov space misses; verify-all checks lowest_modes against dense
+    eig on the coarse matrix grid (matrix/lowest_modes_vs_dense_*).
+
+    Raises ValueError unless k >= 1 and M is finite and square.
+    """
+    _require_cut(k)
     M = scipy.sparse.csc_array(M, dtype=complex)
     n = M.shape[0]
     if M.shape != (n, n) or not np.all(np.isfinite(M.data)):
@@ -361,32 +458,81 @@ def lowest_modes(M, k: int) -> np.ndarray:
     margin = 4
     if k + margin > n - 2:
         return lowest(eig(M), k)
+    real, _, band = _hermitian_band(M)
+    v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
+    if band is not None:
+        certified, why = _lanczos_request(M.real if real else M, band, k, v0)
+    else:
+        certified, why = _arnoldi_request(M, k, v0)
+    nev_max = min(MAX_ARNOLDI_MODES, n - 2)
+    while True:
+        nev = min(k + margin, nev_max)
+        kept = certified(nev) if nev > k else None
+        if kept is not None:
+            return kept
+        if nev == nev_max:
+            raise RuntimeError(
+                f"lowest_modes: no certified lowest {k} of {n} modes within "
+                f"{nev} shift-invert values ({why})")
+        margin *= 2
+
+
+def _lanczos_request(M, band, k: int, v0):
+    """The Hermitian route of lowest_modes (see there) for M, a Hermitian
+    CSC array, real when its entries are, with band its upper band
+    storage: a map from nev to the certified lowest k, or None, and the
+    reason a failure names."""
+    import scipy.sparse.linalg
+
+    n = M.shape[0]
+    sigma = _below(_gershgorin_floor(M))
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    shifted = band.copy()
+    shifted[-1] -= sigma   # the diagonal row
+    chol, info = pbtrf(shifted, overwrite_ab=True)
+    if info != 0:
+        raise RuntimeError(
+            f"lowest_modes: M - sigma I is not positive definite at sigma "
+            f"{sigma:.6g}, below the Gershgorin bound (pbtrf info {info})")
+    inverse = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: pbtrs(chol, x)[0], dtype=band.dtype)
+
+    def certified(nev):
+        vals = np.sort(scipy.sparse.linalg.eigsh(
+            M, nev, sigma=sigma, OPinv=inverse, v0=v0,
+            return_eigenvectors=False))
+        j = k + int(np.argmax(np.diff(vals[k - 1:])))   # the widest gap
+        if _count_below(M, (vals[j - 1] + vals[j]) / 2) == j:
+            return vals[:k].astype(complex)
+        return None
+
+    return certified, "inertia count differs"
+
+
+def _arnoldi_request(M, k: int, v0):
+    """The general route of lowest_modes (see there) for M, a complex CSC
+    array: a map from nev to the certified lowest k, or None, and the
+    reason a failure names."""
+    import scipy.sparse.linalg
+
     MH = M.conj().T
     herm = (M + MH) / 2
     skew = abs((M - MH) / 2)
     b = float(np.sqrt(skew.sum(axis=0).max(initial=0.0)
                       * skew.sum(axis=1).max(initial=0.0)))
-    diag = herm.diagonal().real
-    gershgorin = float(np.min(diag + abs(diag) - abs(herm).sum(axis=1)))
-    v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
     mu = scipy.sparse.linalg.eigsh(
-        herm, 1, sigma=gershgorin - 1e-3 * (1 + abs(gershgorin)), v0=v0,
+        herm, 1, sigma=_below(_gershgorin_floor(herm)), v0=v0,
         return_eigenvectors=False)[0]
-    sigma = mu - 1e-3 * (1 + abs(mu))
-    nev_max = min(MAX_ARNOLDI_MODES, n - 2)
-    while True:
-        nev = min(k + margin, nev_max)
+    sigma = _below(mu)
+
+    def certified(nev):
         vals = scipy.sparse.linalg.eigs(M, nev, sigma=sigma, v0=v0,
                                         return_eigenvectors=False)
         kept = lowest(vals, k)
         R = np.abs(vals - sigma).max()
-        if R**2 > (kept.real.max() - sigma)**2 + b**2:
-            return kept
-        if nev == nev_max:
-            raise RuntimeError(
-                f"lowest_modes: no certified lowest {k} of {n} modes within "
-                f"{nev} shift-invert values (Bendixson bound |Im| <= {b:.3g})")
-        margin *= 2
+        return kept if R**2 > (kept.real.max() - sigma)**2 + b**2 else None
+
+    return certified, f"Bendixson bound |Im| <= {b:.3g}"
 
 
 def worst_residual(residuals) -> float:

@@ -752,8 +752,8 @@ def delta_well_grid_energy(t11: float) -> float:
     V = np.where(np.abs(x) < WELL_WIDTH / 2, t11 / WELL_WIDTH, 0.0)
     diag = 2 / h**2 + V
     off = -np.ones(n - 1) / h**2
-    vals = scipy.linalg.eigh_tridiagonal(diag, off, select="i",
-                                         select_range=(0, 0))[0]
+    vals = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
+                                         select="i", select_range=(0, 0))
     return float(vals[0])
 
 

@@ -536,6 +536,14 @@ class TestLowest:
         with pytest.raises(ValueError):
             lowest_common(2, [0.0, 1 + 1j, 1 - 1j], [0.0, 1.0])
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cut_below_one_raises(self, k):
+        """lowest(e, -1) used to keep all but the last value."""
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            lowest([0.0, 1.0, 2.0], k)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            lowest_common(k, [0.0, 1.0], [0.5, 2.0])
+
     def test_common_cut_rejects_equally_short_spectra(self):
         """Both spectra end below k, at the same length."""
         with pytest.raises(ValueError, match="fewer than 3 values"):

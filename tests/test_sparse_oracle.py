@@ -32,6 +32,7 @@ from ptgauge.linalg import Grid1D, eig, expm, grid_operator, lowest, \
     lowest_common, lowest_modes, operator_norm_estimate
 from ptgauge.schrodinger import ConstantGauge, MatrixPotential, \
     build_and_regauge, sample_audited_potential
+from ptgauge import jaynes, verification
 
 GAUGES = {
     "alpha": lambda t: 1.0 + 0j,
@@ -297,20 +298,21 @@ def _upper_blocks(n_blocks, c):
     return scipy.sparse.csr_array(scipy.sparse.block_diag(list(blocks)))
 
 
-def _counting_eigs(monkeypatch):
+def _counting(monkeypatch, name):
+    """The requested counts of each call of scipy.sparse.linalg.<name>."""
     calls = []
-    eigs = scipy.sparse.linalg.eigs
+    solver = getattr(scipy.sparse.linalg, name)
 
     def counted(A, k, **kw):
         calls.append(k)
-        return eigs(A, k, **kw)
+        return solver(A, k, **kw)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, name, counted)
     return calls
 
 
 def test_lowest_modes_margin_grows_until_certified(monkeypatch):
-    calls = _counting_eigs(monkeypatch)
+    calls = _counting(monkeypatch, "eigs")
     assert_lowest_modes_match_dense(_upper_blocks(100, 20.0), 8)
     assert len(calls) >= 2 and calls == sorted(calls)
 
@@ -318,7 +320,7 @@ def test_lowest_modes_margin_grows_until_certified(monkeypatch):
 def test_lowest_modes_raises_without_certificate(monkeypatch):
     """|Im lambda| <= 100 is all the certificate knows, and no disk the
     80 x 80 operator's values can fill is that wide."""
-    calls = _counting_eigs(monkeypatch)
+    calls = _counting(monkeypatch, "eigs")
     with pytest.raises(RuntimeError, match="no certified"):
         lowest_modes(_upper_blocks(40, 200.0), 8)
     assert calls[-1] == 78   # grew to the largest request eigs accepts
@@ -335,3 +337,83 @@ def test_lowest_modes_rejects_nonfinite(bad):
     M[3, 4] = bad
     with pytest.raises(ValueError):
         lowest_modes(scipy.sparse.csr_array(M), 4)
+
+
+def _oscillator(grid):
+    """-d^2/dx^2 + x^2 on grid: real symmetric tridiagonal."""
+    return scipy.sparse.csr_array(grid_operator(grid, "second_derivative")
+                                  + scipy.sparse.diags_array(grid.nodes**2))
+
+
+def test_lowest_modes_hermitian_examples_make_one_lanczos_request(monkeypatch):
+    """The verify-all operators are Hermitian and banded: the default
+    example's H_g and H at dim 640, and the JC grid build, each take one
+    eigsh request and no eigs call."""
+    lanczos = _counting(monkeypatch, "eigsh")
+    arnoldi = _counting(monkeypatch, "eigs")
+    params = verification.SpectrumMatrixParams()
+    res = build_and_regauge(*verification.matrix_example(params.gauge_alpha)[1:],
+                            params.grid())
+    for M in (res.H_g, res.H):
+        assert M.shape == (640, 640)
+        lowest_modes(M, params.n_low)
+        assert (len(lanczos), arnoldi) == (1, [])
+        lanczos.clear()
+    jc = verification.JcParams()
+    _, el, omega = verification._jc_model(jc)
+    jaynes.jc_equivalence_check(el, omega, jc.grid(), jc.n_max)
+    assert (len(lanczos), arnoldi) == (1, [])
+
+
+def test_lowest_modes_counts_every_degenerate_copy(monkeypatch):
+    """On kron(H_1, I_2) every level is doubly degenerate.  An eigsh that
+    drops one copy of the lowest pair makes lowest_modes raise: the inertia
+    count below each cut is one more than the values returned.  Before
+    Hermitian input had this route it went through eigs, and the Bendixson
+    certificate saw nothing when eigs dropped the same copy: the lowest 8
+    came back with one level missing."""
+    M = scipy.sparse.csr_array(scipy.sparse.kron(
+        _oscillator(MATRIX_GRIDS[1]), scipy.sparse.eye_array(2)))
+    assert_lowest_modes_match_dense(M, 8)
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def dropped(A, k, **kw):
+        vals = np.sort(eigsh(A, k, **kw))
+        return np.delete(vals, 1)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", dropped)
+    with pytest.raises(RuntimeError, match="inertia count"):
+        lowest_modes(M, 8)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.7], ids=["real", "complex"])
+def test_lowest_modes_hermitian_values_are_real(coupling, monkeypatch):
+    """A real and a complex-Hermitian tridiagonal operator (the oscillator
+    plus coupling times the momentum stencil) take the Lanczos route:
+    exactly real values, equal to lowest(eig(M), k) of the dense band
+    driver to 1e-10 (1 + |lambda|)."""
+    grid = MATRIX_GRIDS[1]
+    M = _oscillator(grid) + coupling * grid_operator(grid, "momentum")
+    assert (M != M.conj().T).count_nonzero() == 0
+    arnoldi = _counting(monkeypatch, "eigs")
+    got = lowest_modes(M, 10)
+    assert arnoldi == [] and np.all(got.imag == 0.0)
+    want = lowest(eig(M), 10)
+    assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(want)))
+
+
+def test_lowest_modes_wide_band_hermitian_takes_general_route(monkeypatch):
+    """Bandwidth kd = 8 at n = 160, so 32 kd >= n: not the band route."""
+    grid = MATRIX_GRIDS[1]
+    far = scipy.sparse.diags_array([np.full(grid.size - 8, 0.1)], offsets=[8])
+    M = scipy.sparse.csr_array(_oscillator(grid) + far + far.T)
+    calls = _counting(monkeypatch, "eigs")
+    assert_lowest_modes_match_dense(M, 8)
+    assert calls
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_lowest_modes_rejects_cut_below_one(k):
+    M = _oscillator(Grid1D.from_box(8.0, 0.025))   # dim 640
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        lowest_modes(M, k)
