@@ -7,10 +7,11 @@ mismatch over the lowest modes together with the observed convergence
 order (expected around 2).  The lowest modes come from certified sparse
 shift-invert (linalg.lowest_modes), so no whole spectrum is computed.
 It accepts a level exactly when spectrum-matrix accepts the same
-gauge-alpha, box and n-low at that spacing, and checks every level before
-it runs one.  It exits 1 if any observed order is below MIN_ORDER, 2 with
-a one-line usage error on arguments spectrum-matrix rejects at some level
-or on fewer than two levels (no order), else 0.
+gauge-alpha, box and n-low at that spacing and lowest_modes can certify
+n-low modes there (at most MAX_ARNOLDI_MODES - 1 past dense eig's sizes),
+and checks every level before it runs one.  It exits 1 if any observed
+order is below MIN_ORDER, 2 with a one-line usage error on arguments it
+rejects at some level or on fewer than two levels (no order), else 0.
 
     python3 scripts/matrix_convergence_study.py --gauge-alpha 0.3
 """
@@ -20,6 +21,7 @@ import sys
 
 import numpy as np
 
+from ptgauge.linalg import require_mode_count
 from ptgauge.schrodinger import build_and_regauge, lowest_mode_match
 from ptgauge.verification import SpectrumMatrixParams, matrix_example
 
@@ -41,6 +43,8 @@ def main(argv=None) -> int:
         levels = [SpectrumMatrixParams(args.gauge_alpha, args.box,
                                        h=args.h0 / 2**level, n_low=args.n_low)
                   for level in range(args.levels)]
+        for params in levels:
+            require_mode_count(2 * params.grid().size, args.n_low)
     except ValueError as exc:   # the rule of ptgauge's command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,18 @@ point-angle | point-spectrum | phase-diagram | verify-all.
 
 Each flag is a field of the subcommand's params dataclass in
 `verification.COMMANDS` (n_low is --n-low, typed by its default); only
---config, --out-dir and --format are written here.  A flat key=value file
-(--config FILE) takes the flag names as keys; explicit flags win.  The
-default output directory is $PTGAUGE_REPORT_DIR, else ./reports.  Exit
-codes: 0 all checks pass, 1 at least one check failed, 2 usage error,
-which includes every out-of-domain or non-finite value.  All sampling is
+--config, --out-dir and --format are written here.  The lines of a flat
+key=value file (--config FILE), whose keys are whole flag names, act as
+--key=value flags placed before the explicit ones, which win.  The report
+directory (--out-dir, else $PTGAUGE_REPORT_DIR, else ./reports) is made
+before any check runs.  Exit codes: 0 all checks pass, 1 at least one
+check failed, 2 usage error, which includes every out-of-domain or
+non-finite value and an unusable report directory.  All sampling is
 seeded, so an identical config reproduces byte-identical output files.
 
 Standard error gets what varies from run to run or only helps to read
-one: the wall time of each check (verify-all) and the TIGHTEST records
-nearest their bound, by residual / tolerance.
+one: the wall time of each record function that verification.run ran and
+the TIGHTEST records nearest their bound, by residual / tolerance.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import argparse
 import dataclasses
 import os
 import sys
-import time
 
 from .reporting import Report, emit
-from .verification import COMMANDS, UsageError
+from .verification import COMMANDS, UsageError, run
 
 TIGHTEST = 5   # records listed on stderr after a run, nearest their bound first
 
@@ -56,18 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args) -> None:
-    """Load the --config file and install it as the subcommand's defaults."""
-    path = args.config
-    sp = next(a for a in parser._actions
-              if isinstance(a, argparse._SubParsersAction)).choices[args.command]
-    known = {opt[2:]: action for action in sp._actions
-             for opt in action.option_strings if opt.startswith("--")}
+def _config_flags(path: str, name: str) -> list:
+    """The --config file's key = value lines as --key=value tokens; a key
+    must be one of command name's flag names in full, other than --config."""
+    fields = dataclasses.fields(COMMANDS[name].params)
+    flags = {"out-dir", "format"} | {f.name.replace("_", "-") for f in fields}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
+    tokens = []
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -75,20 +75,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, args) -> None:
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in flags:
             raise UsageError(f"{path}:{ln}: unknown parameter {key!r} "
-                             f"for command {args.command!r}")
-        action = known[key]
-        if action.type is not None:
-            try:
-                val = action.type(val)
-            except ValueError:
-                raise UsageError(f"{path}:{ln}: malformed value for {key!r}: "
-                                 f"{val!r}")
-        elif action.choices is not None and val not in action.choices:
-            raise UsageError(f"{path}:{ln}: invalid choice for {key!r}: "
-                             f"{val!r}")
-        sp.set_defaults(**{action.dest: val})
+                             f"for command {name!r}")
+        tokens.append(f"--{key}={val}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -96,35 +87,39 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
-            # explicit flags win: parse again over the file's defaults
-            _apply_config_file(parser, args)
-            args = parser.parse_args(argv)
         command = COMMANDS[args.command]
+        if args.config is not None:
+            # the file's lines act as flags placed before the explicit ones,
+            # so argparse types and checks them and the explicit ones win
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, args.command)
+            args = parser.parse_args(argv)
         params = command.params(**{f.name: getattr(args, f.name)
                                    for f in dataclasses.fields(command.params)})
-    except ValueError as exc:   # UsageError, or a domain error of the params
+        out_dir = (args.out_dir or os.environ.get("PTGAUGE_REPORT_DIR")
+                   or "reports")
+        os.makedirs(out_dir, exist_ok=True)   # before any check runs
+    except (ValueError, OSError) as exc:   # bad flags, params or out_dir
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    out_dir = (args.out_dir or os.environ.get("PTGAUGE_REPORT_DIR")
-               or "reports")
-    t0 = time.perf_counter()
-    report = command.run(params)
-    report.wall_time = time.perf_counter() - t0
-
+    report = run(args.command, params)
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
         print(f"[{status}] {rec.name}: residual {rec.residual:.3e} "
               f"(tol {rec.tolerance:.3e})")
     formats = ["json", "csv"] if args.format == "both" else [args.format]
-    for fmt in formats:
-        if fmt == "csv" and not report.tables:
-            continue
-        for path in emit(report, fmt, out_dir):
-            print(f"wrote {path}")
+    try:
+        for fmt in formats:
+            if fmt == "csv" and not report.tables:
+                continue
+            for path in emit(report, fmt, out_dir):
+                print(f"wrote {path}")
+    except OSError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     overall = "PASS" if report.passed else "FAIL"
     print(f"{report.command}: {overall} "
           f"({len(report.records)} checks, {report.wall_time:.2f} s)")

@@ -367,6 +367,14 @@ def lowest_common(k: int, *spectra) -> list:
 MAX_ARNOLDI_MODES = 256   # largest set lowest_modes asks ARPACK for
 
 
+def require_mode_count(n: int, k: int) -> None:
+    """ValueError where lowest_modes cannot certify k of n modes: past dense
+    eig's sizes (k + 4 <= n - 2) a certificate needs a value past the k."""
+    if k >= MAX_ARNOLDI_MODES and k + 4 <= n - 2:
+        raise ValueError(f"lowest_modes certifies at most {MAX_ARNOLDI_MODES - 1}"
+                         f" (MAX_ARNOLDI_MODES - 1) of {n} modes, got {k}")
+
+
 def _below(x: float) -> float:
     """A shift just below x: x - 1e-3 (1 + |x|)."""
     return x - 1e-3 * (1 + abs(x))
@@ -413,8 +421,9 @@ def lowest_modes(M, k: int) -> np.ndarray:
     margin starts at 4 and doubles until it is, and past
     MAX_ARNOLDI_MODES values (or n - 2) lowest_modes raises RuntimeError
     rather than return an uncertified set.  An operator too small for a
-    first request of k + 4 values is solved by dense eig.  M picks one of
-    two routes by the structure eig reads (_hermitian_band).
+    first request of k + 4 values is solved by dense eig; on any other, k
+    >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M picks one
+    of two routes by the structure eig reads (_hermitian_band).
 
     Hermitian and narrow-banded (M equals M^H entry for entry, and
     32 kd < n): shift-invert Lanczos.  Let g be the Gershgorin lower bound
@@ -458,6 +467,7 @@ def lowest_modes(M, k: int) -> np.ndarray:
     margin = 4
     if k + margin > n - 2:
         return lowest(eig(M), k)
+    require_mode_count(n, k)
     real, _, band = _hermitian_band(M)
     v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
     if band is not None:

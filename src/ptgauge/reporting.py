@@ -5,8 +5,9 @@ byte-identical files:
   * JSON keys are written in fixed insertion order;
   * all floats use 17-significant-digit scientific notation;
   * complex table values are split into _re/_im columns by the producer;
-  * wall time and per-check timings are kept on the in-memory report for
-    logging (on stderr) but excluded from the serialized output.
+  * wall times (total, and of each record function in verification.run)
+    are kept on the in-memory report for logging, on stderr, but excluded
+    from the serialized output.
 
 CheckRecord.passed is the one pass/fail rule of the package: a record
 passes only if its residual is finite and at most its tolerance.  The
@@ -58,7 +59,7 @@ class Report:
     tables: list = field(default_factory=list)
     seed: int = 0
     wall_time: float = 0.0
-    timings: dict = field(default_factory=dict)   # check name -> wall seconds
+    timings: dict = field(default_factory=dict)   # function -> wall seconds
 
     @property
     def passed(self) -> bool:

@@ -1,9 +1,11 @@
 """The checks behind `verify-all` and every other subcommand.
 
 COMMANDS maps each subcommand to a frozen params dataclass (its flags,
-defaults and domain checks) and the function that runs it; `verify-all`
-runs the check_* functions of ALL_CHECKS, which share their loops with the
-subcommands and take their parameters from the subcommands' defaults.
+defaults and domain checks) and its record functions (rep, params), which
+run(name, params) calls in order into one timed Report: a subcommand's one
+run_*, or for `verify-all` the list ALL_CHECKS itself, whose check_*
+functions share their loops with the subcommands and take their parameters
+from the subcommands' defaults.
 The library functions return residuals; each check turns them into
 records, and CheckRecord.passed (finite and within the tolerance) is the
 only pass/fail decision.  Boolean outcomes are encoded as residual 0.0
@@ -19,7 +21,6 @@ import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -90,10 +91,6 @@ def _require_budget(entries: int, what: str) -> None:
     _require(16 * entries <= MAX_ARRAY_BYTES,
              f"{what} would allocate {16 * entries} bytes, over the "
              f"{MAX_ARRAY_BYTES}-byte array budget")
-
-
-def _require_dense(dim: int, what: str) -> None:
-    _require_budget(dim * dim, f"{what} (a dense {dim} x {dim} complex matrix)")
 
 
 def _grid(box: float, h: float) -> Grid1D:
@@ -212,7 +209,9 @@ class JcParams(_Params):
     def check(self):
         _require(self.n_max >= 2, "n-max must be >= 2")
         # two levels; the truncation check rebuilds at ceil(1.5 n_max)
-        _require_dense(2 * ((3 * self.n_max + 1) // 2 + 1), "the Fock build")
+        dim = 2 * ((3 * self.n_max + 1) // 2 + 1)
+        _require_budget(dim * dim, f"the Fock build (a dense {dim} x {dim} "
+                        "complex matrix)")
         # lowest_modes solves the grid build sparsely; its largest array is
         # an Arnoldi basis of at most 2 MAX_ARNOLDI_MODES + 1 vectors
         grid = self.grid()
@@ -427,8 +426,7 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
                 out.weighted_form_residual, 1e-5)
 
 
-def run_gauge_scalar(params: GaugeScalarParams) -> Report:
-    rep = Report(command="gauge-scalar", seed=0, config=asdict(params))
+def run_gauge_scalar(rep: Report, params: GaugeScalarParams):
     A = lambda x: params.alpha + 1j * params.beta * x
     residuals, out = weak_form(A, params.grid(), params.tol)
     for name, val in sorted(residuals.items()):
@@ -438,7 +436,6 @@ def run_gauge_scalar(params: GaugeScalarParams) -> Report:
     if abs(params.alpha) > 0:
         _bool(rep, "pseudo_hermiticity/naive_parity_r2_large", out.r2_abs > 0.1)
     rep.config.update(r1_abs=out.r1_abs, r2_abs=out.r2_abs, norm_H=out.norm_H)
-    return rep
 
 
 def _triple_residuals(sig: cartan.ThetaSignature, rng, samples: int):
@@ -486,14 +483,12 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
               dim_p == p * (p - 1) // 2 + q * (q - 1) // 2)
 
 
-def run_lts_check(params: LtsParams) -> Report:
-    rep = Report(command="lts-check", seed=params.seed, config=asdict(params))
+def run_lts_check(rep: Report, params: LtsParams):
     closure, escape = _triple_residuals(
         params.signature(), np.random.default_rng(params.seed), params.samples)
     rep.add("lts/ternary_closure", closure, 1e-12)
     _bool(rep, "lts/binary_bracket_escapes", escape > 0.1)
     rep.config["max_binary_escape"] = escape
-    return rep
 
 
 def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
@@ -562,10 +557,9 @@ def check_parity_metric_relations(rep: Report, cfg: VerifyConfig):
                      for el in (el_r, el_b))), 1e-10)
 
 
-def run_cartan(params: CartanParams) -> Report:
+def run_cartan(rep: Report, params: CartanParams):
     sig = params.signature()
     rng = np.random.default_rng(params.seed)
-    rep = Report(command="cartan", seed=params.seed, config=asdict(params))
     wick_res, exp_res, parity_res, polar_res = [], [], [], []
     for k in _batches(params.samples, sig.m):
         el, x = _elements_and_x(sig, rng, k, 3.0)
@@ -583,7 +577,6 @@ def run_cartan(params: CartanParams) -> Report:
     rep.add("cartan/closed_form_exponentials", worst_residual(exp_res), 1e-10)
     rep.add("cartan/parity_metric_relations", worst_residual(parity_res), 1e-10)
     rep.add("cartan/group_polar_structure", worst_residual(polar_res), 1e-8)
-    return rep
 
 
 def matrix_example(gauge_alpha: float):
@@ -633,8 +626,7 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     rep.config["matrix_convergence_order"] = order
 
 
-def run_spectrum_matrix(params: SpectrumMatrixParams) -> Report:
-    rep = Report(command="spectrum-matrix", seed=0, config=asdict(params))
+def run_spectrum_matrix(rep: Report, params: SpectrumMatrixParams):
     out = _matrix_records(rep, matrix_example(params.gauge_alpha),
                           params.grid(), params.n_low, "matrix/spectral_match")[1]
     rows = [[i, float(lg.real), float(lg.imag), float(lh.real), float(lh.imag),
@@ -646,7 +638,6 @@ def run_spectrum_matrix(params: SpectrumMatrixParams) -> Report:
         columns=["index", "re_lambda_Hg", "im_lambda_Hg",
                  "re_lambda_H", "im_lambda_H", "match_dist"],
         rows=rows))
-    return rep
 
 
 def _jc_model(params: JcParams):
@@ -680,8 +671,7 @@ def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
     rep.config.setdefault("jc_sign_convention", eq.sign_convention)
 
 
-def run_jc(params: JcParams) -> Report:
-    rep = Report(command="jc", seed=0, config=asdict(params))
+def run_jc(rep: Report, params: JcParams):
     eq = _jc_records(rep, params, "jc/grid_vs_fock")
     rep.config["sign_convention"] = eq.sign_convention
     rows = [[i, float(lg.real), float(lg.imag), float(lf.real), float(lf.imag)]
@@ -692,7 +682,6 @@ def run_jc(params: JcParams) -> Report:
         columns=["index", "re_lambda_grid", "im_lambda_grid",
                  "re_lambda_fock", "im_lambda_fock"],
         rows=rows))
-    return rep
 
 
 def check_point_angle(rep: Report, cfg: VerifyConfig):
@@ -725,10 +714,9 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
           smallest(perturbed) > 1e-6)
 
 
-def run_point_angle(params: PointAngleParams) -> Report:
+def run_point_angle(rep: Report, params: PointAngleParams):
     T = params.coupling()
     sol = pointint.clifford_angle(T)
-    rep = Report(command="point-angle", seed=0, config=asdict(params))
     rep.config.update(phi=sol.phi, degenerate=sol.degenerate)
     rep.add("point/defining_relation", sol.residual, 1e-13)
     samples = [
@@ -741,7 +729,6 @@ def run_point_angle(params: PointAngleParams) -> Report:
     rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
     rep.add("point/p_phi_selfadjointness",
             pointint.p_phi_selfadjointness_check(T, sol), 1e-12)
-    return rep
 
 
 def delta_well_grid_energy(t11: float) -> float:
@@ -789,8 +776,7 @@ def check_point_spectrum(rep: Report, cfg: VerifyConfig):
               if abs(r.im_t12 - r.im_t21) < 1e-14))
 
 
-def run_point_spectrum(params: CouplingParams) -> Report:
-    rep = Report(command="point-spectrum", seed=0, config=asdict(params))
+def run_point_spectrum(rep: Report, params: CouplingParams):
     states = pointint.bound_states(params.coupling())
     rep.config["n_bound"] = len(states)
     rep.add("point/domain_residuals",
@@ -806,13 +792,10 @@ def run_point_spectrum(params: CouplingParams) -> Report:
         rows=[[i, float(s.kappa.real), float(s.kappa.imag),
                float(s.energy.real), float(s.energy.imag), s.domain_residual]
               for i, s in enumerate(states)]))
-    return rep
 
 
-def run_phase_diagram(params: PhaseDiagramParams) -> Report:
-    rep = Report(command="phase-diagram", seed=0, config=asdict(params))
+def run_phase_diagram(rep: Report, params: PhaseDiagramParams):
     _sweep_records(rep, params, "sweep/conjugate_pairing")
-    return rep
 
 
 ALL_CHECKS = [
@@ -829,40 +812,48 @@ ALL_CHECKS = [
 ]
 
 
-def run_verify_all(cfg: VerifyConfig | None = None) -> Report:
-    cfg = cfg or VerifyConfig()
-    rep = Report(command="verify-all", config=asdict(cfg), seed=cfg.seed)
-    t0 = time.perf_counter()
-    for check in ALL_CHECKS:
-        t = time.perf_counter()
-        check(rep, cfg)
-        rep.timings[check.__name__] = time.perf_counter() - t
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
 @dataclass(frozen=True)
 class Command:
     params: type
-    run: Callable[..., Report]
+    records: list   # record functions (rep, params), run in this order
     help: str
     format: str = "json"   # default --format
 
 
 COMMANDS = {
-    "gauge-scalar": Command(GaugeScalarParams, run_gauge_scalar,
+    "gauge-scalar": Command(GaugeScalarParams, [run_gauge_scalar],
                             "Abelian gauge factorization and metric checks"),
-    "cartan": Command(CartanParams, run_cartan, "gauge algebra structure checks"),
-    "lts-check": Command(LtsParams, run_lts_check, "Lie-triple closure sampling"),
-    "spectrum-matrix": Command(SpectrumMatrixParams, run_spectrum_matrix,
+    "cartan": Command(CartanParams, [run_cartan],
+                      "gauge algebra structure checks"),
+    "lts-check": Command(LtsParams, [run_lts_check],
+                         "Lie-triple closure sampling"),
+    "spectrum-matrix": Command(SpectrumMatrixParams, [run_spectrum_matrix],
                                "matrix Schrodinger dual-build spectra", "both"),
-    "jc": Command(JcParams, run_jc, "truncated-Fock two-level model checks"),
-    "point-angle": Command(PointAngleParams, run_point_angle,
+    "jc": Command(JcParams, [run_jc], "truncated-Fock two-level model checks"),
+    "point-angle": Command(PointAngleParams, [run_point_angle],
                            "point angle for one coupling matrix"),
-    "point-spectrum": Command(CouplingParams, run_point_spectrum,
+    "point-spectrum": Command(CouplingParams, [run_point_spectrum],
                               "point spectrum for one coupling matrix"),
-    "phase-diagram": Command(PhaseDiagramParams, run_phase_diagram,
+    "phase-diagram": Command(PhaseDiagramParams, [run_phase_diagram],
                              "sweep over coupling matrices", "csv"),
-    "verify-all": Command(VerifyConfig, run_verify_all,
+    # the list object itself, so a check replaced in ALL_CHECKS runs here
+    "verify-all": Command(VerifyConfig, ALL_CHECKS,
                           "run the full verification suite", "both"),
 }
+
+
+def run(name: str, params) -> Report:
+    """Run command name's record functions in order into one Report, with
+    each one's wall time in timings and their sum in wall_time."""
+    rep = Report(command=name, config=asdict(params),
+                 seed=getattr(params, "seed", 0))
+    for record in COMMANDS[name].records:
+        t = time.perf_counter()
+        record(rep, params)
+        rep.timings[record.__name__] = time.perf_counter() - t
+    rep.wall_time = sum(rep.timings.values())
+    return rep
+
+
+def run_verify_all(cfg: VerifyConfig | None = None) -> Report:
+    return run("verify-all", cfg or VerifyConfig())

@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
+from ptgauge import cli, verification
 from ptgauge.cli import build_parser, main
-from ptgauge.verification import CartanParams, JcParams, LtsParams, \
-    SpectrumMatrixParams, UsageError, _parse_complex, _parse_range
+from ptgauge.verification import COMMANDS, CartanParams, JcParams, \
+    LtsParams, SpectrumMatrixParams, UsageError, _parse_complex, _parse_range
 
 
 class TestParsers:
@@ -111,6 +112,33 @@ class TestConfigFile:
         assert main(["point-angle",
                      "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("key", ["n", "config", "help"])
+    def test_key_must_be_a_whole_flag_name(self, key, tmp_path, capsys):
+        """argparse would take --n for --n-max; a file's key is matched
+        whole, and --config and --help are not among them."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# jc\n{key} = 3\n")
+        assert main(["jc", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {cfg}:2: unknown parameter {key!r} for command 'jc'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_choice_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert main(["jc", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_and_format_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out-dir = {tmp_path / 'cfg'}\nformat = csv\nt11 = -2\n")
+        assert main(["point-spectrum", "--config", str(cfg)]) == 0
+        assert [p.name for p in (tmp_path / "cfg").iterdir()] == [
+            "point-spectrum_bound_states.csv"]
+
 
 class TestOutputs:
     def test_report_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
@@ -124,6 +152,30 @@ class TestOutputs:
         main(["point-angle", "--out-dir", str(tmp_path / "flagdir")])
         assert (tmp_path / "flagdir" / "point-angle.json").exists()
         assert not (tmp_path / "envdir").exists()
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_unusable_out_dir_exits_two_before_any_check(
+            self, via_env, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("a check ran"))
+        argv = ["point-angle"]
+        if via_env:
+            monkeypatch.setenv("PTGAUGE_REPORT_DIR", str(blocker / "sub"))
+        else:
+            argv += ["--out-dir", str(blocker / "sub")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(blocker / "sub") in err
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        (tmp_path / "point-angle.json").mkdir()
+        assert main(["point-angle", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write report to")
+        assert err.count("\n") == 1
 
     def test_phase_diagram_csv_schema(self, tmp_path, capsys):
         # values starting with '-' need the --flag=value spelling
@@ -393,3 +445,43 @@ class TestInterface:
         payload = json.loads((tmp_path / f"{command}.json").read_text())
         assert [r["name"] for r in payload["records"]] == names
         assert list(payload["config"]) == keys
+
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_one_time_line_per_record_function(self, command, tmp_path,
+                                               capsys):
+        """verification.run times each record function of the command, and
+        the times reach stderr only."""
+        # gauge-scalar fails its r1 record on this coarse grid
+        assert main([command, *REPORTS[command][0], "--format", "both",
+                     "--out-dir", str(tmp_path)]) in (0, 1)
+        out, err = capsys.readouterr()
+        timed = [line.split()[1] for line in err.splitlines()
+                 if line.startswith("time ")]
+        assert timed == [f.__name__ + ":" for f in COMMANDS[command].records]
+        assert timed == ["run_" + command.replace("-", "_") + ":"]
+        assert "time " not in out
+        for path in tmp_path.iterdir():
+            text = path.read_text()
+            assert "wall" not in text and "timings" not in text
+
+
+def test_verify_all_runs_the_all_checks_list(tmp_path, capsys):
+    """verify-all runs verification.ALL_CHECKS itself, so a check replaced
+    in that list in place (as perfbench's tracer does) is the one run."""
+    checks = verification.ALL_CHECKS
+    assert COMMANDS["verify-all"].records is checks
+    calls = []
+
+    def check_stub(rep, cfg):
+        calls.append(cfg)
+        rep.add("stub/failed", 1.0, 0.5)
+
+    saved = list(checks)
+    checks[-1] = check_stub
+    try:
+        code = main(["verify-all", "--out-dir", str(tmp_path)])
+    finally:
+        checks[:] = saved
+    assert code == 1 and calls == [verification.VerifyConfig()]
+    err = capsys.readouterr().err
+    assert err.count("time ") == len(saved) and "time check_stub:" in err

@@ -91,6 +91,9 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     ("weak_residual_scaling", ["--alpha", "1e200"]),
     # the finest of 30 levels has about 8.6e10 nodes, over the array budget
     ("weak_residual_scaling", ["--levels", "30"]),
+    # 300 lowest modes of dim 1200, over the cap of lowest_modes (255)
+    ("matrix_convergence_study", ["--n-low", "300", "--levels", "2",
+                                  "--h0", "0.02"]),
 ])
 def test_unusable_arguments_exit_two(capsys, name, argv):
     assert _load(name).main(argv) == 2

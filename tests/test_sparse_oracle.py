@@ -32,7 +32,7 @@ from ptgauge.linalg import Grid1D, eig, expm, grid_operator, lowest, \
     lowest_common, lowest_modes, operator_norm_estimate
 from ptgauge.schrodinger import ConstantGauge, MatrixPotential, \
     build_and_regauge, sample_audited_potential
-from ptgauge import jaynes, verification
+from ptgauge import jaynes, linalg, verification
 
 GAUGES = {
     "alpha": lambda t: 1.0 + 0j,
@@ -329,6 +329,25 @@ def test_lowest_modes_raises_without_certificate(monkeypatch):
 def test_lowest_modes_small_operator_is_dense():
     M = _upper_blocks(4, 1.0)
     assert np.array_equal(lowest_modes(M, 6), lowest(eig(M), 6))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _upper_blocks(300, 1.0),
+    lambda: _oscillator(Grid1D(half_count=300, spacing=0.05)),
+], ids=["arnoldi", "lanczos"])
+def test_lowest_modes_names_its_cap_before_any_solve(monkeypatch, build):
+    """Past dense eig's sizes no request of at most MAX_ARNOLDI_MODES values
+    certifies that many modes or more, so both routes refuse them first."""
+    def no_solve(*args):
+        raise AssertionError("a shift-invert request was made")
+
+    monkeypatch.setattr(linalg, "_lanczos_request", no_solve)
+    monkeypatch.setattr(linalg, "_arnoldi_request", no_solve)
+    k = linalg.MAX_ARNOLDI_MODES
+    with pytest.raises(ValueError, match="at most 255 .MAX_ARNOLDI_MODES - 1."):
+        lowest_modes(build(), k)
+    linalg.require_mode_count(600, k - 1)
+    linalg.require_mode_count(k + 5, k)   # solved by dense eig
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
