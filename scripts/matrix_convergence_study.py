@@ -9,9 +9,13 @@ shift-invert (linalg.lowest_modes), so no whole spectrum is computed.
 It accepts a level exactly when spectrum-matrix accepts the same
 gauge-alpha, box and n-low at that spacing and lowest_modes can certify
 n-low modes there (at most MAX_ARNOLDI_MODES - 1 past dense eig's sizes),
-and checks every level before it runs one.  It exits 1 if any observed
-order is below MIN_ORDER, 2 with a one-line usage error on arguments it
-rejects at some level or on fewer than two levels (no order), else 0.
+and checks every level before it runs one.  An n-low that still finds no
+certified set at some level, because no gap past it lies within the
+largest request (the example's levels come in degenerate pairs), is
+rejected once it is run into, before the table is printed.  It exits 1 if
+any observed order is below MIN_ORDER, 2 with a one-line usage error on
+arguments it rejects at some level or on fewer than two levels (no
+order), else 0.
 
     python3 scripts/matrix_convergence_study.py --gauge-alpha 0.3
 """
@@ -21,7 +25,7 @@ import sys
 
 import numpy as np
 
-from ptgauge.linalg import require_mode_count
+from ptgauge.linalg import UncertifiedModes, require_mode_count
 from ptgauge.schrodinger import build_and_regauge, lowest_mode_match
 from ptgauge.verification import SpectrumMatrixParams, matrix_example
 
@@ -50,15 +54,22 @@ def main(argv=None) -> int:
         return 2
 
     _, gauge, pot = matrix_example(args.gauge_alpha)
+    dists = []
+    for params in levels:
+        res = build_and_regauge(gauge, pot, params.grid())
+        try:
+            dists.append(lowest_mode_match(res, args.n_low))
+        except UncertifiedModes as exc:
+            print(f"usage error: --n-low {args.n_low} at h {params.h}: {exc}",
+                  file=sys.stderr)
+            return 2
 
     print(f"# gauge alpha = {args.gauge_alpha}, box = {args.box}, "
           f"lowest {args.n_low} modes")
     print(f"{'h':>8} {'max match dist':>15} {'order':>7}")
     prev = None
     orders = []
-    for params in levels:
-        res = build_and_regauge(gauge, pot, params.grid())
-        dist = lowest_mode_match(res, args.n_low)
+    for params, dist in zip(levels, dists):
         if prev is not None:
             orders.append(np.log2(prev / dist))
         order = f"{orders[-1]:7.2f}" if prev is not None else ""

@@ -10,7 +10,8 @@ key=value file (--config FILE), whose keys are whole flag names, act as
 --key=value flags placed before the explicit ones, which win.  The report
 directory (--out-dir, else $PTGAUGE_REPORT_DIR, else ./reports) is made
 before any check runs.  Exit codes: 0 all checks pass, 1 at least one
-check failed, 2 usage error, which includes every out-of-domain or
+check failed, 2 usage error (one stderr line, naming path:line for a bad
+config line): every flag argparse rejects, every out-of-domain or
 non-finite value and an unusable report directory.  All sampling is
 seeded, so an identical config reproduces byte-identical output files.
 
@@ -32,8 +33,15 @@ from .verification import COMMANDS, UsageError, run
 TIGHTEST = 5   # records listed on stderr after a run, nearest their bound first
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's one-line message as a UsageError (subparsers too)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptgauge",
         description="Gauge factorizations, Krein metrics, and point "
                     "interactions for PT-symmetric Schrodinger operators.")
@@ -57,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_flags(path: str, name: str) -> list:
+def _config_flags(parser, path: str, name: str) -> list:
     """The --config file's key = value lines as --key=value tokens; a key
-    must be one of command name's flag names in full, other than --config."""
+    must be one of command name's flag names in full, other than --config,
+    and parser must take its value (an error names path:line)."""
     fields = dataclasses.fields(COMMANDS[name].params)
     flags = {"out-dir", "format"} | {f.name.replace("_", "-") for f in fields}
     try:
@@ -79,6 +88,10 @@ def _config_flags(path: str, name: str) -> list:
             raise UsageError(f"{path}:{ln}: unknown parameter {key!r} "
                              f"for command {name!r}")
         tokens.append(f"--{key}={val}")
+        try:
+            parser.parse_args([name, tokens[-1]])
+        except UsageError as exc:
+            raise UsageError(f"{path}:{ln}: {exc}")
     return tokens
 
 
@@ -89,10 +102,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         command = COMMANDS[args.command]
         if args.config is not None:
-            # the file's lines act as flags placed before the explicit ones,
-            # so argparse types and checks them and the explicit ones win
+            # the file's lines, each already taken by argparse, act as flags
+            # placed before the explicit ones, which win
             at = argv.index(args.command) + 1
-            argv[at:at] = _config_flags(args.config, args.command)
+            argv[at:at] = _config_flags(parser, args.config, args.command)
             args = parser.parse_args(argv)
         params = command.params(**{f.name: getattr(args, f.name)
                                    for f in dataclasses.fields(command.params)})

@@ -19,9 +19,8 @@ x = (d + d^H)/sqrt(2), p = -i (d - d^H)/sqrt(2) gives exactly the ladder
 form above.  Note the attachment of c to the creation operator; writing
 the coupling as d (x) c + d^H (x) c^T instead changes the spectrum
 whenever omega is level-asymmetric, and the dual build detects it at
-O(1).  The overall sign of a is spectrally irrelevant (conjugation by
-the Fock parity diag((-1)^n) flips d and d^H), but the comparison still
-reports both conventions a -> s a (s = +-1); see jc_equivalence_check.
+O(1).  One convention is enough: conjugation by the Fock parity
+diag((-1)^n) (x) I maps d to -d, so the builds from a and -a are similar.
 
 The lowest modes of the grid build come from linalg.lowest_modes
 (certified sparse shift-invert); the Fock builds are small (dimension
@@ -113,21 +112,24 @@ def build_jc(split: NilpotentSplit, omega: LevelEnergies, n_max: int) -> np.ndar
                 + np.kron(np.eye(fock.dim), omega.matrix))
 
 
-def jc_pt_check(H_jc: np.ndarray, sig: ThetaSignature, n_max: int) -> float:
+def jc_pt_check(H_jc: np.ndarray, sig: ThetaSignature) -> float:
     """Residual of (Pi_F (x) Theta) conj(H) (Pi_F (x) Theta) = H.
 
-    Fock-space parity is realized as Pi_F = diag((-1)^n).
+    Fock-space parity is realized as Pi_F = diag((-1)^n) on the dim H_jc / m
+    Fock levels; raises ValueError unless m divides dim H_jc.
     """
-    pi_f = np.diag((-1.0) ** np.arange(n_max + 1))
+    fock_dim, rest = divmod(H_jc.shape[0], sig.m)
+    if rest:
+        raise ValueError(f"dimension {H_jc.shape[0]} is not a multiple of "
+                         f"m = {sig.m}")
+    pi_f = np.diag((-1.0) ** np.arange(fock_dim))
     S = np.kron(pi_f, sig.theta)
     return float(np.abs(S @ H_jc.conj() @ S - H_jc).max())
 
 
 @dataclass(frozen=True)
 class JcEquivalenceReport:
-    sign_convention: int         # s in {+1, -1} giving the better match
-    max_dev: float               # lowest-K deviation under that convention
-    max_dev_other: float
+    max_dev: float               # lowest-K deviation, grid vs Fock build
     truncation_shift: float      # change of retained levels at 1.5 n_max
     grid_eigenvalues: np.ndarray
     fock_eigenvalues: np.ndarray
@@ -149,8 +151,7 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     on the lowest N_COMPARE modes (at most n_max // 2)."""
     require_oscillator_box(grid, n_max)
     split = nilpotent_split(el)
-    a = split.a
-    c = split.c
+    a, c = split.a, split.c
     m = a.shape[0]
     a2 = a @ a
     cc = c + c.T
@@ -160,28 +161,11 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
 
     H_g = build_gauged(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V), grid)
     k = min(N_COMPARE, n_max // 2)
-
-    def fock_spectrum(s, n):
-        flipped = s * el.matrix
-        flipped.flags.writeable = False
-        split = nilpotent_split(GaugeAlgebraElement(el.sig, flipped))
-        return eig(build_jc(split, omega, n))
-
-    fock = {s: fock_spectrum(s, n_max) for s in (+1, -1)}
-    low_grid, *lows = lowest_common(k, lambda j: lowest_modes(H_g, j),
-                                    fock[+1], fock[-1])
-    fock_low = dict(zip((+1, -1), lows))
-    devs = {s: float(match_spectra(low_grid, fock_low[s]).max())
-            for s in (+1, -1)}
-    s_best = +1 if devs[+1] <= devs[-1] else -1
-
-    # truncation sanity at the matching convention
-    low_n, low_big = lowest_common(
-        k, fock[s_best], fock_spectrum(s_best, int(np.ceil(1.5 * n_max))))
-    trunc = float(match_spectra(low_n, low_big).max())
-
+    fock = eig(build_jc(split, omega, n_max))
+    low_grid, low_fock = lowest_common(k, lambda j: lowest_modes(H_g, j), fock)
+    fock_big = eig(build_jc(split, omega, int(np.ceil(1.5 * n_max))))
+    low_n, low_big = lowest_common(k, fock, fock_big)   # truncation sanity
     return JcEquivalenceReport(
-        sign_convention=s_best, max_dev=devs[s_best], max_dev_other=devs[-s_best],
-        truncation_shift=trunc,
-        grid_eigenvalues=low_grid, fock_eigenvalues=fock_low[s_best],
-    )
+        max_dev=float(match_spectra(low_grid, low_fock).max()),
+        truncation_shift=float(match_spectra(low_n, low_big).max()),
+        grid_eigenvalues=low_grid, fock_eigenvalues=low_fock)

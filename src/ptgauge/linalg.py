@@ -367,6 +367,10 @@ def lowest_common(k: int, *spectra) -> list:
 MAX_ARNOLDI_MODES = 256   # largest set lowest_modes asks ARPACK for
 
 
+class UncertifiedModes(RuntimeError):
+    """lowest_modes found no certified set within its largest request."""
+
+
 def require_mode_count(n: int, k: int) -> None:
     """ValueError where lowest_modes cannot certify k of n modes: past dense
     eig's sizes (k + 4 <= n - 2) a certificate needs a value past the k."""
@@ -418,8 +422,8 @@ def lowest_modes(M, k: int) -> np.ndarray:
 
     Shift-invert returns the nev = k + margin values nearest its shift
     sigma, not the lowest by real part, so the selection is certified; the
-    margin starts at 4 and doubles until it is, and past
-    MAX_ARNOLDI_MODES values (or n - 2) lowest_modes raises RuntimeError
+    margin starts at 4 and doubles until it is; past MAX_ARNOLDI_MODES
+    values (or n - 2) lowest_modes raises UncertifiedModes, a RuntimeError,
     rather than return an uncertified set.  An operator too small for a
     first request of k + 4 values is solved by dense eig; on any other, k
     >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M picks one
@@ -481,7 +485,7 @@ def lowest_modes(M, k: int) -> np.ndarray:
         if kept is not None:
             return kept
         if nev == nev_max:
-            raise RuntimeError(
+            raise UncertifiedModes(
                 f"lowest_modes: no certified lowest {k} of {n} modes within "
                 f"{nev} shift-invert values ({why})")
         margin *= 2

@@ -649,7 +649,7 @@ def _jc_records(rep: Report, params: JcParams, grid_vs_fock_name: str):
     """PT symmetry of the Fock build and its agreement with the grid build."""
     sig, el, omega = _jc_model(params)
     H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, params.n_max)
-    rep.add("jc/pt_symmetry", jaynes.jc_pt_check(H, sig, params.n_max), 1e-12)
+    rep.add("jc/pt_symmetry", jaynes.jc_pt_check(H, sig), 1e-12)
     eq = jaynes.jc_equivalence_check(el, omega, params.grid(), params.n_max)
     rep.add(grid_vs_fock_name, eq.max_dev, 5e-2)
     rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
@@ -667,13 +667,11 @@ def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
     rep.add("jc/decoupled_spectrum_exact",
             float(np.abs(got - expected).max()), 1e-12)
 
-    eq = _jc_records(rep, params, "jc/grid_vs_fock_lowest6")
-    rep.config.setdefault("jc_sign_convention", eq.sign_convention)
+    _jc_records(rep, params, "jc/grid_vs_fock_lowest6")
 
 
 def run_jc(rep: Report, params: JcParams):
     eq = _jc_records(rep, params, "jc/grid_vs_fock")
-    rep.config["sign_convention"] = eq.sign_convention
     rows = [[i, float(lg.real), float(lg.imag), float(lf.real), float(lf.imag)]
             for i, (lg, lf) in enumerate(zip(eq.grid_eigenvalues,
                                              eq.fock_eigenvalues))]

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ptgauge import cartan, linalg, pointint, verification
+from ptgauge import cartan, jaynes, linalg, pointint, verification
 from ptgauge.cli import main
 from ptgauge.reporting import Report, emit
 from ptgauge.verification import (
@@ -22,6 +22,7 @@ from ptgauge.verification import (
     check_cartan_lts,
     check_clifford_relations,
     check_closed_form_exponentials,
+    check_jaynes_cummings,
     check_matrix_schrodinger,
     check_parity_metric_relations,
     check_point_angle,
@@ -163,8 +164,7 @@ VERIFY_ALL_RECORDS = [
 
 def test_verify_all_record_names_and_config_keys(report):
     assert [r.name for r in report.records] == VERIFY_ALL_RECORDS
-    assert sorted(report.config) == ["jc_sign_convention",
-                                     "matrix_convergence_order", "seed"]
+    assert sorted(report.config) == ["matrix_convergence_order", "seed"]
 
 
 def _record(rep, name):
@@ -281,3 +281,15 @@ def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):
     assert [p.name for p in f1] == [p.name for p in f2]
     assert identical
     assert elapsed < 300
+
+
+def test_coupling_on_d_fails_grid_vs_fock(monkeypatch):
+    """The Fock model built with c on d and c^T on d^H, the convention the
+    grid's V(x) does not expand to, is off by 0.74 at the default omega."""
+    build_jc = jaynes.build_jc
+    monkeypatch.setattr(jaynes, "build_jc", lambda split, omega, n: build_jc(
+        jaynes.NilpotentSplit(a=split.a, c=split.c.T), omega, n))
+    rep = Report(command="c-on-d", config={})
+    check_jaynes_cummings(rep, VerifyConfig())
+    assert not _record(rep, "jc/grid_vs_fock_lowest6").passed
+    assert _record(rep, "jc/truncation_convergence").passed

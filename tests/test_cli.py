@@ -69,6 +69,19 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["lts-check", "--samples", "many"],
+         "argument --samples: invalid int value: 'many'"),
+        (["jc", "--format", "xml"], "argument --format: invalid choice: "
+         "'xml' (choose from 'json', 'csv', 'both')"),
+        (["lts-check", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_argparse_error_is_one_line(self, argv, message, capsys):
+        """argparse's message alone, without its usage block."""
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
 
 class TestConfigFile:
     def test_values_applied(self, tmp_path, capsys):
@@ -107,6 +120,29 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples = many\n")
         assert main(["lts-check", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("value, message", [
+        ("many", "argument --samples: invalid int value: 'many'"),
+        ("", "argument --samples: invalid int value: ''"),
+    ])
+    def test_typed_value_error_names_its_line(self, value, message, tmp_path,
+                                              capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 2\nsamples = {value}\n")
+        assert main(["lts-check", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {cfg}:2: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["samples = 5", "samples = many"])
+    def test_bad_explicit_flag_not_blamed_on_the_file(self, line, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["lts-check", "--config", str(cfg), "--samples", "few",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: argument --samples: invalid int value: 'few'\n")
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         assert main(["point-angle",
@@ -407,7 +443,7 @@ REPORTS = {
         ["box", "gauge_alpha", "h", "n_low"]),
     "jc": (["--n-max", "4", "--h", "0.1"], [
         "jc/pt_symmetry", "jc/grid_vs_fock", "jc/truncation_convergence"],
-        ["alpha", "delta", "h", "n_max", "sign_convention"]),
+        ["alpha", "delta", "h", "n_max"]),
     "point-angle": ([], [
         "point/defining_relation", "point/trace_identities",
         "point/gamma_transform", "point/matrix_relation",

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptgauge import jaynes
-from ptgauge.cartan import ThetaSignature, make_element, random_element
+from ptgauge.cartan import GaugeAlgebraElement, ThetaSignature, \
+    make_element, random_element
 from ptgauge.jaynes import (
     FockLadder,
     LevelEnergies,
@@ -12,7 +13,7 @@ from ptgauge.jaynes import (
     jc_pt_check,
     nilpotent_split,
 )
-from ptgauge.linalg import Grid1D, eig, pairing_check
+from ptgauge.linalg import Grid1D, eig, match_spectra, pairing_check
 
 SIG = ThetaSignature(1, 1)
 
@@ -96,14 +97,18 @@ class TestPt:
     def test_pt_symmetry(self, alpha, delta):
         omega = LevelEnergies(omega=np.array([0.0, delta]))
         H = build_jc(nilpotent_split(_el(alpha)), omega, 6)
-        assert jc_pt_check(H, SIG, 6) <= 1e-12 * max(1.0, np.abs(H).max())
+        assert jc_pt_check(H, SIG) <= 1e-12 * max(1.0, np.abs(H).max())
 
     def test_broken_symmetry_detected(self):
         """Negative control: a complex level energy breaks PT."""
         omega = LevelEnergies(omega=np.array([0.0, 0.5]))
         H = build_jc(nilpotent_split(_el(0.3)), omega, 6)
         H = H + 1j * np.diag(np.arange(H.shape[0], dtype=float))
-        assert jc_pt_check(H, SIG, 6) > 1e-12 * max(1.0, np.abs(H).max())
+        assert jc_pt_check(H, SIG) > 1e-12 * max(1.0, np.abs(H).max())
+
+    def test_dimension_must_be_a_multiple_of_m(self):
+        with pytest.raises(ValueError, match="not a multiple of m = 2"):
+            jc_pt_check(np.eye(7), SIG)
 
 
 class TestEquivalence:
@@ -114,32 +119,43 @@ class TestEquivalence:
         out = jc_equivalence_check(_el(0.3), omega, grid, n_max)
         assert out.max_dev <= 5e-2
         assert out.truncation_shift < 1e-6
-        # the overall sign of a is spectrally irrelevant, so both sign
-        # conventions must agree with the grid build
-        assert out.max_dev_other <= 5e-2
 
-    def test_flipped_elements_read_only(self, monkeypatch):
-        """The Fock builds split s a for s = +1, -1 (and the better s again
-        at 1.5 n_max), each a read-only matrix of a's signature."""
-        seen = []
+    def test_one_split_and_one_fock_build_per_cut(self, monkeypatch):
+        """a is split once, and the Fock model is built once at n_max and
+        once at ceil(1.5 n_max), both from that split."""
+        splits, builds = [], []
 
-        def spy(el):
-            seen.append(el)
-            return nilpotent_split(el)
+        def split_spy(el):
+            splits.append(nilpotent_split(el))
+            return splits[-1]
 
-        monkeypatch.setattr(jaynes, "nilpotent_split", spy)
-        el = _el(0.3)
+        def build_spy(split, omega, n):
+            builds.append((split, n))
+            return build_jc(split, omega, n)
+
+        monkeypatch.setattr(jaynes, "nilpotent_split", split_spy)
+        monkeypatch.setattr(jaynes, "build_jc", build_spy)
         n_max = 8
         grid = Grid1D.from_box(np.sqrt(2 * n_max) + 4.2, 0.05)
         omega = LevelEnergies(omega=np.array([0.0, 0.5]))
-        out = jc_equivalence_check(el, omega, grid, n_max)
-        assert seen[0] is el
-        for flipped, s in zip(seen[1:], (+1, -1, out.sign_convention),
-                              strict=True):
-            assert flipped.sig == el.sig
-            assert np.array_equal(flipped.matrix, s * el.matrix)
-            with pytest.raises(ValueError, match="read-only"):
-                flipped.matrix[...] = 0
+        jc_equivalence_check(_el(0.3), omega, grid, n_max)
+        assert len(splits) == 1
+        assert [n for _, n in builds] == [8, 12]
+        assert all(split is splits[0] for split, _ in builds)
+
+    @pytest.mark.parametrize("sig_pq", [(1, 1), (2, 1), (2, 2)])
+    def test_sign_of_a_leaves_the_fock_spectrum(self, sig_pq):
+        """Conjugation by diag((-1)^n) (x) I maps d to -d, so the builds
+        from a and -a are similar; a level-asymmetric omega keeps the
+        coupling convention visible."""
+        sig = ThetaSignature(*sig_pq)
+        el = random_element(sig, np.random.default_rng(5), 0.3)
+        omega = LevelEnergies(omega=np.linspace(0.0, 1.3, sig.m) ** 2)
+        minus = GaugeAlgebraElement(sig, -el.matrix)
+        spectra = [eig(build_jc(nilpotent_split(e), omega, 10))
+                   for e in (el, minus)]
+        dev = match_spectra(*spectra).max()
+        assert dev <= 1e-12 * np.abs(spectra[0]).max()
 
     def test_three_level_cut_keeps_conjugate_pairs(self):
         """Signature (2, 1): the lowest six modes end inside a conjugate

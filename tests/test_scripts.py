@@ -1,6 +1,7 @@
 """The scripts exit 0 only if their checked invariant holds: every observed
 order meets the bound, or the phase summary's counts add up.  Arguments
-they cannot use end with exit 2 and one line, before any level runs."""
+they cannot use end with exit 2 and one line, before any level runs or,
+for an n-low that no level can certify, before any output."""
 
 import dataclasses
 import importlib.util
@@ -100,4 +101,18 @@ def test_unusable_arguments_exit_two(capsys, name, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_uncertifiable_n_low_exits_two(capsys):
+    """The example's levels come in degenerate pairs, so no gap follows the
+    255th of at most 256 shift-invert values and no level can certify 255
+    modes; the run names --n-low instead of ending in a traceback."""
+    study = _load("matrix_convergence_study")
+    assert study.main(["--n-low", "255", "--levels", "2", "--h0", "0.04",
+                       "--box", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --n-low 255 at h 0.04: "
+                                   "lowest_modes: no certified lowest 255")
     assert captured.err.count("\n") == 1

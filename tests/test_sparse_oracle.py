@@ -321,7 +321,7 @@ def test_lowest_modes_raises_without_certificate(monkeypatch):
     """|Im lambda| <= 100 is all the certificate knows, and no disk the
     80 x 80 operator's values can fill is that wide."""
     calls = _counting(monkeypatch, "eigs")
-    with pytest.raises(RuntimeError, match="no certified"):
+    with pytest.raises(linalg.UncertifiedModes, match="no certified"):
         lowest_modes(_upper_blocks(40, 200.0), 8)
     assert calls[-1] == 78   # grew to the largest request eigs accepts
 
