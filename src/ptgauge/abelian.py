@@ -32,8 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import Grid1D, antidiagonal, grid_operator, indefinite_inner, \
-    operator_norm_estimate, worst_residual
+from .linalg import Grid1D, antidiagonal, block_tridiagonal, grid_operator, \
+    indefinite_inner, operator_norm_estimate, sample_on_nodes, stencil, \
+    worst_residual
 
 # bound on the PT defect of A and on the factorization identities, which
 # hold to rounding on the staggered grid
@@ -42,15 +43,18 @@ IDENTITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScalarPotentials:
-    A: Callable[[float], complex]
-    V: Callable[[float], complex]
+    """A(x), V(x): each called once per build, elementwise, on the nodes."""
+
+    A: Callable[[np.ndarray], np.ndarray]
+    V: Callable[[np.ndarray], np.ndarray]
 
 
-def split_even_odd(A: Callable[[float], complex], grid: Grid1D):
-    """Split a PT-symmetric A into real-even A_+ and real-odd A_- node values;
-    raises ValueError if |A(-x) - conj(A(x))| exceeds IDENTITY_TOL."""
+def split_even_odd(A: Callable[[np.ndarray], np.ndarray], grid: Grid1D):
+    """Split a PT-symmetric A, called once on the node array, into real-even
+    A_+ and real-odd A_- node values; raises ValueError if
+    |A(-x) - conj(A(x))| exceeds IDENTITY_TOL."""
     x = grid.nodes
-    vals = np.asarray([A(xi) for xi in x], dtype=complex)
+    vals = sample_on_nodes(A, x)
     defect = np.abs(vals[::-1] - np.conj(vals))
     if not worst_residual(defect) <= IDENTITY_TOL:   # NaN fails as well
         worst = int(np.argmax(defect))
@@ -58,9 +62,7 @@ def split_even_odd(A: Callable[[float], complex], grid: Grid1D):
             f"A must be finite and PT-symmetric on the grid: worst node "
             f"x={x[worst]:.6g} with |A(-x) - conj(A(x))| = {defect[worst]:.3e}"
         )
-    a_plus = vals.real.copy()
-    a_minus = vals.imag.copy()
-    return a_plus, a_minus
+    return vals.real.copy(), vals.imag.copy()
 
 
 def _cumulative_from_origin(node_vals: np.ndarray, value_at_0: float,
@@ -97,10 +99,11 @@ class GaugeFactorization:
     residuals: dict
 
 
-def gauge_factorization(A: Callable[[float], complex],
+def gauge_factorization(A: Callable[[np.ndarray], np.ndarray],
                         grid: Grid1D) -> GaugeFactorization:
-    """Factor the gauge of A on grid; raises ValueError if A is not
-    PT-symmetric or a factorization residual exceeds IDENTITY_TOL."""
+    """Factor the gauge of A on grid, calling A once on the node array and
+    once at the origin; raises ValueError if A is not PT-symmetric or a
+    factorization residual exceeds IDENTITY_TOL."""
     a_plus, a_minus = split_even_odd(A, grid)
     a0 = complex(A(0.0))
     Q = _cumulative_from_origin(a_plus, a0.real, grid)
@@ -152,15 +155,14 @@ def gauge_factorization(A: Callable[[float], complex],
 def build_scalar_hamiltonian(pots: ScalarPotentials,
                              grid: Grid1D) -> scipy.sparse.csr_array:
     """H_g = p^2 - p A - A p + A^2 + V with p^2 the 3-point stencil, as a
-    tridiagonal CSR array."""
-    x = grid.nodes
-    A_v = np.asarray([pots.A(xi) for xi in x], dtype=complex)
-    V_v = np.asarray([pots.V(xi) for xi in x], dtype=complex)
-    p = grid_operator(grid, "momentum")
-    L = grid_operator(grid, "second_derivative")
-    A = scipy.sparse.diags_array(A_v)
-    H = L - p @ A - A @ p + scipy.sparse.diags_array(A_v**2 + V_v)
-    return scipy.sparse.csr_array(H)
+    tridiagonal CSR array assembled from its three diagonals."""
+    A, V = (sample_on_nodes(f, grid.nodes)[:, None, None]   # 1 x 1 blocks
+            for f in (pots.A, pots.V))
+    p_lo, _, p_up = stencil(grid, "momentum")   # p has no diagonal
+    L_lo, L_d, L_up = stencil(grid, "second_derivative")
+    return block_tridiagonal((L_lo - p_lo * A[:-1]) - A[1:] * p_lo,
+                             L_d + (A**2 + V),
+                             (L_up - p_up * A[1:]) - A[:-1] * p_up)
 
 
 def interior_test_vectors(grid: Grid1D) -> np.ndarray:

@@ -12,8 +12,9 @@ Difference stencils (Dirichlet closure, values outside the box are zero):
 
 Grid operators are complex scipy.sparse CSR arrays: momentum and
 second_derivative are tridiagonal, parity is anti-diagonal, and sign is
-diagonal.  Block operators are Kronecker products  grid_part (x) I_m  with
-the grid index slowest, i.e. node j occupies rows j*m .. j*m+m-1.  eig and
+diagonal.  Block operators on grid (x) C^m have the grid index slowest (node
+j occupies rows j*m .. j*m+m-1); block_tridiagonal assembles one from its
+m x m blocks.  sample_on_nodes calls f(x) once, on the node array.  eig and
 expm accept dense or sparse input; densify is the one place a sparse
 operator is made dense.  expm works on a dense complex copy, and also
 takes a (..., m, m) stack of matrices.  eig picks its LAPACK driver by the
@@ -194,30 +195,59 @@ def antidiagonal(values) -> scipy.sparse.csr_array:
                                   shape=(n, n))
 
 
-def grid_operator(grid: Grid1D, kind: str,
-                  block_dim: int = 1) -> scipy.sparse.csr_array:
-    """Assemble a discrete operator on grid (x) C^block_dim as a CSR array.
+def stencil(grid: Grid1D, kind: str) -> tuple:
+    """(lower, diagonal, upper) coefficients of the tridiagonal 'momentum'
+    or 'second_derivative' stencil on grid, as complex numbers."""
+    h = grid.spacing
+    if kind == "momentum":
+        return 1j / (2 * h), 0j, -1j / (2 * h)
+    if kind == "second_derivative":
+        return complex(-1.0 / h**2), complex(2.0 / h**2), complex(-1.0 / h**2)
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def block_tridiagonal(lower, diag, upper) -> scipy.sparse.csr_array:
+    """The CSR array with the m x m blocks diag[j] at block (j, j), lower[j]
+    at (j + 1, j) and upper[j] at (j, j + 1), where diag has shape (n, m, m)
+    and lower, upper broadcast to (n - 1, m, m); exact zeros are not stored."""
+    n, m, _ = np.shape(diag)
+    pad = np.zeros((1, m, m), dtype=complex)
+    lower, upper = (np.broadcast_to(b, (n - 1, m, m)) for b in (lower, upper))
+    # block row j: column blocks j - 1, j, j + 1 side by side, in column order
+    rows = np.concatenate((np.concatenate((pad, lower)), diag,
+                           np.concatenate((upper, pad))), axis=2)
+    cols = np.arange(-m, (n - 1) * m, m)[:, None, None] + np.arange(3 * m)
+    keep = rows != 0   # the pads, outside the box, are zeros
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2))))
+    return scipy.sparse.csr_array((rows[keep], np.broadcast_to(
+        cols, rows.shape)[keep], indptr), shape=(n * m, n * m))
+
+
+def grid_operator(grid: Grid1D, kind: str) -> scipy.sparse.csr_array:
+    """Assemble a discrete operator on grid as a CSR array.
 
     kind is one of 'momentum', 'parity', 'sign', 'second_derivative'.
     """
-    n = grid.size
-    h = grid.spacing
-    if kind == "momentum":
-        off = np.full(n - 1, 1j / (2 * h))
-        core = scipy.sparse.diags_array([off, -off], offsets=(-1, 1))
-    elif kind == "second_derivative":
-        core = scipy.sparse.diags_array(
-            [np.full(n - 1, -1.0 / h**2), np.full(n, 2.0 / h**2),
-             np.full(n - 1, -1.0 / h**2)], offsets=(-1, 0, 1), dtype=complex)
-    elif kind == "parity":
-        core = antidiagonal(np.ones(n))
-    elif kind == "sign":
-        core = scipy.sparse.diags_array(np.sign(grid.nodes), dtype=complex)
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    if block_dim > 1:
-        core = scipy.sparse.kron(core, scipy.sparse.eye_array(block_dim))
-    return scipy.sparse.csr_array(core)
+    if kind == "parity":
+        return antidiagonal(np.ones(grid.size))
+    if kind == "sign":
+        return block_tridiagonal(0, np.sign(grid.nodes)[:, None, None], 0)
+    lower, diag, upper = stencil(grid, kind)
+    return block_tridiagonal(lower, np.full((grid.size, 1, 1), diag), upper)
+
+
+def sample_on_nodes(f, x, block: tuple = ()) -> np.ndarray:
+    """f called once, elementwise, on the node array x shaped (n, 1, ..., 1),
+    its value broadcast to (n,) + block as a new complex array (a constant
+    may be a scalar); ValueError naming that shape if it does not broadcast."""
+    shape = (len(x),) + tuple(block)
+    value = f(np.reshape(x, (-1,) + (1,) * len(block)))
+    try:
+        out = np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(f"a potential on the nodes gave shape "
+                         f"{np.shape(value)}, expected shape {shape}") from None
+    return out.astype(complex)
 
 
 def indefinite_inner(f, g, J, weight, h: float) -> complex:

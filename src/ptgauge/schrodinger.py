@@ -10,8 +10,11 @@ gauge transform U = (+)_j e^{-iAx_j}, is spectrally exact by construction;
 it feeds the similarity check of the verification suite.
 
 All three operators are block-tridiagonal and U is block-diagonal; they are
-assembled as scipy.sparse CSR arrays.  When A and every V(x_j) are
-Hermitian, U is unitary and all three are Hermitian in exact arithmetic; H,
+CSR arrays assembled from their block diagonals (linalg.block_tridiagonal),
+with V called once, elementwise, on the nodes.  As x_{n-1-j} = -x_j
+exactly, the blocks e^{iAx_j} of U^{-1} are the one stack of exponentials
+e^{-iAx_j} reversed, bit for bit.  When A and every V(x_j) are Hermitian,
+U is unitary and all three are Hermitian in exact arithmetic; H,
 U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  spectral_compare takes
 the whole spectra by eig, as it classifies their pairing; lowest_mode_match
@@ -33,25 +36,22 @@ import scipy.sparse
 
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
 from .cartan import ThetaSignature
-from .linalg import Grid1D, eig, expm, grid_operator, lowest_common, \
-    lowest_modes, match_spectra, operator_norm_estimate, pairing_check
+from .linalg import Grid1D, block_tridiagonal, eig, expm, grid_operator, \
+    lowest_common, lowest_modes, match_spectra, operator_norm_estimate, \
+    pairing_check, sample_on_nodes, stencil
 
 PAIR_TOL = 1e-6   # conjugate-pairing tolerance of spectral_compare
 
 
 @dataclass(frozen=True)
 class MatrixPotential:
+    """V(x), called once per sample, elementwise, on the nodes as (n, 1, 1)."""
+
     m: int
-    V: Callable[[float], np.ndarray]
+    V: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((len(x), self.m, self.m), dtype=complex)
-        for j, xj in enumerate(x):
-            Vj = np.asarray(self.V(xj), dtype=complex)
-            if Vj.shape != (self.m, self.m):
-                raise ValueError(f"V({xj}) has shape {Vj.shape}, expected "
-                                 f"({self.m}, {self.m})")
-            out[j] = Vj
+        out = sample_on_nodes(self.V, x, (self.m, self.m))
         if not np.all(np.isfinite(out)):
             raise ValueError("matrix potential has non-finite entries")
         return out
@@ -96,13 +96,6 @@ def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
     }
 
 
-def _block_diagonal(blocks: np.ndarray) -> scipy.sparse.csr_array:
-    """The operator with the m x m blocks[j] on its j-th diagonal block."""
-    n, m, _ = blocks.shape
-    return scipy.sparse.csr_array(scipy.sparse.bsr_array(
-        (blocks, np.arange(n), np.arange(n + 1)), shape=(n * m, n * m)))
-
-
 def _adjoint(X):   # conjugate transpose of sparse X, or of each trailing matrix
     return X.conj().T if scipy.sparse.issparse(X) else np.conj(np.swapaxes(X, -1, -2))
 
@@ -140,12 +133,13 @@ def _assemble(gauge: ConstantGauge, pot: MatrixPotential, grid: Grid1D):
     A2 = A @ A
     if hermitian and not _is_hermitian(A2):
         A2 = _hermitian_part(A2, m, _norm_inf(A) ** 2)
-    p = grid_operator(grid, "momentum")
-    H_g = (grid_operator(grid, "second_derivative", block_dim=m)
-           - 2 * scipy.sparse.kron(p, A)
-           + scipy.sparse.kron(scipy.sparse.eye_array(grid.size), A2)
-           + _block_diagonal(Vs))
-    return scipy.sparse.csr_array(H_g), Vs, hermitian
+    # the blocks of ((L (x) I - 2 p (x) A) + I (x) A^2) + V, p without diagonal
+    (p_lo, _, p_up), (L_lo, L_d, L_up) = (stencil(grid, "momentum"),
+                                          stencil(grid, "second_derivative"))
+    I = np.eye(m)
+    H_g = block_tridiagonal(L_lo * I - 2 * (p_lo * A), (L_d * I + A2) + Vs,
+                            L_up * I - 2 * (p_up * A))
+    return H_g, Vs, hermitian
 
 
 def build_gauged(gauge: ConstantGauge, pot: MatrixPotential,
@@ -167,21 +161,20 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     H_g, Vs, hermitian = _assemble(gauge, pot, grid)
     m, x, A = gauge.m, grid.nodes, gauge.A
 
-    # e^{-iAx_j} and e^{iAx_j} at every node, as two stacked exponentials
-    xs = x[:, None, None]
-    U_blocks = expm(-1j * A * xs)
-    Ui_blocks = expm(1j * A * xs)
+    # e^{-iAx_j} at every node; as x_{n-1-j} = -x_j, reversed it is e^{iAx_j}
+    U_blocks = expm(-1j * A * x[:, None, None])
+    Ui_blocks = U_blocks[::-1]
     Vt_blocks = U_blocks @ Vs @ Ui_blocks
-    H_similar = _block_diagonal(U_blocks) @ H_g @ _block_diagonal(Ui_blocks)
+    H_similar = (block_tridiagonal(0, U_blocks, 0) @ H_g
+                 @ block_tridiagonal(0, Ui_blocks, 0))
     if hermitian:   # then U is unitary
-        scale = (_norm_inf(U_blocks).max() * _norm_inf(Ui_blocks).max()
-                 * (1 + np.abs(x) * _norm_inf(A)))
+        scale = _norm_inf(U_blocks).max() ** 2 * (1 + np.abs(x) * _norm_inf(A))
         Vt_blocks = _hermitian_part(
             Vt_blocks, m, (scale * _norm_inf(Vs))[:, None, None])
         H_similar = _hermitian_part(H_similar, m, scale.max() * _norm_inf(H_g))
-    H = scipy.sparse.csr_array(
-        grid_operator(grid, "second_derivative", block_dim=m)
-        + _block_diagonal(Vt_blocks))
+    L_lo, L_d, L_up = stencil(grid, "second_derivative")
+    I = np.eye(m)
+    H = block_tridiagonal(L_lo * I, L_d * I + Vt_blocks, L_up * I)
     return RegaugeResult(grid=grid, H_g=H_g, H=H, H_similar=H_similar)
 
 

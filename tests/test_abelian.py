@@ -85,7 +85,7 @@ class TestFactorization:
     def test_nan_at_origin_raises(self):
         """x = 0 is no node, so the split passes; the quadrature's half
         cell at the origin then makes every node value of Q and S NaN."""
-        A = lambda t: complex(np.nan) if t == 0 else 1.0 + 0j
+        A = lambda t: np.where(t == 0, np.nan, 1.0) + 0j
         with pytest.raises(ValueError, match="identities violated"):
             gauge_factorization(A, GRID)
 
@@ -173,6 +173,45 @@ class TestHamiltonian:
         out = verify_pseudo_hermiticity(H, fact, tol=1.0)
         assert np.isnan(out.r1)
         assert np.isnan(out.weighted_form_residual)
+
+
+class TestPotentialCalls:
+    """Each potential is called once per build, elementwise, on the node
+    array; gauge_factorization also evaluates A at the origin, where the
+    quadrature's half cell starts."""
+
+    @staticmethod
+    def spy(f, calls):
+        def spied(x):
+            calls.append(np.copy(x))
+            return f(x)
+        return spied
+
+    def test_gauge_factorization(self):
+        calls = []
+        gauge_factorization(self.spy(lambda x: np.cos(x) + 1j * x, calls), GRID)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], GRID.nodes)
+        assert calls[1] == 0.0
+
+    def test_build_scalar_hamiltonian(self):
+        a_calls, v_calls = [], []
+        build_scalar_hamiltonian(ScalarPotentials(
+            A=self.spy(lambda x: np.cos(x) + 1j * x, a_calls),
+            V=self.spy(lambda x: x**2, v_calls)), GRID)
+        for calls in (a_calls, v_calls):
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], GRID.nodes)
+
+    @pytest.mark.parametrize("A", [lambda x: np.ones(3),
+                                   lambda x: x[:, None] * np.ones(2)],
+                             ids=["length3", "column_per_node"])
+    def test_wrong_shape_names_the_expected_one(self, A):
+        match = rf"expected shape \({GRID.size},\)"
+        with pytest.raises(ValueError, match=match):
+            build_scalar_hamiltonian(ScalarPotentials(A=A, V=lambda x: x**2), GRID)
+        with pytest.raises(ValueError, match=match):
+            gauge_factorization(A, GRID)
 
 
 class TestInteriorVectors:

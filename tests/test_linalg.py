@@ -277,6 +277,15 @@ class TestGrid:
         assert Grid1D.from_box(8.0, 0.05) == Grid1D(half_count=160, spacing=0.05)
         assert Grid1D.from_box(0.11, 0.2).half_count == 1
 
+    @pytest.mark.parametrize("half_width, spacing", [
+        (8.0, 0.05), (6.0, 0.1), (5.3, 0.07), (0.11, 0.2),
+        pytest.param(np.sqrt(24) + 4.2, 0.045, id="jc_n_max_12")])
+    def test_from_box_nodes_exactly_antisymmetric(self, half_width, spacing):
+        """The reversed stack of e^{-iAx_j} is e^{iAx_j} only because
+        x_{n-1-j} = -x_j holds bit for bit, whatever half_width / spacing."""
+        g = Grid1D.from_box(half_width, spacing)
+        assert np.array_equal(g.nodes[::-1], -g.nodes)
+
     @pytest.mark.parametrize("half_width, spacing, name", [
         (6.0, 0.0, "spacing"), (6.0, -0.1, "spacing"), (6.0, np.inf, "spacing"),
         (6.0, np.nan, "spacing"), (np.inf, 0.1, "half_width"),
@@ -315,14 +324,6 @@ class TestGrid:
         H = L + np.diag(g.nodes**2)
         vals = np.sort(np.linalg.eigvalsh(H.real))[:5]
         assert np.abs(vals - np.array([1, 3, 5, 7, 9])).max() < 1e-2
-
-    def test_block_kron_ordering(self):
-        g = Grid1D(half_count=2, spacing=0.5)
-        P = grid_operator(g, "parity", block_dim=2).toarray()
-        # node j maps to node -j with the 2x2 block untouched
-        v = np.zeros(8)
-        v[0] = 1.0
-        assert np.argmax(np.abs(P @ v)) == 6
 
     def test_unknown_kind(self):
         g = Grid1D(half_count=2, spacing=0.5)

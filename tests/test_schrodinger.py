@@ -149,15 +149,35 @@ class TestRegauge:
         with pytest.raises(ValueError):
             build_and_regauge(ConstantGauge(A=np.zeros((3, 3))), _well(), GRID)
 
-    def test_potential_sampled_once_per_build(self):
+    @pytest.mark.parametrize("build", [build_and_regauge,
+                                       schrodinger.build_gauged])
+    def test_potential_called_once_on_the_node_array(self, build):
         calls = []
 
         def V(x):
-            calls.append(x)
+            calls.append(x.copy())
             return x**2 * np.eye(2)
 
-        build_and_regauge(_gauge(), MatrixPotential(m=2, V=V), GRID)
-        assert np.array_equal(calls, GRID.nodes)
+        build(_gauge(), MatrixPotential(m=2, V=V), GRID)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], GRID.nodes[:, None, None])
+
+    def test_one_exponential_stack_per_build(self, monkeypatch):
+        """e^{iAx_j} is the reversed stack of e^{-iAx_j}: one expm call."""
+        calls = []
+        expm = schrodinger.expm
+        monkeypatch.setattr(schrodinger, "expm",
+                            lambda M: calls.append(M.shape) or expm(M))
+        build_and_regauge(_gauge(), _well(), GRID)
+        assert calls == [(GRID.size, 2, 2)]
+
+    @pytest.mark.parametrize("V", [lambda x: np.ones((3, 3)),
+                                   lambda x: x.ravel()**2],
+                             ids=["3x3", "scalar_per_node"])
+    def test_potential_of_wrong_shape_names_the_expected_one(self, V):
+        with pytest.raises(ValueError,
+                           match=rf"expected shape \({GRID.size}, 2, 2\)"):
+            build_and_regauge(_gauge(), MatrixPotential(m=2, V=V), GRID)
 
 
 def test_grid_convergence_order():

@@ -39,7 +39,9 @@ GAUGES = {
     "beta": lambda t: 0.3j * t,
     "mixed": lambda t: np.cos(t) + 0.3j * t,
 }
-GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.05)]  # n = 6, 320
+# n = 6, 320, and n = 2, 4, where the first and last block rows meet
+GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.05),
+         Grid1D(half_count=1, spacing=0.5), Grid1D(half_count=2, spacing=0.3)]
 
 
 def dense_stencils(grid):
@@ -103,13 +105,6 @@ def dense_hamiltonian(A, grid):
 def test_stencils_entrywise(grid, kind):
     M = grid_operator(grid, kind)
     assert np.array_equal(M.toarray(), dense_stencils(grid)[kind])
-
-
-@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
-def test_block_operator_is_kron(grid):
-    M = grid_operator(grid, "momentum", block_dim=3)
-    assert np.array_equal(M.toarray(),
-                          np.kron(dense_stencils(grid)["momentum"], np.eye(3)))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"n{g.size}")
@@ -196,7 +191,8 @@ def matrix_examples():
 
 
 MATRIX_EXAMPLES = list(matrix_examples())
-MATRIX_GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.1)]
+MATRIX_GRIDS = [Grid1D(half_count=3, spacing=0.4), Grid1D.from_box(8.0, 0.1),
+                Grid1D(half_count=1, spacing=0.5), Grid1D(half_count=2, spacing=0.3)]
 
 
 def dense_matrix_chain(gauge, pot, grid):
@@ -252,7 +248,7 @@ def test_matrix_chain_entrywise(grid, name, gauge, pot):
 def test_eig_and_expm_accept_sparse():
     grid = Grid1D(half_count=4, spacing=0.5)
     M = grid_operator(grid, "second_derivative") \
-        + 0.3j * grid_operator(grid, "momentum", block_dim=1)
+        + 0.3j * grid_operator(grid, "momentum")
     assert np.array_equal(eig(M), eig(M.toarray()))
     assert np.array_equal(expm(0.1 * M), expm(0.1 * M.toarray()))
 
