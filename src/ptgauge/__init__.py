@@ -57,7 +57,6 @@ from .schrodinger import (
     symmetry_audit,
 )
 from .jaynes import (
-    FockLadder,
     LevelEnergies,
     build_jc,
     jc_equivalence_check,
@@ -73,7 +72,6 @@ from .pointint import (
     boundary_transform_check,
     clifford_angle,
     domain_check,
-    p_phi_selfadjointness_check,
     pt_phase_sweep,
 )
 from .verification import VerifyConfig, run_verify_all

@@ -5,7 +5,8 @@ d|n> = sqrt(n)|n-1> and N = d^H d is diagonal 0..n_max.  Truncation is a
 hard cut at n_max: the coupling row out of the top level is dropped and
 the resulting error is measured by rebuilding at 1.5 n_max, not assumed.
 
-Tensor ordering is Fock (x) level throughout: kron(fock_op, m_by_m).
+Tensor ordering is Fock (x) level throughout: Fock level n occupies
+rows n*m .. n*m+m-1.
 
 The multi-level Hamiltonian is
 
@@ -22,11 +23,14 @@ whenever omega is level-asymmetric, and the dual build detects it at
 O(1).  One convention is enough: conjugation by the Fock parity
 diag((-1)^n) (x) I maps d to -d, so the builds from a and -a are similar.
 
-The lowest modes of the grid build come from linalg.lowest_modes
-(certified sparse shift-invert); the Fock builds are small (dimension
-m (n_max + 1)) and keep dense eig.  Every comparison cuts its spectra at
-a common pair-safe k (linalg.lowest_common), so no cut splits a conjugate
-pair.
+In that order H_jc is block-tridiagonal with m x m blocks, and build_jc
+stores it as a CSR array from linalg.block_tridiagonal.  The lowest modes
+of the grid build come from linalg.lowest_modes (certified sparse
+shift-invert); the whole Fock spectrum comes from eig, which takes the band
+driver, without densifying, for a Hermitian build (real c) once its
+bandwidth kd has 32 kd < m (n_max + 1).  Every comparison cuts its
+spectra at a common pair-safe k (linalg.lowest_common), so no cut splits
+a conjugate pair.
 """
 
 from __future__ import annotations
@@ -34,40 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .cartan import GaugeAlgebraElement, ThetaSignature
-from .linalg import Grid1D, eig, lowest_common, lowest_modes, match_spectra
+from .linalg import (Grid1D, block_tridiagonal, eig, lowest_common,
+                     lowest_modes, match_spectra)
 from .schrodinger import ConstantGauge, MatrixPotential, build_gauged
 
 N_COMPARE = 6   # lowest modes compared between the grid and Fock builds
-
-
-@dataclass(frozen=True)
-class FockLadder:
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    @property
-    def d(self) -> np.ndarray:
-        n = np.arange(1, self.dim)
-        out = np.zeros((self.dim, self.dim))
-        out[n - 1, n] = np.sqrt(n)
-        return out
-
-    @property
-    def d_dag(self) -> np.ndarray:
-        return self.d.T
-
-    @property
-    def number(self) -> np.ndarray:
-        return self.d_dag @ self.d
 
 
 @dataclass(frozen=True)
@@ -98,33 +76,40 @@ def nilpotent_split(el: GaugeAlgebraElement) -> NilpotentSplit:
     return NilpotentSplit(a=a, c=c)
 
 
-def build_jc(split: NilpotentSplit, omega: LevelEnergies, n_max: int) -> np.ndarray:
-    """Assemble H_jc = 2 [N (x) I + sqrt2 (d^H (x) c + d (x) c^T) + I (x) omega]."""
+def build_jc(split: NilpotentSplit, omega: LevelEnergies,
+             n_max: int) -> scipy.sparse.csr_array:
+    """H_jc = 2 [N (x) I + sqrt2 (d^H (x) c + d (x) c^T) + I (x) omega] as a
+    CSR array: 2 (n I + omega) at block (n, n), 2 sqrt2 sqrt(n+1) c^T at
+    (n, n + 1) from d, and 2 sqrt2 sqrt(n+1) c at (n + 1, n) from d^H."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     m = split.a.shape[0]
     if omega.omega.shape != (m,):
         raise ValueError("omega length must match the algebra dimension")
-    fock = FockLadder(n_max)
-    return 2 * (np.kron(fock.number, np.eye(m))
-                + np.sqrt(2) * (np.kron(fock.d_dag, split.c)
-                                + np.kron(fock.d, split.c.T))
-                + np.kron(np.eye(fock.dim), omega.matrix))
+    n = np.arange(n_max + 1)[:, None, None]
+    root = np.sqrt(n[1:])   # sqrt(n + 1) for n = 0 .. n_max - 1
+    return block_tridiagonal(2 * (np.sqrt(2) * (root * split.c)),
+                             2 * (n * np.eye(m) + omega.matrix),
+                             2 * (np.sqrt(2) * (root * split.c.T)))
 
 
-def jc_pt_check(H_jc: np.ndarray, sig: ThetaSignature) -> float:
-    """Residual of (Pi_F (x) Theta) conj(H) (Pi_F (x) Theta) = H.
+def jc_pt_check(H_jc, sig: ThetaSignature) -> float:
+    """Residual of (Pi_F (x) Theta) conj(H) (Pi_F (x) Theta) = H for a dense
+    or sparse H.
 
-    Fock-space parity is realized as Pi_F = diag((-1)^n) on the dim H_jc / m
-    Fock levels; raises ValueError unless m divides dim H_jc.
+    Fock-space parity is Pi_F = diag((-1)^n) on the dim H_jc / m Fock
+    levels, so S = Pi_F (x) Theta is the sign vector s = kron((-1)^n, s_Theta)
+    and the residual is the largest |s_k s_l conj(H_kl) - H_kl| over the
+    stored entries; raises ValueError unless m divides dim H_jc.
     """
     fock_dim, rest = divmod(H_jc.shape[0], sig.m)
     if rest:
         raise ValueError(f"dimension {H_jc.shape[0]} is not a multiple of "
                          f"m = {sig.m}")
-    pi_f = np.diag((-1.0) ** np.arange(fock_dim))
-    S = np.kron(pi_f, sig.theta)
-    return float(np.abs(S @ H_jc.conj() @ S - H_jc).max())
+    s = np.kron((-1.0) ** np.arange(fock_dim), sig.signs)
+    H = scipy.sparse.coo_array(H_jc)
+    flipped = s[H.row] * s[H.col] * H.data.conj()
+    return float(np.abs(flipped - H.data).max(initial=0.0))
 
 
 @dataclass(frozen=True)

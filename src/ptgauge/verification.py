@@ -208,10 +208,13 @@ class JcParams(_Params):
 
     def check(self):
         _require(self.n_max >= 2, "n-max must be >= 2")
-        # two levels; the truncation check rebuilds at ceil(1.5 n_max)
+        # two levels; the truncation check rebuilds at ceil(1.5 n_max).  The
+        # CSR build assembles 3 m = 6 entries a row.  It is Hermitian, so eig
+        # keeps kd + 1 <= 2 m of its diagonals, and densifies it only below
+        # 32 kd <= 96 rows
         dim = 2 * ((3 * self.n_max + 1) // 2 + 1)
-        _require_budget(dim * dim, f"the Fock build (a dense {dim} x {dim} "
-                        "complex matrix)")
+        _require_budget(6 * dim, f"the block rows of the {dim}-dim CSR Fock "
+                        "build")
         # lowest_modes solves the grid build sparsely; its largest array is
         # an Arnoldi basis of at most 2 MAX_ARNOLDI_MODES + 1 vectors
         grid = self.grid()
@@ -722,11 +725,8 @@ def run_point_angle(rep: Report, params: PointAngleParams):
         pointint.PiecewiseFunction(0.2 + 1j, -0.4, 1.1, -0.6 + 0.3j),
     ]
     bt = pointint.boundary_transform_check(T, sol, samples)
-    rep.add("point/trace_identities", bt.trace_residual, 1e-12)
     rep.add("point/gamma_transform", bt.gamma_residual, 1e-12)
     rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
-    rep.add("point/p_phi_selfadjointness",
-            pointint.p_phi_selfadjointness_check(T, sol), 1e-12)
 
 
 def delta_well_grid_energy(t11: float) -> float:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from ptgauge import jaynes
 from ptgauge.cartan import GaugeAlgebraElement, ThetaSignature, \
     make_element, random_element
 from ptgauge.jaynes import (
-    FockLadder,
     LevelEnergies,
     build_jc,
     jc_equivalence_check,
@@ -22,22 +22,55 @@ def _el(alpha=0.3):
     return make_element(SIG, np.zeros((1, 1)), [[alpha]], np.zeros((1, 1)))
 
 
-class TestLadder:
-    def test_number_operator_diagonal(self):
-        f = FockLadder(5)
-        assert np.abs(f.number - np.diag(np.arange(6.0))).max() <= 1e-13
+def _ladder(n_max):
+    """Dense d with d|n> = sqrt(n)|n-1>, cut at n_max."""
+    n = np.arange(1, n_max + 1)
+    d = np.zeros((n_max + 1, n_max + 1))
+    d[n - 1, n] = np.sqrt(n)
+    return d
 
+
+def _kronecker_build(split, omega, n_max):
+    """The dense oracle 2 [N (x) I + sqrt2 (d^H (x) c + d (x) c^T) + I (x)
+    omega], with N = d^H d, summed from Kronecker products."""
+    d = _ladder(n_max)
+    m = split.a.shape[0]
+    return 2 * (np.kron(d.T @ d, np.eye(m))
+                + np.sqrt(2) * (np.kron(d.T, split.c) + np.kron(d, split.c.T))
+                + np.kron(np.eye(n_max + 1), omega.matrix))
+
+
+class TestKroneckerOracle:
     def test_truncated_commutator(self):
         """[d, d^H] = I except for the hard-cut top level."""
-        f = FockLadder(6)
-        C = f.d @ f.d_dag - f.d_dag @ f.d
+        d = _ladder(6)
+        C = d @ d.T - d.T @ d
         want = np.eye(7)
         want[6, 6] = -6.0
         assert np.abs(C - want).max() <= 1e-13
 
-    def test_rejects_trivial_space(self):
-        with pytest.raises(ValueError):
-            FockLadder(0)
+    @pytest.mark.parametrize("sig_pq", [(1, 1), (2, 1), (2, 2)])
+    def test_csr_build_matches(self, sig_pq):
+        """The build is one CSR array of at most three m x m blocks a block
+        row, with no stored exact zero.  Off the diagonal it equals the
+        Kronecker sum bit for bit; on it, it is exactly 2 (n + omega_j),
+        where the oracle's N = d^H d holds sqrt(n) sqrt(n) rounded."""
+        sig = ThetaSignature(*sig_pq)
+        split = nilpotent_split(
+            random_element(sig, np.random.default_rng(7), 0.3))
+        omega = LevelEnergies(omega=np.linspace(0.0, 1.3, sig.m) ** 2)
+        for n_max in range(2, 19):
+            csr = build_jc(split, omega, n_max)
+            assert isinstance(csr, scipy.sparse.csr_array)
+            assert np.all(csr.data != 0)
+            assert csr.nnz <= 3 * sig.m**2 * (n_max + 1)
+            H = csr.toarray()
+            want = _kronecker_build(split, omega, n_max)
+            off = ~np.eye(len(H), dtype=bool)
+            assert np.array_equal(H[off], want[off])
+            n = np.repeat(np.arange(n_max + 1), sig.m)
+            assert np.array_equal(
+                H.diagonal(), 2 * (n + np.tile(omega.omega, n_max + 1)))
 
 
 class TestSplit:
@@ -97,14 +130,28 @@ class TestPt:
     def test_pt_symmetry(self, alpha, delta):
         omega = LevelEnergies(omega=np.array([0.0, delta]))
         H = build_jc(nilpotent_split(_el(alpha)), omega, 6)
-        assert jc_pt_check(H, SIG) <= 1e-12 * max(1.0, np.abs(H).max())
+        assert jc_pt_check(H, SIG) <= 1e-12 * max(1.0, abs(H).max())
 
     def test_broken_symmetry_detected(self):
         """Negative control: a complex level energy breaks PT."""
         omega = LevelEnergies(omega=np.array([0.0, 0.5]))
         H = build_jc(nilpotent_split(_el(0.3)), omega, 6)
-        H = H + 1j * np.diag(np.arange(H.shape[0], dtype=float))
-        assert jc_pt_check(H, SIG) > 1e-12 * max(1.0, np.abs(H).max())
+        H = H + 1j * scipy.sparse.diags_array(np.arange(H.shape[0], dtype=float))
+        assert jc_pt_check(H, SIG) > 1e-12 * max(1.0, abs(H).max())
+
+    @pytest.mark.parametrize("sig_pq", [(1, 1), (2, 1), (2, 2)])
+    def test_sparse_and_dense_input_agree(self, sig_pq):
+        """The residual over the stored entries of the CSR build is the
+        residual over every entry of its dense copy, broken or not."""
+        sig = ThetaSignature(*sig_pq)
+        split = nilpotent_split(
+            random_element(sig, np.random.default_rng(11), 0.3))
+        omega = LevelEnergies(omega=np.linspace(0.0, 1.3, sig.m))
+        H = build_jc(split, omega, 6)
+        broken = H + 1j * scipy.sparse.eye_array(H.shape[0])
+        for M in (H, broken):
+            assert jc_pt_check(M, sig) == jc_pt_check(M.toarray(), sig)
+        assert jc_pt_check(broken, sig) == 2.0
 
     def test_dimension_must_be_a_multiple_of_m(self):
         with pytest.raises(ValueError, match="not a multiple of m = 2"):

@@ -14,7 +14,7 @@ from ptgauge.pointint import (
     boundary_transform_check,
     clifford_angle,
     domain_check,
-    p_phi_selfadjointness_check,
+    matrix_relation_residual,
     pt_phase_sweep,
 )
 from ptgauge.reporting import CheckRecord
@@ -101,8 +101,7 @@ class TestCliffordAngle:
 
 
 def _transform_residual(out):
-    return worst_residual((out.trace_residual, out.gamma_residual,
-                           out.matrix_residual))
+    return worst_residual((out.gamma_residual, out.matrix_residual))
 
 
 class TestBoundaryTransform:
@@ -117,13 +116,6 @@ class TestBoundaryTransform:
               for _ in range(3)]
         out = boundary_transform_check(T, sol, fs)
         assert _transform_residual(out) <= 1e-12
-
-    @given(finite, finite, finite, finite)
-    @settings(max_examples=60)
-    def test_p_phi_selfadjointness(self, t11, t22, b12, b21):
-        T = pt_coupling(t11, t22, b12, b21)
-        sol = clifford_angle(T)
-        assert p_phi_selfadjointness_check(T, sol) <= 1e-12
 
     def test_wrong_angle_fails(self):
         T = CouplingMatrixT(t11=1, t12=1j, t21=-1j, t22=0)
@@ -142,19 +134,19 @@ class TestBoundaryTransform:
         fs = [PiecewiseFunction(1.0, 0.5, -0.3, 0.7),
               PiecewiseFunction(np.nan, 0.5, -0.3, 0.7)]
         out = boundary_transform_check(T, clifford_angle(T), fs)
-        assert np.isnan(out.trace_residual)
-        assert not CheckRecord("point/trace_identities", out.trace_residual,
+        assert np.isnan(out.gamma_residual)
+        assert not CheckRecord("point/gamma_transform", out.gamma_residual,
                                1e-12).passed
 
-    def test_nan_angle_poisons_p_phi_selfadjointness(self):
+    def test_nan_angle_poisons_matrix_relation(self):
         """det T + 4 = inf - inf makes phi NaN; the residual must be NaN,
         not the 0.0 a reduction starting from max(0.0, ...) reports."""
         T = CouplingMatrixT(t11=1e200, t12=1e200j, t21=-1e200j, t22=1e200)
         sol = clifford_angle(T)
         assert np.isnan(sol.phi)
-        res = p_phi_selfadjointness_check(T, sol)
+        res = matrix_relation_residual(T, sol.m1, sol.m2)
         assert np.isnan(res)
-        assert not CheckRecord("point/p_phi_selfadjointness", res, 1e-12).passed
+        assert not CheckRecord("point/matrix_relation", res, 1e-12).passed
 
     @given(st.floats(min_value=-1.5, max_value=1.5), st.integers(0, 500))
     @settings(max_examples=40)
