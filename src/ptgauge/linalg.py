@@ -18,8 +18,8 @@ m x m blocks.  sample_on_nodes calls f(x) once, on the node array.  eig and
 expm accept dense or sparse input; densify is the one place a sparse
 operator is made dense.  expm works on a dense complex copy, and also
 takes a (..., m, m) stack of matrices.  eig picks its LAPACK driver by the
-input's exact structure: a Hermitian matrix of bandwidth kd < n/32 goes
-to the band driver and is never densified.
+input's exact structure, read from its stored entries: a Hermitian matrix
+of bandwidth kd < n/32 goes to the band driver and is never densified.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
@@ -107,27 +107,33 @@ class Grid1D:
 
 def _hermitian_band(M):
     """The exact structure eig and lowest_modes select their routes by:
-    (real, hermitian, band) of a square scipy.sparse array or ndarray M.
+    (real, band) of a square scipy.sparse array or ndarray M, read from its
+    nonzero entries as CSR (dense and sparse storage agree).
 
-    real: every entry has zero imaginary part.  hermitian: M equals its
-    conjugate transpose entry for entry.  band: for a Hermitian M whose
-    bandwidth kd, the largest |i - j| of a nonzero entry, has 32 kd < n,
-    its upper band storage (LAPACK's layout: row kd - k holds the
-    diagonal M.diagonal(k), k = 0..kd, padded by k zeros in front), real
-    when M is; None otherwise.  Dense and sparse storage of one matrix
-    give the same band.
+    real: every entry has zero imaginary part.  band: when M's bandwidth
+    kd, the largest |i - j| of a nonzero entry, has 32 kd < n and M equals
+    its conjugate transpose entry for entry (its entries on and above the
+    diagonal, in band storage, equal the conjugates of those on and below,
+    transposed), that upper band storage (LAPACK's layout: row kd - k
+    holds the diagonal M.diagonal(k), k = 0..kd, padded by k zeros in
+    front), real when M is; None otherwise.
     """
-    sparse = scipy.sparse.issparse(M)
-    entries = M.data if sparse else M
-    real = not np.iscomplexobj(entries) or not entries.imag.any()
-    MH = M.conj().T
-    hermitian = ((M != MH).count_nonzero() == 0 if sparse
-                 else np.array_equal(M, MH))
-    kd = int(np.abs(np.subtract(*M.nonzero())).max(initial=0))
-    if not (hermitian and 32 * kd < M.shape[0]):
-        return real, hermitian, None
-    band = np.array([np.pad(M.diagonal(k), (k, 0)) for k in range(kd, -1, -1)])
-    return real, hermitian, band.real if real else band
+    M = scipy.sparse.csr_array(M, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    n, v, j = M.shape[0], M.data, M.indices
+    i = np.repeat(np.arange(n), np.diff(M.indptr))
+    real, off = not np.iscomplexobj(v) or not v.imag.any(), j - i
+    kd = int(np.abs(off).max(initial=0))
+    if not 32 * kd < n:
+        return real, None
+    up, lo = off >= 0, off <= 0
+    band, mirror = np.zeros((2, kd + 1, n), v.dtype)
+    band[kd - off[up], j[up]] = v[up]
+    mirror[kd + off[lo], i[lo]] = v[lo].conj()
+    if not np.array_equal(band, mirror):
+        return real, None
+    return real, band.real if real else band
 
 
 def eig(M) -> np.ndarray:
@@ -145,23 +151,23 @@ def eig(M) -> np.ndarray:
     entries have zero imaginary part goes to real geev (dgeev), which
     returns nonreal eigenvalues as exact conjugate pairs; the rest to
     complex geev (zgeev).  Only the dense drivers densify the input (once,
-    into float64 when it is real); the structure is read before that.
+    into float64 when it is real); the band is read before that, and a wider
+    matrix is tested for Hermiticity on the dense copy.
 
     Raises ValueError on a non-square or non-finite matrix, and LinAlgError
     on QR-iteration non-convergence; the message then carries the partial
     diagnostics LAPACK provides.
     """
-    sparse = scipy.sparse.issparse(M)
-    M = scipy.sparse.csr_array(M) if sparse else np.asarray(M)
+    M = M if scipy.sparse.issparse(M) else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    real, hermitian, band = _hermitian_band(M)
+    real, band = _hermitian_band(M)
     if band is not None:
         return scipy.linalg.eigvals_banded(band).astype(complex)
     A = densify(M.real if real else M, float if real else complex)
     if not np.isfinite(A).all():
         raise ValueError("matrix contains NaN/Inf entries")
-    if hermitian:   # ascending real values, already in eig's order
+    if np.array_equal(A, A.conj().T):   # ascending real values, in eig's order
         return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
     vals = np.linalg.eigvals(A).astype(complex, copy=False)
     return vals[np.lexsort((vals.imag, vals.real))]
@@ -502,7 +508,7 @@ def lowest_modes(M, k: int) -> np.ndarray:
     if k + margin > n - 2:
         return lowest(eig(M), k)
     require_mode_count(n, k)
-    real, _, band = _hermitian_band(M)
+    real, band = _hermitian_band(M)
     v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
     if band is not None:
         certified, why = _lanczos_request(M.real if real else M, band, k, v0)

@@ -13,7 +13,8 @@ All three operators are block-tridiagonal and U is block-diagonal; they are
 CSR arrays assembled from their block diagonals (linalg.block_tridiagonal),
 with V called once, elementwise, on the nodes.  As x_{n-1-j} = -x_j
 exactly, the blocks e^{iAx_j} of U^{-1} are the one stack of exponentials
-e^{-iAx_j} reversed, bit for bit.  When A and every V(x_j) are Hermitian,
+e^{-iAx_j} reversed, bit for bit: one eigh of a Hermitian A (real when -iA
+is), else one expm stack.  When A and every V(x_j) are Hermitian,
 U is unitary and all three are Hermitian in exact arithmetic; H,
 U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  spectral_compare takes
@@ -108,18 +109,31 @@ def _norm_inf(X):   # largest absolute row sum of sparse X, or of each trailing 
     return abs(X).sum(axis=-1).max(axis=-1)
 
 
-def _hermitian_part(M, m: int, scale):
+def _hermitian_part(M, m: int, scale, mirror=_adjoint):
     """(M + M^H) / 2 of a matrix, or of each matrix of a stack, that is
     Hermitian in exact arithmetic and was formed by rounded products of m x m
     blocks whose inf-norms multiply to scale (one per matrix of a stack, shape
-    (n, 1, 1); times 1 + |A x| for factors e^{-iAx}, whose expm error grows
-    like |A x|).  Raises RuntimeError if the dropped skew part (M - M^H) / 2
-    exceeds 8 m eps scale, as it does for a U that is not unitary."""
-    worst = (abs(M - _adjoint(M)) / (16 * m * np.finfo(float).eps * scale)).max()
+    (n, 1, 1); times 1 + |A x| for factors e^{-iAx}, off by up to eps |A x|).
+    Raises RuntimeError if the dropped part exceeds 8 m eps scale, as for a U
+    that is not unitary.  mirror np.conj gives the real part of a real M."""
+    worst = (abs(M - mirror(M)) / (16 * m * np.finfo(float).eps * scale)).max()
     if not worst <= 1:
-        raise RuntimeError(f"skew part of a Hermitian product is {worst:.3g} "
-                           f"times its rounding bound")
-    return (M + _adjoint(M)) / 2
+        raise RuntimeError(f"the part of a product dropped as rounding is "
+                           f"{worst:.3g} times its rounding bound")
+    return (M + mirror(M)) / 2
+
+
+def _exponentials(A, x):
+    """The stack e^{-iAx_j}, (n, m, m): W diag(e^{-i lam x_j}) W^H from one
+    eigh A = W diag(lam) W^H of an A equal to A^H entry for entry (real when
+    -iA is), else one expm stack, as such an A may be defective."""
+    if not _is_hermitian(A):
+        return expm(-1j * A * x[:, None, None])
+    import scipy.linalg   # loaded by .linalg; numpy's own LAPACK adds 0.5 MB RSS
+    lam, W = scipy.linalg.eigh(A)
+    U = (W * np.exp(-1j * lam * x[:, None, None])) @ W.conj().T
+    scale = 1 + np.abs(x[:, None, None]) * _norm_inf(A)
+    return U if A.real.any() else _hermitian_part(U, len(A), scale, np.conj).real
 
 
 def _assemble(gauge: ConstantGauge, pot: MatrixPotential, grid: Grid1D):
@@ -162,7 +176,7 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     m, x, A = gauge.m, grid.nodes, gauge.A
 
     # e^{-iAx_j} at every node; as x_{n-1-j} = -x_j, reversed it is e^{iAx_j}
-    U_blocks = expm(-1j * A * x[:, None, None])
+    U_blocks = _exponentials(A, x)
     Ui_blocks = U_blocks[::-1]
     Vt_blocks = U_blocks @ Vs @ Ui_blocks
     H_similar = (block_tridiagonal(0, U_blocks, 0) @ H_g

@@ -190,8 +190,8 @@ class SpectrumMatrixParams(_Params):
         _require_budget(18 * dim, f"the {dim} x 18 block of test vectors")
         _require(1 <= self.n_low <= dim,
                  f"need 1 <= n-low <= {dim}, the operator dimension")
-        # e^{-iAx} turns by up to |alpha| box rad: expm keeps no digit of
-        # that past 1/eps = 4.5e15, and near 1e18 the regauged build overflows
+        # e^{-iAx} turns by up to |alpha| box rad, a phase lambda x that
+        # keeps no digit past 1/eps = 4.5e15
         _require(abs(self.gauge_alpha) * self.box <= 1e15, "need |gauge-alpha| "
                  f"box <= 1e15, got {self.gauge_alpha}, box {self.box}")
 
@@ -730,16 +730,27 @@ def run_point_angle(rep: Report, params: PointAngleParams):
 
 
 def delta_well_grid_energy(t11: float) -> float:
-    """Independent grid oracle: delta well as a narrow deep square well."""
-    h = WELL_H
-    n = int(round(2 * WELL_BOX / h))
-    x = (np.arange(n) - (n - 1) / 2) * h
-    V = np.where(np.abs(x) < WELL_WIDTH / 2, t11 / WELL_WIDTH, 0.0)
+    """Independent grid oracle: delta well as a narrow deep square well.
+
+    The lowest eigenvalue of its n-node Jacobi matrix T, from the even half:
+    x_{n-1-j} = -x_j bit for bit (n even) and V is even, so T commutes with
+    the flip, and its lowest eigenvector, simple and positive (Perron: T is
+    irreducible with negative off-diagonal), is even.  That half is rows
+    n/2..n-1, the first diagonal lowered by 1/h^2 (the row's mirror
+    neighbour is itself).  Bisection runs on (lo, hi], lo below Gershgorin's
+    floor min V, hi the Rayleigh quotient of the even vector e^{t11|x|/2}.
+    """
+    h, n = WELL_H, int(round(2 * WELL_BOX / WELL_H))
+    x = (np.arange(n // 2, n) - (n - 1) / 2) * h
+    V = np.where(x < WELL_WIDTH / 2, t11 / WELL_WIDTH, 0.0)
     diag = 2 / h**2 + V
-    off = -np.ones(n - 1) / h**2
-    vals = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
-                                         select="i", select_range=(0, 0))
-    return float(vals[0])
+    diag[0] -= 1 / h**2
+    off = np.full(n // 2 - 1, -1 / h**2)
+    u = np.exp(t11 * x / 2)
+    rayleigh = (diag @ u**2 + 2 * off @ (u[:-1] * u[1:])) / (u @ u)
+    return float(scipy.linalg.eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="v",
+        select_range=(V.min() - 1, rayleigh))[0])
 
 
 def _sweep_records(rep: Report, params: PhaseDiagramParams, paired_name: str):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptgauge.linalg import (
     Grid1D,
+    _hermitian_band,
     eig,
     expm,
     grid_operator,
@@ -121,6 +122,31 @@ def _banded_hermitian(n, kd, seed, real=True):
     return (X + X.conj().T) / 2
 
 
+def _structure_oracle(H):
+    """(real, band) of a dense H from its diagonals."""
+    real = not H.imag.any()
+    kd = int(np.abs(np.subtract(*np.nonzero(H))).max(initial=0))
+    if not (np.array_equal(H, H.conj().T) and 32 * kd < len(H)):
+        return real, None
+    band = np.array([np.pad(np.diagonal(H, k), (k, 0)) for k in range(kd, -1, -1)])
+    return real, band.real if real else band
+
+
+def _restored(H):
+    """H as a CSR array whose rows hold each entry as two halves in reversed
+    order, then again in order, and one explicit zero at (r, n - 1 - r)."""
+    C = scipy.sparse.csr_array(H)
+    n = len(H)
+    cols, vals = [], []
+    for r in range(n):
+        c, v = (a[C.indptr[r]:C.indptr[r + 1]] for a in (C.indices, C.data))
+        cols.append(np.concatenate((c[::-1], c, [n - 1 - r])))
+        vals.append(np.concatenate((v[::-1] / 2, v / 2, [0])))
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    return scipy.sparse.csr_array(
+        (np.concatenate(vals), np.concatenate(cols), indptr), shape=(n, n))
+
+
 class TestEigDrivers:
     """eig picks its LAPACK driver by exact structure: Hermitian input goes
     to eigvals_banded when its bandwidth kd < n / 32, else to eigvalsh,
@@ -210,6 +236,27 @@ class TestEigDrivers:
         H[5, 5] = bad
         with pytest.raises(ValueError):
             eig(scipy.sparse.csr_array(H))
+
+    @pytest.mark.parametrize("n, kd", [(200, 3), (26, 2)])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("skew", [False, True])
+    def test_structure_read_from_stored_entries(self, n, kd, real, skew):
+        """Duplicate entries (summed), unsorted indices, explicit zeros off
+        the band and CSC storage give the structure of the dense matrix
+        and its eig bits, on a narrow band and on a small wide one; one
+        entry below the diagonal off its mirror breaks Hermiticity."""
+        H = _banded_hermitian(n, kd, 15, real) + 0j
+        if skew:
+            H[kd + 1, 1] += 2 ** -20
+        want = _structure_oracle(H)
+        for M in (H, _restored(H), scipy.sparse.csc_array(_restored(H))):
+            got = _hermitian_band(M)
+            assert got[0] == want[0]
+            assert (got[1] is None) == (want[1] is None)
+            if want[1] is not None:
+                assert got[1].dtype == want[1].dtype
+                assert np.array_equal(got[1], want[1])
+            assert np.array_equal(eig(M), eig(H))
 
     def test_sparse_and_dense_identical(self):
         X = _random(24, 6, real=False)

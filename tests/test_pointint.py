@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ptgauge.linalg import pairing_check, worst_residual
@@ -18,7 +19,8 @@ from ptgauge.pointint import (
     pt_phase_sweep,
 )
 from ptgauge.reporting import CheckRecord
-from ptgauge.verification import delta_well_grid_energy
+from ptgauge.verification import WELL_BOX, WELL_H, WELL_WIDTH, \
+    delta_well_grid_energy
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -182,6 +184,21 @@ class TestBoundStates:
         """Independent narrow-square-well discretization of the delta well."""
         assert abs(delta_well_grid_energy(-2.0) - (-1.0)) <= 1e-3
         assert abs(delta_well_grid_energy(-1.0) - (-0.25)) <= 1e-3
+
+    @pytest.mark.parametrize("t11", [-2.0, -1.0, -0.5])
+    def test_grid_oracle_even_half_is_the_whole_grid(self, t11):
+        """The oracle's even-half bisection gives the lowest eigenvalue of
+        the whole n-node Jacobi matrix T within stebz's 4 eps |T|."""
+        h = WELL_H
+        n = int(round(2 * WELL_BOX / h))
+        x = (np.arange(n) - (n - 1) / 2) * h
+        V = np.where(np.abs(x) < WELL_WIDTH / 2, t11 / WELL_WIDTH, 0.0)
+        whole = scipy.linalg.eigh_tridiagonal(
+            2 / h**2 + V, np.full(n - 1, -1 / h**2), eigvals_only=True,
+            select="i", select_range=(0, 0))[0]
+        norm = 4 / h**2 + abs(t11) / WELL_WIDTH
+        assert abs(delta_well_grid_energy(t11) - whole) <= \
+            4 * np.finfo(float).eps * norm
 
     # half-integer lattice keeps the quadratic coefficients away from the
     # near-degenerate regime where kappa blows up and rounding dominates

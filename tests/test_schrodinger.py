@@ -4,8 +4,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ptgauge import schrodinger
-from ptgauge.cartan import ThetaSignature, make_element
-from ptgauge.linalg import Grid1D, eig, match_spectra, worst_residual
+from ptgauge.cartan import ThetaSignature, make_element, random_element
+from ptgauge.linalg import Grid1D, _hermitian_band, eig, match_spectra, \
+    worst_residual
 from ptgauge.reporting import CheckRecord
 from ptgauge.schrodinger import (
     ConstantGauge,
@@ -103,15 +104,18 @@ class TestRegauge:
     def test_default_example_is_hermitian_and_banded(self, monkeypatch):
         """verify-all's example: A = 0.3 sigma_2 and V = x^2 I are Hermitian,
         so U is unitary, all three operators are stored exactly Hermitian
-        and eig solves each with the band driver, never densely."""
+        and eig solves each with the band driver, never densely.  -iA is
+        real, so every e^{-iAx_j}, and with it every operator, is stored
+        with no imaginary part, and its band reaches LAPACK as float64."""
         params = SpectrumMatrixParams()
         _, gauge, pot = matrix_example(params.gauge_alpha)
         res = build_and_regauge(gauge, pot, params.grid())
-        bands = []
+        bands, dtypes = [], set()
         banded = scipy.linalg.eigvals_banded
 
         def spy(band, **kw):
             bands.append(band.shape)
+            dtypes.add(band.dtype)
             return banded(band, **kw)
 
         def refuse(*args, **kw):
@@ -122,24 +126,27 @@ class TestRegauge:
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for M in (res.H_g, res.H, res.H_similar):
             assert (M != M.conj().T).count_nonzero() == 0
+            assert not M.data.imag.any() and _hermitian_band(M)[0]
             eig(M)
         assert [n for _, n in bands] == [640] * 3
+        assert dtypes == {np.dtype(float)}
         assert max(kd1 for kd1, _ in bands) <= 4   # block-tridiagonal, m = 2
 
     def test_non_unitary_gauge_transform_raises(self, monkeypatch):
-        """Negative twin: a U = e^{-iAx} whose first column is scaled by
-        1 + 1e-8 is no longer unitary, and the skew part it leaves in
+        """Negative twin: a U = e^{-iAx} (from the eigh closed form of the
+        Hermitian A) whose first column is scaled by 1 + 1e-8 is no longer
+        unitary, and the skew part it leaves in
         U V U^{-1} is far above rounding, so the build raises instead of
         projecting it away.  (A uniform real scale would not do: it keeps
         U V U^{-1} Hermitian.)"""
-        expm = schrodinger.expm
+        exponentials = schrodinger._exponentials
 
-        def skewed(M):
-            E = expm(M)
+        def skewed(A, x):
+            E = exponentials(A, x)
             E[..., :, 0] *= 1 + 1e-8
             return E
 
-        monkeypatch.setattr(schrodinger, "expm", skewed)
+        monkeypatch.setattr(schrodinger, "_exponentials", skewed)
         params = SpectrumMatrixParams()
         _, gauge, pot = matrix_example(params.gauge_alpha)
         with pytest.raises(RuntimeError, match="rounding bound"):
@@ -163,13 +170,22 @@ class TestRegauge:
         assert np.array_equal(calls[0], GRID.nodes[:, None, None])
 
     def test_one_exponential_stack_per_build(self, monkeypatch):
-        """e^{iAx_j} is the reversed stack of e^{-iAx_j}: one expm call."""
+        """e^{iAx_j} is the reversed stack of e^{-iAx_j}.  A Hermitian A
+        takes that stack from one eigh, with no expm call; a non-Hermitian
+        A (a random g_Theta element) from one expm call on the n x m x m
+        stack."""
         calls = []
         expm = schrodinger.expm
         monkeypatch.setattr(schrodinger, "expm",
                             lambda M: calls.append(M.shape) or expm(M))
         build_and_regauge(_gauge(), _well(), GRID)
-        assert calls == [(GRID.size, 2, 2)]
+        assert calls == []
+        sig = ThetaSignature(2, 1)
+        rng = np.random.default_rng(4)
+        gauge = ConstantGauge(A=random_element(sig, rng).gauge_potential)
+        build_and_regauge(gauge, sample_audited_potential(sig, rng), GRID)
+        assert calls == [(GRID.size, 3, 3)]
+
 
     @pytest.mark.parametrize("V", [lambda x: np.ones((3, 3)),
                                    lambda x: x.ravel()**2],

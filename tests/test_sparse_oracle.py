@@ -32,7 +32,7 @@ from ptgauge.linalg import Grid1D, eig, expm, grid_operator, lowest, \
     lowest_common, lowest_modes, operator_norm_estimate
 from ptgauge.schrodinger import ConstantGauge, MatrixPotential, \
     build_and_regauge, sample_audited_potential
-from ptgauge import jaynes, linalg, verification
+from ptgauge import jaynes, linalg, schrodinger, verification
 
 GAUGES = {
     "alpha": lambda t: 1.0 + 0j,
@@ -232,17 +232,44 @@ def test_matrix_chain_entrywise(grid, name, gauge, pot):
         assert isinstance(got, scipy.sparse.csr_array)
         if name != "random_m3":   # Hermitian A and V: kept exactly Hermitian
             assert (got != got.conj().T).count_nonzero() == 0
+    if name == "alpha_sigma2":   # -iA real: U, H and U H_g U^-1 are real
+        assert not (res.H.data.imag.any() or res.H_similar.data.imag.any())
     assert np.array_equal(res.H_g.toarray(), H_g)
-    assert np.array_equal(res.H.toarray(), H)
-    # sparse and dense products sum in different orders; U grows like
-    # e^{|a| |x|}, so the rounding bound is taken entrywise from |U||H_g||U^-1|
-    bound = 1e-14 * (np.abs(U) @ np.abs(H_g) @ np.abs(Ui))
-    assert np.all(np.abs(res.H_similar.toarray() - U @ H_g @ Ui) <= bound)
     assert np.array_equal(eig(res.H_g), eig(H_g))
-    assert np.array_equal(eig(res.H), eig(H))
+    # a Hermitian A takes e^{-iAx} from eigh, the oracle from expm; sparse
+    # and dense products sum in different orders; U grows like e^{|a| |x|}
+    # for a non-Hermitian A, so the rounding bound is taken entrywise from
+    # |U||H_g||U^-1|
+    bound = 1e-14 * (np.abs(U) @ np.abs(H_g) @ np.abs(Ui))
+    assert np.all(np.abs(res.H.toarray() - H) <= bound)
+    assert np.all(np.abs(res.H_similar.toarray() - U @ H_g @ Ui) <= bound)
+    # each eig is backward stable, so two builds that differ at rounding
+    # have spectra within a few eps |H| of each other (Weyl)
+    e, e_oracle = eig(res.H), eig(H)
+    norm = np.abs(H).sum(axis=1).max()
+    assert np.abs(e - e_oracle).max() <= 64 * np.finfo(float).eps * norm
+    if name == "random_m3":   # the same expm stack: the same bits
+        assert np.array_equal(res.H.toarray(), H)
+        assert np.array_equal(e, e_oracle)
     # block-tridiagonal storage: at most 3 m^2 entries per block row
     m = gauge.m
     assert res.H_g.nnz <= 3 * m * m * grid.size
+
+
+@pytest.mark.parametrize("box, h", [(8.0, 0.1), (1e3, 1.0)])
+@pytest.mark.parametrize("name", ["alpha_sigma2", "hermitian_m3"])
+def test_hermitian_gauge_exponentials_match_expm(name, box, h):
+    """The closed form W diag(e^{-i lam x_j}) W^H of a Hermitian A agrees
+    with expm(-iAx_j) at every node to 8 m eps (1 + |A x_j|), also where
+    the phases |A x_j| reach 1e3; it is real where -iA is."""
+    A = dict((e[0], e[1].A) for e in MATRIX_EXAMPLES)[name]
+    x = Grid1D.from_box(box, h).nodes
+    U = schrodinger._exponentials(A, x)
+    assert np.isrealobj(U) == (name == "alpha_sigma2")
+    m, norm = len(A), np.abs(A).sum(axis=1).max()
+    for Uj, xj in zip(U, x):
+        err = np.abs(Uj - scipy.linalg.expm(-1j * A * xj)).max()
+        assert err <= 8 * m * np.finfo(float).eps * (1 + abs(xj) * norm)
 
 
 def test_eig_and_expm_accept_sparse():
