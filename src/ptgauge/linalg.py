@@ -20,6 +20,9 @@ operator is made dense.  expm works on a dense complex copy, and also
 takes a (..., m, m) stack of matrices.  eig picks its LAPACK driver by the
 input's exact structure, read from its stored entries: a Hermitian matrix
 of bandwidth kd < n/32 goes to the band driver and is never densified.
+Given a parity J, a signed permutation such as the extended parity
+kron(P, Theta), eig solves such a band matrix that commutes with J entry
+for entry as its J-even and J-odd halves, each of half the dimension.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
@@ -105,38 +108,148 @@ class Grid1D:
         return cls(half_count=int(round(ratio)), spacing=spacing)
 
 
+def _real(v):
+    """v, or its real part when every entry has zero imaginary part."""
+    return v.real if np.iscomplexobj(v) and not v.imag.any() else v
+
+
+def _table(n: int, i, j, v):
+    """(kd, T) of the entries M[i, j] = v of an n x n matrix, each position
+    once: the bandwidth kd, the largest |i - j|, and, where 32 kd < n, the
+    table T[i - j + kd, j] = v with one slot for each position of the band
+    (0 where nothing is stored), else None.  T[:kd + 1] is M's upper band
+    storage (LAPACK's layout: row kd - k holds the diagonal M.diagonal(k),
+    padded by k zeros in front)."""
+    kd = int(np.abs(j - i).max(initial=0))
+    if not 32 * kd < n:
+        return kd, None
+    T = np.zeros((2 * kd + 1, n), v.dtype)
+    T[i - j + kd, j] = v
+    return kd, T
+
+
+def _entries(M):
+    """(n, i, j, v, kd, T): the nonzero entries M[i, j] = v of a square
+    scipy.sparse array or ndarray M, read as CSR with each position once
+    (duplicates summed), v real when every entry has zero imaginary part,
+    and their _table.
+
+    The rows of a CSR input are read as stored, sorted or not.  Duplicate
+    positions show as fewer nonzero table slots than entries; only then,
+    or where there is no table, is a copy summed, which sorts its rows.
+    """
+    C = scipy.sparse.csr_array(M)   # a CSR input's own arrays, only read
+    n = C.shape[0]
+    while True:
+        i = np.repeat(np.arange(n), np.diff(C.indptr))
+        nonzero = C.data != 0
+        i, j, v = i[nonzero], C.indices[nonzero], _real(C.data[nonzero])
+        kd, T = _table(n, i, j, v)
+        if C.has_canonical_format or (T is not None
+                                      and np.count_nonzero(T) == len(v)):
+            return n, i, j, v, kd, T
+        C = C.copy()
+        C.sum_duplicates()
+
+
+def _band(n: int, i, j, v, kd: int, T):
+    """(real, band) of the entries read by _entries: real when every entry
+    has zero imaginary part; band, when 32 kd < n and M equals its
+    conjugate transpose entry for entry (each entry's transposed slot holds
+    its conjugate), the upper band storage T[:kd + 1], real when M is;
+    None otherwise."""
+    real = not np.iscomplexobj(v)
+    if not (32 * kd < n and np.array_equal(T[j - i + kd, i], v.conj())):
+        return real, None
+    return real, T[:kd + 1]
+
+
 def _hermitian_band(M):
     """The exact structure eig and lowest_modes select their routes by:
     (real, band) of a square scipy.sparse array or ndarray M, read from its
-    nonzero entries as CSR (dense and sparse storage agree).
+    nonzero entries as CSR (dense and sparse storage agree); see _band."""
+    return _band(*_entries(M))
 
-    real: every entry has zero imaginary part.  band: when M's bandwidth
-    kd, the largest |i - j| of a nonzero entry, has 32 kd < n and M equals
-    its conjugate transpose entry for entry (its entries on and above the
-    diagonal, in band storage, equal the conjugates of those on and below,
-    transposed), that upper band storage (LAPACK's layout: row kd - k
-    holds the diagonal M.diagonal(k), k = 0..kd, padded by k zeros in
-    front), real when M is; None otherwise.
+
+def _involution(J, n: int):
+    """(pi, s) of an n x n signed permutation J with J^2 = I and no fixed
+    point: J[k, pi(k)] = s_k = +-1 is the one entry of row k, pi(pi(k)) = k
+    != pi(k) and s_pi(k) = s_k.  Raises ValueError for any other J."""
+    J = scipy.sparse.csr_array(J)
+    if J.shape != (n, n):
+        raise ValueError(f"parity must have shape {(n, n)}, got {J.shape}")
+    rows, pi, s = _entries(J)[1:4]
+    if not (np.array_equal(rows, np.arange(n))
+            and np.all((s == 1) | (s == -1))):
+        raise ValueError("parity must be a signed permutation: one entry +-1 "
+                         "in each row")
+    s = np.real(s).astype(float)
+    if not (np.array_equal(pi[pi], rows) and np.array_equal(s[pi], s)):
+        raise ValueError("parity must square to the identity")
+    if np.any(pi == rows):
+        raise ValueError("parity must have no fixed point")
+    return pi, s
+
+
+def _fold(pi, s, n: int, i, j, v, kd: int, T):
+    """The entries, as _entries gives them, of the J-even and J-odd halves
+    of M for J = (pi, s) of _involution, or None unless M has a table and
+    J M J == M entry for entry.
+
+    J M J has the entry s_i s_j v at (pi(i), pi(j)) for each entry v at
+    (i, j), so it equals M when each of those slots of M's table holds it.
+    Let R be the indices k < pi(k), one of each pair.  In the orthonormal
+    basis (e_k +- s_k e_pi(k)) / sqrt 2, k in R, such an M is the direct
+    sum of M_+- = M[R, R] +- M[R, pi(R)] diag(s_R): each half is M's rows
+    R, its columns pi(k) folded onto columns k.  An entry folds onto one
+    already stored only where both columns of a pair meet a row (on the
+    staggered grid, next to the centre), at one rounding each.  When M is
+    Hermitian so is each half, exactly; on the staggered grid, where R is
+    the first half of the indices, no half is wider than M.
     """
-    M = scipy.sparse.csr_array(M, copy=True)
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    n, v, j = M.shape[0], M.data, M.indices
-    i = np.repeat(np.arange(n), np.diff(M.indptr))
-    real, off = not np.iscomplexobj(v) or not v.imag.any(), j - i
-    kd = int(np.abs(off).max(initial=0))
-    if not 32 * kd < n:
-        return real, None
-    up, lo = off >= 0, off <= 0
-    band, mirror = np.zeros((2, kd + 1, n), v.dtype)
-    band[kd - off[up], j[up]] = v[up]
-    mirror[kd + off[lo], i[lo]] = v[lo].conj()
-    if not np.array_equal(band, mirror):
-        return real, None
-    return real, band.real if real else band
+    r, c = pi[i], pi[j]
+    if not (T is not None and np.abs(r - c).max(initial=0) <= kd
+            and np.array_equal(T[r - c + kd, c], s[i] * s[j] * v)):
+        return None
+    rep = np.arange(n) < pi
+    rank = np.cumsum(rep) - 1
+    half, pos = n // 2, np.where(rep, rank, rank[pi])
+    top = rep[i]
+    i, j, v = i[top], j[top], v[top]
+    # s_j M[i, pi(j)]: for j in R the entry that folds onto (i, j), else
+    # the one (i, j) folds onto; 0 off the band (whose slots read row 0)
+    c = pi[j]
+    inside = np.abs(i - c) <= kd
+    mirror = np.where(inside, T[(i - c + kd) * inside, c], 0) * s[j]
+    direct = rep[j]
+    keep = direct | (mirror == 0)   # else folded onto its direct partner
+    halves = []
+    for sign in (1, -1):
+        x = np.where(direct, v + sign * mirror, sign * s[j] * v)
+        nonzero = keep & (x != 0)
+        a, b, x = pos[i[nonzero]], pos[j[nonzero]], _real(x[nonzero])
+        halves.append((half, a, b, x) + _table(half, a, b, x))
+    return halves
 
 
-def eig(M) -> np.ndarray:
+def _spectrum(M, n: int, i, j, v, kd: int, T) -> np.ndarray:
+    """eig's route (see there) for the entries _entries read of M; M None
+    stands for the matrix of those entries."""
+    real, band = _band(n, i, j, v, kd, T)
+    if band is not None:
+        return scipy.linalg.eigvals_banded(band).astype(complex)
+    if M is None:
+        M = scipy.sparse.csr_array((v, (i, j)), shape=(n, n))
+    A = densify(M.real if real else M, float if real else complex)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    if np.array_equal(A, A.conj().T):   # ascending real values, in eig's order
+        return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
+    vals = np.linalg.eigvals(A).astype(complex, copy=False)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def eig(M, parity=None) -> np.ndarray:
     """All eigenvalues as a complex array, sorted by (real part, imaginary
     part), from the cheapest LAPACK driver the input's exact structure
     allows.
@@ -154,22 +267,28 @@ def eig(M) -> np.ndarray:
     into float64 when it is real); the band is read before that, and a wider
     matrix is tested for Hermiticity on the dense copy.
 
-    Raises ValueError on a non-square or non-finite matrix, and LinAlgError
-    on QR-iteration non-convergence; the message then carries the partial
-    diagnostics LAPACK provides.
+    parity, a signed permutation J with J^2 = I and no fixed point (such as
+    the extended parity kron(P, Theta) of a staggered grid), lets eig
+    split M: if kd < n/32 and J M J == M entry for entry, the spectrum is
+    the sorted union of those of M's J-even and J-odd halves (see _fold),
+    each of half the dimension and solved by the route above.  At a fixed
+    bandwidth the band driver's cost grows like n^2, the dense drivers'
+    like n^3, so the two halves cost about a half, or a quarter, of the
+    whole.  Any other M takes the route above, as without parity.
+
+    Raises ValueError on a non-square or non-finite matrix, or a parity
+    that is not such a J, and LinAlgError on QR-iteration non-convergence;
+    the message then carries the partial diagnostics LAPACK provides.
     """
     M = M if scipy.sparse.issparse(M) else np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    real, band = _hermitian_band(M)
-    if band is not None:
-        return scipy.linalg.eigvals_banded(band).astype(complex)
-    A = densify(M.real if real else M, float if real else complex)
-    if not np.isfinite(A).all():
-        raise ValueError("matrix contains NaN/Inf entries")
-    if np.array_equal(A, A.conj().T):   # ascending real values, in eig's order
-        return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
-    vals = np.linalg.eigvals(A).astype(complex, copy=False)
+    read = _entries(M)
+    halves = None if parity is None else _fold(
+        *_involution(parity, M.shape[0]), *read)
+    if halves is None:
+        return _spectrum(M, *read)
+    vals = np.concatenate([_spectrum(None, *h) for h in halves])
     return vals[np.lexsort((vals.imag, vals.real))]
 
 

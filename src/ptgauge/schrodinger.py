@@ -20,8 +20,10 @@ U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  spectral_compare takes
 the whole spectra by eig, as it classifies their pairing; lowest_mode_match
 takes the lowest modes from linalg.lowest_modes (sparse shift-invert).  In
-verify-all's example all three are real symmetric of bandwidth <= 3, and
-eig solves them by the band driver dsbevd.
+verify-all's example all three are real symmetric of bandwidth <= 3, and,
+as Theta A Theta = -A and V is even, they commute with P_bold entry for
+entry: eig, passed P_bold (extended_parity), solves each as its P_bold-even
+and P_bold-odd halves of half the dimension, by the band driver dsbevd.
 
 Tensor convention: grid index slowest, kron(grid_op, matrix_part).
 The extended parity is P_bold = kron(parity_grid, Theta).
@@ -208,18 +210,26 @@ def match_distance(low1, low2) -> float:
                   / (1 + np.abs(np.sort_complex(low1)))).max())
 
 
+def extended_parity(grid: Grid1D,
+                    sig: ThetaSignature) -> scipy.sparse.csr_array:
+    """P_bold = kron(P, Theta) on grid (x) C^m: a signed permutation with
+    P_bold^2 = I and no fixed point, as linalg.eig's parity argument takes."""
+    return scipy.sparse.kron(grid_operator(grid, "parity"), sig.theta,
+                             format="csr")
+
+
 def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
                      n_low: int = 20) -> SpectralCompareReport:
     """Compare the lowest modes of H_g against the direct re-gauged build,
     both cut at a common pair-safe k >= n_low (linalg.lowest_common), from
-    the whole spectra by dense eig; the pairing classes of the whole
-    spectra use the tolerance PAIR_TOL."""
-    e1 = eig(res.H_g)
-    e2 = eig(res.H)
+    the whole spectra by eig, each split by P_bold where it commutes with
+    it; the pairing classes of the whole spectra use the tolerance
+    PAIR_TOL."""
+    P_bold = extended_parity(res.grid, sig)
+    e1 = eig(res.H_g, P_bold)
+    e2 = eig(res.H, P_bold)
     low1, low2 = lowest_common(n_low, e1, e2)
 
-    P_bold = scipy.sparse.kron(grid_operator(res.grid, "parity"), sig.theta,
-                               format="csr")
     # block test vectors: scalar envelope times each coordinate direction
     Tb = np.kron(interior_test_vectors(res.grid), np.eye(sig.m))
     r_abs = weak_pseudo_hermiticity_residual(res.H_g, P_bold, Tb)

@@ -86,11 +86,20 @@ def _parse_range(text: str, key: str) -> np.ndarray:
     return np.linspace(*_range_parts(text, key))
 
 
+def _size(count: int) -> str:
+    """A count as a message gives it: exact below a million, else to 3
+    significant digits (an integer of any size)."""
+    if count < 10**6:
+        return str(count)
+    from decimal import Decimal   # 0.15 MB RSS, so only for such a message
+    return format(Decimal(count), ".3g")
+
+
 def _require_budget(entries: int, what: str) -> None:
     """A usage error unless an array of that many complex entries fits."""
-    _require(16 * entries <= MAX_ARRAY_BYTES,
-             f"{what} would allocate {16 * entries} bytes, over the "
-             f"{MAX_ARRAY_BYTES}-byte array budget")
+    if 16 * entries > MAX_ARRAY_BYTES:
+        raise UsageError(f"{what} would allocate {_size(16 * entries)} bytes,"
+                         f" over the {_size(MAX_ARRAY_BYTES)}-byte array budget")
 
 
 def _grid(box: float, h: float) -> Grid1D:
@@ -129,7 +138,7 @@ class GaugeScalarParams(_Params):
     def check(self):
         # the largest array holds the weak form's nine test vectors
         n = self.grid().size
-        _require_budget(9 * n, f"the test vectors on {n} grid nodes")
+        _require_budget(9 * n, f"the test vectors on {_size(n)} grid nodes")
         _require(self.tol > 0, "tol must be positive")
         # |eta| = e^{beta x^2} must stay a positive finite float on the box,
         # and the squared norm of H_g^H H_g v, about alpha^8, must not overflow
@@ -156,8 +165,9 @@ class CartanParams(_Params):
         # (lts-check; cartan stacks x and -x, two matrices an element): 3
         # m x m complex matrices once m is so large that a batch holds one
         m = sig.m
-        _require_budget(3 * m * m, f"one batch's stack of 3 {m} x {m} "
-                        f"complex matrices at signature ({self.p}, {self.q})")
+        _require_budget(3 * m * m, f"one batch's stack of 3 {_size(m)} x "
+                        f"{_size(m)} complex matrices at signature "
+                        f"({_size(self.p)}, {_size(self.q)})")
         _require(self.samples >= 1, "samples must be >= 1")
         _require(self.seed >= 0, "seed must be >= 0")
 
@@ -184,10 +194,12 @@ class SpectrumMatrixParams(_Params):
     n_low: int = 16
 
     def check(self):
-        # Hermitian for every real alpha, so eig takes the band route and the
-        # weak form's test vectors are the largest array
+        # Hermitian for every real alpha, so eig takes the band route (on the
+        # two halves P_bold splits it into) and the weak form's test vectors
+        # are the largest array
         dim = 2 * self.grid().size
-        _require_budget(18 * dim, f"the {dim} x 18 block of test vectors")
+        _require_budget(18 * dim,
+                        f"the {_size(dim)} x 18 block of test vectors")
         _require(1 <= self.n_low <= dim,
                  f"need 1 <= n-low <= {dim}, the operator dimension")
         # e^{-iAx} turns by up to |alpha| box rad, a phase lambda x that
@@ -213,8 +225,8 @@ class JcParams(_Params):
         # keeps kd + 1 <= 2 m of its diagonals, and densifies it only below
         # 32 kd <= 96 rows
         dim = 2 * ((3 * self.n_max + 1) // 2 + 1)
-        _require_budget(6 * dim, f"the block rows of the {dim}-dim CSR Fock "
-                        "build")
+        _require_budget(6 * dim, f"the block rows of the {_size(dim)}-dim CSR "
+                        "Fock build")
         # lowest_modes solves the grid build sparsely; its largest array is
         # an Arnoldi basis of at most 2 MAX_ARNOLDI_MODES + 1 vectors
         grid = self.grid()
@@ -283,7 +295,7 @@ class PhaseDiagramParams(_Params):
         parts = [_range_parts(v, k) for k, v in self._ranges()]
         rows = math.prod(count for _, _, count in parts)
         flags = ", ".join("--" + k for k, _ in self._ranges())
-        _require_budget(12 * rows, f"the {rows}-row sweep of {flags} "
+        _require_budget(12 * rows, f"the {_size(rows)}-row sweep of {flags} "
                         "(12 cells a row)")
         # c0 = t11 and c1 = 2 - (t11 t22 + im_t12 im_t21) / 2 are real and
         # multilinear in the couplings, so their moduli on the sweep are
@@ -611,7 +623,8 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     res, coarse = _matrix_records(rep, example, params.grid(), params.n_low,
                                   "matrix/spectral_match_h0.05")
     # the literal similarity transform is spectrally exact
-    sim = match_spectra(coarse.eigenvalues_Hg, eig(res.H_similar))
+    sim = match_spectra(coarse.eigenvalues_Hg, eig(
+        res.H_similar, schrodinger.extended_parity(res.grid, example[0])))
     rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
     # the dense spectra are the oracle of the sparse lowest modes
     gaps = []

@@ -353,6 +353,24 @@ class TestInvalidInput:
         assert not list(tmp_path.iterdir())
         assert peak < 2**20   # nothing of the problem's size was allocated
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum-matrix", "--box", "1e300"],
+        ["spectrum-matrix", "--box", "1e308", "--h", "0.9"],   # dim > 1e308
+        ["gauge-scalar", "--box", "1e300"],
+        ["cartan", "--p", "1" + "0" * 300],
+        ["jc", "--n-max", "1" + "0" * 300],
+        ["phase-diagram", "--t11-range=0:1:1" + "0" * 300],
+    ], ids=lambda argv: " ".join(a[:12] for a in argv))
+    def test_budget_message_gives_sizes_to_three_digits(self, argv, tmp_path,
+                                                        capsys):
+        """Sizes of any magnitude, past a float's range too, read as one
+        short line: 3 significant digits from a million up."""
+        code = main(argv + ["--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert "array budget" in err and "e+" in err
+
     def test_budget_sizes_the_sparse_routes(self):
         """spectrum-matrix and jc no longer densify their grid builds, so
         grids whose dense matrix would be over the budget are accepted."""

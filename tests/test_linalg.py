@@ -258,6 +258,29 @@ class TestEigDrivers:
                 assert np.array_equal(got[1], want[1])
             assert np.array_equal(eig(M), eig(H))
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_unsorted_rows_read_without_sorting(self, monkeypatch, real):
+        """Rows stored out of order but without duplicates, as sparse
+        products leave them, are read as stored: no summed copy, and the
+        band of the sorted matrix, bit for bit."""
+        C = scipy.sparse.csr_array(_banded_hermitian(200, 3, 16, real) + 0j)
+        reversed_rows = scipy.sparse.csr_array((np.concatenate(
+            [C.data[a:b][::-1] for a, b in zip(C.indptr, C.indptr[1:])]),
+            np.concatenate([C.indices[a:b][::-1]
+                            for a, b in zip(C.indptr, C.indptr[1:])]),
+            C.indptr), shape=C.shape)
+        assert not reversed_rows.has_canonical_format
+        want = _hermitian_band(C)
+
+        def refuse(self):
+            raise AssertionError("sorted a copy")
+
+        monkeypatch.setattr(scipy.sparse.csr_array, "sum_duplicates", refuse)
+        got = _hermitian_band(reversed_rows)
+        assert got[0] == want[0] == real
+        assert got[1].dtype == want[1].dtype
+        assert np.array_equal(got[1], want[1])
+
     def test_sparse_and_dense_identical(self):
         X = _random(24, 6, real=False)
         Y = _random(24, 7)
@@ -267,6 +290,111 @@ class TestEigDrivers:
             dense, sparse = eig(M), eig(scipy.sparse.csr_array(M))
             assert dense.dtype == sparse.dtype == complex
             assert np.array_equal(dense, sparse)
+
+
+def _signed_permutation(pi, s):
+    """The CSR J with J[k, pi[k]] = s[k] and no other entry."""
+    n = len(pi)
+    return scipy.sparse.csr_array((np.asarray(s, float), pi, np.arange(n + 1)),
+                                  shape=(n, n))
+
+
+def _involution(n, seed):
+    """A random fixed-point-free involution of range(n) and signs on it."""
+    rng = np.random.default_rng(seed)
+    k = rng.permutation(n).reshape(2, -1)
+    pi = np.empty(n, int)
+    pi[k[0]], pi[k[1]] = k[1], k[0]
+    s = rng.choice([-1.0, 1.0], n)
+    s[k[1]] = s[k[0]]
+    return pi, s
+
+
+def _even(X, pi, s):
+    """(X + J X J) / 2: J X J has the entries s_i s_j X[pi(i), pi(j)], so
+    this commutes with J entry for entry."""
+    return (X + np.outer(s, s) * X[np.ix_(pi, pi)]) / 2
+
+
+class TestParityFold:
+    """eig(M, parity=J) solves an M that commutes with J as its J-even and
+    J-odd halves, by the route each half's own structure selects."""
+
+    def test_halves_past_the_band_rule_take_eigvalsh(self, drivers):
+        """n = 100, kd = 3 is a band (96 < 100), its halves of 50 are not."""
+        pi = np.arange(100)[::-1]
+        s = np.ones(100)
+        H = _even(_banded_hermitian(100, 3, 2, real=False), pi, s)
+        got = eig(H, _signed_permutation(pi, s))
+        assert drivers == [("eigvalsh", np.complex128)] * 2
+        assert not got.imag.any()
+        want = np.linalg.eigvalsh(H)
+        norm = np.abs(H).sum(axis=1).max()
+        assert np.abs(got.real - want).max() <= 64 * np.finfo(float).eps * norm
+
+    def test_wide_matrix_takes_the_whole_route(self, drivers):
+        pi, s = _involution(40, 1)
+        H = _even(_random(40, 2, real=False) + _random(40, 3).T, pi, s)
+        H = (H + H.conj().T) / 2
+        assert np.array_equal(eig(H, _signed_permutation(pi, s)), eig(H))
+        assert drivers == [("eigvalsh", np.complex128)] * 2
+
+    def test_nonhermitian_halves_take_geev(self, drivers):
+        """Real, banded, not symmetric: each half goes to real geev, and
+        the union keeps its exact conjugate pairs."""
+        n = 400
+        pi = np.arange(n)[::-1]
+        s = np.ones(n)
+        X = np.triu(np.tril(_random(n, 4), 2), -2)
+        M = scipy.sparse.csr_array(_even(X, pi, s))
+        got = eig(M, _signed_permutation(pi, s))
+        assert drivers == [("eigvals", np.float64)] * 2
+        assert np.array_equal(got, np.sort_complex(got))
+        assert pairing_check(got, 1e-300) != "unpaired"
+        dist = match_spectra(got, np.linalg.eigvals(M.toarray()))
+        assert dist.max() <= 1e-9 * np.abs(got).max()
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_band_halves_keep_the_bandwidth(self, drivers, real):
+        """The reversal pairs k with n - 1 - k: each half is the leading
+        block plus the mirrored coupling across the centre."""
+        n, kd = 256, 3
+        pi = np.arange(n)[::-1]
+        s = np.where(np.arange(n) % 2, -1.0, 1.0)
+        s = np.where(np.arange(n) < n // 2, s, s[::-1])
+        H = scipy.sparse.csr_array(_even(_banded_hermitian(n, kd, 5, real),
+                                         pi, s))
+        got = eig(H, _signed_permutation(pi, s))
+        dtype = np.float64 if real else np.complex128
+        assert drivers == [("eigvals_banded", dtype, kd)] * 2
+        _assert_matches_zgeev(got, H.toarray())
+
+    def test_not_commuting_takes_the_whole_route(self, drivers):
+        pi, s = np.arange(200)[::-1], np.ones(200)
+        H = _even(_banded_hermitian(200, 3, 7), pi, s)
+        H[0, 0] += 1.0
+        assert np.array_equal(eig(H, _signed_permutation(pi, s)), eig(H))
+        assert drivers == [("eigvals_banded", np.float64, 3)] * 2
+
+    @pytest.mark.parametrize("pi, s, why", [
+        ([1, 0, 2, 3], [1, 1, 1, 1], "fixed point"),
+        ([0, 1, 2, 3], [1, -1, 1, -1], "fixed point"),
+        ([1, 2, 3, 0], [1, 1, 1, 1], "square to the identity"),
+        ([1, 0, 3, 2], [1, -1, 1, 1], "square to the identity"),
+        ([1, 0, 3, 2], [1, 1, 2, 2], "signed permutation"),
+    ])
+    def test_rejects_a_parity_that_is_not_a_fixed_point_free_involution(
+            self, pi, s, why):
+        with pytest.raises(ValueError, match=why):
+            eig(np.eye(4), _signed_permutation(pi, s))
+
+    def test_rejects_a_parity_of_another_shape_or_with_two_entries_a_row(self):
+        with pytest.raises(ValueError, match="shape"):
+            eig(np.eye(4), np.eye(6)[::-1])
+        J = np.eye(4)[::-1].copy()
+        J[0, 0] = 1
+        with pytest.raises(ValueError, match="signed permutation"):
+            eig(np.eye(4), J)
 
 
 class TestExpm:

@@ -256,6 +256,88 @@ def test_matrix_chain_entrywise(grid, name, gauge, pot):
     assert res.H_g.nnz <= 3 * m * m * grid.size
 
 
+def _band_solves(monkeypatch):
+    """The (kd + 1, n) shape of each band eig solves, and a count of the
+    calls of the public linalg.eig."""
+    shapes, calls = [], []
+    banded, public = scipy.linalg.eigvals_banded, linalg.eig
+
+    def spy(band, **kw):
+        shapes.append(band.shape)
+        return banded(band, **kw)
+
+    def counted(*args, **kw):
+        calls.append(args[0].shape[0])
+        return public(*args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+    monkeypatch.setattr(linalg, "eig", counted)
+    return shapes, calls
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+def test_parity_fold_matches_dense(h, monkeypatch):
+    """verify-all's example commutes with P_bold = kron(P, Theta) entry for
+    entry: eig(M, P_bold) solves H_g, H and U H_g U^-1 as two band
+    problems of half the dimension, whose union matches dense eigvalsh
+    within 64 eps |M|_inf, with one call of the public eig an operator."""
+    sig = ThetaSignature(1, 1)
+    grid = Grid1D.from_box(8.0, h)
+    res = build_and_regauge(*MATRIX_EXAMPLES[0][1:], grid)
+    J = schrodinger.extended_parity(grid, sig)
+    shapes, calls = _band_solves(monkeypatch)
+    n = 2 * grid.size
+    for M in (res.H_g, res.H, res.H_similar):
+        D = M.toarray()
+        assert np.array_equal(J @ D @ J, D)
+        got = linalg.eig(M, J)
+        assert got.dtype == complex and not got.imag.any()
+        want = np.linalg.eigvalsh(D)
+        norm = np.abs(D).sum(axis=1).max()
+        assert np.abs(got.real - want).max() <= 64 * np.finfo(float).eps * norm
+    assert calls == [n] * 3
+    assert [w for _, w in shapes] == [n // 2] * 6
+    assert [kd1 - 1 for kd1, _ in shapes] == [3, 3, 2, 2, 3, 3]
+
+
+def _noncompact_example():
+    """A (2, 1) gauge with a compact and a noncompact part, so that
+    Theta A Theta != -A, in the well x^2 I: not P_bold-even, and not
+    Hermitian (its noncompact part is real and antisymmetric)."""
+    sig = ThetaSignature(2, 1)
+    el = make_element(sig, [[0, 0.2], [-0.2, 0]], [[0.3], [0.1]], [[0]])
+    return sig, ConstantGauge(A=el.gauge_potential), \
+        MatrixPotential(m=3, V=lambda x: x**2 * np.eye(3))
+
+
+def test_parity_fold_negative_twins(monkeypatch):
+    """Operators that do not commute with the parity passed take the route
+    eig takes without one, bit for bit: a copy of H_g with one diagonal
+    entry moved, P_bold with the Theta sign of one node pair flipped, the
+    noncompact gauge above, and random_m3's H_g, for which
+    P_bold H_g P_bold = H_g^H != H_g."""
+    grid = MATRIX_GRIDS[1]
+    J = schrodinger.extended_parity(grid, ThetaSignature(1, 1))
+    H_g = build_and_regauge(*MATRIX_EXAMPLES[0][1:], grid).H_g
+    moved = H_g.tolil()
+    moved[0, 0] += 2.0 ** -20
+    flipped = J.tolil()
+    n = J.shape[0]
+    flipped[0, n - 2] *= -1
+    flipped[n - 2, 0] *= -1
+    twins = [(moved.tocsr(), J), (H_g, flipped.tocsr())]
+    for sig, gauge, pot in (_noncompact_example(),
+                            (ThetaSignature(2, 1), *MATRIX_EXAMPLES[1][1:])):
+        twins.append((build_and_regauge(gauge, pot, grid).H_g,
+                      schrodinger.extended_parity(grid, sig)))
+    shapes, _ = _band_solves(monkeypatch)
+    for M, P in twins:
+        assert (P @ M @ P != M).count_nonzero()
+        assert np.array_equal(eig(M, P), eig(M))
+    # the two Hermitian twins each solve their whole band, twice
+    assert [w for _, w in shapes] == [320] * 4
+
+
 @pytest.mark.parametrize("box, h", [(8.0, 0.1), (1e3, 1.0)])
 @pytest.mark.parametrize("name", ["alpha_sigma2", "hermitian_m3"])
 def test_hermitian_gauge_exponentials_match_expm(name, box, h):
