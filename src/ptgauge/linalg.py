@@ -26,7 +26,9 @@ for entry as its J-even and J-odd halves, each of half the dimension.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
-densifying, on one of two routes chosen by the same structure test.
+densifying, on one of two routes chosen by the same structure test:
+both solvers read an operator once, by one reader that refuses a
+non-square or non-finite one, and every route takes its operand from it.
 A Hermitian operator narrow enough for eig's band driver takes
 shift-invert Lanczos.  A shift sigma just below its Gershgorin bound
 makes M - sigma I positive definite, so one banded Cholesky factor
@@ -131,54 +133,53 @@ def _table(n: int, i, j, v):
 def _entries(M):
     """(n, i, j, v, kd, T): the nonzero entries M[i, j] = v of a square
     scipy.sparse array or ndarray M, read as CSR with each position once
-    (duplicates summed), v real when every entry has zero imaginary part,
-    and their _table.
+    (duplicates summed), v float64 when every entry has zero imaginary
+    part, else complex128, and their _table; the one read of eig, its
+    parity and lowest_modes.  ValueError unless M is square and finite.
 
     The rows of a CSR input are read as stored, sorted or not.  Duplicate
     positions show as fewer nonzero table slots than entries; only then,
     or where there is no table, is a copy summed, which sorts its rows.
     """
     C = scipy.sparse.csr_array(M)   # a CSR input's own arrays, only read
+    if C.ndim != 2 or C.shape[0] != C.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {C.shape}")
     n = C.shape[0]
     while True:
         i = np.repeat(np.arange(n), np.diff(C.indptr))
         nonzero = C.data != 0
-        i, j, v = i[nonzero], C.indices[nonzero], _real(C.data[nonzero])
+        i, j = i[nonzero], C.indices[nonzero]
+        v = _real(C.data[nonzero].astype(np.result_type(C.dtype, float),
+                                         copy=False))
         kd, T = _table(n, i, j, v)
         if C.has_canonical_format or (T is not None
                                       and np.count_nonzero(T) == len(v)):
+            if not np.isfinite(v).all():
+                raise ValueError("matrix contains NaN/Inf entries")
             return n, i, j, v, kd, T
         C = C.copy()
         C.sum_duplicates()
 
 
 def _band(n: int, i, j, v, kd: int, T):
-    """(real, band) of the entries read by _entries: real when every entry
-    has zero imaginary part; band, when 32 kd < n and M equals its
-    conjugate transpose entry for entry (each entry's transposed slot holds
-    its conjugate), the upper band storage T[:kd + 1], real when M is;
-    None otherwise."""
+    """(real, band) of the entries read by _entries, which eig and
+    lowest_modes select their routes by: real when every entry has zero
+    imaginary part; band, when 32 kd < n and M equals its conjugate
+    transpose entry for entry (each entry's transposed slot holds its
+    conjugate), the upper band storage T[:kd + 1]; None otherwise."""
     real = not np.iscomplexobj(v)
     if not (32 * kd < n and np.array_equal(T[j - i + kd, i], v.conj())):
         return real, None
     return real, T[:kd + 1]
 
 
-def _hermitian_band(M):
-    """The exact structure eig and lowest_modes select their routes by:
-    (real, band) of a square scipy.sparse array or ndarray M, read from its
-    nonzero entries as CSR (dense and sparse storage agree); see _band."""
-    return _band(*_entries(M))
-
-
 def _involution(J, n: int):
     """(pi, s) of an n x n signed permutation J with J^2 = I and no fixed
     point: J[k, pi(k)] = s_k = +-1 is the one entry of row k, pi(pi(k)) = k
     != pi(k) and s_pi(k) = s_k.  Raises ValueError for any other J."""
-    J = scipy.sparse.csr_array(J)
-    if J.shape != (n, n):
-        raise ValueError(f"parity must have shape {(n, n)}, got {J.shape}")
-    rows, pi, s = _entries(J)[1:4]
+    m, rows, pi, s = _entries(J)[:4]
+    if m != n:
+        raise ValueError(f"parity must have shape {(n, n)}, got {(m, m)}")
     if not (np.array_equal(rows, np.arange(n))
             and np.all((s == 1) | (s == -1))):
         raise ValueError("parity must be a signed permutation: one entry +-1 "
@@ -241,8 +242,6 @@ def _spectrum(M, n: int, i, j, v, kd: int, T) -> np.ndarray:
     if M is None:
         M = scipy.sparse.csr_array((v, (i, j)), shape=(n, n))
     A = densify(M.real if real else M, float if real else complex)
-    if not np.isfinite(A).all():
-        raise ValueError("matrix contains NaN/Inf entries")
     if np.array_equal(A, A.conj().T):   # ascending real values, in eig's order
         return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
     vals = np.linalg.eigvals(A).astype(complex, copy=False)
@@ -281,11 +280,9 @@ def eig(M, parity=None) -> np.ndarray:
     the message then carries the partial diagnostics LAPACK provides.
     """
     M = M if scipy.sparse.issparse(M) else np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
     read = _entries(M)
     halves = None if parity is None else _fold(
-        *_involution(parity, M.shape[0]), *read)
+        *_involution(parity, read[0]), *read)
     if halves is None:
         return _spectrum(M, *read)
     vals = np.concatenate([_spectrum(None, *h) for h in halves])
@@ -581,8 +578,9 @@ def lowest_modes(M, k: int) -> np.ndarray:
     values (or n - 2) lowest_modes raises UncertifiedModes, a RuntimeError,
     rather than return an uncertified set.  An operator too small for a
     first request of k + 4 values is solved by dense eig; on any other, k
-    >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M picks one
-    of two routes by the structure eig reads (_hermitian_band).
+    >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M is read
+    once, as eig reads it; its structure (_band) picks one of two routes,
+    which solve on one sparse operand built from the entries read.
 
     Hermitian and narrow-banded (M equals M^H entry for entry, and
     32 kd < n): shift-invert Lanczos.  Let g be the Gershgorin lower bound
@@ -619,20 +617,20 @@ def lowest_modes(M, k: int) -> np.ndarray:
     Raises ValueError unless k >= 1 and M is finite and square.
     """
     _require_cut(k)
-    M = scipy.sparse.csc_array(M, dtype=complex)
-    n = M.shape[0]
-    if M.shape != (n, n) or not np.all(np.isfinite(M.data)):
-        raise ValueError(f"expected a finite square matrix, got {M.shape}")
+    n = np.shape(M)[0]
     margin = 4
     if k + margin > n - 2:
         return lowest(eig(M), k)
     require_mode_count(n, k)
-    real, band = _hermitian_band(M)
+    n, i, j, v, kd, T = _entries(M)
+    real, band = _band(n, i, j, v, kd, T)
+    A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n), dtype=float
+                               if real and band is not None else complex)
     v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
     if band is not None:
-        certified, why = _lanczos_request(M.real if real else M, band, k, v0)
+        certified, why = _lanczos_request(A, band, k, v0)
     else:
-        certified, why = _arnoldi_request(M, k, v0)
+        certified, why = _arnoldi_request(A, k, v0)
     nev_max = min(MAX_ARNOLDI_MODES, n - 2)
     while True:
         nev = min(k + margin, nev_max)

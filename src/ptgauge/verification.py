@@ -87,9 +87,10 @@ def _parse_range(text: str, key: str) -> np.ndarray:
 
 
 def _size(count: int) -> str:
-    """A count as a message gives it: exact below a million, else to 3
-    significant digits (an integer of any size)."""
-    if count < 10**6:
+    """A count as a message gives it: exact up to 12 digits, so a byte
+    count over the budget reads larger than it, else to 3 significant
+    digits (an integer of any size)."""
+    if count < 10**12:
         return str(count)
     from decimal import Decimal   # 0.15 MB RSS, so only for such a message
     return format(Decimal(count), ".3g")
@@ -482,11 +483,9 @@ def check_cartan_lts(rep: Report, cfg: VerifyConfig):
         # of elements_from_draws, its compact part is a_k and the rest a_p
         z = np.roll(rng.standard_normal((50, sig.n_draws)), -p * q, axis=-1)
         comp = cartan.cartan_split(cartan.elements_from_draws(sig, z))
-        ak = cartan.GaugeAlgebraElement(sig, comp.b)
-        ap = cartan.GaugeAlgebraElement(sig, comp.c)
-        out = cartan.lts_check(ak, ap, ap)
-        bracket = max_abs(ak.matrix @ ap.matrix - ap.matrix @ ak.matrix)
-        escapes = out.binary_escape / np.maximum(bracket, 1e-30)
+        bracket = comp.b @ comp.c - comp.c @ comp.b
+        escapes = (cartan.membership_residual(bracket, sig)
+                   / np.maximum(max_abs(bracket), 1e-30))
         _bool(rep, f"cartan/binary_escape_p{p}q{q}", smallest(escapes) > 0.1)
 
         # dimension counts: ranks of the parts of the elements of unit draws

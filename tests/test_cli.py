@@ -364,12 +364,23 @@ class TestInvalidInput:
     def test_budget_message_gives_sizes_to_three_digits(self, argv, tmp_path,
                                                         capsys):
         """Sizes of any magnitude, past a float's range too, read as one
-        short line: 3 significant digits from a million up."""
+        short line: 3 significant digits from 10^12 up."""
         code = main(argv + ["--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and len(err) < 200
         assert "array budget" in err and "e+" in err
+
+    def test_budget_message_shows_the_count_over_the_budget(self, tmp_path,
+                                                            capsys):
+        """At m = 4730 one batch's stack takes 1073899200 bytes, 0.015 %
+        over the 1073741824-byte budget; to 3 digits both read 1.07e+9."""
+        code = main(["lts-check", "--p", "2365", "--q", "2365",
+                     "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and len(err.splitlines()) == 1
+        assert ("would allocate 1073899200 bytes, over the 1073741824-byte "
+                "array budget") in err
 
     def test_budget_sizes_the_sparse_routes(self):
         """spectrum-matrix and jc no longer densify their grid builds, so

@@ -437,6 +437,36 @@ def test_lowest_modes_small_operator_is_dense():
 
 
 @pytest.mark.parametrize("build", [
+    lambda: _oscillator(Grid1D(half_count=100, spacing=0.05)),
+    lambda: _upper_blocks(100, 1.0),
+    lambda: _upper_blocks(4, 1.0),   # too small for a request: dense eig
+], ids=["lanczos", "arnoldi", "dense"])
+def test_lowest_modes_reads_the_callers_operator_once(monkeypatch, build):
+    """Every route of lowest_modes reads the caller's own operator object,
+    not a copy of it, through the one reader eig uses, once a call."""
+    read, entries = [], linalg._entries
+
+    def spy(M):
+        read.append(M)
+        return entries(M)
+
+    monkeypatch.setattr(linalg, "_entries", spy)
+    M = build()
+    lowest_modes(M, 6)
+    assert len(read) == 1 and read[0] is M
+
+
+def test_lowest_modes_of_integer_entries_as_of_float64():
+    """Integer entries are read as float64: the Lanczos route shifts and
+    factors the band as it does for the float64 copy, with the same bits."""
+    M = scipy.sparse.csr_array(2 * np.eye(200, dtype=int)
+                               - np.eye(200, k=1, dtype=int)
+                               - np.eye(200, k=-1, dtype=int))
+    assert M.dtype.kind == "i"
+    assert np.array_equal(lowest_modes(M, 6), lowest_modes(M.astype(float), 6))
+
+
+@pytest.mark.parametrize("build", [
     lambda: _upper_blocks(300, 1.0),
     lambda: _oscillator(Grid1D(half_count=300, spacing=0.05)),
 ], ids=["arnoldi", "lanczos"])
