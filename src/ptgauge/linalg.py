@@ -15,11 +15,11 @@ second_derivative are tridiagonal, parity is anti-diagonal, and sign is
 diagonal.  Block operators on grid (x) C^m have the grid index slowest (node
 j occupies rows j*m .. j*m+m-1); block_tridiagonal assembles one from its
 m x m blocks.  sample_on_nodes calls f(x) once, on the node array.  eig and
-expm accept dense or sparse input; densify is the one place a sparse
-operator is made dense.  expm works on a dense complex copy, and also
-takes a (..., m, m) stack of matrices.  eig picks its LAPACK driver by the
-input's exact structure, read from its stored entries: a Hermitian matrix
-of bandwidth kd < n/32 goes to the band driver and is never densified.
+expm accept dense or sparse input.  expm works on a dense complex copy,
+and also takes a (..., m, m) stack of matrices.  eig reads the input's
+stored entries once, picks its LAPACK driver by their exact structure and
+solves them: a Hermitian matrix of bandwidth kd < n/32 goes to the band
+driver and is never made dense.
 Given a parity J, a signed permutation such as the extended parity
 kron(P, Theta), eig solves such a band matrix that commutes with J entry
 for entry as its J-even and J-odd halves, each of half the dimension.
@@ -57,13 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-
-
-def densify(M, dtype=complex) -> np.ndarray:
-    """Dense copy of an array or a scipy.sparse matrix in dtype (no copy for
-    an ndarray already of that dtype)."""
-    return np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
-                      dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -132,45 +125,39 @@ def _table(n: int, i, j, v):
 
 def _entries(M):
     """(n, i, j, v, kd, T): the nonzero entries M[i, j] = v of a square
-    scipy.sparse array or ndarray M, read as CSR with each position once
-    (duplicates summed), v float64 when every entry has zero imaginary
-    part, else complex128, and their _table; the one read of eig, its
-    parity and lowest_modes.  ValueError unless M is square and finite.
-
-    The rows of a CSR input are read as stored, sorted or not.  Duplicate
-    positions show as fewer nonzero table slots than entries; only then,
-    or where there is no table, is a copy summed, which sorts its rows.
-    """
+    scipy.sparse array or ndarray M as CSR, each position once, v float64
+    when every entry has zero imaginary part, else complex128, and their
+    _table; the one read of eig, its parity and lowest_modes, and the
+    operand of every route.  A canonical CSR array is read as stored, any
+    other input summed once, in a sorted copy.  ValueError, naming the
+    shape, unless M is 2-D and square; ValueError unless it is finite."""
+    shape = np.shape(M)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    n = shape[0]
     C = scipy.sparse.csr_array(M)   # a CSR input's own arrays, only read
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {C.shape}")
-    n = C.shape[0]
-    while True:
-        i = np.repeat(np.arange(n), np.diff(C.indptr))
-        nonzero = C.data != 0
-        i, j = i[nonzero], C.indices[nonzero]
-        v = _real(C.data[nonzero].astype(np.result_type(C.dtype, float),
-                                         copy=False))
-        kd, T = _table(n, i, j, v)
-        if C.has_canonical_format or (T is not None
-                                      and np.count_nonzero(T) == len(v)):
-            if not np.isfinite(v).all():
-                raise ValueError("matrix contains NaN/Inf entries")
-            return n, i, j, v, kd, T
+    if not C.has_canonical_format:
         C = C.copy()
         C.sum_duplicates()
+    i = np.repeat(np.arange(n), np.diff(C.indptr))
+    nonzero = C.data != 0
+    i, j = i[nonzero], C.indices[nonzero]
+    v = _real(C.data[nonzero].astype(np.result_type(C.dtype, float),
+                                     copy=False))
+    if not np.isfinite(v).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    return (n, i, j, v) + _table(n, i, j, v)
 
 
 def _band(n: int, i, j, v, kd: int, T):
-    """(real, band) of the entries read by _entries, which eig and
-    lowest_modes select their routes by: real when every entry has zero
-    imaginary part; band, when 32 kd < n and M equals its conjugate
-    transpose entry for entry (each entry's transposed slot holds its
-    conjugate), the upper band storage T[:kd + 1]; None otherwise."""
-    real = not np.iscomplexobj(v)
-    if not (32 * kd < n and np.array_equal(T[j - i + kd, i], v.conj())):
-        return real, None
-    return real, T[:kd + 1]
+    """The upper band storage T[:kd + 1] of the entries read by _entries
+    when 32 kd < n and M equals its conjugate transpose entry for entry
+    (each entry's transposed slot holds its conjugate), else None: with
+    v.dtype, float64 for real entries, it picks eig's and lowest_modes'
+    routes."""
+    if 32 * kd < n and np.array_equal(T[j - i + kd, i], v.conj()):
+        return T[:kd + 1]
+    return None
 
 
 def _involution(J, n: int):
@@ -233,15 +220,14 @@ def _fold(pi, s, n: int, i, j, v, kd: int, T):
     return halves
 
 
-def _spectrum(M, n: int, i, j, v, kd: int, T) -> np.ndarray:
-    """eig's route (see there) for the entries _entries read of M; M None
-    stands for the matrix of those entries."""
-    real, band = _band(n, i, j, v, kd, T)
+def _spectrum(n: int, i, j, v, kd: int, T) -> np.ndarray:
+    """eig's route (see there) for the entries of an n x n matrix as
+    _entries gives them."""
+    band = _band(n, i, j, v, kd, T)
     if band is not None:
         return scipy.linalg.eigvals_banded(band).astype(complex)
-    if M is None:
-        M = scipy.sparse.csr_array((v, (i, j)), shape=(n, n))
-    A = densify(M.real if real else M, float if real else complex)
+    A = np.zeros((n, n), v.dtype)
+    A[i, j] = v
     if np.array_equal(A, A.conj().T):   # ascending real values, in eig's order
         return scipy.linalg.eigvalsh(A, check_finite=False).astype(complex)
     vals = np.linalg.eigvals(A).astype(complex, copy=False)
@@ -262,9 +248,9 @@ def eig(M, parity=None) -> np.ndarray:
     scipy.linalg.eigvalsh (dsyevr, or zheevr).  Any other matrix whose
     entries have zero imaginary part goes to real geev (dgeev), which
     returns nonreal eigenvalues as exact conjugate pairs; the rest to
-    complex geev (zgeev).  Only the dense drivers densify the input (once,
-    into float64 when it is real); the band is read before that, and a wider
-    matrix is tested for Hermiticity on the dense copy.
+    complex geev (zgeev).  Every route solves the entries of one read of
+    the input; for the dense drivers they are scattered into a matrix,
+    float64 when real, on which a wider matrix is tested for Hermiticity.
 
     parity, a signed permutation J with J^2 = I and no fixed point (such as
     the extended parity kron(P, Theta) of a staggered grid), lets eig
@@ -275,30 +261,31 @@ def eig(M, parity=None) -> np.ndarray:
     like n^3, so the two halves cost about a half, or a quarter, of the
     whole.  Any other M takes the route above, as without parity.
 
-    Raises ValueError on a non-square or non-finite matrix, or a parity
-    that is not such a J, and LinAlgError on QR-iteration non-convergence;
-    the message then carries the partial diagnostics LAPACK provides.
+    Raises ValueError on an input that is not a square matrix (naming its
+    shape) or not finite, or a parity that is not such a J, and LinAlgError
+    on QR-iteration non-convergence; the message then carries the partial
+    diagnostics LAPACK provides.
     """
-    M = M if scipy.sparse.issparse(M) else np.asarray(M)
     read = _entries(M)
     halves = None if parity is None else _fold(
         *_involution(parity, read[0]), *read)
     if halves is None:
-        return _spectrum(M, *read)
-    vals = np.concatenate([_spectrum(None, *h) for h in halves])
+        return _spectrum(*read)
+    vals = np.concatenate([_spectrum(*h) for h in halves])
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade) of a matrix, or of each
-    matrix of a (..., m, m) stack.
+    """Matrix exponential (scaling-and-squaring Pade) of a dense or sparse
+    matrix, or of each matrix of a (..., m, m) stack, on a dense complex copy.
 
     scipy.linalg.expm works slice by slice, so each slice of a stacked
     result equals the exponential of that matrix alone bit for bit.
     Raises ValueError on non-square or non-finite input, and OverflowError
     if any entry of the result overflows.
     """
-    M = densify(M)
+    M = np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
+                   dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
     if not np.isfinite(M).all():
@@ -577,7 +564,7 @@ def lowest_modes(M, k: int) -> np.ndarray:
     margin starts at 4 and doubles until it is; past MAX_ARNOLDI_MODES
     values (or n - 2) lowest_modes raises UncertifiedModes, a RuntimeError,
     rather than return an uncertified set.  An operator too small for a
-    first request of k + 4 values is solved by dense eig; on any other, k
+    first request of k + 4 values is solved by eig's route; on any other, k
     >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M is read
     once, as eig reads it; its structure (_band) picks one of two routes,
     which solve on one sparse operand built from the entries read.
@@ -617,15 +604,14 @@ def lowest_modes(M, k: int) -> np.ndarray:
     Raises ValueError unless k >= 1 and M is finite and square.
     """
     _require_cut(k)
-    n = np.shape(M)[0]
+    read = n, i, j, v, kd, T = _entries(M)
     margin = 4
     if k + margin > n - 2:
-        return lowest(eig(M), k)
+        return lowest(_spectrum(*read), k)
     require_mode_count(n, k)
-    n, i, j, v, kd, T = _entries(M)
-    real, band = _band(n, i, j, v, kd, T)
-    A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n), dtype=float
-                               if real and band is not None else complex)
+    band = _band(*read)
+    A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n),
+                               dtype=v.dtype if band is not None else complex)
     v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
     if band is not None:
         certified, why = _lanczos_request(A, band, k, v0)

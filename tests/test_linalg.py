@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from ptgauge.cartan import ThetaSignature, make_element
+from ptgauge.jaynes import LevelEnergies, build_jc, nilpotent_split
 from ptgauge.linalg import (
     Grid1D,
     _band,
@@ -14,6 +18,7 @@ from ptgauge.linalg import (
     indefinite_inner,
     lowest,
     lowest_common,
+    lowest_modes,
     match_spectra,
     operator_norm_estimate,
     pairing_check,
@@ -67,6 +72,16 @@ class TestEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eig(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("M", [np.float64(3.0), 3.0, np.ones(4),
+                                   np.ones((2, 2, 2))])
+    @pytest.mark.parametrize("solve", [eig, lambda M: lowest_modes(M, 1)],
+                             ids=["eig", "lowest_modes"])
+    def test_rejects_an_operator_that_is_not_2d(self, solve, M):
+        """Not a matrix at all, a scalar included: ValueError naming the
+        shape, before any solve."""
+        with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(M)}")):
+            solve(M)
 
     def test_rejects_nonfinite_sparse(self):
         M = scipy.sparse.csr_array(np.diag([1.0, np.inf]))
@@ -231,6 +246,30 @@ class TestEigDrivers:
         assert drivers[0][0] == "eigvals_banded"
         _assert_matches_zgeev(got, want)
 
+    def test_dense_routes_solve_the_read_entries(self, drivers, monkeypatch):
+        """The dense drivers take a matrix made from the entries of eig's one
+        read, not the caller's operator densified again, with the bits of
+        the same operator passed as an ndarray: the dim-26 JC Fock build
+        (eigvalsh) and a real non-Hermitian matrix in CSR and CSC (geev)."""
+        el = make_element(ThetaSignature(1, 1), np.zeros((1, 1)), [[0.3]],
+                          np.zeros((1, 1)))
+        jc = build_jc(nilpotent_split(el), LevelEnergies([0.0, 0.5]), 12)
+        general = scipy.sparse.csr_array(_random(30, 17))
+        ops = (jc, general, scipy.sparse.csc_array(general))
+        want = [eig(M.toarray()) for M in ops]
+
+        def refuse(*args, **kw):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+        monkeypatch.setattr(scipy.sparse.csc_array, "toarray", refuse)
+        drivers.clear()
+        got = [eig(M) for M in ops]
+        assert [d[0] for d in drivers] == ["eigvalsh", "eigvals", "eigvals"]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == complex
+            assert np.array_equal(g, w)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_sparse_banded_hermitian_raises(self, drivers, bad):
         """An inf on the diagonal keeps the band matrix Hermitian entry for
@@ -254,19 +293,20 @@ class TestEigDrivers:
             H[kd + 1, 1] += 2 ** -20
         want = _structure_oracle(H)
         for M in (H, _restored(H), scipy.sparse.csc_array(_restored(H))):
-            got = _band(*_entries(M))
-            assert got[0] == want[0]
-            assert (got[1] is None) == (want[1] is None)
+            read = _entries(M)
+            got = _band(*read)
+            assert read[3].dtype == (float if want[0] else complex)
+            assert (got is None) == (want[1] is None)
             if want[1] is not None:
-                assert got[1].dtype == want[1].dtype
-                assert np.array_equal(got[1], want[1])
+                assert got.dtype == want[1].dtype
+                assert np.array_equal(got, want[1])
             assert np.array_equal(eig(M), eig(H))
 
     @pytest.mark.parametrize("real", [True, False])
-    def test_unsorted_rows_read_without_sorting(self, monkeypatch, real):
+    def test_unsorted_rows_read_without_sorting(self, real):
         """Rows stored out of order but without duplicates, as sparse
-        products leave them, are read as stored: no summed copy, and the
-        band of the sorted matrix, bit for bit."""
+        products leave them, give the band of the sorted matrix, bit for
+        bit, and its eig values."""
         C = scipy.sparse.csr_array(_banded_hermitian(200, 3, 16, real) + 0j)
         reversed_rows = scipy.sparse.csr_array((np.concatenate(
             [C.data[a:b][::-1] for a, b in zip(C.indptr, C.indptr[1:])]),
@@ -274,16 +314,12 @@ class TestEigDrivers:
                             for a, b in zip(C.indptr, C.indptr[1:])]),
             C.indptr), shape=C.shape)
         assert not reversed_rows.has_canonical_format
-        want = _band(*_entries(C))
-
-        def refuse(self):
-            raise AssertionError("sorted a copy")
-
-        monkeypatch.setattr(scipy.sparse.csr_array, "sum_duplicates", refuse)
-        got = _band(*_entries(reversed_rows))
-        assert got[0] == want[0] == real
-        assert got[1].dtype == want[1].dtype
-        assert np.array_equal(got[1], want[1])
+        want, read = _band(*_entries(C)), _entries(reversed_rows)
+        got = _band(*read)
+        assert read[3].dtype == (float if real else complex)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(eig(reversed_rows), eig(C))
 
     def test_sparse_and_dense_identical(self):
         X = _random(24, 6, real=False)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptgauge import schrodinger
 from ptgauge.cartan import ThetaSignature, make_element, random_element
-from ptgauge.linalg import Grid1D, _band, _entries, eig, match_spectra, \
+from ptgauge.linalg import Grid1D, _entries, eig, match_spectra, \
     worst_residual
 from ptgauge.reporting import CheckRecord
 from ptgauge.schrodinger import (
@@ -126,7 +126,7 @@ class TestRegauge:
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for M in (res.H_g, res.H, res.H_similar):
             assert (M != M.conj().T).count_nonzero() == 0
-            assert not M.data.imag.any() and _band(*_entries(M))[0]
+            assert not M.data.imag.any() and _entries(M)[3].dtype == float
             eig(M)
         assert [n for _, n in bands] == [640] * 3
         assert dtypes == {np.dtype(float)}
