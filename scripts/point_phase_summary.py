@@ -40,8 +40,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     rows = pt_phase_sweep(*params.axes())
+    phi = np.array([r.phi for r in rows])
+    cls = np.array([r.classification for r in rows])
 
-    by_class = Counter(r.classification for r in rows)
+    by_class = Counter(cls.tolist())
     print(f"# {len(rows)} cells, classification counts: {dict(by_class)}")
 
     edges = np.linspace(-np.pi / 2, np.pi / 2, 9)
@@ -49,13 +51,14 @@ def main(argv=None) -> int:
     binned = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
         last = hi == edges[-1]
-        cells = [r for r in rows if lo <= r.phi < hi or (last and r.phi == hi)]
-        binned += len(cells)
-        if not cells:
+        cells = ((lo <= phi) & (phi < hi)) | (last & (phi == hi))
+        n_cells = np.count_nonzero(cells)
+        binned += n_cells
+        if not n_cells:
             continue
-        real = sum(r.classification == "all_real" for r in cells)
-        broken = sum(r.classification == "conjugate_paired" for r in cells)
-        print(f"[{lo:8.4f}, {hi:8.4f}{']' if last else ')'} {len(cells):7d} "
+        real = np.count_nonzero(cells & (cls == "all_real"))
+        broken = np.count_nonzero(cells & (cls == "conjugate_paired"))
+        print(f"[{lo:8.4f}, {hi:8.4f}{']' if last else ')'} {n_cells:7d} "
               f"{real:9d} {broken:11d}")
     n_deg = sum(r.degenerate for r in rows)
     print(f"# degenerate-angle cells: {n_deg}")

@@ -26,8 +26,10 @@ the matching determinant is the closed-form polynomial
 
 whose roots with Re k > 0 give energies E = -k^2.
 
-The phase sweep works on arrays: the couplings of all rows come from one
-meshgrid, and det T, phi and the degenerate flag are computed entry-wise.
+The phase sweep works on arrays, a block of couplings at a time: the
+couplings come from one meshgrid, det T, phi, the degenerate flag and the
+pairing class are computed entry-wise, and each block is written into the
+columns of a PhaseSweep, whose rows are built only when they are read.
 bound_states and the sweep take their roots, energies and order from one
 kernel, _decaying_states, which finds the quadratic roots by stacked
 eigvals calls on companion matrices, in float64 for real coefficients;
@@ -36,13 +38,13 @@ only bound_states computes amplitudes and domain residuals.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import pairing_check, worst_residual
+from .linalg import worst_residual
 
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -297,8 +299,7 @@ def bound_states(T: CouplingMatrixT) -> list[BoundState]:
     return out
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     t11: float
     t22: float
     im_t12: float
@@ -310,29 +311,87 @@ class SweepRow:
     classification: str
 
 
+CLASSIFICATIONS = ("all_real", "conjugate_paired", "unpaired")
+_BLOCK = 1024   # couplings the sweep solves at once
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSweep(Sequence):
+    """The rows of a sweep as read-only columns, classification as indices
+    into CLASSIFICATIONS; a row is built when it is indexed or iterated."""
+
+    t11: np.ndarray
+    t22: np.ndarray
+    im_t12: np.ndarray
+    im_t21: np.ndarray
+    phi: np.ndarray
+    degenerate: np.ndarray
+    n_bound: np.ndarray
+    energies: np.ndarray        # (n, 2)
+    classification: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self):
+        return len(self.t11)
+
+    def _rows(self, s: slice):
+        scalars = [getattr(self, f)[s].tolist() for f in SweepRow._fields[:7]]
+        names = map(CLASSIFICATIONS.__getitem__,
+                    self.classification[s].tolist())
+        return map(SweepRow, *scalars, self.energies[s], names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._rows(i))
+        i = range(len(self))[i]   # IndexError past either end
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self):
+        for lo in range(0, len(self), _BLOCK):
+            yield from self._rows(slice(lo, lo + _BLOCK))
+
+
+def _pairing_codes(E, count):
+    """pairing_check(E[:count], 1e-8) of each row of E, (n, 2), as indices
+    into CLASSIFICATIONS: a kept value is nonreal unless |Im| <= 1e-8 (so a
+    NaN is), and two nonreal values pair if |E0 - conj(E1)| <= 1e-8."""
+    nonreal = ~(np.abs(E.imag) <= 1e-8) & (np.arange(2) < count[:, None])
+    d = E[:, 0] - E[:, 1].conj()
+    paired = nonreal.all(axis=1) & (np.hypot(d.real, d.imag) <= 1e-8)
+    return np.where(nonreal.any(axis=1), np.where(paired, 1, 2), 0)
+
+
 def pt_phase_sweep(t11_values, t22_values, im_t12_values,
-                   im_t21_values) -> list[SweepRow]:
+                   im_t21_values) -> PhaseSweep:
     """Grid sweep over PT-symmetric couplings; rows in deterministic order
     (t11 slowest, im_t21 fastest).
 
     Each row's phi and degenerate flag are those of clifford_angle, its
     energies those of bound_states (sorted by real, then imaginary part),
-    and its energies are classified by pairing_check at tolerance 1e-8.
+    and its classification that of pairing_check at tolerance 1e-8 on its
+    n_bound energies.  The rows are solved _BLOCK at a time, into the
+    columns of the returned PhaseSweep.
     """
     axes = [np.asarray(v, dtype=float)
             for v in (t11_values, t22_values, im_t12_values, im_t21_values)]
     t11, t22, b12, b21 = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
-    # complex arrays, formed as CouplingMatrixT.det forms them, so that
-    # every sign of zero matches too
-    z11, z12, z21, z22 = (t11.astype(complex), 1j * b12, 1j * b21,
-                          t22.astype(complex))
-    det = z11 * z22 - z12 * z21
-    phi, degenerate = _principal_angle((det + 4).real, (z12 - z21).imag)
-    _, energies, n_bound = _decaying_states(*coefficients(z11, det, z22))
-    # product() runs in the meshgrid's "ij" order, and rows share the
-    # float object of each axis value
-    return [SweepRow(t11, t22, b12, b21, ph, dg, nb, e,
-                     pairing_check(e[:nb], 1e-8) if nb else "all_real")
-            for (t11, t22, b12, b21), ph, dg, nb, e in zip(
-                itertools.product(*(a.tolist() for a in axes)), phi.tolist(),
-                degenerate.tolist(), n_bound.tolist(), energies)]
+    n = t11.size
+    phi, degenerate = np.empty(n), np.empty(n, dtype=bool)
+    n_bound, codes = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8)
+    energies = np.empty((n, 2), dtype=complex)
+    for lo in range(0, n, _BLOCK):
+        s = slice(lo, lo + _BLOCK)
+        # complex arrays, formed as CouplingMatrixT.det forms them, so that
+        # every sign of zero matches too
+        z11, z12, z21, z22 = (t11[s].astype(complex), 1j * b12[s],
+                              1j * b21[s], t22[s].astype(complex))
+        det = z11 * z22 - z12 * z21
+        phi[s], degenerate[s] = _principal_angle((det + 4).real,
+                                                 (z12 - z21).imag)
+        _, energies[s], count = _decaying_states(*coefficients(z11, det, z22))
+        n_bound[s], codes[s] = count, _pairing_codes(energies[s], count)
+    return PhaseSweep(t11, t22, b12, b21, phi, degenerate, n_bound, energies,
+                      codes)

@@ -20,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class CheckRecord:
 class Table:
     name: str
     columns: Sequence[str]
-    rows: Sequence[Sequence]
+    rows: Iterable[Sequence]   # read once by each emit
 
 
 @dataclass

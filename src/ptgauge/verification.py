@@ -751,6 +751,8 @@ def delta_well_grid_energy(t11: float) -> float:
     n/2..n-1, the first diagonal lowered by 1/h^2 (the row's mirror
     neighbour is itself).  Bisection runs on (lo, hi], lo below Gershgorin's
     floor min V, hi the Rayleigh quotient of the even vector e^{t11|x|/2}.
+    The bisection follows hi within its tolerance, so hi is summed without
+    cancellation and without BLAS, whose order follows its thread count.
     """
     h, n = WELL_H, int(round(2 * WELL_BOX / WELL_H))
     x = (np.arange(n // 2, n) - (n - 1) / 2) * h
@@ -759,26 +761,40 @@ def delta_well_grid_energy(t11: float) -> float:
     diag[0] -= 1 / h**2
     off = np.full(n // 2 - 1, -1 / h**2)
     u = np.exp(t11 * x / 2)
-    rayleigh = (diag @ u**2 + 2 * off @ (u[:-1] * u[1:])) / (u @ u)
+    # u^T T u = sum V u^2 + sum du^2 / h^2, du each step to the next node,
+    # the last to the zero past the box
+    rayleigh = ((np.sum(np.diff(u, append=0.0)**2) / h**2 + np.sum(V * u * u))
+                / np.sum(u * u))
     return float(scipy.linalg.eigh_tridiagonal(
         diag, off, eigvals_only=True, select="v",
         select_range=(V.min() - 1, rayleigh))[0])
 
 
+@dataclass(frozen=True)
+class _PhaseDiagramRows:
+    """The phase-diagram table of a sweep, built from its columns each time
+    the table is read, so that a CSV streams."""
+
+    sweep: pointint.PhaseSweep
+
+    def __iter__(self):
+        for *scalars, energies, classification in self.sweep:
+            (e1, e2) = energies.tolist()
+            yield [*scalars, e1.real, e1.imag, e2.real, e2.imag, classification]
+
+
 def _sweep_records(rep: Report, params: PhaseDiagramParams, paired_name: str):
     """Conjugate pairing over a coupling sweep, and its phase-diagram table."""
-    rows = pointint.pt_phase_sweep(*params.axes())
-    _bool(rep, paired_name, all(r.classification != "unpaired" for r in rows))
+    sweep = pointint.pt_phase_sweep(*params.axes())
+    unpaired = pointint.CLASSIFICATIONS.index("unpaired")
+    _bool(rep, paired_name, np.all(sweep.classification != unpaired))
     rep.tables.append(Table(
         name="phase_diagram",
         columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
                  "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
                  "classification"],
-        rows=[[r.t11, r.t22, r.im_t12, r.im_t21, r.phi, r.degenerate,
-               r.n_bound, float(r.energies[0].real), float(r.energies[0].imag),
-               float(r.energies[1].real), float(r.energies[1].imag),
-               r.classification] for r in rows]))
-    return rows
+        rows=_PhaseDiagramRows(sweep)))
+    return sweep
 
 
 def check_point_spectrum(rep: Report, cfg: VerifyConfig):
@@ -790,11 +806,11 @@ def check_point_spectrum(rep: Report, cfg: VerifyConfig):
     rep.add("point/delta_well_grid_oracle",
             abs(delta_well_grid_energy(-2.0) - (-1.0)), 1e-3)
 
-    rows = _sweep_records(rep, PhaseDiagramParams(),
-                          "point/sweep_all_rows_paired")
+    sweep = _sweep_records(rep, PhaseDiagramParams(),
+                           "point/sweep_all_rows_paired")
+    symmetric = np.abs(sweep.im_t12 - sweep.im_t21) < 1e-14
     _bool(rep, "point/sweep_phi_zero_slice",
-          all(abs(r.phi) < 1e-14 for r in rows
-              if abs(r.im_t12 - r.im_t21) < 1e-14))
+          np.all(np.abs(sweep.phi[symmetric]) < 1e-14))
 
 
 def run_point_spectrum(rep: Report, params: CouplingParams):

@@ -7,6 +7,9 @@ stated tolerance.  Criterion 11 exercises the command-line entry point
 twice and byte-compares the emitted reports.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -279,6 +282,27 @@ def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):
     assert [p.name for p in f1] == [p.name for p in f2]
     assert identical
     assert elapsed < 300
+
+
+def test_verify_all_bytes_independent_of_blas_threads(tmp_path):
+    """verify-all writes the same JSON and CSV bytes at 1 and 2 BLAS
+    threads, each run in its own process (the thread count is read once,
+    when numpy loads)."""
+    src = os.path.dirname(os.path.dirname(pointint.__file__))
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        d = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "ptgauge.cli", "verify-all",
+                        "--format", "both", "--out-dir", str(d)],
+                       env=env, check=True, capture_output=True)
+        out[threads] = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert sorted(out["1"]) == ["verify-all.json",
+                                "verify-all_phase_diagram.csv"]
+    assert out["1"] == out["2"]
 
 
 def test_coupling_on_d_fails_grid_vs_fock(monkeypatch):

@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from ptgauge import pointint
 from ptgauge.linalg import pairing_check, worst_residual
 from ptgauge.pointint import (
+    CLASSIFICATIONS,
     CouplingMatrixT,
     PiecewiseFunction,
     apply_p_phi_traces,
@@ -293,3 +296,70 @@ class TestSweep:
                               np.linspace(-2, 2, 3), np.linspace(-2, 2, 3))
         assert any(r.classification == "conjugate_paired" for r in rows)
         assert any(r.classification == "all_real" for r in rows)
+
+    def test_classification_column_is_pairing_check(self):
+        """Over more than one block, with t22 = 0 (linear), t11 = 0 (a zero
+        root), det T + 4 = 0 with beta = 0 (degenerate, at t11 = -t22 = 2)
+        and a double root (t11 = -t22 = 1, im_t12 = im_t21 = 3), each code
+        names pairing_check of the row's n_bound energies."""
+        axes = ([-2.7, -2.0, 0.0, 0.3, 1.0, 2.0], [-2.0, -1.0, 0.0, 0.5, 2.0],
+                [-1.0, 0.0, 2.0, 3.0],
+                [-2.5, -1.0, -0.5, 0.0, 0.5, 2.0, 2.5, 3.0, 4.0])
+        sweep = pt_phase_sweep(*axes)
+        assert len(sweep) > pointint._BLOCK
+        seen = set()
+        for code, row in zip(sweep.classification, sweep, strict=True):
+            want = pairing_check(row.energies[:row.n_bound], 1e-8)
+            assert CLASSIFICATIONS[code] == row.classification == want
+            seen.add((want, row.degenerate))
+        assert {("all_real", True), ("all_real", False),
+                ("conjugate_paired", False)} <= seen
+
+    @pytest.mark.parametrize("energies, count", [
+        ([1j, -1j], 2), ([1j, 1j], 2), ([1 + 1j, 1 - 1j + 2e-8j], 2),
+        ([1 + 1j, 1 - 1j + 5e-9], 2), ([-1, 1j], 2), ([1j, np.nan], 1),
+        ([complex(np.nan, 0), np.nan], 1), ([-2, 5e-9j], 2), ([0, 0], 0),
+        ([complex(np.nan, np.nan), -1j], 2)])
+    def test_pairing_codes_match_pairing_check(self, energies, count):
+        """All three classes, NaN among them, as pairing_check gives them."""
+        E = np.array([energies], dtype=complex)
+        code = pointint._pairing_codes(E, np.array([count]))[0]
+        assert CLASSIFICATIONS[code] == pairing_check(E[0, :count], 1e-8)
+
+    def test_empty_axis_gives_empty_sweep(self):
+        sweep = pt_phase_sweep([], [1.0], [0.0, 1.0], [2.0])
+        assert len(sweep) == 0
+        assert list(sweep) == []
+        assert sweep.energies.shape == (0, 2)
+
+    def test_rows_are_rebuilt_equal_and_columns_read_only(self):
+        sweep = pt_phase_sweep(np.linspace(-3, 3, 7), np.linspace(-3, 3, 7),
+                               np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+        first, second = list(sweep), list(sweep)
+        assert len(first) == len(sweep) > pointint._BLOCK
+        for a, b, i in zip(first, second, range(-len(sweep), 0), strict=True):
+            for row in (b, sweep[i]):
+                assert row[:7] == a[:7] and row.classification == a.classification
+                assert [type(v) for v in row[:7]] == [type(v) for v in a[:7]]
+                assert bits(row.energies) == bits(a.energies)
+        assert [type(v) for v in first[0]] == [float] * 5 + [
+            bool, int, np.ndarray, str]
+        assert [r[:7] for r in sweep[5:-2:3]] == [r[:7] for r in first[5:-2:3]]
+        with pytest.raises(IndexError):
+            sweep[len(sweep)]
+        with pytest.raises(ValueError):
+            sweep.phi[0] = 1.0
+
+    def test_sweep_traced_peak_under_1mb(self):
+        """The benchmark's 9^4 sweep traces 0.84 MB: its columns take 75 B
+        a row, and each block's arrays are freed before the next."""
+        axes = (np.linspace(-2, 1, 9), np.linspace(-1, 1, 9),
+                np.linspace(-1.5, 1.5, 9), np.linspace(-1.5, 1.5, 9))
+        pt_phase_sweep(*axes)   # first-call allocations out of the trace
+        tracemalloc.start()
+        try:
+            pt_phase_sweep(*axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6

@@ -3,7 +3,6 @@ order meets the bound, or the phase summary's counts add up.  Arguments
 they cannot use end with exit 2 and one line, before any level runs or,
 for an n-low that no level can certify, before any output."""
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -64,8 +63,8 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
 
     def one_unpaired(*axes):
         calls.append(axes)
-        rows = sweep(*axes)
-        rows[0] = dataclasses.replace(rows[0], classification="unpaired")
+        rows = list(sweep(*axes))
+        rows[0] = rows[0]._replace(classification="unpaired")
         return rows
 
     # one sweep, whether it is reached through the script or through pointint
