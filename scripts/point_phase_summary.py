@@ -20,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 
-from ptgauge.pointint import pt_phase_sweep
+from ptgauge.pointint import CLASSIFICATIONS, pt_phase_sweep
 from ptgauge.verification import PhaseDiagramParams
 
 
@@ -39,12 +39,12 @@ def main(argv=None) -> int:
     except ValueError as exc:   # the rule of ptgauge's command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    rows = pt_phase_sweep(*params.axes())
-    phi = np.array([r.phi for r in rows])
-    cls = np.array([r.classification for r in rows])
+    sweep = pt_phase_sweep(*params.axes())
+    phi = sweep.phi
+    cls = np.asarray(CLASSIFICATIONS)[sweep.classification]
 
     by_class = Counter(cls.tolist())
-    print(f"# {len(rows)} cells, classification counts: {dict(by_class)}")
+    print(f"# {len(sweep)} cells, classification counts: {dict(by_class)}")
 
     edges = np.linspace(-np.pi / 2, np.pi / 2, 9)
     print(f"{'phi bin':>22} {'cells':>7} {'all real':>9} {'conj pairs':>11}")
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         broken = np.count_nonzero(cells & (cls == "conjugate_paired"))
         print(f"[{lo:8.4f}, {hi:8.4f}{']' if last else ')'} {n_cells:7d} "
               f"{real:9d} {broken:11d}")
-    n_deg = sum(r.degenerate for r in rows)
+    n_deg = np.count_nonzero(sweep.degenerate)
     print(f"# degenerate-angle cells: {n_deg}")
 
     failed = False

@@ -126,8 +126,6 @@ def main(argv=None) -> int:
     formats = ["json", "csv"] if args.format == "both" else [args.format]
     try:
         for fmt in formats:
-            if fmt == "csv" and not report.tables:
-                continue
             for path in emit(report, fmt, out_dir):
                 print(f"wrote {path}")
     except OSError as exc:

@@ -4,7 +4,8 @@ Serialization rules, chosen so that re-running an identical config yields
 byte-identical files:
   * JSON keys are written in fixed insertion order;
   * all floats use 17-significant-digit scientific notation;
-  * complex table values are split into _re/_im columns by the producer;
+  * in a table row, a complex value gives two cells, its real and imaginary
+    parts, and an array one per entry; both formats write rows as read;
   * wall times (total, and of each record function in verification.run)
     are kept on the in-memory report for logging, on stderr, but excluded
     from the serialized output.
@@ -20,7 +21,10 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -82,50 +86,68 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cells(row):
+    """A row's cells: a complex value's two parts, an array's entries."""
+    for x in row:
+        if isinstance(x, np.ndarray):
+            yield from _cells(x.ravel().tolist())
+        elif isinstance(x, complex):
+            yield from (_fmt(x.real), _fmt(x.imag))
+        else:
+            yield _fmt(x)
+
+
+_ROWS, _row = "\x00", json.JSONEncoder(separators=(",\n     ", ": ")).encode
+
+
+def _json(report: Report):
+    """json.dump(payload, fh, indent=1) and a newline, in pieces: the payload
+    with _ROWS (no report string holds a NUL) for each table's rows, then
+    each row, as it is read, by _row, which puts its cells at their depth."""
+    payload = {
+        "command": report.command,
+        "config": {k: report.config[k] for k in sorted(report.config)},
+        "seed": report.seed,
+        "records": [
+            {"name": r.name, "residual": _fmt(r.residual),
+             "tolerance": _fmt(r.tolerance), "pass": r.passed}
+            for r in report.records
+        ],
+        "tables": [{"name": t.name, "columns": list(t.columns), "rows": _ROWS}
+                   for t in report.tables],
+        "pass": report.passed,
+    }
+    text = json.dumps(payload, indent=1) + "\n"
+    head, *tails = text.split(json.dumps(_ROWS))
+    yield head
+    for t, tail in zip(report.tables, tails):
+        sep = "["
+        for row in t.rows:
+            cells = _row(list(_cells(row)))[1:-1]
+            yield f"{sep}\n    " + (f"[\n     {cells}\n    ]" if cells else "[]")
+            sep = ","
+        yield ("[]" if sep == "[" else "\n   ]") + tail
+
+
 def emit(report: Report, fmt: str, out_dir: str) -> list:
     """Write the report; returns the list of paths written.
 
-    fmt 'json' writes <command>.json with the full report; fmt 'csv'
-    writes one <command>_<table>.csv per table.
+    fmt 'json' writes <command>.json with the full report, 'csv' one
+    <command>_<table>.csv per table; each row is written as it is read.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
+    stem = os.path.join(out_dir, report.command)
     if fmt == "json":
-        payload = {
-            "command": report.command,
-            "config": {k: report.config[k] for k in sorted(report.config)},
-            "seed": report.seed,
-            "records": [
-                {"name": r.name, "residual": _fmt(r.residual),
-                 "tolerance": _fmt(r.tolerance), "pass": r.passed}
-                for r in report.records
-            ],
-            "tables": [
-                {"name": t.name, "columns": list(t.columns),
-                 "rows": [[_fmt(v) for v in row] for row in t.rows]}
-                for t in report.tables
-            ],
-            "pass": report.passed,
-        }
-        path = os.path.join(out_dir, f"{report.command}.json")
-        try:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-        paths.append(path)
+        files = [(stem + ".json", _json(report))]
     elif fmt == "csv":
-        for t in report.tables:
-            path = os.path.join(out_dir, f"{report.command}_{t.name}.csv")
-            try:
-                with open(path, "w") as fh:
-                    fh.write(",".join(t.columns) + "\n")
-                    for row in t.rows:
-                        fh.write(",".join(_fmt(v) for v in row) + "\n")
-            except OSError as exc:
-                raise OSError(f"cannot write table to {path}: {exc}") from exc
-            paths.append(path)
+        files = [(f"{stem}_{t.name}.csv", (",".join(c) + "\n" for c in chain(
+            [t.columns], map(_cells, t.rows)))) for t in report.tables]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-    return paths
+    for path, pieces in files:
+        try:
+            with open(path, "w") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise OSError(f"cannot write report to {path}: {exc}") from exc
+    return [path for path, _ in files]

@@ -7,6 +7,7 @@ stated tolerance.  Criterion 11 exercises the command-line entry point
 twice and byte-compares the emitted reports.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -258,6 +259,17 @@ def test_nan_perturbed_relation_fails_its_record(monkeypatch):
     rep = Report(command="nan", config={})
     check_point_angle(rep, VerifyConfig())
     assert not _record(rep, "point/matrix_relation_fails_at_wrong_phi").passed
+
+
+def test_no_delta_well_state_fails_its_records(monkeypatch, tmp_path):
+    """A delta well without its one bound state fails the records that read
+    it, and verify-all still writes its report."""
+    monkeypatch.setattr(pointint, "bound_states", lambda T: [])
+    assert main(["verify-all", "--out-dir", str(tmp_path)]) == 1
+    records = json.loads((tmp_path / "verify-all.json").read_text())["records"]
+    failed = {r["name"] for r in records if not r["pass"]}
+    assert failed == {"point/delta_well_single_state", "point/delta_well_energy",
+                      "point/delta_well_domain_residual"}
 
 
 def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptgauge.reporting import CheckRecord, Report, Table, emit
+from ptgauge import verification
+from ptgauge.reporting import CheckRecord, Report, Table, _fmt, emit
 
 
 def _report():
@@ -121,6 +123,103 @@ class TestCsv:
         emit(_report(), "csv", str(d2))
         assert ((d1 / "demo_values.csv").read_bytes()
                 == (d2 / "demo_values.csv").read_bytes())
+
+
+def _split(v) -> list:
+    """A value's cells, as the reports have always split them: a complex
+    value into its real and imaginary parts, an array into its entries."""
+    if isinstance(v, np.ndarray):
+        return [c for x in v.ravel().tolist() for c in _split(x)]
+    if isinstance(v, complex):
+        return [_fmt(float(v.real)), _fmt(float(v.imag))]
+    return [_fmt(v)]
+
+
+def _reference_json(rep) -> str:
+    """The report as one materialized payload, dumped at once."""
+    payload = {
+        "command": rep.command,
+        "config": {k: rep.config[k] for k in sorted(rep.config)},
+        "seed": rep.seed,
+        "records": [{"name": r.name, "residual": _fmt(r.residual),
+                     "tolerance": _fmt(r.tolerance), "pass": r.passed}
+                    for r in rep.records],
+        "tables": [{"name": t.name, "columns": list(t.columns),
+                    "rows": [[c for v in row for c in _split(v)]
+                             for row in t.rows]}
+                   for t in rep.tables],
+        "pass": rep.passed,
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+_names = st.text("abcxyz_", min_size=1, max_size=6)
+_cell_values = st.one_of(
+    st.booleans(), st.integers(), st.text(max_size=6), st.floats(),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.lists(st.complex_numbers(), max_size=3).map(
+        lambda v: np.array(v, dtype=complex)))
+_tables = st.lists(
+    st.builds(Table, name=_names, columns=st.lists(_names, min_size=1,
+                                                      max_size=4),
+              rows=st.one_of(st.just([]),
+                             st.lists(st.lists(_cell_values, max_size=4),
+                                      min_size=1, max_size=1),
+                             st.lists(st.lists(_cell_values, max_size=4),
+                                      min_size=2, max_size=8))),
+    max_size=3, unique_by=lambda t: t.name)
+_reports = st.builds(
+    lambda config, seed, records, tables: Report(
+        command="demo", config=config, seed=seed,
+        records=[CheckRecord(*r) for r in records], tables=tables),
+    st.dictionaries(_names, st.one_of(st.integers(), st.floats(), _names),
+                    max_size=3),
+    st.integers(0, 99),
+    st.lists(st.tuples(_names, st.floats(), st.floats()), max_size=3),
+    _tables)
+
+
+@given(_reports)
+@example(Report(command="demo", config={}))
+@settings(max_examples=150, deadline=None)
+def test_json_bytes_match_one_dump_of_the_payload(tmp_path_factory, rep):
+    """Rows written one by one, as read, give the bytes of the whole payload
+    dumped at once, for tables of no, one and many rows and for cells of
+    every kind a producer hands over."""
+    d = tmp_path_factory.mktemp("json")
+    assert emit(rep, "json", str(d)) == [str(d / "demo.json")]
+    assert (d / "demo.json").read_text() == _reference_json(rep)
+
+
+@given(_reports)
+@settings(max_examples=150, deadline=None)
+def test_csv_bytes_hold_the_split_cells(tmp_path_factory, rep):
+    d = tmp_path_factory.mktemp("csv")
+    paths = emit(rep, "csv", str(d))
+    assert paths == [str(d / f"demo_{t.name}.csv") for t in rep.tables]
+    for t, path in zip(rep.tables, paths):
+        want = "".join(",".join(cells) + "\n" for cells in [
+            t.columns, *([c for v in row for c in _split(v)] for row in t.rows)])
+        with open(path, newline="") as fh:
+            assert fh.read() == want
+
+
+def test_json_of_a_large_sweep_is_written_as_read(tmp_path):
+    """The 20736-row phase diagram is never held as strings: the traced
+    peak of writing its JSON stays under 1 MB (17 MB as one payload)."""
+    axis = "-3:3:12"
+    rep = verification.run("phase-diagram",
+                           verification.PhaseDiagramParams(axis, axis, axis,
+                                                           axis))
+    tracemalloc.start()
+    try:
+        emit(rep, "json", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+    assert len(json.loads((tmp_path / "phase-diagram.json").read_text())
+               ["tables"][0]["rows"]) == 12**4
 
 
 def test_unknown_format_rejected(tmp_path):

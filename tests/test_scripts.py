@@ -3,6 +3,7 @@ order meets the bound, or the phase summary's counts add up.  Arguments
 they cannot use end with exit 2 and one line, before any level runs or,
 for an n-low that no level can certify, before any output."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -63,9 +64,10 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
 
     def one_unpaired(*axes):
         calls.append(axes)
-        rows = list(sweep(*axes))
-        rows[0] = rows[0]._replace(classification="unpaired")
-        return rows
+        out = sweep(*axes)
+        codes = out.classification.copy()
+        codes[0] = pointint.CLASSIFICATIONS.index("unpaired")
+        return dataclasses.replace(out, classification=codes)
 
     # one sweep, whether it is reached through the script or through pointint
     monkeypatch.setattr(summary, "pt_phase_sweep", one_unpaired)
