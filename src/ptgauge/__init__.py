@@ -46,7 +46,6 @@ from .cartan import (
     parity_relations_check,
     random_element,
     random_elements,
-    wick_check,
 )
 from .schrodinger import (
     ConstantGauge,

@@ -13,7 +13,8 @@ The quadrature starts with a trapezoid step over the half cell [0, h/2]
 using the integrand value at x = 0, then runs node to node.  Because the
 grid is symmetric and A_+ / A_- have definite parity, Q comes out exactly
 odd and S exactly even, which makes the discrete factorization identities
-(P U_u = U_u^H P etc.) hold to rounding.
+(P U_u = U_u^H P etc.) hold to rounding; gauge_factorization returns their
+residuals, and the records that bound them decide pass or fail.
 
 U_u, U_h, U and |eta| are diagonal and are stored as their node values;
 eta and J are the parity times a diagonal and are stored as sparse
@@ -36,8 +37,7 @@ from .linalg import Grid1D, antidiagonal, block_tridiagonal, grid_operator, \
     indefinite_inner, operator_norm_estimate, sample_on_nodes, stencil, \
     worst_residual
 
-# bound on the PT defect of A and on the factorization identities, which
-# hold to rounding on the staggered grid
+# bound on the PT defect of A, on the nodes and at the origin
 IDENTITY_TOL = 1e-10
 
 
@@ -102,15 +102,21 @@ class GaugeFactorization:
 def gauge_factorization(A: Callable[[np.ndarray], np.ndarray],
                         grid: Grid1D) -> GaugeFactorization:
     """Factor the gauge of A on grid, calling A once on the node array and
-    once at the origin; raises ValueError if A is not PT-symmetric or a
-    factorization residual exceeds IDENTITY_TOL."""
+    once at the origin; raises ValueError if A is not PT-symmetric on the
+    nodes or at the origin, or if |eta| = e^{2S} overflows; it does not
+    judge the identity residuals it returns."""
     a_plus, a_minus = split_even_odd(A, grid)
     a0 = complex(A(0.0))
+    if not abs(a0 - a0.conjugate()) <= IDENTITY_TOL:   # NaN fails as well
+        raise ValueError(f"A(0) must be finite and real, got {a0}")
     Q = _cumulative_from_origin(a_plus, a0.real, grid)
     S = _cumulative_from_origin(a_minus, a0.imag, grid)
 
     u_u = np.exp(-1j * Q)
     u_h = np.exp(S)
+    abs_eta = u_h**2
+    if not np.isfinite(abs_eta).all():
+        raise ValueError(f"|eta| = e^(2S) overflows: max S = {S.max():.6g}")
     u = u_u * u_h
     # P D and D' P for diagonals D, D' have one entry per row, at (j, n-1-j):
     # (P D)_j = d[n-1-j] and (D' P)_j = d'[j], so every identity below is
@@ -142,11 +148,8 @@ def gauge_factorization(A: Callable[[np.ndarray], np.ndarray],
         residuals["sign_split"] = float(np.abs(R_Q * q_abs - Q).max())
         residuals["P_RQ_anticommute"] = float(np.abs(R_Q[::-1] + R_Q).max())
 
-    if not worst_residual(residuals.values()) <= IDENTITY_TOL:   # NaN fails
-        raise ValueError(f"gauge factorization identities violated: {residuals}")
-
     return GaugeFactorization(
-        grid=grid, u_u=u_u, u_h=u_h, u=u, abs_eta=u_h**2,
+        grid=grid, u_u=u_u, u_h=u_h, u=u, abs_eta=abs_eta,
         eta=antidiagonal(eta_d), J=antidiagonal(J_d),
         Q=Q, R_Q=R_Q, residuals=residuals,
     )

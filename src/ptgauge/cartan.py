@@ -9,10 +9,12 @@ Elements are block matrices
     a = [[ i u ,  v  ],      u, w real antisymmetric,  v real p x q,
          [-v^T , i w ]]
 
-which satisfy a = -a^T and Theta a^H Theta = a.  The split into the
-compact part b (real, off-diagonal blocks +-v) and the noncompact part
-c = i diag(u, w) is the Cartan decomposition of this set; the set closes
-under the double bracket [a1, [a2, a3]] but not under the single bracket.
+which satisfy a = -a^T and Theta a^H Theta = a, so that the Wick rotation
+f = -i a lies in so(m,C) intersect su(p,q); membership_residual measures
+both.  The split into the compact part b (real, off-diagonal blocks +-v)
+and the noncompact part c = i diag(u, w) is the Cartan decomposition of
+this set; the set closes under the double bracket [a1, [a2, a3]] but not
+under the single bracket.
 
 Closed-form exponentials:
   exp(b x): block cosine/sine form through the SVD of v, with the
@@ -25,11 +27,11 @@ Stacks.  An element is its matrix: a (m, m) matrix is one element, a
 array (stack[i] is the i-th element).  Stacks come from draws
 (elements_from_draws, random_elements); make_element checks and builds
 one element from its blocks.  Every kernel works on the trailing (m, m)
-axes, so lts_check, membership_residual, wick_check, exp_compact,
-exp_noncompact, parity_relations_check and group_polar give an array of
-per-element residuals where one element gives a float.  x may be an
-array that broadcasts against the leading axes; parity_relations_check
-stacks x and -x, so it takes one SVD and one stacked expm per block.
+axes, so lts_check, membership_residual, exp_compact, exp_noncompact,
+parity_relations_check and group_polar give an array of per-element
+residuals where one element gives a float.  x may be an array that
+broadcasts against the leading axes; parity_relations_check stacks x
+and -x, so it takes one SVD and one stacked expm per block.
 Each slice of a stacked result equals the per-element call bit for bit:
 numpy's stacked matmul, svd and inv and scipy's stacked expm run the same
 kernel on every slice, and the entry-wise steps do not depend on the
@@ -221,7 +223,9 @@ def random_elements(sig: ThetaSignature, rng: np.random.Generator,
 
 
 def membership_residual(X, sig: ThetaSignature):
-    """Distance of X from g_Theta: max of the two defining residuals."""
+    """Distance of X from g_Theta: max of the two defining residuals.  It is
+    bit for bit that of f = -i X from so(m,C) intersect su(p,q), as -i only
+    swaps real and imaginary parts and negates one (NaN included)."""
     X = np.asarray(X, dtype=complex)
     return _out(np.maximum(np.abs(X + X.mT), np.abs(sig.mask * X.conj().mT - X))
                 .max(axis=(-2, -1), initial=0.0))
@@ -256,35 +260,6 @@ def lts_check(a1: GaugeAlgebraElement, a2: GaugeAlgebraElement,
         binary_escape=membership_residual(binary, sig),
         scale=_out(np.maximum(1.0, max_abs(A1) * max_abs(A2) * max_abs(A3))),
     )
-
-
-@dataclass(frozen=True)
-class WickReport:
-    su_pq_residual: float
-    antisymmetry_residual: float
-    compact_block_residual: float
-    noncompact_block_residual: float
-
-
-def wick_check(a: GaugeAlgebraElement) -> WickReport:
-    """Membership of f = -i a in so(m,C) intersect su(p,q) and block placement.
-
-    -i b must sit in the off-diagonal (coset) block of su(p,q) and -i c in
-    the block-diagonal subalgebra part.
-    """
-    sig = a.sig
-    p = sig.p
-    f = -1j * a.matrix
-    comp = cartan_split(a)
-    fb = -1j * comp.b
-    fc = -1j * comp.c
-    return WickReport(
-        su_pq_residual=_out(max_abs(sig.mask * f.conj().mT + f)),
-        antisymmetry_residual=_out(max_abs(f + f.mT)),
-        compact_block_residual=_out(np.maximum(max_abs(fb[..., :p, :p]),
-                                               max_abs(fb[..., p:, p:]))),
-        noncompact_block_residual=_out(np.maximum(max_abs(fc[..., :p, p:]),
-                                                  max_abs(fc[..., p:, :p]))))
 
 
 _SING_TOL = 1e-8  # below this the sin(s x)/s spectral function uses its limit x

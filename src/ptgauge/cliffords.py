@@ -79,7 +79,11 @@ def verify_clifford_relations(gens: CliffordGenerators) -> CliffordReport:
     span_dim = None
     if len(mats) == 2:
         basis = (eye, *mats, mats[0] @ mats[1])
-        stack = scipy.sparse.vstack([b.reshape((1, -1)) for b in basis]).toarray()
+        S = scipy.sparse.vstack([b.reshape((1, -1)) for b in basis]).tocoo()
+        # the stack on the k positions any of the four stores: its other
+        # dim^2 - k columns are zero and do not change the rank
+        _, cols = np.unique(S.col, return_inverse=True)
+        stack = scipy.sparse.coo_array((S.data, (S.row, cols))).toarray()
         span_dim = int(np.linalg.matrix_rank(stack, tol=1e-10 * max(1.0, res + 1)))
     return CliffordReport(max_residual=res, span_dim=span_dim)
 

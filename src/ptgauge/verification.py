@@ -254,10 +254,10 @@ def _require_roots(T: pointint.CouplingMatrixT, where: str = "") -> None:
 
 @dataclass(frozen=True)
 class CouplingParams(_Params):
-    t11: str = "1"
+    t11: str = "-2"
     t12: str = "1i"
-    t21: str = "-1i"
-    t22: str = "0"
+    t21: str = "4i"
+    t22: str = "1"
 
     def check(self):
         _require_roots(self.coupling())
@@ -578,10 +578,8 @@ def run_cartan(rep: Report, params: CartanParams):
     for k in _batches(params.samples, sig.m):
         el, x = _elements_and_x(sig, rng, k, 3.0)
         comp = cartan.cartan_split(el)
-        wick = cartan.wick_check(el)
-        wick_res.append(_worst(
-            wick.su_pq_residual, wick.antisymmetry_residual,
-            wick.compact_block_residual, wick.noncompact_block_residual))
+        # also the distance of f = -i a from so(m,C) and su(p,q)
+        wick_res.append(_worst(cartan.membership_residual(el.matrix, sig)))
         exp_res.append(_worst(_exp_residual(comp, sig, x)))
         parity_res.append(
             _worst(cartan.parity_relations_check(el, x).max_residual))

@@ -84,10 +84,25 @@ class TestFactorization:
 
     def test_nan_at_origin_raises(self):
         """x = 0 is no node, so the split passes; the quadrature's half
-        cell at the origin then makes every node value of Q and S NaN."""
+        cell at the origin would make every node value of Q and S NaN."""
         A = lambda t: np.where(t == 0, np.nan, 1.0) + 0j
-        with pytest.raises(ValueError, match="identities violated"):
+        with pytest.raises(ValueError, match=r"A\(0\) must be finite"):
             gauge_factorization(A, GRID)
+
+    def test_non_real_at_origin_raises(self):
+        """PT symmetry at x = 0 means a real A(0), which no node checks."""
+        A = lambda t: np.where(t == 0, 1.0 + 1e-3j, 1.0) + 0j
+        with pytest.raises(ValueError, match=r"A\(0\) must be finite"):
+            gauge_factorization(A, GRID)
+
+    def test_eta_overflow_raises(self):
+        """|eta| = e^{2S} with S = beta x^2 / 2 overflows once beta box^2
+        exceeds log(max float) = 709.8; beta = 11.1 on box 8 does not."""
+        grid = Grid1D.from_box(8.0, 0.05)
+        gauge_factorization(lambda t: 1j * 11.1 * t, grid)
+        with pytest.raises(ValueError, match="overflows"), \
+                np.errstate(over="ignore"):
+            gauge_factorization(lambda t: 1j * 11.2 * t, grid)
 
     def test_u_commutes_with_pt(self):
         fact = gauge_factorization(lambda x: np.cos(x) + 1j * x, GRID)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from ptgauge import cartan, jaynes, linalg, pointint, verification
+from ptgauge import abelian, cartan, jaynes, linalg, pointint, verification
 from ptgauge.cli import main
 from ptgauge.reporting import Report, emit
 from ptgauge.verification import (
@@ -270,6 +270,31 @@ def test_no_delta_well_state_fails_its_records(monkeypatch, tmp_path):
     failed = {r["name"] for r in records if not r["pass"]}
     assert failed == {"point/delta_well_single_state", "point/delta_well_energy",
                       "point/delta_well_domain_residual"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify-all"], {"abelian/Uh_closed_form_beta",
+                      "abelian/abs_eta_closed_form_beta",
+                      "abelian/Uu_closed_form_alpha",
+                      "abelian/polar_identities_beta"}),
+    (["gauge-scalar"], {"factorization/P_U", "factorization/P_Uu"}),
+], ids=["verify-all", "gauge-scalar"])
+def test_broken_quadrature_fails_its_records(argv, expected, monkeypatch,
+                                             tmp_path):
+    """A quadrature off by a factor 1 + 1e-6 on every other node breaks the
+    factorization identities: the records that bound them fail, and the
+    command still writes its report."""
+    exact = abelian._cumulative_from_origin
+
+    def broken(node_vals, value_at_0, grid):
+        out = exact(node_vals, value_at_0, grid)
+        out[::2] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(abelian, "_cumulative_from_origin", broken)
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert {r["name"] for r in report["records"] if not r["pass"]} == expected
 
 
 def test_criterion_11_verify_all_reproducible(tmp_path_factory, capsys):

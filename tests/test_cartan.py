@@ -20,9 +20,8 @@ from ptgauge.cartan import (
     parity_relations_check,
     random_element,
     random_elements,
-    wick_check,
 )
-from ptgauge.linalg import expm, max_abs, worst_residual
+from ptgauge.linalg import expm, max_abs
 from ptgauge.reporting import CheckRecord
 
 SIGS = [(1, 1), (2, 1), (2, 2), (3, 1), (2, 0)]
@@ -39,10 +38,20 @@ def _el(sig_pq, seed, scale=1.0):
 
 def _wick_residual(a):
     """The residual behind the `cartan/wick_membership` record."""
-    out = wick_check(a)
-    return worst_residual((out.su_pq_residual, out.antisymmetry_residual,
-                           out.compact_block_residual,
-                           out.noncompact_block_residual))
+    return membership_residual(a.matrix, a.sig)
+
+
+def _wick_reference(a):
+    """The Wick rotation's residuals computed directly, the reference for
+    membership_residual: f = -i a against su(p,q) and so(m,C), and -i b,
+    -i c against the blocks they must avoid; the largest of the six, NaN
+    if any is NaN."""
+    p, f, comp = a.sig.p, -1j * a.matrix, cartan_split(a)
+    fb, fc = -1j * comp.b, -1j * comp.c
+    return np.maximum.reduce([
+        max_abs(a.sig.mask * f.conj().mT + f), max_abs(f + f.mT),
+        max_abs(fb[..., :p, :p]), max_abs(fb[..., p:, p:]),
+        max_abs(fc[..., :p, p:]), max_abs(fc[..., p:, :p])])
 
 
 class TestElements:
@@ -153,6 +162,31 @@ class TestCartanSplit:
         el = GaugeAlgebraElement(sig, a)
         assert not CheckRecord("cartan/wick_membership", _wick_residual(el),
                                1e-12).passed
+
+    @given(st.sampled_from(SIGS + [(3, 2), (1, 3)]), seed_strategy,
+           st.integers(min_value=1, max_value=4),
+           st.sampled_from([0.0, 1e-9, 1.0]),
+           st.sampled_from([None, np.nan, complex(0.5, np.nan)]))
+    @settings(max_examples=80)
+    def test_membership_is_the_wick_reference_bit_for_bit(self, sig_pq, seed,
+                                                          k, push, bad):
+        """On elements pushed off g_Theta, with or without a NaN entry, as
+        a stack and one at a time."""
+        sig = ThetaSignature(*sig_pq)
+        rng = np.random.default_rng(seed)
+        shape = (k, sig.m, sig.m)
+        X = random_elements(sig, rng, k).matrix + push * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if bad is not None:
+            X[tuple(rng.integers(0, shape))] = bad
+        got = membership_residual(X, sig)
+        ref = _wick_reference(GaugeAlgebraElement(sig, X))
+        assert np.array_equal(got, ref, equal_nan=True)
+        for i in range(k):
+            one = membership_residual(X[i], sig)
+            assert type(one) is float
+            assert np.array_equal(one, _wick_reference(
+                GaugeAlgebraElement(sig, X[i])), equal_nan=True)
 
 
 class TestLts:
@@ -293,7 +327,6 @@ class TestStacks:
         a1, a2, a3 = stack[:, 0], stack[:, 1], stack[:, 2]
         comp = cartan_split(a1)
         lts = lts_check(a1, a2, a3)
-        wick = wick_check(a1)
         parity = parity_relations_check(a1, x)
         Uk, Up = exp_compact(comp, sig, x), exp_noncompact(comp, sig, x)
         polar = group_polar(Uk @ Up, sig)
@@ -307,7 +340,6 @@ class TestStacks:
             assert membership_residual(e1.matrix, sig) == \
                 membership_residual(a1.matrix, sig)[i]
             for stacked, single in ((lts, lts_check(e1, e2, e3)),
-                                    (wick, wick_check(e1)),
                                     (parity, parity_relations_check(e1, x[i]))):
                 for f, value in vars(single).items():
                     assert type(value) is float and value == vars(stacked)[f][i]

@@ -42,6 +42,15 @@ class TestExitCodes:
         assert "[PASS]" in out
         assert "point-angle: PASS" in out
 
+    def test_point_spectrum_defaults_find_a_conjugate_pair(self, tmp_path):
+        """The default coupling has two decaying states, E = 1.5 -+ 1.32i,
+        so its report reads the pairing branch."""
+        assert main(["point-spectrum", "--out-dir", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "point-spectrum.json").read_text())[
+            "config"]
+        assert config["n_bound"] == 2
+        assert config["classification"] == "conjugate_paired"
+
     def test_check_failure_exits_one(self, tmp_path, capsys):
         # an unattainable tolerance turns the r1 check red
         code = main(["gauge-scalar", "--h", "0.1", "--box", "6.0",
@@ -86,7 +95,7 @@ class TestExitCodes:
 class TestConfigFile:
     def test_values_applied(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("t11 = -2\nt12 = 0i\n# comment line\nt21 = 0i\n")
+        cfg.write_text("t11 = -2\nt12 = 0i\n# comment line\nt21 = 0i\nt22 = 0\n")
         code = main(["point-spectrum", "--config", str(cfg),
                      "--out-dir", str(tmp_path)])
         assert code == 0
@@ -439,8 +448,8 @@ class TestInvalidInput:
 
 # Every subcommand's flags as (flag, default, type), and its default format.
 COMMON = {"-h", "--config", "--out-dir", "--format"}
-POINT = [("--t11", "1", None), ("--t12", "1i", None),
-         ("--t21", "-1i", None), ("--t22", "0", None)]
+POINT = [("--t11", "-2", None), ("--t12", "1i", None),
+         ("--t21", "4i", None), ("--t22", "1", None)]
 FLAGS = {
     "gauge-scalar": ("json", [("--alpha", 1.0, float), ("--beta", 0.0, float),
                               ("--box", 8.0, float), ("--h", 0.00625, float),

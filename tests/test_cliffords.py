@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,12 +38,14 @@ def test_signature_mismatch_rejected():
 
 
 def test_commuting_generators_fail():
-    """Negative control: two commuting involutions violate anticommutation."""
+    """Negative control: two commuting involutions violate anticommutation,
+    and as e2 = -e1 the span of {I, e1, e2, e1 e2} is two-dimensional."""
     e1 = np.diag([1.0, -1.0])
     e2 = np.diag([-1.0, 1.0])
     out = verify_clifford_relations(
         CliffordGenerators(m_plus=2, m_minus=0, generators=[e1, e2]))
     assert out.max_residual > 1.0
+    assert out.span_dim == 2
 
 
 def test_nan_generator_fails():
@@ -55,6 +58,21 @@ def test_nan_generator_fails():
         CliffordGenerators(m_plus=3, m_minus=0, generators=[e1, e2, e3]))
     assert np.isnan(out.max_residual)
     assert not CheckRecord("relations", out.max_residual, 1.0).passed
+
+
+def test_span_rank_allocates_o_nnz():
+    """At n = 1024 the rank reads a 4 x k array over the k stored positions
+    and peaks under 4 MB; the dense 4 x n^2 stack alone is 64 MB."""
+    P, R = _pr(half=512, h=0.01)
+    gens = CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
+    tracemalloc.start()
+    try:
+        out = verify_clifford_relations(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.span_dim == 4
+    assert peak < 4 * 2**20
 
 
 def test_wrong_square_sign_detected():
