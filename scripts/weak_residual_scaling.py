@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     prev = None
     orders = []
     for params in levels:
-        out = weak_form(A, params.grid(), params.tol)[1]
+        out = weak_form(A, params.grid())[1]
         if prev is not None:
             orders.append(np.log2(prev / out.r1))
         order = f"{orders[-1]:7.2f}" if prev is not None else ""

@@ -23,7 +23,6 @@ from .linalg import (
     pairing_check,
 )
 from .cliffords import (
-    CliffordGenerators,
     rotated_involution,
     verify_clifford_relations,
 )

@@ -21,8 +21,10 @@ eta and J are the parity times a diagonal and are stored as sparse
 anti-diagonal operators, and H_g as a sparse tridiagonal one.
 
 Operator identities such as eta H_g = H_g^H eta are checked in weak form
-on smooth test vectors supported away from the Dirichlet boundary; the
-boundary rows of the box truncation otherwise dominate the residual.
+on smooth test vectors that vanish on N_BUFFER = 5 nodes at each edge of
+the box; the boundary rows of the box truncation otherwise dominate the
+residual.  A grid of 2 N_BUFFER = 10 nodes or fewer would leave every test
+vector zero, and require_weak_form_grid rejects it.
 """
 
 from __future__ import annotations
@@ -168,30 +170,34 @@ def build_scalar_hamiltonian(pots: ScalarPotentials,
                              (L_up - p_up * A[1:]) - A[:-1] * p_up)
 
 
+N_BUFFER = 5   # nodes at each box edge on which the test vectors vanish
+
+
+def require_weak_form_grid(grid: Grid1D) -> None:
+    """Raise ValueError unless a node lies between the two buffers."""
+    if grid.size <= 2 * N_BUFFER:
+        raise ValueError(f"the weak form needs more than {2 * N_BUFFER} grid "
+                         f"nodes (its test vectors vanish on {N_BUFFER} at "
+                         f"each edge), got {grid.size}")
+
+
 def interior_test_vectors(grid: Grid1D) -> np.ndarray:
     """Nine smooth unit test vectors, the columns of the result, vanishing
-    within five nodes of the box edge.
+    within N_BUFFER nodes of the box edge; raises ValueError on a grid
+    require_weak_form_grid rejects.
 
     Gaussian-envelope polynomials and sines; the envelope is narrow enough
     that the hard cutoff at the buffer introduces only a ~1e-8 jump.
     """
-    n_boundary, count = 5, 9
+    require_weak_form_grid(grid)
     x = grid.nodes
-    L = x[-1]
-    env = np.exp(-x**2 / (2 * (L / 6) ** 2))
-    basis = []
-    k_poly = (count + 1) // 2
-    for k in range(k_poly):
-        basis.append(env * x**k)
-    for k in range(1, count - k_poly + 1):
-        basis.append(env * np.sin(k * x))
+    env = np.exp(-x**2 / (2 * (x[-1] / 6) ** 2))
     vecs = []
-    for v in basis[:count]:
+    for v in ([env * x**k for k in range(5)]
+              + [env * np.sin(k * x) for k in range(1, 5)]):
         v = v.astype(complex)
-        v[:n_boundary] = 0.0
-        v[-n_boundary:] = 0.0
-        v = v / np.linalg.norm(v)
-        vecs.append(v)
+        v[:N_BUFFER] = v[-N_BUFFER:] = 0.0
+        vecs.append(v / np.linalg.norm(v))
     return np.array(vecs).T
 
 

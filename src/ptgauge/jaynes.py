@@ -13,7 +13,8 @@ The multi-level Hamiltonian is
     H_jc = 2 [ N (x) I_m + sqrt(2) (d^H (x) c + d (x) c^T) + I_F (x) omega ]
 
 with c the strictly upper triangular part of a gauge algebra element a
-(a = c - c^T, c^m = 0).  The same physics on the grid is
+(a = c - c^T, c^m = 0): nilpotent_split returns c, and build_jc takes it
+and reads m from its shape.  The same physics on the grid is
 H_g = (p - A)^2 + V with A = i a and
 V(x) = (x^2 - 1) I + 2 (c + c^T) x + a^2 + 2 omega: expanding and using
 x = (d + d^H)/sqrt(2), p = -i (d - d^H)/sqrt(2) gives exactly the ladder
@@ -49,12 +50,6 @@ N_COMPARE = 6   # lowest modes compared between the grid and Fock builds
 
 
 @dataclass(frozen=True)
-class NilpotentSplit:
-    a: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
 class LevelEnergies:
     omega: np.ndarray
 
@@ -66,31 +61,31 @@ class LevelEnergies:
         return np.diag(self.omega)
 
 
-def nilpotent_split(el: GaugeAlgebraElement) -> NilpotentSplit:
-    """a = c - c^T with c strictly upper triangular (hence nilpotent)."""
+def nilpotent_split(el: GaugeAlgebraElement) -> np.ndarray:
+    """c, strictly upper triangular (hence nilpotent), with a = c - c^T."""
     a = el.matrix
     c = np.triu(a, k=1)
     recon = float(np.abs((c - c.T) - a).max())
     if recon > 1e-13 * max(1.0, np.abs(a).max()):
         raise ValueError(f"split reconstruction failed, residual {recon:.2e}")
-    return NilpotentSplit(a=a, c=c)
+    return c
 
 
-def build_jc(split: NilpotentSplit, omega: LevelEnergies,
+def build_jc(c: np.ndarray, omega: LevelEnergies,
              n_max: int) -> scipy.sparse.csr_array:
     """H_jc = 2 [N (x) I + sqrt2 (d^H (x) c + d (x) c^T) + I (x) omega] as a
     CSR array: 2 (n I + omega) at block (n, n), 2 sqrt2 sqrt(n+1) c^T at
     (n, n + 1) from d, and 2 sqrt2 sqrt(n+1) c at (n + 1, n) from d^H."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    m = split.a.shape[0]
+    m = c.shape[0]
     if omega.omega.shape != (m,):
         raise ValueError("omega length must match the algebra dimension")
     n = np.arange(n_max + 1)[:, None, None]
     root = np.sqrt(n[1:])   # sqrt(n + 1) for n = 0 .. n_max - 1
-    return block_tridiagonal(2 * (np.sqrt(2) * (root * split.c)),
+    return block_tridiagonal(2 * (np.sqrt(2) * (root * c)),
                              2 * (n * np.eye(m) + omega.matrix),
-                             2 * (np.sqrt(2) * (root * split.c.T)))
+                             2 * (np.sqrt(2) * (root * c.T)))
 
 
 def jc_pt_check(H_jc, sig: ThetaSignature) -> float:
@@ -135,8 +130,7 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
     """Cross-validate the grid build of (p - A)^2 + V against the Fock build
     on the lowest N_COMPARE modes (at most n_max // 2)."""
     require_oscillator_box(grid, n_max)
-    split = nilpotent_split(el)
-    a, c = split.a, split.c
+    a, c = el.matrix, nilpotent_split(el)
     m = a.shape[0]
     a2 = a @ a
     cc = c + c.T
@@ -146,9 +140,9 @@ def jc_equivalence_check(el: GaugeAlgebraElement, omega: LevelEnergies,
 
     H_g = build_gauged(ConstantGauge(A=1j * a), MatrixPotential(m=m, V=V), grid)
     k = min(N_COMPARE, n_max // 2)
-    fock = eig(build_jc(split, omega, n_max))
+    fock = eig(build_jc(c, omega, n_max))
     low_grid, low_fock = lowest_common(k, lambda j: lowest_modes(H_g, j), fock)
-    fock_big = eig(build_jc(split, omega, int(np.ceil(1.5 * n_max))))
+    fock_big = eig(build_jc(c, omega, int(np.ceil(1.5 * n_max))))
     low_n, low_big = lowest_common(k, fock, fock_big)   # truncation sanity
     return JcEquivalenceReport(
         max_dev=float(match_spectra(low_grid, low_fock).max()),

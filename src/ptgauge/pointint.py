@@ -6,7 +6,8 @@ boundary data of f in W^2_2(R \\ {0}):
     Gamma_0 f = 1/2 ( f(+0) + f(-0), -f'(+0) - f'(-0) )
     Gamma_1 f = ( f'(+0) - f'(-0),  f(+0) - f(-0) )
 
-with domain condition T Gamma_0 f = Gamma_1 f.  PT-symmetry of H_T is
+with domain condition T Gamma_0 f = Gamma_1 f; boundary_maps returns the
+pair (Gamma_0 f, Gamma_1 f) of length-2 arrays.  PT-symmetry of H_T is
 equivalent to t11, t22 real and t12, t21 purely imaginary; the rotated
 involution P_phi = P e^{i phi R} restores selfadjointness for t12 != t21,
 with tan(phi) = 2 Im(t12 - t21) / (det T + 4) on the principal branch
@@ -86,23 +87,18 @@ class PiecewiseFunction:
     df_minus: complex  # f'(-0)
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
-    gamma0: np.ndarray
-    gamma1: np.ndarray
-
-
-def boundary_maps(f: PiecewiseFunction) -> BoundaryPair:
+def boundary_maps(f: PiecewiseFunction) -> tuple:
+    """(Gamma_0 f, Gamma_1 f), each a length-2 complex array."""
     g0 = 0.5 * np.array([f.f_plus + f.f_minus, -f.df_plus - f.df_minus],
                         dtype=complex)
     g1 = np.array([f.df_plus - f.df_minus, f.f_plus - f.f_minus], dtype=complex)
-    return BoundaryPair(gamma0=g0, gamma1=g1)
+    return g0, g1
 
 
 def domain_check(T: CouplingMatrixT, f: PiecewiseFunction) -> float:
     """Residual of the domain condition T Gamma_0 f = Gamma_1 f."""
-    bp = boundary_maps(f)
-    return float(np.abs(T.matrix @ bp.gamma0 - bp.gamma1).max())
+    g0, g1 = boundary_maps(f)
+    return float(np.abs(T.matrix @ g0 - g1).max())
 
 
 @dataclass(frozen=True)
@@ -197,10 +193,10 @@ def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,
         raise ValueError("f_samples must be nonempty")
     gamma_res = []
     for f in f_samples:
-        bf = boundary_maps(f)
-        bg = boundary_maps(apply_p_phi_traces(f, sol.phi))
-        r0 = bg.gamma0 - (sol.m1 @ bf.gamma0 + sol.m2 @ bf.gamma1)
-        r1 = bg.gamma1 - (-4 * sol.m2 @ bf.gamma0 + sol.m1 @ bf.gamma1)
+        f0, f1 = boundary_maps(f)
+        g0, g1 = boundary_maps(apply_p_phi_traces(f, sol.phi))
+        r0 = g0 - (sol.m1 @ f0 + sol.m2 @ f1)
+        r1 = g1 - (-4 * sol.m2 @ f0 + sol.m1 @ f1)
         gamma_res.append(np.abs(np.concatenate([r0, r1])).max())
     return BoundaryTransformReport(
         gamma_residual=worst_residual(gamma_res),

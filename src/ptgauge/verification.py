@@ -134,13 +134,12 @@ class GaugeScalarParams(_Params):
         "help": "slope of the imaginary part of A (A = alpha + i beta x)"})
     box: float = 8.0
     h: float = 0.00625
-    tol: float = 1e-8
 
     def check(self):
         # the largest array holds the weak form's nine test vectors
         n = self.grid().size
         _require_budget(9 * n, f"the test vectors on {_size(n)} grid nodes")
-        _require(self.tol > 0, "tol must be positive")
+        abelian.require_weak_form_grid(self.grid())
         # |eta| = e^{beta x^2} must stay a positive finite float on the box,
         # and the squared norm of H_g^H H_g v, about alpha^8, must not overflow
         _require(abs(self.beta) <= 700 / (self.box * self.box),
@@ -201,6 +200,7 @@ class SpectrumMatrixParams(_Params):
         dim = 2 * self.grid().size
         _require_budget(18 * dim,
                         f"the {_size(dim)} x 18 block of test vectors")
+        abelian.require_weak_form_grid(self.grid())
         _require(1 <= self.n_low <= dim,
                  f"need 1 <= n-low <= {dim}, the operator dimension")
         # e^{-iAx} turns by up to |alpha| box rad, a phase lambda x that
@@ -367,8 +367,7 @@ def check_clifford_relations(rep: Report, cfg: VerifyConfig):
     grid = Grid1D(half_count=64, spacing=0.1)
     P = grid_operator(grid, "parity")
     R = grid_operator(grid, "sign")
-    gens = cliffords.CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
-    out = cliffords.verify_clifford_relations(gens)
+    out = cliffords.verify_clifford_relations([P, R], m_plus=2)
     rep.add("clifford/anticommutation_and_squares", out.max_residual, 0.0)
     _bool(rep, "clifford/span_dim_4", out.span_dim == 4)
 
@@ -388,12 +387,12 @@ def check_rotated_involution(rep: Report, cfg: VerifyConfig):
     rep.add("rotated_involution/hermitian", worst_residual(hermitian), 1e-12)
 
 
-def weak_form(A, grid: Grid1D, tol: float):
+def weak_form(A, grid: Grid1D):
     """Gauge factorization residuals and weak form of H_g = (p - A)^2 + x^2."""
     fact = abelian.gauge_factorization(A, grid)
     H = abelian.build_scalar_hamiltonian(
         abelian.ScalarPotentials(A=A, V=lambda t: t**2), grid)
-    return fact.residuals, abelian.verify_pseudo_hermiticity(H, fact, tol=tol)
+    return fact.residuals, abelian.verify_pseudo_hermiticity(H, fact, tol=1e-8)
 
 
 def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
@@ -434,7 +433,7 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
     # weak-form pseudo-Hermiticity on the fine grid
     for name, A in (("alpha", lambda t: scalar.alpha + 0j),
                     ("beta", lambda t: 1j * BETA * t)):
-        out = weak_form(A, scalar.grid(), 1e-8)[1]
+        out = weak_form(A, scalar.grid())[1]
         rep.add(f"abelian/pseudo_hermiticity_r1_{name}", out.r1, 1e-8)
         _bool(rep, f"abelian/naive_parity_residual_large_{name}",
               out.r2_abs > 0.1)
@@ -444,10 +443,10 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
 
 def run_gauge_scalar(rep: Report, params: GaugeScalarParams):
     A = lambda x: params.alpha + 1j * params.beta * x
-    residuals, out = weak_form(A, params.grid(), params.tol)
+    residuals, out = weak_form(A, params.grid())
     for name, val in sorted(residuals.items()):
         rep.add(f"factorization/{name}", val, 1e-10)
-    rep.add("pseudo_hermiticity/r1", out.r1, params.tol)
+    rep.add("pseudo_hermiticity/r1", out.r1, 1e-8)
     rep.add("pseudo_hermiticity/weighted_form", out.weighted_form_residual, 1e-5)
     if abs(params.alpha) > 0:
         _bool(rep, "pseudo_hermiticity/naive_parity_r2_large", out.r2_abs > 0.1)

@@ -174,6 +174,26 @@ def _record(rep, name):
     return next(r for r in rep.records if r.name == name)
 
 
+def test_nan_sign_operator_fails_the_clifford_records(monkeypatch):
+    """A NaN entry in R ends in two failing records, not in LinAlgError
+    from the rank of the span."""
+    real = verification.grid_operator
+
+    def grid_operator(grid, kind):
+        A = real(grid, kind)
+        if kind == "sign":
+            A = A.copy()
+            A.data[0] = np.nan
+        return A
+
+    monkeypatch.setattr(verification, "grid_operator", grid_operator)
+    rep = Report(command="nan", config={})
+    check_clifford_relations(rep, VerifyConfig())
+    assert np.isnan(_record(rep, "clifford/anticommutation_and_squares")
+                    .residual)
+    assert [r.passed for r in rep.records] == [False, False]
+
+
 def test_nan_binary_escape_fails_its_record(monkeypatch):
     monkeypatch.setattr(cartan, "membership_residual",
                         lambda X, sig: np.full(np.shape(X)[:-2], np.nan))
@@ -346,8 +366,8 @@ def test_coupling_on_d_fails_grid_vs_fock(monkeypatch):
     """The Fock model built with c on d and c^T on d^H, the convention the
     grid's V(x) does not expand to, is off by 0.74 at the default omega."""
     build_jc = jaynes.build_jc
-    monkeypatch.setattr(jaynes, "build_jc", lambda split, omega, n: build_jc(
-        jaynes.NilpotentSplit(a=split.a, c=split.c.T), omega, n))
+    monkeypatch.setattr(jaynes, "build_jc",
+                        lambda c, omega, n: build_jc(c.T, omega, n))
     rep = Report(command="c-on-d", config={})
     check_jaynes_cummings(rep, VerifyConfig())
     assert not _record(rep, "jc/grid_vs_fock_lowest6").passed

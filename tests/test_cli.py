@@ -52,11 +52,15 @@ class TestExitCodes:
         assert config["classification"] == "conjugate_paired"
 
     def test_check_failure_exits_one(self, tmp_path, capsys):
-        # an unattainable tolerance turns the r1 check red
-        code = main(["gauge-scalar", "--h", "0.1", "--box", "6.0",
-                     "--tol", "1e-30", "--out-dir", str(tmp_path)])
+        # at h = 0.8 the weak form reads r1 about 1e-2, over its bound 1e-8
+        code = main(["gauge-scalar", "--h", "0.8", "--box", "6.0",
+                     "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        assert "[FAIL] pseudo_hermiticity/r1" in capsys.readouterr().out
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ptgauge")
 
     def test_malformed_flag_value_exits_two(self, tmp_path, capsys):
         code = main(["point-angle", "--t12", "oops",
@@ -296,7 +300,10 @@ INVALID = [
     ["gauge-scalar", "--h", "100"],          # no grid node
     ["gauge-scalar", "--h", "0"],
     ["gauge-scalar", "--beta", "nan", "--h", "0.1"],
-    ["gauge-scalar", "--tol", "0"],
+    # 10 nodes: the weak form's test vectors vanish on 5 at each edge
+    ["gauge-scalar", "--h", "1.6"],
+    ["gauge-scalar", "--box", "5", "--h", "1"],
+    ["spectrum-matrix", "--h", "1.6", "--n-low", "4"],
     ["gauge-scalar", "--alpha", "1e308", "--h", "0.1"],   # Q overflows
     ["gauge-scalar", "--beta", "11", "--h", "0.1"],       # e^{beta box^2}
     ["gauge-scalar", "--beta=-11", "--h", "0.1"],
@@ -452,8 +459,7 @@ POINT = [("--t11", "-2", None), ("--t12", "1i", None),
          ("--t21", "4i", None), ("--t22", "1", None)]
 FLAGS = {
     "gauge-scalar": ("json", [("--alpha", 1.0, float), ("--beta", 0.0, float),
-                              ("--box", 8.0, float), ("--h", 0.00625, float),
-                              ("--tol", 1e-8, float)]),
+                              ("--box", 8.0, float), ("--h", 0.00625, float)]),
     "cartan": ("json", [("--p", 2, int), ("--q", 1, int),
                         ("--samples", 100, int), ("--seed", 0, int)]),
     "lts-check": ("json", [("--p", 2, int), ("--q", 1, int),
@@ -481,7 +487,7 @@ REPORTS = {
         "factorization/sign_split", "pseudo_hermiticity/r1",
         "pseudo_hermiticity/weighted_form",
         "pseudo_hermiticity/naive_parity_r2_large"],
-        ["alpha", "beta", "box", "h", "norm_H", "r1_abs", "r2_abs", "tol"]),
+        ["alpha", "beta", "box", "h", "norm_H", "r1_abs", "r2_abs"]),
     "cartan": (["--samples", "5"], [
         "cartan/wick_membership", "cartan/closed_form_exponentials",
         "cartan/parity_metric_relations", "cartan/group_polar_structure"],

@@ -6,11 +6,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from ptgauge.cliffords import (
-    CliffordGenerators,
-    rotated_involution,
-    verify_clifford_relations,
-)
+from ptgauge.cliffords import rotated_involution, verify_clifford_relations
 from ptgauge.linalg import Grid1D, expm, grid_operator
 from ptgauge.reporting import CheckRecord
 
@@ -25,16 +21,25 @@ def _pr(half=8, h=0.2):
 @settings(max_examples=40)
 def test_relations_exact_on_any_grid(half, h):
     P, R = _pr(half, h)
-    gens = CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
-    out = verify_clifford_relations(gens)
+    out = verify_clifford_relations([P, R], m_plus=2)
     assert out.max_residual == 0.0
     assert out.span_dim == 4
 
 
 def test_signature_mismatch_rejected():
     P, R = _pr()
-    with pytest.raises(ValueError):
-        CliffordGenerators(m_plus=1, m_minus=0, generators=[P, R])
+    for m_plus in (-1, 3):
+        with pytest.raises(ValueError, match="m_plus"):
+            verify_clifford_relations([P, R], m_plus)
+
+
+def test_unequal_shapes_rejected():
+    P, R = _pr()
+    _, R_small = _pr(half=4)
+    with pytest.raises(ValueError, match="square of equal dimension"):
+        verify_clifford_relations([P, R_small], 2)
+    with pytest.raises(ValueError, match="square of equal dimension"):
+        verify_clifford_relations([np.ones((2, 3))], 1)
 
 
 def test_commuting_generators_fail():
@@ -42,32 +47,45 @@ def test_commuting_generators_fail():
     and as e2 = -e1 the span of {I, e1, e2, e1 e2} is two-dimensional."""
     e1 = np.diag([1.0, -1.0])
     e2 = np.diag([-1.0, 1.0])
-    out = verify_clifford_relations(
-        CliffordGenerators(m_plus=2, m_minus=0, generators=[e1, e2]))
+    out = verify_clifford_relations([e1, e2], 2)
     assert out.max_residual > 1.0
     assert out.span_dim == 2
 
 
 def test_nan_generator_fails():
-    """A NaN in a later generator must not be dropped by the reduction;
-    three generators, so no rank (which would need an SVD of NaN)."""
+    """A NaN in a later generator must not be dropped by the reduction."""
     e1 = np.diag([1.0, -1.0])
     e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
     e3 = np.array([[0.0, np.nan], [1.0, 0.0]])
-    out = verify_clifford_relations(
-        CliffordGenerators(m_plus=3, m_minus=0, generators=[e1, e2, e3]))
+    out = verify_clifford_relations([e1, e2, e3], 3)
     assert np.isnan(out.max_residual)
     assert not CheckRecord("relations", out.max_residual, 1.0).passed
+
+
+def _with_nan(A):
+    """A copy of sparse A with its first stored entry NaN."""
+    A = A.copy()
+    A.data[0] = np.nan
+    return A
+
+
+def test_nan_pair_gives_nan_residual_and_no_rank():
+    """Two generators, one holding a NaN: a NaN residual, no rank (an SVD
+    of the NaN stack does not converge) and a failing record."""
+    P, R = _pr(half=4)
+    out = verify_clifford_relations([P, _with_nan(R)], 2)
+    assert np.isnan(out.max_residual)
+    assert out.span_dim is None
+    assert not CheckRecord("relations", out.max_residual, 0.0).passed
 
 
 def test_span_rank_allocates_o_nnz():
     """At n = 1024 the rank reads a 4 x k array over the k stored positions
     and peaks under 4 MB; the dense 4 x n^2 stack alone is 64 MB."""
     P, R = _pr(half=512, h=0.01)
-    gens = CliffordGenerators(m_plus=2, m_minus=0, generators=[P, R])
     tracemalloc.start()
     try:
-        out = verify_clifford_relations(gens)
+        out = verify_clifford_relations([P, R], 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -77,8 +95,7 @@ def test_span_rank_allocates_o_nnz():
 
 def test_wrong_square_sign_detected():
     P, R = _pr()
-    out = verify_clifford_relations(
-        CliffordGenerators(m_plus=0, m_minus=2, generators=[P, R]))
+    out = verify_clifford_relations([P, R], m_plus=0)
     assert out.max_residual >= 2.0
 
 
@@ -127,6 +144,15 @@ class TestRotatedInvolution:
         P = grid_operator(g, "parity")
         with pytest.raises(ValueError):
             rotated_involution(P, P, 0.5)
+
+    @pytest.mark.parametrize("nan_in", [0, 1])
+    def test_rejects_nan_pair(self, nan_in):
+        """A NaN in P or in R fails the relation check, so no P_phi with NaN
+        entries is returned."""
+        pair = list(_pr(half=4))
+        pair[nan_in] = _with_nan(pair[nan_in])
+        with pytest.raises(ValueError, match="involutions.*anticommute"):
+            rotated_involution(*pair, 0.5)
 
 
 def _expm_forms(P, R, phi):
@@ -179,6 +205,9 @@ class TestRotatedInvolutionMemo:
             rotated_involution(P, P, 0.3)
         with pytest.raises(ValueError, match="anticommute"):
             rotated_involution(P, P, 0.3)
+        rotated_involution(P, R, 0.3)
+        with pytest.raises(ValueError, match="residual nan"):
+            rotated_involution(P, _with_nan(R), 0.3)
 
     def test_in_place_edit_is_checked_again(self):
         P, R = _pr()

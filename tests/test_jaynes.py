@@ -30,13 +30,13 @@ def _ladder(n_max):
     return d
 
 
-def _kronecker_build(split, omega, n_max):
+def _kronecker_build(c, omega, n_max):
     """The dense oracle 2 [N (x) I + sqrt2 (d^H (x) c + d (x) c^T) + I (x)
     omega], with N = d^H d, summed from Kronecker products."""
     d = _ladder(n_max)
-    m = split.a.shape[0]
+    m = c.shape[0]
     return 2 * (np.kron(d.T @ d, np.eye(m))
-                + np.sqrt(2) * (np.kron(d.T, split.c) + np.kron(d, split.c.T))
+                + np.sqrt(2) * (np.kron(d.T, c) + np.kron(d, c.T))
                 + np.kron(np.eye(n_max + 1), omega.matrix))
 
 
@@ -56,16 +56,16 @@ class TestKroneckerOracle:
         Kronecker sum bit for bit; on it, it is exactly 2 (n + omega_j),
         where the oracle's N = d^H d holds sqrt(n) sqrt(n) rounded."""
         sig = ThetaSignature(*sig_pq)
-        split = nilpotent_split(
+        c = nilpotent_split(
             random_element(sig, np.random.default_rng(7), 0.3))
         omega = LevelEnergies(omega=np.linspace(0.0, 1.3, sig.m) ** 2)
         for n_max in range(2, 19):
-            csr = build_jc(split, omega, n_max)
+            csr = build_jc(c, omega, n_max)
             assert isinstance(csr, scipy.sparse.csr_array)
             assert np.all(csr.data != 0)
             assert csr.nnz <= 3 * sig.m**2 * (n_max + 1)
             H = csr.toarray()
-            want = _kronecker_build(split, omega, n_max)
+            want = _kronecker_build(c, omega, n_max)
             off = ~np.eye(len(H), dtype=bool)
             assert np.array_equal(H[off], want[off])
             n = np.repeat(np.arange(n_max + 1), sig.m)
@@ -80,10 +80,16 @@ class TestSplit:
     def test_reconstruction_and_nilpotency(self, seed, sig_pq):
         sig = ThetaSignature(*sig_pq)
         el = random_element(sig, np.random.default_rng(seed))
-        split = nilpotent_split(el)
-        assert np.abs(split.c - np.triu(split.c, k=1)).max() == 0.0
-        assert np.abs((split.c - split.c.T) - split.a).max() <= 1e-13
-        assert np.abs(np.linalg.matrix_power(split.c, sig.m)).max() == 0.0
+        c = nilpotent_split(el)
+        assert np.abs(c - np.triu(c, k=1)).max() == 0.0
+        assert np.abs((c - c.T) - el.matrix).max() <= 1e-13
+        assert np.abs(np.linalg.matrix_power(c, sig.m)).max() == 0.0
+
+    def test_non_antisymmetric_rejected(self):
+        """c - c^T cannot rebuild a matrix that is not antisymmetric."""
+        el = GaugeAlgebraElement(SIG, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="split reconstruction failed"):
+            nilpotent_split(el)
 
 
 class TestBuild:
@@ -144,10 +150,10 @@ class TestPt:
         """The residual over the stored entries of the CSR build is the
         residual over every entry of its dense copy, broken or not."""
         sig = ThetaSignature(*sig_pq)
-        split = nilpotent_split(
+        c = nilpotent_split(
             random_element(sig, np.random.default_rng(11), 0.3))
         omega = LevelEnergies(omega=np.linspace(0.0, 1.3, sig.m))
-        H = build_jc(split, omega, 6)
+        H = build_jc(c, omega, 6)
         broken = H + 1j * scipy.sparse.eye_array(H.shape[0])
         for M in (H, broken):
             assert jc_pt_check(M, sig) == jc_pt_check(M.toarray(), sig)
@@ -176,9 +182,9 @@ class TestEquivalence:
             splits.append(nilpotent_split(el))
             return splits[-1]
 
-        def build_spy(split, omega, n):
-            builds.append((split, n))
-            return build_jc(split, omega, n)
+        def build_spy(c, omega, n):
+            builds.append((c, n))
+            return build_jc(c, omega, n)
 
         monkeypatch.setattr(jaynes, "nilpotent_split", split_spy)
         monkeypatch.setattr(jaynes, "build_jc", build_spy)
@@ -188,7 +194,7 @@ class TestEquivalence:
         jc_equivalence_check(_el(0.3), omega, grid, n_max)
         assert len(splits) == 1
         assert [n for _, n in builds] == [8, 12]
-        assert all(split is splits[0] for split, _ in builds)
+        assert all(c is splits[0] for c, _ in builds)
 
     @pytest.mark.parametrize("sig_pq", [(1, 1), (2, 1), (2, 2)])
     def test_sign_of_a_leaves_the_fock_spectrum(self, sig_pq):

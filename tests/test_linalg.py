@@ -477,6 +477,10 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.zeros(shape))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            expm(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
 
 class TestGrid:
     @given(st.integers(min_value=1, max_value=40),
@@ -487,6 +491,13 @@ class TestGrid:
         assert len(x) == g.size == 2 * half
         assert np.array_equal(x[::-1], -x)
         assert np.abs(x).min() > 0
+
+    @pytest.mark.parametrize("half_count, spacing, message", [
+        (0, 0.1, "half_count must be positive"),
+        (4, 0.0, "spacing must be positive")])
+    def test_rejects_empty_or_flat_grid(self, half_count, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            Grid1D(half_count=half_count, spacing=spacing)
 
     def test_from_box(self):
         assert Grid1D.from_box(8.0, 0.05) == Grid1D(half_count=160, spacing=0.05)
@@ -588,6 +599,13 @@ class TestIndefiniteInner:
         f = np.ones(g.size)
         with pytest.raises(ValueError):
             indefinite_inner(f, f, J, g.nodes, g.spacing)  # changes sign
+
+    def test_rejects_dimension_mismatch(self):
+        g = Grid1D(half_count=4, spacing=0.5)
+        J = grid_operator(g, "parity")
+        f = np.ones(g.size)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            indefinite_inner(f, f[:-1], J, np.ones(g.size), g.spacing)
 
 
 def _pairing_reference(eigenvalues, tol):
@@ -791,6 +809,13 @@ def test_norm_estimate_overflow_raises(M):
 
 def test_norm_estimate_nan_entry_gives_nan():
     assert np.isnan(operator_norm_estimate(np.diag([np.nan, 1.0])))
+
+
+@pytest.mark.parametrize("M", [np.zeros((3, 3)),
+                               scipy.sparse.csr_array((3, 3))],
+                         ids=["dense", "sparse"])
+def test_norm_estimate_of_zero_is_zero(M):
+    assert operator_norm_estimate(M) == 0.0
 
 
 class TestWorstResidual:

@@ -69,9 +69,9 @@ class TestBoundaryTriple:
     def test_exponential_well_function(self):
         """f = e^{-|x|} solves the delta-well domain condition for t11=-2."""
         f = PiecewiseFunction(f_plus=1, f_minus=1, df_plus=-1, df_minus=1)
-        bp = boundary_maps(f)
-        assert np.allclose(bp.gamma0, [1, 0])
-        assert np.allclose(bp.gamma1, [-2, 0])
+        gamma0, gamma1 = boundary_maps(f)
+        assert np.allclose(gamma0, [1, 0])
+        assert np.allclose(gamma1, [-2, 0])
         T = pt_coupling(-2, 0, 0, 0)
         assert domain_check(T, f) <= 1e-10
 
@@ -133,6 +133,11 @@ class TestBoundaryTransform:
         f = PiecewiseFunction(1.0, 0.5, -0.3, 0.7)
         out = boundary_transform_check(T, bad, [f])
         assert _transform_residual(out) > 1e-12
+
+    def test_no_samples_rejected(self):
+        T = CouplingMatrixT(t11=1, t12=1j, t21=-1j, t22=0)
+        with pytest.raises(ValueError, match="nonempty"):
+            boundary_transform_check(T, clifford_angle(T), [])
 
     def test_nan_trace_fails(self):
         T = CouplingMatrixT(t11=1, t12=1j, t21=-1j, t22=0)

@@ -73,6 +73,18 @@ class TestAudit:
         assert not CheckRecord("matrix/symmetry_audit",
                                worst_residual(out.values()), 1e-12).passed
 
+    def test_sample_rejects_nan_potential(self):
+        pot = MatrixPotential(m=2, V=lambda x: np.where(x > 1, np.nan, x)
+                              * np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            pot.sample(GRID.nodes)
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 3)), np.zeros(2)],
+                             ids=["2x3", "vector"])
+    def test_gauge_must_be_square(self, A):
+        with pytest.raises(ValueError, match="square matrix"):
+            ConstantGauge(A=A)
+
 
 class TestRegauge:
     def test_similarity_is_spectrally_exact(self):

@@ -96,6 +96,8 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     # 300 lowest modes of dim 1200, over the cap of lowest_modes (255)
     ("matrix_convergence_study", ["--n-low", "300", "--levels", "2",
                                   "--h0", "0.02"]),
+    # 10 nodes at the coarsest level, where gauge-scalar exits 2
+    ("weak_residual_scaling", ["--h0", "1.6", "--levels", "2"]),
 ])
 def test_unusable_arguments_exit_two(capsys, name, argv):
     assert _load(name).main(argv) == 2
