@@ -367,9 +367,12 @@ def parity_relations_check(a: GaugeAlgebraElement, x) -> ParityRelationsReport:
 
     Checks Theta U_k(-x) Theta = U_k(x), Theta U_p(-x) Theta = U_p(x)^{-1}
     and U(x)^H Theta U(-x) = Theta with U = U_k U_p from the split parts.
-    The last two residuals are relative to |U_p(x)|_max |U_p(-x)|_max
-    (largest entry moduli, a product >= 1 since U_p(-x) = U_p(x)^{-1} is
-    positive definite): their rounding error grows like e^{|c||x|}.
+    The first is 0 by construction: exp_compact is even in x on its diagonal
+    blocks and odd off them bit for bit (IEEE cos is even, sin odd), and
+    Theta negates only the off-diagonal blocks.  The last two are relative
+    to |U_p(x)|_max |U_p(-x)|_max (largest entry moduli, a product >= 1 as
+    U_p(-x) = U_p(x)^{-1} is positive definite): their rounding error grows
+    like e^{|c||x|}.
     x is a number or an array that broadcasts against a's leading axes.
     """
     sig = a.sig

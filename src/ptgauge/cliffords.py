@@ -1,9 +1,10 @@
-"""Generating involutions, Clifford-relation checks, rotated involutions.
+"""The generating pair (P, R), its Clifford relations, rotated involutions.
 
 The two involutions of interest are the grid parity P (index reversal) and
 the sign operator R = diag(sign(x_j)).  On the staggered grid both are
 exact involutions and anticommute exactly, so {I, P, R, PR} spans a real
-four-dimensional algebra with generator signature (2, 0).
+four-dimensional algebra with generator signature (2, 0); the record
+`clifford/span_dim_4`, the one reader of that dimension, takes its rank.
 
 The rotated involution P_phi = P exp(i phi R) is Hermitian and squares to
 the identity whenever P and R anticommute.  As R^2 = I it equals
@@ -11,11 +12,12 @@ cos(phi) P + i sin(phi) P R, stored as a CSR array (anti-diagonal for the
 grid parity); P^2 = R^2 = I and PR = -RP make it equal the symmetric form
 exp(-i phi R/2) P exp(i phi R/2) too.  All products are sparse.
 
-verify_clifford_relations, the one relation check, returns residuals: a
-record bounds them, and rotated_involution rejects a (P, R) pair beyond
-1e-12 or NaN.  A sweep over phi passes one pair at every angle, so
-rotated_involution keeps the last pair that passed, keyed by the bytes of
-both CSR arrays, with P R: only a new or edited pair is checked.
+verify_clifford_relations, the one relation check, returns the worst
+residual of P^2 = I, R^2 = I and PR + RP = 0: a record bounds it, and
+rotated_involution rejects a (P, R) pair beyond 1e-12 or NaN.  A sweep over
+phi passes one pair at every angle, so rotated_involution keeps the last
+pair that passed, keyed by the bytes of both CSR arrays, with P R: only a
+new or edited pair is checked.
 """
 
 from __future__ import annotations
@@ -30,49 +32,22 @@ from .linalg import worst_residual
 
 
 @dataclass(frozen=True)
-class CliffordReport:
-    max_residual: float
-    span_dim: int | None
-
-
-@dataclass(frozen=True)
 class RotatedInvolution:
     matrix: scipy.sparse.csr_array
 
 
-def _max_abs(X) -> float:   # largest |entry| of sparse X, NaN if one is NaN
-    return np.abs(X.data).max(initial=0.0)
-
-
-def verify_clifford_relations(generators, m_plus: int) -> CliffordReport:
-    """Residual of the anticommutation relations and of the squares: +I for
-    the first m_plus generators (dense or sparse), -I for the rest.  Raises
-    ValueError unless 0 <= m_plus <= len(generators) and all are square of
-    one size.  For two generators and a finite residual, span_dim is the
-    rank of vec{I, e1, e2, e1 e2} (4: linearly independent), else None."""
-    mats = [scipy.sparse.csr_array(g) for g in generators]
-    if not 0 <= m_plus <= len(mats):
-        raise ValueError(f"need 0 <= m_plus <= {len(mats)}, got {m_plus}")
-    dim = mats[0].shape[0] if mats else 0
-    if any(g.shape != (dim, dim) for g in mats):
-        raise ValueError("all generators must be square of equal dimension")
+def verify_clifford_relations(P, R) -> float:
+    """Worst residual of P^2 = I, R^2 = I and PR + RP = 0 for dense or
+    sparse P and R, NaN if an entry is NaN.  Raises ValueError unless both
+    are square of one size."""
+    P, R = scipy.sparse.csr_array(P), scipy.sparse.csr_array(R)
+    dim = P.shape[0]
+    if P.shape != (dim, dim) or R.shape != (dim, dim):
+        raise ValueError("P and R must be square of equal dimension")
     eye = scipy.sparse.eye_array(dim, format="csr")
-    residuals = []
-    for i, gi in enumerate(mats):
-        target = eye if i < m_plus else -eye
-        residuals.append(_max_abs(gi @ gi - target))
-        residuals += [_max_abs(gi @ gk + gk @ gi) for gk in mats[i + 1:]]
-    res = worst_residual(residuals)
-    span_dim = None
-    if len(mats) == 2 and math.isfinite(res):
-        basis = (eye, *mats, mats[0] @ mats[1])
-        S = scipy.sparse.vstack([b.reshape((1, -1)) for b in basis]).tocoo()
-        # the stack on the k positions any of the four stores: its other
-        # dim^2 - k columns are zero and do not change the rank
-        _, cols = np.unique(S.col, return_inverse=True)
-        stack = scipy.sparse.coo_array((S.data, (S.row, cols))).toarray()
-        span_dim = int(np.linalg.matrix_rank(stack, tol=1e-10 * max(1.0, res + 1)))
-    return CliffordReport(max_residual=res, span_dim=span_dim)
+    # the largest |entry| of each sparse residual, NaN if one is NaN
+    return worst_residual(np.abs(X.data).max(initial=0.0)
+                          for X in (P @ P - eye, P @ R + R @ P, R @ R - eye))
 
 
 _checked = None   # (key, P R) of the last (P, R) pair that passed the checks
@@ -88,7 +63,7 @@ def rotated_involution(parity, sign_op, phi: float) -> RotatedInvolution:
     key = [(A.shape, A.dtype.str, A.data.tobytes(), A.indices.tobytes(),
             A.indptr.tobytes()) for A in (P, R)]
     if _checked is None or _checked[0] != key:
-        res = verify_clifford_relations([P, R], 2).max_residual
+        res = verify_clifford_relations(P, R)
         if not res <= 1e-12:   # NaN fails as well
             raise ValueError("parity and sign operators must be involutions "
                              f"that anticommute, residual {res:.3e} > 1e-12")

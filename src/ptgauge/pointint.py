@@ -114,13 +114,15 @@ def _principal_angle(d, beta):
     """phi with tan(phi) = 2 beta / d on (-pi/2, pi/2], and the degenerate
     flag (|beta|, |d| <= 1e-13, where phi is 0); entry-wise on arrays.
 
-    arctan2 lies in [-pi, pi], and one fold by pi reaches the principal
-    branch: phi and phi + pi define the same condition.
+    arctan of the quotient keeps a small phi to rounding (a fold of arctan2
+    by pi keeps only ulp(pi)); its -pi/2 (d = 0, or an overflow) is the
+    branch end pi/2, and beta = 0 at d < 0 gives +0.0, as the fold did.
     """
     degenerate = (np.abs(beta) <= _STRUCT_TOL) & (np.abs(d) <= _STRUCT_TOL)
-    phi = np.arctan2(2 * beta, d)
-    phi = np.where(phi > np.pi / 2, phi - np.pi,
-                   np.where(phi <= -np.pi / 2, phi + np.pi, phi))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi = np.arctan(np.divide(2 * beta, d))
+    phi = np.where(phi <= -np.pi / 2, np.pi / 2,
+                   np.where(d < 0, phi + 0.0, phi))
     return np.where(degenerate, 0.0, phi), degenerate
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptgauge import cartan
 from ptgauge.cartan import (
     ThetaSignature,
     cartan_split,
@@ -290,6 +291,24 @@ class TestParityRelations:
     def test_relations_hold(self, sig_pq, seed, x):
         out = parity_relations_check(_el(sig_pq, seed), x)
         assert out.max_residual <= 1e-10
+
+    def test_compact_half_exact_by_construction(self, monkeypatch):
+        """Theta U_k(-x) Theta = U_k(x) holds bit for bit: cos is even and
+        sin odd in IEEE arithmetic, and Theta only negates the off-diagonal
+        blocks.  A mutant exp_compact that breaks that symmetry, with
+        sin(s|x|) for sin(s x), makes the residual nonzero."""
+        rng = np.random.default_rng(11)
+        draws = [(random_elements(ThetaSignature(*pq), rng, 200),
+                  rng.uniform(-3, 3, 200))
+                 for pq in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (1, 3)]]
+        for el, x in draws:
+            assert np.all(parity_relations_check(el, x).compact_residual == 0.0)
+
+        real = cartan.exp_compact
+        monkeypatch.setattr(cartan, "exp_compact",
+                            lambda comp, sig, x: real(comp, sig, np.abs(x)))
+        for el, x in draws:
+            assert parity_relations_check(el, x).compact_residual.max() > 0.1
 
     def test_nonhermitian_noncompact_part_fails(self):
         """Negative control: the metric identity U(x)^H Theta U(-x) = Theta

@@ -51,6 +51,27 @@ class TestExitCodes:
         assert config["n_bound"] == 2
         assert config["classification"] == "conjugate_paired"
 
+    @pytest.mark.parametrize("flag", ["--t11=2e-8i", "--t22=2e-8i",
+                                      "--t12=1+1e-300i", "--t21=1+1e-300i"])
+    def test_non_pt_point_spectrum_asserts_no_pairing(self, flag, tmp_path):
+        """At a coupling that is not PT-symmetric the paper claims no
+        conjugate pairing: the record is not asserted, the config says
+        why, and the command exits 0."""
+        assert main(["point-spectrum", flag, "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "point-spectrum.json").read_text())
+        assert payload["config"]["pt_symmetric"] is False
+        assert [r["name"] for r in payload["records"]] == [
+            "point/domain_residuals"]
+
+    @pytest.mark.parametrize("t22", ["1e5", "1e8"])
+    def test_point_angle_at_a_large_t22(self, t22, tmp_path, capsys):
+        """A small phi keeps its relative accuracy, so the defining relation
+        holds to rounding (it read 2.3e-12 and 1.7e-9 through a fold of
+        arctan2 by pi)."""
+        code = main(["point-angle", "--t22", t22, "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "[PASS] point/defining_relation" in capsys.readouterr().out
+
     def test_check_failure_exits_one(self, tmp_path, capsys):
         # at h = 0.8 the weak form reads r1 about 1e-2, over its bound 1e-8
         code = main(["gauge-scalar", "--h", "0.8", "--box", "6.0",
@@ -508,7 +529,8 @@ REPORTS = {
         ["degenerate", "phi", "t11", "t12", "t21", "t22"]),
     "point-spectrum": (["--t11=-2"], [
         "point/domain_residuals", "point/conjugate_pairing"],
-        ["classification", "n_bound", "t11", "t12", "t21", "t22"]),
+        ["classification", "n_bound", "pt_symmetric", "t11", "t12", "t21",
+         "t22"]),
     "phase-diagram": (["--t11-range=-2:0:2", "--t22-range=0:0:1",
                        "--im-t12-range=-1:1:2", "--im-t21-range=-1:1:2"],
                       ["sweep/conjugate_pairing"],

@@ -3,12 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from ptgauge import cliffords
 from ptgauge.cliffords import rotated_involution, verify_clifford_relations
 from ptgauge.linalg import Grid1D, expm, grid_operator
-from ptgauge.reporting import CheckRecord
+from ptgauge.reporting import CheckRecord, Report
+from ptgauge.verification import VerifyConfig, _span_dim, \
+    check_clifford_relations
 
 
 def _pr(half=8, h=0.2):
@@ -21,45 +25,37 @@ def _pr(half=8, h=0.2):
 @settings(max_examples=40)
 def test_relations_exact_on_any_grid(half, h):
     P, R = _pr(half, h)
-    out = verify_clifford_relations([P, R], m_plus=2)
-    assert out.max_residual == 0.0
-    assert out.span_dim == 4
-
-
-def test_signature_mismatch_rejected():
-    P, R = _pr()
-    for m_plus in (-1, 3):
-        with pytest.raises(ValueError, match="m_plus"):
-            verify_clifford_relations([P, R], m_plus)
+    res = verify_clifford_relations(P, R)
+    assert type(res) is float and res == 0.0
+    assert _span_dim(P, R, res) == 4
 
 
 def test_unequal_shapes_rejected():
     P, R = _pr()
     _, R_small = _pr(half=4)
     with pytest.raises(ValueError, match="square of equal dimension"):
-        verify_clifford_relations([P, R_small], 2)
+        verify_clifford_relations(P, R_small)
     with pytest.raises(ValueError, match="square of equal dimension"):
-        verify_clifford_relations([np.ones((2, 3))], 1)
+        verify_clifford_relations(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_commuting_generators_fail():
     """Negative control: two commuting involutions violate anticommutation,
     and as e2 = -e1 the span of {I, e1, e2, e1 e2} is two-dimensional."""
-    e1 = np.diag([1.0, -1.0])
-    e2 = np.diag([-1.0, 1.0])
-    out = verify_clifford_relations([e1, e2], 2)
-    assert out.max_residual > 1.0
-    assert out.span_dim == 2
+    e1 = scipy.sparse.csr_array(np.diag([1.0, -1.0]))
+    e2 = -e1
+    res = verify_clifford_relations(e1.toarray(), e2.toarray())
+    assert res > 1.0
+    assert _span_dim(e1, e2, res) == 2
 
 
 def test_nan_generator_fails():
-    """A NaN in a later generator must not be dropped by the reduction."""
+    """A NaN in the second generator must not be dropped by the reduction."""
     e1 = np.diag([1.0, -1.0])
-    e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e3 = np.array([[0.0, np.nan], [1.0, 0.0]])
-    out = verify_clifford_relations([e1, e2, e3], 3)
-    assert np.isnan(out.max_residual)
-    assert not CheckRecord("relations", out.max_residual, 1.0).passed
+    e2 = np.array([[0.0, np.nan], [1.0, 0.0]])
+    res = verify_clifford_relations(e1, e2)
+    assert np.isnan(res)
+    assert not CheckRecord("relations", res, 1.0).passed
 
 
 def _with_nan(A):
@@ -70,13 +66,14 @@ def _with_nan(A):
 
 
 def test_nan_pair_gives_nan_residual_and_no_rank():
-    """Two generators, one holding a NaN: a NaN residual, no rank (an SVD
-    of the NaN stack does not converge) and a failing record."""
+    """A NaN in P or in R: a NaN residual and a failing record.  The span
+    rank is no part of the relation check; check_clifford_relations skips
+    it past a NaN residual (test_acceptance)."""
     P, R = _pr(half=4)
-    out = verify_clifford_relations([P, _with_nan(R)], 2)
-    assert np.isnan(out.max_residual)
-    assert out.span_dim is None
-    assert not CheckRecord("relations", out.max_residual, 0.0).passed
+    for pair in ((P, _with_nan(R)), (_with_nan(P), R)):
+        res = verify_clifford_relations(*pair)
+        assert np.isnan(res)
+        assert not CheckRecord("relations", res, 0.0).passed
 
 
 def test_span_rank_allocates_o_nnz():
@@ -85,18 +82,53 @@ def test_span_rank_allocates_o_nnz():
     P, R = _pr(half=512, h=0.01)
     tracemalloc.start()
     try:
-        out = verify_clifford_relations([P, R], 2)
+        span = _span_dim(P, R, verify_clifford_relations(P, R))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.span_dim == 4
+    assert span == 4
     assert peak < 4 * 2**20
 
 
 def test_wrong_square_sign_detected():
+    """i P squares to -I, so P^2 = I fails by 2."""
     P, R = _pr()
-    out = verify_clifford_relations([P, R], m_plus=0)
-    assert out.max_residual >= 2.0
+    assert verify_clifford_relations(1j * P, R) >= 2.0
+
+
+class _Spy:
+    """Counts the calls of module.name, which it wraps."""
+
+    def __init__(self, monkeypatch, module, name):
+        real = getattr(module, name)
+        self.calls = 0
+
+        def spy(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+def test_rank_only_in_the_record(monkeypatch):
+    """rotated_involution checks a new pair without a rank or an SVD; the
+    record clifford/span_dim_4 still takes its rank, once."""
+    spies = [_Spy(monkeypatch, np.linalg, "matrix_rank"),
+             _Spy(monkeypatch, np.linalg, "svd"),
+             _Spy(monkeypatch, scipy.linalg, "svd")]
+    monkeypatch.setattr(cliffords, "_checked", None)
+    relations = _Spy(monkeypatch, cliffords, "verify_clifford_relations")
+    for pair in (_pr(half=7, h=0.3), _pr(half=9, h=0.3)):
+        rotated_involution(*pair, 0.4)
+    assert relations.calls == 2
+    assert [s.calls for s in spies] == [0, 0, 0]
+
+    rep = Report(command="clifford", config={})
+    check_clifford_relations(rep, VerifyConfig())
+    assert spies[0].calls == 1
+    assert [(r.name, r.residual, r.passed) for r in rep.records] == [
+        ("clifford/anticommutation_and_squares", 0.0, True),
+        ("clifford/span_dim_4", 0.0, True)]
 
 
 class TestRotatedInvolution:

@@ -12,6 +12,7 @@ from ptgauge.pointint import (
     CLASSIFICATIONS,
     CouplingMatrixT,
     PiecewiseFunction,
+    _principal_angle,
     apply_p_phi_traces,
     bound_states,
     boundary_maps,
@@ -103,6 +104,28 @@ class TestCliffordAngle:
     def test_non_pt_rejected(self):
         with pytest.raises(ValueError):
             clifford_angle(CouplingMatrixT(t11=1j, t12=0, t21=0, t22=0))
+
+    @pytest.mark.parametrize("t22", [1e5, 1e8])
+    def test_small_angle_keeps_its_relative_accuracy(self, t22):
+        """d = det T + 4 < 0 and 2 beta / d small: phi = arctan(2 beta / d)
+        to rounding, and the defining relation to 1e-15.  A fold of
+        arctan2 by pi kept only ulp(pi) of phi: 2.3e-12 at t22 = 1e5."""
+        T = CouplingMatrixT(t11=-2, t12=1j, t21=4j, t22=t22)
+        sol = clifford_angle(T)
+        expected = np.arctan(-6 / ((T.det + 4).real))
+        assert abs(sol.phi - expected) <= 4e-16 * abs(expected)
+        assert sol.residual <= 1e-15
+
+    @pytest.mark.parametrize("d, beta, phi", [
+        (0.0, 1.0, np.pi / 2), (0.0, -1.0, np.pi / 2), (-0.0, 1.0, np.pi / 2),
+        (-1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (1.0, -0.0, -0.0),
+        (-1e-300, 1e10, np.pi / 2), (0.0, 0.0, 0.0)])
+    def test_branch_ends_and_signed_zeros(self, d, beta, phi):
+        """d = 0 and an overflowing quotient give pi/2, never -pi/2; beta = 0
+        gives +0.0 at d < 0, and beta's zero at d > 0."""
+        got, degenerate = _principal_angle(d, beta)
+        assert got == phi and np.signbit(got) == np.signbit(phi)
+        assert degenerate == (d == beta == 0)
 
 
 def _transform_residual(out):
