@@ -22,7 +22,8 @@ solves them: a Hermitian matrix of bandwidth kd < n/32 goes to the band
 driver and is never made dense.
 Given a parity J, a signed permutation such as the extended parity
 kron(P, Theta), eig solves such a band matrix that commutes with J entry
-for entry as its J-even and J-odd halves, each of half the dimension.
+for entry as its J-even and J-odd halves, each of half the dimension:
+each half is one summed CSR array of M's entries, read as any operand.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
@@ -186,11 +187,13 @@ def _fold(pi, s, n: int, i, j, v, kd: int, T):
 
     J M J has the entry s_i s_j v at (pi(i), pi(j)) for each entry v at
     (i, j), so it equals M when each of those slots of M's table holds it.
-    Let R be the indices k < pi(k), one of each pair.  In the orthonormal
-    basis (e_k +- s_k e_pi(k)) / sqrt 2, k in R, such an M is the direct
-    sum of M_+- = M[R, R] +- M[R, pi(R)] diag(s_R): each half is M's rows
-    R, its columns pi(k) folded onto columns k.  An entry folds onto one
-    already stored only where both columns of a pair meet a row (on the
+    Let R be the indices k < pi(k), one of each pair, and pos(k) the place
+    of k or pi(k) in R.  In the orthonormal basis
+    (e_k +- s_k e_pi(k)) / sqrt 2, k in R, such an M is the direct sum of
+    M_+- = M[R, R] +- M[R, pi(R)] diag(s_R): each stored entry v of a row
+    k in R lands at (pos(k), pos(j)), as v where its column j is in R,
+    else as +-s_j v, and the entries that land on one slot are summed.
+    At most two do, where both columns of a pair meet a row (on the
     staggered grid, next to the centre), at one rounding each.  When M is
     Hermitian so is each half, exactly; on the staggered grid, where R is
     the first half of the indices, no half is wider than M.
@@ -204,20 +207,9 @@ def _fold(pi, s, n: int, i, j, v, kd: int, T):
     half, pos = n // 2, np.where(rep, rank, rank[pi])
     top = rep[i]
     i, j, v = i[top], j[top], v[top]
-    # s_j M[i, pi(j)]: for j in R the entry that folds onto (i, j), else
-    # the one (i, j) folds onto; 0 off the band (whose slots read row 0)
-    c = pi[j]
-    inside = np.abs(i - c) <= kd
-    mirror = np.where(inside, T[(i - c + kd) * inside, c], 0) * s[j]
-    direct = rep[j]
-    keep = direct | (mirror == 0)   # else folded onto its direct partner
-    halves = []
-    for sign in (1, -1):
-        x = np.where(direct, v + sign * mirror, sign * s[j] * v)
-        nonzero = keep & (x != 0)
-        a, b, x = pos[i[nonzero]], pos[j[nonzero]], _real(x[nonzero])
-        halves.append((half, a, b, x) + _table(half, a, b, x))
-    return halves
+    return [_entries(scipy.sparse.csr_array(
+        (np.where(rep[j], v, sign * s[j] * v), (pos[i], pos[j])),
+        shape=(half, half))) for sign in (1, -1)]
 
 
 def _spectrum(n: int, i, j, v, kd: int, T) -> np.ndarray:

@@ -50,7 +50,7 @@ from .linalg import worst_residual
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_STRUCT_TOL = 1e-13
+_STRUCT_TOL = 1e-13   # |beta|, |d| at or below it flag a degenerate angle
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,9 @@ class CouplingMatrixT:
 
     @property
     def is_pt_symmetric(self) -> bool:
-        return (abs(self.t11.imag) <= _STRUCT_TOL
-                and abs(self.t22.imag) <= _STRUCT_TOL
-                and abs(self.t12.real) <= _STRUCT_TOL
-                and abs(self.t21.real) <= _STRUCT_TOL)
+        """Exactly: t11, t22 real and t12, t21 purely imaginary."""
+        return (self.t11.imag == 0 and self.t22.imag == 0
+                and self.t12.real == 0 and self.t21.real == 0)
 
     @property
     def det(self) -> complex:

@@ -63,6 +63,17 @@ class TestExitCodes:
         assert [r["name"] for r in payload["records"]] == [
             "point/domain_residuals"]
 
+    def test_point_spectrum_without_bound_states_asserts_no_record(
+            self, tmp_path):
+        """With no bound state there is no domain residual to bound: no
+        record is asserted, n_bound says why, and the command exits 0."""
+        argv = ["point-spectrum", "--t11", "1", "--t12", "1i", "--t21=-1i",
+                "--t22", "0", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        payload = json.loads((tmp_path / "point-spectrum.json").read_text())
+        assert payload["config"]["n_bound"] == 0
+        assert payload["records"] == []
+
     @pytest.mark.parametrize("t22", ["1e5", "1e8"])
     def test_point_angle_at_a_large_t22(self, t22, tmp_path, capsys):
         """A small phi keeps its relative accuracy, so the defining relation
@@ -350,6 +361,8 @@ INVALID = [
     ["jc", "--alpha", "1e200"],              # a^2 in V(x) overflows
     ["jc", "--delta", "1e308"],              # 2 delta in V(x) overflows
     ["point-angle", "--t11", "1i"],
+    # a real part of t12 however small: clifford_angle would drop it
+    ["point-angle", "--t12=-1e-13"],
     ["point-angle", "--t12", "nan"],
     ["point-spectrum", "--t11", "nan"],
     ["point-spectrum", "--t22", "1e400"],

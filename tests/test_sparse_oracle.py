@@ -300,6 +300,62 @@ def test_parity_fold_matches_dense(h, monkeypatch):
     assert [kd1 - 1 for kd1, _ in shapes] == [3, 3, 2, 2, 3, 3]
 
 
+def _folded_halves(M, J):
+    """eig's J-even and J-odd halves of M, from linalg._fold, densified."""
+    read = linalg._entries(M)
+    halves = []
+    for half, i, j, v, _, _ in linalg._fold(*linalg._involution(J, read[0]),
+                                            *read):
+        A = np.zeros((half, half), v.dtype)
+        A[i, j] = v
+        halves.append(A)
+    return halves
+
+
+def _dense_halves(D, J):
+    """D[R][:, R] +- D[R][:, pi(R)] * s[R] for the signed permutation J with
+    J[k, pi(k)] = s_k, R the indices k < pi(k)."""
+    J = J.toarray().real
+    pi = np.abs(J).argmax(axis=1)
+    s = J[np.arange(len(J)), pi]
+    R = np.flatnonzero(np.arange(len(J)) < pi)
+    direct, mirror = D[R][:, R], D[R][:, pi[R]] * s[R]
+    return direct + mirror, direct - mirror
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_parity_fold_halves_are_the_dense_block_sums(h):
+    """Each half eig solves for H_g, H and U H_g U^-1 of verify-all's
+    example equals M[R, R] +- M[R, pi(R)] diag(s_R) of dense M exactly:
+    at most two entries are summed on one slot, and a sum of two does not
+    depend on their order."""
+    grid = Grid1D.from_box(8.0, h)
+    res = build_and_regauge(*MATRIX_EXAMPLES[0][1:], grid)
+    J = schrodinger.extended_parity(grid, ThetaSignature(1, 1))
+    for M in (res.H_g, res.H, res.H_similar):
+        for got, want in zip(_folded_halves(M, J),
+                             _dense_halves(M.toarray(), J)):
+            assert np.array_equal(got, want)
+
+
+def test_parity_fold_halves_of_a_random_complex_band():
+    """A random complex band X made J-symmetric as X + J X J, for the
+    reversal J with mixed signs: each half is its dense block sum."""
+    rng = np.random.default_rng(11)
+    n, kd = 256, 4
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = np.triu(np.tril(X, kd), -kd)
+    pi = np.arange(n)[::-1]
+    s = rng.choice([-1.0, 1.0], n // 2)
+    s = np.concatenate((s, s[::-1]))
+    J = scipy.sparse.csr_array((s, pi, np.arange(n + 1)), shape=(n, n))
+    M = X + np.outer(s, s) * X[np.ix_(pi, pi)]
+    halves = _folded_halves(M, J)
+    assert all(np.iscomplexobj(A) for A in halves)
+    for got, want in zip(halves, _dense_halves(M, J)):
+        assert np.array_equal(got, want)
+
+
 def _noncompact_example():
     """A (2, 1) gauge with a compact and a noncompact part, so that
     Theta A Theta != -A, in the well x^2 I: not P_bold-even, and not
@@ -538,6 +594,17 @@ def test_lowest_modes_counts_every_degenerate_copy(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", dropped)
     with pytest.raises(RuntimeError, match="inertia count"):
         lowest_modes(M, 8)
+
+
+def test_count_below_gives_none_where_the_factor_cannot_count():
+    """_count_below has no count where M - cI is exactly singular (splu
+    raises) or where SuperLU permutes rows despite diag_pivot_thresh=0 (a
+    zero diagonal pivot): the congruence to diag(U) is lost."""
+    D = scipy.sparse.csr_array(np.diag([1.0, 2.0, 3.0]))
+    swap = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert linalg._count_below(D, 2.0) is None
+    assert linalg._count_below(swap, 0.0) is None
+    assert (linalg._count_below(D, 2.5), linalg._count_below(swap, 0.5)) == (2, 1)
 
 
 @pytest.mark.parametrize("coupling", [0.0, 0.7], ids=["real", "complex"])
