@@ -214,8 +214,7 @@ def weak_pseudo_hermiticity_residual(H, eta, T: np.ndarray) -> float:
 class PseudoHermiticityReport:
     r1: float            # weak-form eta-residual / ||H_g||
     r1_abs: float
-    r2: float            # same with eta -> plain parity, normalized
-    r2_abs: float
+    r2_abs: float        # weak-form residual with eta -> plain parity
     weighted_form_residual: float
     norm_H: float
     passed: bool
@@ -231,7 +230,6 @@ def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float,
     r1_abs = weak_pseudo_hermiticity_residual(H, fact.eta, T)
     r2_abs = weak_pseudo_hermiticity_residual(H, P, T)
     r1 = r1_abs / norm_H
-    r2 = r2_abs / norm_H
 
     # weighted-form identity (H_g phi, J psi)_{|eta|} = (phi, J H_g psi)_{|eta|}
     rng = np.random.default_rng(seed)
@@ -245,7 +243,7 @@ def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float,
         wf_res.append(abs(lhs - rhs) / scale)
 
     return PseudoHermiticityReport(
-        r1=r1, r1_abs=r1_abs, r2=r2, r2_abs=r2_abs,
+        r1=r1, r1_abs=r1_abs, r2_abs=r2_abs,
         weighted_form_residual=worst_residual(wf_res), norm_H=norm_H,
         passed=r1 <= tol,
     )

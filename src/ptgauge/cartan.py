@@ -21,6 +21,8 @@ Closed-form exponentials:
             sin(s x)/s spectral function switching to its series limit x
             below a 1e-8 singular-value threshold.
   exp(c x): block-diagonal Hermitian exponential diag(e^{iux}, e^{iwx}).
+At q = 0 (b = 0) both take these formulas: the SVD of the p x 0 block v
+gives W = I, so exp(b x) is the identity bit for bit.
 
 Stacks.  An element is its matrix: a (m, m) matrix is one element, a
 (..., m, m) stack of them, say (k, m, m), is k elements, indexed like an
@@ -272,8 +274,6 @@ def exp_compact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray:
     v = comp.b[..., :p, p:].real
     x = np.asarray(x, dtype=float)
     lead = np.broadcast_shapes(v.shape[:-2], x.shape)
-    if q == 0:
-        return np.broadcast_to(np.eye(m), lead + (m, m)).copy()
     W, s, Zt = np.linalg.svd(v)   # v = W diag(s) Zt, W pxp, Zt qxq slices
     k = min(p, q)
     xs = x[..., None]             # x against the singular-value axis
@@ -304,8 +304,7 @@ def exp_noncompact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray
     x = np.asarray(x, dtype=float)[..., None, None]
     U = np.zeros(np.broadcast_shapes(c.shape, x.shape), dtype=complex)
     U[..., :p, :p] = expm(c[..., :p, :p] * x)
-    if sig.q > 0:
-        U[..., p:, p:] = expm(c[..., p:, p:] * x)
+    U[..., p:, p:] = expm(c[..., p:, p:] * x)
     return U
 
 

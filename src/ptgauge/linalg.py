@@ -612,7 +612,7 @@ def lowest_modes(M, k: int) -> np.ndarray:
     nev_max = min(MAX_ARNOLDI_MODES, n - 2)
     while True:
         nev = min(k + margin, nev_max)
-        kept = certified(nev) if nev > k else None
+        kept = certified(nev)
         if kept is not None:
             return kept
         if nev == nev_max:

@@ -34,7 +34,9 @@ columns of a PhaseSweep, whose rows are built only when they are read.
 bound_states and the sweep take their roots, energies and order from one
 kernel, _decaying_states, which finds the quadratic roots by stacked
 eigvals calls on companion matrices, in float64 for real coefficients;
-only bound_states computes amplitudes and domain residuals.
+only bound_states computes amplitudes and domain residuals.  At t11 = 0
+the companion matrix [[-c1/c2, -0/c2], [1, 0]] is triangular, and eigvals
+gives its roots -c1/c2 and 0 exactly; the zero root does not decay.
 """
 
 from __future__ import annotations
@@ -245,16 +247,12 @@ def _decaying_states(c0, c1, c2) -> tuple:
         quadratic = np.abs(d2) > _ZERO_COEF
         linear = ~quadratic & (np.abs(d1) > _ZERO_COEF)
         r = np.zeros(d0.shape + (2,), dtype=complex)
-        # quadratic with c0 != 0: the eigenvalues of the companion matrices
-        full = quadratic & (d0 != 0)
-        A = np.zeros((int(full.sum()), 2, 2), dtype=d0.dtype)
-        A[:, 0, 0] = -d1[full] / d2[full]
-        A[:, 0, 1] = -d0[full] / d2[full]
+        # quadratic: the eigenvalues of the companion matrices
+        A = np.zeros((int(quadratic.sum()), 2, 2), dtype=d0.dtype)
+        A[:, 0, 0] = -d1[quadratic] / d2[quadratic]
+        A[:, 0, 1] = -d0[quadratic] / d2[quadratic]
         A[:, 1, 0] = 1
-        r[full] = np.linalg.eigvals(A)
-        # quadratic with c0 = 0: -c1/c2 and the zero root
-        zero = quadratic & (d0 == 0)
-        r[zero, 0] = -d1[zero] / d2[zero]
+        r[quadratic] = np.linalg.eigvals(A)
         # linear: Python's complex division, which rounds a quotient of reals
         # as a real division does; numpy's multiplies by a reciprocal
         r[linear, 0] = [-complex(a) / complex(b)

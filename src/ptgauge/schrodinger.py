@@ -219,7 +219,7 @@ def extended_parity(grid: Grid1D,
 
 
 def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
-                     n_low: int = 20) -> SpectralCompareReport:
+                     n_low: int) -> SpectralCompareReport:
     """Compare the lowest modes of H_g against the direct re-gauged build,
     both cut at a common pair-safe k >= n_low (linalg.lowest_common), from
     the whole spectra by eig, each split by P_bold where it commutes with

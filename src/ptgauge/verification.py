@@ -186,6 +186,14 @@ class LtsParams(CartanParams):
                  f"need p + q >= 3, got p {self.p}, q {self.q}")
 
 
+def _require_resolved(alpha: float, h: float, flag: str) -> None:
+    """p's three-point stencil maps e^{ikx} to (sin kh / h) e^{ikx}, which
+    stops growing at kh = pi/2: a gauge with eigenvalues +-alpha is not
+    resolved on the grid past |alpha| h = pi/2."""
+    _require(abs(alpha) * h <= math.pi / 2, f"need |{flag}| h <= pi/2, where "
+             f"the grid resolves the gauge phase, got {flag} {alpha}, h {h}")
+
+
 @dataclass(frozen=True)
 class SpectrumMatrixParams(_Params):
     gauge_alpha: float = 0.3
@@ -203,10 +211,9 @@ class SpectrumMatrixParams(_Params):
         abelian.require_weak_form_grid(self.grid())
         _require(1 <= self.n_low <= dim,
                  f"need 1 <= n-low <= {dim}, the operator dimension")
-        # e^{-iAx} turns by up to |alpha| box rad, a phase lambda x that
-        # keeps no digit past 1/eps = 4.5e15
-        _require(abs(self.gauge_alpha) * self.box <= 1e15, "need |gauge-alpha| "
-                 f"box <= 1e15, got {self.gauge_alpha}, box {self.box}")
+        # within the budget, box / h < 1e6, so this also keeps the phase
+        # |alpha| box of e^{-iAx} far below 1/eps = 4.5e15
+        _require_resolved(self.gauge_alpha, self.h, "gauge-alpha")
 
     def grid(self) -> Grid1D:
         return _grid(self.box, self.h)
@@ -234,10 +241,11 @@ class JcParams(_Params):
         _require_budget((2 * MAX_ARNOLDI_MODES + 1) * 2 * grid.size,
                         "the Arnoldi basis of the two-level grid build")
         jaynes.require_oscillator_box(grid, self.n_max)
-        # V(x) holds a^2, about alpha^2, and 2 delta: both must stay finite
-        _require(abs(self.alpha) <= 1e150 and abs(self.delta) <= 1e300,
-                 f"need |alpha| <= 1e150 and |delta| <= 1e300, got alpha "
-                 f"{self.alpha}, delta {self.delta}")
+        # V(x) holds 2 delta, and a^2, about alpha^2, which the resolution
+        # rule keeps below (pi / 2h)^2: both stay finite
+        _require(abs(self.delta) <= 1e300,
+                 f"need |delta| <= 1e300, got {self.delta}")
+        _require_resolved(self.alpha, self.h, "alpha")
 
     def grid(self) -> Grid1D:
         return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)

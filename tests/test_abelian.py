@@ -157,7 +157,7 @@ class TestHamiltonian:
             ScalarPotentials(A=lambda x: 0j, V=lambda x: x**2), grid)
         out = verify_pseudo_hermiticity(H, fact, tol=1e-10)
         assert out.r1 <= 1e-12
-        assert out.r2 <= 1e-12
+        assert out.r2_abs / out.norm_H <= 1e-12
 
     def test_weak_residual_drops_with_h(self):
         """Interior weak-form residual decreases by roughly h^4 per halving."""

@@ -243,6 +243,21 @@ class TestExponentials:
         assert np.abs(Up - Up.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(Up).min() > 0
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_compact_factor_is_the_identity_at_q_zero(self, p):
+        """At q = 0, b = 0, and the general formula (the SVD of the p x 0
+        block v) gives I bit for bit, signs of zero included: on one element,
+        and on a stack of 4 with a (3, 1) grid of x broadcast against it."""
+        sig = ThetaSignature(p, 0)
+        one = cartan_split(_el((p, 0), p))
+        stack = cartan_split(random_elements(sig, np.random.default_rng(p), 4))
+        x = np.linspace(-5, 5, 3)[:, None]
+        for comp, x, lead in ((one, 0.7, ()), (stack, x, (3, 4))):
+            Uk = exp_compact(comp, sig, x)
+            eye = np.broadcast_to(np.eye(p), lead + (p, p))
+            assert Uk.dtype == float and Uk.shape == eye.shape
+            assert np.array_equal(Uk.view(np.uint64), eye.view(np.uint64))
+
     def test_tiny_coupling_uses_series_limit(self):
         sig = ThetaSignature(1, 1)
         el = make_element(sig, np.zeros((1, 1)), [[1e-12]], np.zeros((1, 1)))

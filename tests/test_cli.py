@@ -353,12 +353,15 @@ INVALID = [
     ["spectrum-matrix", "--gauge-alpha", "inf"],
     ["spectrum-matrix", "--gauge-alpha", "1e20"],   # expm overflows
     ["spectrum-matrix", "--gauge-alpha", "1e18"],   # U loses unitarity
+    # |alpha| h = 5e6 and 4.5e6, past the pi/2 the grid resolves
+    ["spectrum-matrix", "--gauge-alpha", "1e8"],
     ["jc", "--h", "100"],
     ["jc", "--h", "0"],
     ["jc", "--h", "3"],                      # box too small for n_max
     ["jc", "--n-max", "1"],
     ["jc", "--delta", "nan"],
     ["jc", "--alpha", "1e200"],              # a^2 in V(x) overflows
+    ["jc", "--alpha", "1e8"],
     ["jc", "--delta", "1e308"],              # 2 delta in V(x) overflows
     ["point-angle", "--t11", "1i"],
     # a real part of t12 however small: clifford_angle would drop it

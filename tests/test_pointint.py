@@ -253,6 +253,35 @@ class TestBoundStates:
             counts.add((i % 4, len(states)))
         assert {(0, 2), (1, 1), (2, 1), (3, 0)} <= counts
 
+    def test_zero_root_dropped_at_t11_zero(self):
+        """At t11 = 0, det M(k) = k (c1 + c2 k): bound_states keeps exactly
+        the root -c1/c2 (as numpy divides, in float64 for real coefficients)
+        where it decays, and drops the zero root, for PT and complex
+        couplings; each sweep row at t11 = 0 is bound_states of its
+        coupling."""
+        axes = ([0.0], [-2.0, -0.5, 1.0, 3.0], [-1.5, 0.0, 2.0],
+                [-2.5, 0.0, 1.0])
+        pt = [pt_coupling(*t) for t in itertools.product(*axes)]
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+        seen = set()
+        for T in pt + [CouplingMatrixT(0j, *map(complex, t)) for t in z]:
+            c1, c2 = np.array([2 - T.det / 2]), np.array([-T.t22])
+            real = c1.imag[0] == c2.imag[0] == 0
+            root = complex((-c1.real / c2.real if real else -c1 / c2)[0])
+            states = bound_states(T)
+            assert len(states) == (root.real > 1e-12)
+            if states:
+                if abs(root.imag) <= 1e-10:
+                    root = complex(root.real, 0.0)
+                assert bits(states[0].kappa) == bits(root)
+            seen.add((bool(real), len(states)))
+        assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+        for row, T in zip(pt_phase_sweep(*axes), pt, strict=True):
+            energies = np.full(2, complex(np.nan, np.nan))
+            energies[:row.n_bound] = [s.energy for s in bound_states(T)]
+            assert bits(row.energies) == bits(energies)
+
     @given(lattice, lattice, lattice, lattice)
     @settings(max_examples=60)
     def test_states_satisfy_domain_condition(self, t11, t22, b12, b21):
