@@ -50,7 +50,6 @@ from .schrodinger import (
     ConstantGauge,
     MatrixPotential,
     build_and_regauge,
-    sample_audited_potential,
     spectral_compare,
     symmetry_audit,
 )
@@ -72,7 +71,7 @@ from .pointint import (
     domain_check,
     pt_phase_sweep,
 )
-from .verification import VerifyConfig, run_verify_all
+from .verification import VerifyConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -92,7 +92,6 @@ class GaugeFactorization:
     grid: Grid1D
     u_u: np.ndarray                  # U_u = diag(u_u), u_u = e^{-iQ}
     u_h: np.ndarray                  # U_h = diag(u_h), u_h = e^{S}
-    u: np.ndarray                    # U = U_u U_h
     abs_eta: np.ndarray              # |eta| = U_h^2
     eta: scipy.sparse.csr_array
     J: scipy.sparse.csr_array
@@ -151,7 +150,7 @@ def gauge_factorization(A: Callable[[np.ndarray], np.ndarray],
         residuals["P_RQ_anticommute"] = float(np.abs(R_Q[::-1] + R_Q).max())
 
     return GaugeFactorization(
-        grid=grid, u_u=u_u, u_h=u_h, u=u, abs_eta=abs_eta,
+        grid=grid, u_u=u_u, u_h=u_h, abs_eta=abs_eta,
         eta=antidiagonal(eta_d), J=antidiagonal(J_d),
         Q=Q, R_Q=R_Q, residuals=residuals,
     )

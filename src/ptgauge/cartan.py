@@ -47,8 +47,8 @@ is mask * X, equal to the two products bit for bit for finite X) and the
 draw slots and scale, all read-only and built once.  A sampled element is
 its matrix: its draws are scattered into their slots, the result is
 antisymmetrized and scaled, and it is only checked finite; every array is
-O(m^2) per element.  u, v, w are views of the matrix.  Both constructors
-return read-only matrices.
+O(m^2) per element.  The blocks u, v, w are not stored: a kernel slices
+them from the matrix.  Both constructors return read-only matrices.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def _real_block(M, name: str, shape: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class GaugeAlgebraElement:
     """An element of g_Theta as its (m, m) matrix, or a stack of elements
-    as a (..., m, m) matrix; u, v, w are read-only views of its blocks."""
+    as a (..., m, m) matrix."""
 
     sig: ThetaSignature
     matrix: np.ndarray
@@ -140,18 +140,6 @@ class GaugeAlgebraElement:
     def __getitem__(self, index) -> "GaugeAlgebraElement":
         """The element or sub-stack at index of the leading axes."""
         return GaugeAlgebraElement(self.sig, self.matrix[index])
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.matrix[..., :self.sig.p, :self.sig.p].imag
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.matrix[..., :self.sig.p, self.sig.p:].real
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.matrix[..., self.sig.p:, self.sig.p:].imag
 
     @property
     def gauge_potential(self) -> np.ndarray:

@@ -14,9 +14,9 @@ Grid operators are complex scipy.sparse CSR arrays: momentum and
 second_derivative are tridiagonal, parity is anti-diagonal, and sign is
 diagonal.  Block operators on grid (x) C^m have the grid index slowest (node
 j occupies rows j*m .. j*m+m-1); block_tridiagonal assembles one from its
-m x m blocks.  sample_on_nodes calls f(x) once, on the node array.  eig and
-expm accept dense or sparse input.  expm works on a dense complex copy,
-and also takes a (..., m, m) stack of matrices.  eig reads the input's
+m x m blocks.  sample_on_nodes calls f(x) once, on the node array.  eig
+accepts dense or sparse input; expm takes a dense matrix or a (..., m, m)
+stack of them, on a complex copy.  eig reads the input's
 stored entries once, picks its LAPACK driver by their exact structure and
 solves them: a Hermitian matrix of bandwidth kd < n/32 goes to the band
 driver and is never made dense.
@@ -268,16 +268,15 @@ def eig(M, parity=None) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade) of a dense or sparse
-    matrix, or of each matrix of a (..., m, m) stack, on a dense complex copy.
+    """Matrix exponential (scaling-and-squaring Pade) of a dense matrix, or
+    of each matrix of a (..., m, m) stack, on a complex copy.
 
     scipy.linalg.expm works slice by slice, so each slice of a stacked
     result equals the exponential of that matrix alone bit for bit.
     Raises ValueError on non-square or non-finite input, and OverflowError
     if any entry of the result overflows.
     """
-    M = np.asarray(M.toarray() if scipy.sparse.issparse(M) else M,
-                   dtype=complex)
+    M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {M.shape}")
     if not np.isfinite(M).all():

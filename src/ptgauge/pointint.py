@@ -30,13 +30,14 @@ whose roots with Re k > 0 give energies E = -k^2.
 The phase sweep works on arrays, a block of couplings at a time: the
 couplings come from one meshgrid, det T, phi, the degenerate flag and the
 pairing class are computed entry-wise, and each block is written into the
-columns of a PhaseSweep, whose rows are built only when they are read.
+columns of a PhaseSweep, whose rows are built only as they are iterated.
 bound_states and the sweep take their roots, energies and order from one
 kernel, _decaying_states, which finds the quadratic roots by stacked
 eigvals calls on companion matrices, in float64 for real coefficients;
-only bound_states computes amplitudes and domain residuals.  At t11 = 0
-the companion matrix [[-c1/c2, -0/c2], [1, 0]] is triangular, and eigvals
-gives its roots -c1/c2 and 0 exactly; the zero root does not decay.
+only bound_states computes amplitudes and domain residuals (relative to the
+size of T Gamma_0 f and Gamma_1 f).  At t11 = 0 the companion matrix
+[[-c1/c2, -0/c2], [1, 0]] is triangular, and eigvals gives its roots
+-c1/c2 and 0 exactly; the zero root does not decay.
 """
 
 from __future__ import annotations
@@ -97,9 +98,14 @@ def boundary_maps(f: PiecewiseFunction) -> tuple:
 
 
 def domain_check(T: CouplingMatrixT, f: PiecewiseFunction) -> float:
-    """Residual of the domain condition T Gamma_0 f = Gamma_1 f."""
+    """Residual of the domain condition T Gamma_0 f = Gamma_1 f over
+    s = max(1, |T Gamma_0 f|_inf, |Gamma_1 f|_inf), floored at 1 as in the
+    rel of abelian.gauge_factorization: each side is a few rounded products
+    of the traces, off by a few eps s, and s ~ |kappa| at a bound state."""
     g0, g1 = boundary_maps(f)
-    return float(np.abs(T.matrix @ g0 - g1).max())
+    lhs = T.matrix @ g0
+    return float(np.abs(lhs - g1).max()
+                 / max(1.0, np.abs(lhs).max(), np.abs(g1).max()))
 
 
 @dataclass(frozen=True)
@@ -311,9 +317,9 @@ _BLOCK = 1024   # couplings the sweep solves at once
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseSweep(Sequence):
+class PhaseSweep:
     """The rows of a sweep as read-only columns, classification as indices
-    into CLASSIFICATIONS; a row is built when it is indexed or iterated."""
+    into CLASSIFICATIONS; the rows are built as they are iterated."""
 
     t11: np.ndarray
     t22: np.ndarray
@@ -337,12 +343,6 @@ class PhaseSweep(Sequence):
         names = map(CLASSIFICATIONS.__getitem__,
                     self.classification[s].tolist())
         return map(SweepRow, *scalars, self.energies[s], names)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self._rows(i))
-        i = range(len(self))[i]   # IndexError past either end
-        return next(self._rows(slice(i, i + 1)))
 
     def __iter__(self):
         for lo in range(0, len(self), _BLOCK):

@@ -7,15 +7,15 @@ operator is built independently as H = p^2 + e^{-iAx} V(x) e^{iAx}; the
 two discretizations agree up to O(h^2), which is what spectral_compare
 measures.  The literal similarity U H_g U^{-1}, with the block-diagonal
 gauge transform U = (+)_j e^{-iAx_j}, is spectrally exact by construction;
-it feeds the similarity check of the verification suite.
+similarity_transform forms it for matrix/similarity_spectrum_exact only.
 
 All three operators are block-tridiagonal and U is block-diagonal; they are
 CSR arrays assembled from their block diagonals (linalg.block_tridiagonal),
-with V called once, elementwise, on the nodes.  As x_{n-1-j} = -x_j
-exactly, the blocks e^{iAx_j} of U^{-1} are the one stack of exponentials
-e^{-iAx_j} reversed, bit for bit: one eigh of a Hermitian A (real when -iA
-is), else one expm stack.  When A and every V(x_j) are Hermitian,
-U is unitary and all three are Hermitian in exact arithmetic; H,
+with V called once per build, elementwise, on the nodes.  As x_{n-1-j} =
+-x_j exactly, the blocks e^{iAx_j} of U^{-1} are the one stack of
+exponentials e^{-iAx_j} reversed, bit for bit: one eigh of a Hermitian A
+(real when -iA is), else one expm stack.  When A and every V(x_j) are
+Hermitian, U is unitary and all three are Hermitian in exact arithmetic; H,
 U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  spectral_compare takes
 the whole spectra by eig, as it classifies their pairing; lowest_mode_match
@@ -169,7 +169,6 @@ class RegaugeResult:
     grid: Grid1D
     H_g: scipy.sparse.csr_array
     H: scipy.sparse.csr_array          # direct build p^2 + e^{-iAx} V e^{iAx}
-    H_similar: scipy.sparse.csr_array  # U H_g U^{-1}
 
 
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
@@ -179,19 +178,29 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
 
     # e^{-iAx_j} at every node; as x_{n-1-j} = -x_j, reversed it is e^{iAx_j}
     U_blocks = _exponentials(A, x)
-    Ui_blocks = U_blocks[::-1]
-    Vt_blocks = U_blocks @ Vs @ Ui_blocks
-    H_similar = (block_tridiagonal(0, U_blocks, 0) @ H_g
-                 @ block_tridiagonal(0, Ui_blocks, 0))
+    Vt_blocks = U_blocks @ Vs @ U_blocks[::-1]
     if hermitian:   # then U is unitary
         scale = _norm_inf(U_blocks).max() ** 2 * (1 + np.abs(x) * _norm_inf(A))
         Vt_blocks = _hermitian_part(
             Vt_blocks, m, (scale * _norm_inf(Vs))[:, None, None])
-        H_similar = _hermitian_part(H_similar, m, scale.max() * _norm_inf(H_g))
     L_lo, L_d, L_up = stencil(grid, "second_derivative")
     I = np.eye(m)
     H = block_tridiagonal(L_lo * I, L_d * I + Vt_blocks, L_up * I)
-    return RegaugeResult(grid=grid, H_g=H_g, H=H, H_similar=H_similar)
+    return RegaugeResult(grid=grid, H_g=H_g, H=H)
+
+
+def similarity_transform(res: RegaugeResult, gauge: ConstantGauge,
+                         pot: MatrixPotential) -> scipy.sparse.csr_array:
+    """U H_g U^{-1}, U = (+)_j e^{-iAx_j}, of res = build_and_regauge(gauge,
+    pot, grid); its Hermitian part when A and every V(x_j) are Hermitian."""
+    x, A = res.grid.nodes, gauge.A
+    U_blocks = _exponentials(A, x)
+    S = (block_tridiagonal(0, U_blocks, 0) @ res.H_g
+         @ block_tridiagonal(0, U_blocks[::-1], 0))
+    if _is_hermitian(A) and _is_hermitian(pot.sample(x)):   # U is unitary
+        scale = _norm_inf(U_blocks).max() ** 2 * (1 + np.abs(x) * _norm_inf(A))
+        S = _hermitian_part(S, gauge.m, scale.max() * _norm_inf(res.H_g))
+    return S
 
 
 @dataclass(frozen=True)

@@ -642,7 +642,8 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
                                   "matrix/spectral_match_h0.05")
     # the literal similarity transform is spectrally exact
     sim = match_spectra(coarse.eigenvalues_Hg, eig(
-        res.H_similar, schrodinger.extended_parity(res.grid, example[0])))
+        schrodinger.similarity_transform(res, *example[1:]),
+        schrodinger.extended_parity(res.grid, example[0])))
     rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
     # the dense spectra are the oracle of the sparse lowest modes
     gaps = []
@@ -894,7 +895,3 @@ def run(name: str, params) -> Report:
         rep.timings[record.__name__] = time.perf_counter() - t
     rep.wall_time = sum(rep.timings.values())
     return rep
-
-
-def run_verify_all(cfg: VerifyConfig | None = None) -> Report:
-    return run("verify-all", cfg or VerifyConfig())

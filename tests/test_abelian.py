@@ -111,8 +111,8 @@ class TestFactorization:
             + 1j * rng.standard_normal((GRID.size, 4))
         # PT f = conj(f(-x)) = conj(f[::-1]); PT U f must equal U PT f
         pt = lambda f: np.conj(f[::-1])
-        assert np.abs(pt(fact.u[:, None] * samples)
-                      - fact.u[:, None] * pt(samples)).max() <= 1e-10
+        u = (fact.u_u * fact.u_h)[:, None]   # U = U_u U_h
+        assert np.abs(pt(u * samples) - u * pt(samples)).max() <= 1e-10
 
 
 def running_sum_reference(node_vals, value_at_0, grid):

@@ -29,13 +29,13 @@ from ptgauge.verification import (
     check_matrix_schrodinger,
     check_parity_metric_relations,
     check_point_angle,
-    run_verify_all,
+    run,
 )
 
 
 @pytest.fixture(scope="session")
 def report():
-    return run_verify_all(VerifyConfig())
+    return run("verify-all", VerifyConfig())
 
 
 def _select(report, prefixes, exclude=()):

@@ -74,6 +74,18 @@ class TestExitCodes:
         assert payload["config"]["n_bound"] == 0
         assert payload["records"] == []
 
+    def test_point_spectrum_at_a_large_kappa(self, tmp_path):
+        """t22 = -1e-13 gives a state at kappa = 4.5e6, whose traces are of
+        that size: its domain residual, relative to them, reads rounding
+        (2.3e-16; 6.6e-10 as an absolute residual), and the command exits 0."""
+        assert main(["point-spectrum", "--t22=-1e-13",
+                     "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "point-spectrum.json").read_text())
+        assert payload["config"]["n_bound"] == 1
+        domain = payload["records"][0]
+        assert domain["name"] == "point/domain_residuals"
+        assert float(domain["residual"]) <= 1e-15
+
     @pytest.mark.parametrize("t22", ["1e5", "1e8"])
     def test_point_angle_at_a_large_t22(self, t22, tmp_path, capsys):
         """A small phi keeps its relative accuracy, so the defining relation

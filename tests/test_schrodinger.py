@@ -16,7 +16,8 @@ from ptgauge.schrodinger import (
     spectral_compare,
     symmetry_audit,
 )
-from ptgauge.verification import SpectrumMatrixParams, matrix_example
+from ptgauge.verification import SpectrumMatrixParams, VerifyConfig, \
+    matrix_example, run
 
 SIG = ThetaSignature(1, 1)
 GRID = Grid1D.from_box(6.0, 0.1)
@@ -89,7 +90,8 @@ class TestAudit:
 class TestRegauge:
     def test_similarity_is_spectrally_exact(self):
         res = build_and_regauge(_gauge(), _well(), GRID)
-        assert match_spectra(eig(res.H_g), eig(res.H_similar)).max() <= 1e-8
+        similar = schrodinger.similarity_transform(res, _gauge(), _well())
+        assert match_spectra(eig(res.H_g), eig(similar)).max() <= 1e-8
 
     def test_zero_gauge_collapses_builds(self):
         gauge = ConstantGauge(A=np.zeros((2, 2)))
@@ -136,7 +138,8 @@ class TestRegauge:
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
         monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        for M in (res.H_g, res.H, res.H_similar):
+        for M in (res.H_g, res.H,
+                  schrodinger.similarity_transform(res, gauge, pot)):
             assert (M != M.conj().T).count_nonzero() == 0
             assert not M.data.imag.any() and _entries(M)[3].dtype == float
             eig(M)
@@ -147,10 +150,11 @@ class TestRegauge:
     def test_non_unitary_gauge_transform_raises(self, monkeypatch):
         """Negative twin: a U = e^{-iAx} (from the eigh closed form of the
         Hermitian A) whose first column is scaled by 1 + 1e-8 is no longer
-        unitary, and the skew part it leaves in
-        U V U^{-1} is far above rounding, so the build raises instead of
-        projecting it away.  (A uniform real scale would not do: it keeps
-        U V U^{-1} Hermitian.)"""
+        unitary, and the skew part it leaves in U H_g U^{-1} is far above
+        rounding, so similarity_transform raises instead of projecting it
+        away.  So does the direct build, through its blocks U V U^{-1}, for
+        a V that the skew does not leave Hermitian (V = x^2 I does).  (A
+        uniform real scale would not do: it keeps both Hermitian.)"""
         exponentials = schrodinger._exponentials
 
         def skewed(A, x):
@@ -161,8 +165,13 @@ class TestRegauge:
         monkeypatch.setattr(schrodinger, "_exponentials", skewed)
         params = SpectrumMatrixParams()
         _, gauge, pot = matrix_example(params.gauge_alpha)
+        res = build_and_regauge(gauge, pot, params.grid())
         with pytest.raises(RuntimeError, match="rounding bound"):
-            build_and_regauge(gauge, pot, params.grid())
+            schrodinger.similarity_transform(res, gauge, pot)
+        tilted = MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2)
+                                 + np.array([[1.0, 0.5], [0.5, -1.0]]))
+        with pytest.raises(RuntimeError, match="rounding bound"):
+            build_and_regauge(gauge, tilted, params.grid())
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +215,45 @@ class TestRegauge:
         with pytest.raises(ValueError,
                            match=rf"expected shape \({GRID.size}, 2, 2\)"):
             build_and_regauge(_gauge(), MatrixPotential(m=2, V=V), GRID)
+
+
+class TestSimilarityFormedOnlyForItsRecord:
+    """U H_g U^-1 is formed only by similarity_transform, for the record
+    matrix/similarity_spectrum_exact: one verify-all forms it once, and the
+    dual build and its comparisons never do.  U and U^-1 are the only
+    block-diagonal operators schrodinger assembles."""
+
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        calls = {"similarity_transform": 0, "block_diagonal": 0}
+        similar, assemble = (schrodinger.similarity_transform,
+                             schrodinger.block_tridiagonal)
+
+        def counted_similar(*args):
+            calls["similarity_transform"] += 1
+            return similar(*args)
+
+        def counted_assemble(lower, diag, upper):
+            calls["block_diagonal"] += np.ndim(lower) == np.ndim(upper) == 0
+            return assemble(lower, diag, upper)
+
+        monkeypatch.setattr(schrodinger, "similarity_transform", counted_similar)
+        monkeypatch.setattr(schrodinger, "block_tridiagonal", counted_assemble)
+        return calls
+
+    def test_verify_all_forms_it_once(self, formed):
+        run("verify-all", VerifyConfig())
+        assert formed == {"similarity_transform": 1, "block_diagonal": 2}
+
+    def test_spectrum_matrix_never_forms_it(self, formed):
+        run("spectrum-matrix", SpectrumMatrixParams())
+        assert formed == {"similarity_transform": 0, "block_diagonal": 0}
+
+    def test_comparisons_never_form_it(self, formed):
+        res = build_and_regauge(_gauge(), _well(), GRID)
+        spectral_compare(res, SIG, n_low=8)
+        schrodinger.lowest_mode_match(res, 8)
+        assert formed == {"similarity_transform": 0, "block_diagonal": 0}
 
 
 def test_grid_convergence_order():
