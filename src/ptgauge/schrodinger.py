@@ -241,7 +241,7 @@ def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
 
     # block test vectors: scalar envelope times each coordinate direction
     Tb = np.kron(interior_test_vectors(res.grid), np.eye(sig.m))
-    r_abs = weak_pseudo_hermiticity_residual(res.H_g, P_bold, Tb)
+    r_abs, = weak_pseudo_hermiticity_residual(res.H_g, [P_bold], Tb)
     r = r_abs / operator_norm_estimate(res.H_g)
 
     return SpectralCompareReport(

@@ -140,8 +140,8 @@ class GaugeScalarParams(_Params):
         n = self.grid().size
         _require_budget(9 * n, f"the test vectors on {_size(n)} grid nodes")
         abelian.require_weak_form_grid(self.grid())
-        # |eta| = e^{beta x^2} must stay a positive finite float on the box,
-        # and the squared norm of H_g^H H_g v, about alpha^8, must not overflow
+        # |eta| = e^{beta x^2} must stay a positive finite float on the box;
+        # alpha^2 <= 1e60 keeps H_g's entries, |H_g|'s sums and H_g T finite
         _require(abs(self.beta) <= 700 / (self.box * self.box),
                  f"need |beta| box^2 <= 700, got beta {self.beta}, "
                  f"box {self.box}")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptgauge.abelian import (
+    N_BUFFER,
     ScalarPotentials,
     _cumulative_from_origin,
     build_scalar_hamiltonian,
@@ -179,6 +180,20 @@ class TestHamiltonian:
         out = verify_pseudo_hermiticity(H, fact, tol=1.0)
         assert out.r2_abs > 0.1
 
+    @pytest.mark.parametrize("A", [lambda x: 1.0 + 0j, lambda x: 0.3j * x],
+                             ids=["alpha", "beta"])
+    def test_both_metrics_from_one_pass(self, A):
+        """r1_abs and r2_abs are the kernel's one-metric residuals, bit
+        for bit."""
+        fact = gauge_factorization(A, GRID)
+        H = build_scalar_hamiltonian(ScalarPotentials(A=A, V=lambda x: x**2),
+                                     GRID)
+        out = verify_pseudo_hermiticity(H, fact, tol=1.0)
+        T = interior_test_vectors(GRID)
+        assert [out.r1_abs, out.r2_abs] == [
+            weak_pseudo_hermiticity_residual(H, [eta], T)[0]
+            for eta in (fact.eta, grid_operator(GRID, "parity"))]
+
     def test_nan_potential_poisons_every_residual(self):
         """A NaN in H must not be reported as a zero weighted-form residual."""
         grid = Grid1D.from_box(4.0, 0.1)
@@ -244,4 +259,12 @@ class TestInteriorVectors:
         P = grid_operator(grid, "parity")
         T = interior_test_vectors(grid)
         # p^2 is P-selfadjoint exactly, even with boundary rows included
-        assert weak_pseudo_hermiticity_residual(L, P, T) <= 1e-11
+        assert weak_pseudo_hermiticity_residual(L, [P], T)[0] <= 1e-11
+
+    def test_memoized_read_only_real(self):
+        """Equal grids share one read-only float64 array."""
+        T = interior_test_vectors(Grid1D.from_box(6.0, 0.05))
+        assert interior_test_vectors(Grid1D.from_box(6.0, 0.05)) is T
+        assert T.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            T[N_BUFFER, 0] = 1.0

@@ -607,6 +607,28 @@ class TestIndefiniteInner:
         with pytest.raises(ValueError, match="dimension mismatch"):
             indefinite_inner(f, f[:-1], J, np.ones(g.size), g.spacing)
 
+    def test_column_block_is_its_columns(self):
+        """An (n, k) block gives the k forms of its columns; blocks of
+        other shapes are refused."""
+        g = Grid1D(half_count=40, spacing=0.1)
+        J = grid_operator(g, "parity")
+        w = 1.0 + g.nodes**2
+        rng = np.random.default_rng(5)
+        f, h = (rng.standard_normal((g.size, 7))
+                + 1j * rng.standard_normal((g.size, 7)) for _ in range(2))
+        got = indefinite_inner(f, h, J, w, g.spacing)
+        want = [indefinite_inner(f[:, c], h[:, c], J, w, g.spacing)
+                for c in range(7)]
+        assert got.shape == (7,)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        for f_shape, h_shape, n_w in (((80, 3), (80, 2), 80),   # columns
+                                      ((80, 3), (80, 3), 79),   # weight
+                                      ((79, 3), (79, 3), 79),   # rows
+                                      ((80, 3, 1), (80, 3, 1), 80)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                indefinite_inner(np.ones(f_shape), np.ones(h_shape), J,
+                                 np.ones(n_w), g.spacing)
+
 
 def _pairing_reference(eigenvalues, tol):
     """The list search that pairing_check replaced, as the oracle."""
@@ -784,25 +806,37 @@ class TestLowest:
             lowest_common(3, [0.0, 1.0], [0.5, 2.0])
 
 
-def test_norm_estimate_matches_svd():
-    """A complex 40 x 40 matrix with singular values 4, 1, 0.99, ...: the
-    fixed 30 power steps on M^H M shrink the rest by (1/16)^30."""
+def test_norm_estimate_bounds_svd():
+    """Hölder's bound sqrt(|M|_1) sqrt(|M|_inf) is never below |M|_2: on a
+    complex 40 x 40 matrix with singular values 4, 1, 0.99, ..., 0.1, and
+    on diag(4, 1), where it is |M|_2."""
     rng = np.random.default_rng(9)
     Q1, _ = np.linalg.qr(rng.standard_normal((40, 40))
                          + 1j * rng.standard_normal((40, 40)))
     Q2, _ = np.linalg.qr(rng.standard_normal((40, 40))
                          + 1j * rng.standard_normal((40, 40)))
     M = Q1 @ np.diag(np.r_[4.0, np.linspace(1.0, 0.1, 39)]) @ Q2.conj().T
-    est = operator_norm_estimate(M)
-    exact = np.linalg.norm(M, 2)
-    assert abs(est - exact) <= 1e-12 * exact
+    assert operator_norm_estimate(M) >= np.linalg.norm(M, 2)
+    D = np.diag([4.0, 1.0])
+    assert operator_norm_estimate(D) == np.linalg.norm(D, 2)
 
 
 @pytest.mark.parametrize("M", [np.diag([1e200, 1.0]),
-                               scipy.sparse.diags_array([1e200, 1.0])],
+                               scipy.sparse.diags_array([1e200, 1.0]),
+                               scipy.sparse.diags([1e200, 1.0])],
+                         ids=["dense", "sparse", "spmatrix"])
+def test_norm_estimate_of_a_large_diagonal(M):
+    """The product of the largest column and row sums, 1e400, would
+    overflow; their roots are taken apart."""
+    assert operator_norm_estimate(M) == 1e200
+
+
+@pytest.mark.parametrize("M", [np.array([[1e308, 1e308], [0.0, 1.0]]),
+                               scipy.sparse.csr_array([[1e308, 1e308],
+                                                       [0.0, 1.0]])],
                          ids=["dense", "sparse"])
 def test_norm_estimate_overflow_raises(M):
-    """M^H M v overflows; the estimate used to come out NaN (or 0.0)."""
+    """The first row's absolute sum overflows, though every entry is finite."""
     with pytest.raises(OverflowError):
         operator_norm_estimate(M)
 

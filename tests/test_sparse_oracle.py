@@ -135,8 +135,7 @@ def test_weak_form_matches_dense(name):
     T = interior_test_vectors(grid)
     P = dense_stencils(grid)["parity"]
     norm_H = operator_norm_estimate(H)
-    r1_abs = weak_pseudo_hermiticity_residual(H, eta, T)
-    r2_abs = weak_pseudo_hermiticity_residual(H, P, T)
+    r1_abs, r2_abs = weak_pseudo_hermiticity_residual(H, [eta, P], T)
     # the weighted-form loop of verify_pseudo_hermiticity, summed densely
     rng = np.random.default_rng(7)
     w = np.diag(fact.u_h**2)
@@ -155,6 +154,22 @@ def test_weak_form_matches_dense(name):
                       (out.r2_abs, r2_abs),
                       (out.weighted_form_residual, max(wf))):
         assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("build", ["alpha", "beta", "matrix"])
+def test_norm_bound_is_tight(build):
+    """Hölder's bound on ||H_g||_2 lies within 4 % above the SVD norm: on
+    the scalar H_g at n = 320 and on the matrix example's H_g at h = 0.1
+    (dim 320), where it is loosest."""
+    if build == "matrix":
+        params = verification.SpectrumMatrixParams()
+        H = build_and_regauge(*verification.matrix_example(params.gauge_alpha)[1:],
+                              Grid1D.from_box(params.box, 0.1)).H_g
+    else:
+        H = build_scalar_hamiltonian(ScalarPotentials(
+            A=GAUGES[build], V=lambda t: t**2), GRIDS[1])
+    ratio = operator_norm_estimate(H) / np.linalg.norm(H.toarray(), 2)
+    assert 1.0 <= ratio <= 1.04
 
 
 def test_weak_residual_order_beyond_dense_reach():
