@@ -16,13 +16,16 @@ and the noncompact part c = i diag(u, w) is the Cartan decomposition of
 this set; the set closes under the double bracket [a1, [a2, a3]] but not
 under the single bracket.
 
-Closed-form exponentials:
-  exp(b x): block cosine/sine form through the SVD of v, with the
-            sin(s x)/s spectral function switching to its series limit x
-            below a 1e-8 singular-value threshold.
-  exp(c x): block-diagonal Hermitian exponential diag(e^{iux}, e^{iwx}).
-At q = 0 (b = 0) both take these formulas: the SVD of the p x 0 block v
-gives W = I, so exp(b x) is the identity bit for bit.
+Exponentials of the two parts:
+  exp(b x): closed-form block cosine/sine form through the SVD of v, with
+            the sin(s x)/s spectral function switching to its series limit
+            x below a 1e-8 singular-value threshold.
+  exp(c x): diag(e^{iux}, e^{iwx}), Hermitian positive, as one expm of the
+            block-diagonal c x: scipy's Pade keeps every off-block entry
+            exactly zero, so no block is exponentiated on its own.
+At q = 0 (b = 0) both take these routes: the SVD of the p x 0 block v
+gives W = I, so exp(b x) is the identity bit for bit, and exp(c x) is the
+expm of the p x p block.
 
 Stacks.  An element is its matrix: a (m, m) matrix is one element, a
 (..., m, m) stack of them, say (k, m, m), is k elements, indexed like an
@@ -33,7 +36,7 @@ axes, so lts_check, membership_residual, exp_compact, exp_noncompact,
 parity_relations_check and group_polar give an array of per-element
 residuals where one element gives a float.  x may be an array that
 broadcasts against the leading axes; parity_relations_check stacks x
-and -x, so it takes one SVD and one stacked expm per block.
+and -x, so it takes one SVD and one stacked expm.
 Each slice of a stacked result equals the per-element call bit for bit:
 numpy's stacked matmul, svd and inv and scipy's stacked expm run the same
 kernel on every slice, and the entry-wise steps do not depend on the
@@ -285,15 +288,10 @@ def exp_compact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray:
 
 
 def exp_noncompact(comp: CartanComponents, sig: ThetaSignature, x) -> np.ndarray:
-    """Block-diagonal exp(c x) = diag(e^{iux}, e^{iwx}), Hermitian positive;
-    x is a number or an array that broadcasts against the leading axes of c."""
-    p = sig.p
-    c = comp.c
-    x = np.asarray(x, dtype=float)[..., None, None]
-    U = np.zeros(np.broadcast_shapes(c.shape, x.shape), dtype=complex)
-    U[..., :p, :p] = expm(c[..., :p, :p] * x)
-    U[..., p:, p:] = expm(c[..., p:, p:] * x)
-    return U
+    """exp(c x) = diag(e^{iux}, e^{iwx}), Hermitian positive, as one expm of
+    the block-diagonal c x; x is a number or an array that broadcasts against
+    the leading axes of c.  sig is not read."""
+    return expm(comp.c * np.asarray(x, dtype=float)[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -360,13 +358,14 @@ def parity_relations_check(a: GaugeAlgebraElement, x) -> ParityRelationsReport:
     to |U_p(x)|_max |U_p(-x)|_max (largest entry moduli, a product >= 1 as
     U_p(-x) = U_p(x)^{-1} is positive definite): their rounding error grows
     like e^{|c||x|}.
-    x is a number or an array that broadcasts against a's leading axes.
+    x is a number or an array that broadcasts against a's leading axes; the
+    factors at x and -x come from one SVD and one expm of the stack.
     """
     sig = a.sig
     comp = cartan_split(a)
     x = np.asarray(x, dtype=float)
     x = np.broadcast_to(x, np.broadcast_shapes(x.shape, a.matrix.shape[:-2]))
-    xx = np.stack([x, -x])   # one SVD and one stacked expm per block
+    xx = np.stack([x, -x])   # one SVD and one stacked expm
     Uk_p, Uk_m = exp_compact(comp, sig, xx)
     Up_p, Up_m = exp_noncompact(comp, sig, xx)
     scale = max_abs(Up_p) * max_abs(Up_m)

@@ -176,17 +176,26 @@ class BoundaryTransformReport:
 
 def matrix_relation_residual(T: CouplingMatrixT, m1: np.ndarray,
                              m2: np.ndarray) -> float:
-    """Residual of T^H M2 T = M1 T - T^H M1 - 4 M2.
+    """Residual of T^H M2 T = M1 T - T^H M1 - 4 M2, relative to
+    max(1, |T|_max)^2.
 
     Its matrix has column i equal to T^H Gamma_0' - Gamma_1', where
     (Gamma_0', Gamma_1') is the image under P_phi of the domain data
     Gamma_0 = e_i, Gamma_1 = T e_i of H_T: it vanishes exactly when P_phi
     maps the domain of H_T into that of H_T^H.
+
+    Scale: M1 = cos(phi) sigma_3 and M2 = (i/2) sin(phi) sigma_1 have
+    entries of modulus <= 1, so every entry of both sides is a sum of at
+    most four products of at most two entries of T with such entries.  Its
+    rounding is a few eps max(1, |T|_max)^2, and the residual is divided by
+    that scale, as two divisions by max(1, |T|_max): the square overflows
+    past |T|_max = 1.3e154, where a NaN angle must still give NaN.
     """
     M = T.matrix
     lhs = M.conj().T @ m2 @ M
     rhs = m1 @ M - M.conj().T @ m1 - 4 * m2
-    return float(np.abs(lhs - rhs).max())
+    s = max(1.0, float(np.abs(M).max()))
+    return float(np.abs(lhs - rhs).max() / s / s)
 
 
 def boundary_transform_check(T: CouplingMatrixT, sol: PhiSolution,

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse
 
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
-from .cartan import ThetaSignature
+from .cartan import ThetaSignature, membership_residual
 from .linalg import Grid1D, block_tridiagonal, eig, expm, grid_operator, \
     lowest_common, lowest_modes, match_spectra, operator_norm_estimate, \
     pairing_check, sample_on_nodes, stencil
@@ -79,19 +79,17 @@ def symmetry_audit(gauge: ConstantGauge, pot: MatrixPotential,
                    sig: ThetaSignature, grid: Grid1D) -> dict:
     """Residuals of the PT / parity-selfadjointness matrix identities, by name.
 
-    A-side: Theta A* Theta = A, Theta A^H Theta = -A, A = -A^T.
+    A-side: A = i a with a in g_Theta, by membership_residual of a = -i A:
+    A = -A^T and Theta A^H Theta = -A, which imply Theta A* Theta = A.
     V-side (max over nodes): Theta V*(-x) Theta = V(x),
     Theta V^H(-x) Theta = V(x), V = V^T.
     """
-    A = gauge.A
     th = sig.theta
     x = grid.nodes
     Vs = pot.sample(x)
     Vrev = Vs[::-1]
     return {
-        "A_pt": float(np.abs(th @ A.conj() @ th - A).max()),
-        "A_selfadj": float(np.abs(th @ A.conj().T @ th + A).max()),
-        "A_antisym": float(np.abs(A + A.T).max()),
+        "A_membership": membership_residual(-1j * gauge.A, sig),
         "V_pt": float(np.abs(th @ Vrev.conj() @ th - Vs).max()),
         "V_selfadj": float(np.abs(th @ np.conj(np.swapaxes(Vrev, 1, 2)) @ th
                                   - Vs).max()),

@@ -278,12 +278,14 @@ class CouplingParams(_Params):
 @dataclass(frozen=True)
 class PointAngleParams(CouplingParams):
     """The coupling of point-angle, which must be PT-symmetric; point-angle
-    finds no roots, so only det T + 4 is bounded."""
+    finds no roots, so only the entries are bounded: |t_ij| <= 1e150 keeps
+    det T + 4 and the products of two entries in point/matrix_relation
+    finite."""
 
     def check(self):
         T = self.coupling()
-        d = T.det + 4
-        _require(cmath.isfinite(d), f"det T + 4 must be finite, got {d}")
+        t_max = float(np.abs(T.matrix).max())
+        _require(t_max <= 1e150, f"need |t_ij| <= 1e150, got {t_max:g}")
         _require(T.is_pt_symmetric,
                  "coupling matrix is not PT-symmetric (t11, t22 must be real; "
                  "t12, t21 purely imaginary)")
@@ -528,20 +530,14 @@ def run_lts_check(rep: Report, params: LtsParams):
 
 def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
                   x) -> np.ndarray:
-    """Gap between the closed-form exponentials of b x, c x and expm, for
+    """Gap between the closed-form exp(b x) and scipy's expm of b x, for
     each element of the stack comp at each x (which broadcasts against it).
 
-    The noncompact half is no independent dual build: both sides are
-    scipy's expm, of each block and of the block-diagonal c x, and differ
-    only by the Pade order and scaling that each norm selects.  Yet it sets
-    `cartan/closed_form_exponentials` (2.1e-12 at the default seed; the
-    compact half 2.7e-15).  An independent eigh route for e^{iux} misses the
-    absolute 1e-10 bound at verify-all --seed 3 (1.09e-10, 6.7e-15 of the
-    largest entry), so it needs a relative bound first."""
-    xm = np.asarray(x)[..., None, None]
-    return np.maximum(
-        max_abs(cartan.exp_compact(comp, sig, x) - expm(comp.b * xm)),
-        max_abs(cartan.exp_noncompact(comp, sig, x) - expm(comp.c * xm)))
+    exp(c x) has no closed form here: exp_noncompact is expm of c x itself,
+    so it is checked against its truth (`cartan/boost_example`) and by the
+    parity, metric and polar relations, not against expm."""
+    return max_abs(cartan.exp_compact(comp, sig, x)
+                   - expm(comp.b * np.asarray(x)[..., None, None]))
 
 
 def check_closed_form_exponentials(rep: Report, cfg: VerifyConfig):

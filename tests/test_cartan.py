@@ -223,7 +223,26 @@ class TestExponentials:
         Uk = exp_compact(comp, el.sig, x)
         Up = exp_noncompact(comp, el.sig, x)
         assert np.abs(Uk - expm(comp.b * x)).max() <= 1e-10
-        assert np.abs(Up - expm(comp.c * x)).max() <= 1e-10
+        assert _same(Up, expm(comp.c * x))
+
+    @pytest.mark.parametrize("pq", [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2),
+                                    (3, 1), (3, 2)])
+    def test_noncompact_factor_is_one_expm(self, pq):
+        """exp(c x) is expm of the whole block-diagonal c x, bit for bit,
+        and its off-diagonal blocks are exactly zero: for one element at a
+        number x, for a stack at one x per element, and for a stack against
+        an (11, 1) grid of x.  Exponentiating each block on its own differs
+        from the whole-matrix Pade by up to 8e-15 relative."""
+        sig = ThetaSignature(*pq)
+        p = sig.p
+        rng = np.random.default_rng(sum(pq))
+        one = cartan_split(random_element(sig, rng))
+        stack = cartan_split(random_elements(sig, rng, 5))
+        for comp, x in ((one, 2.3), (stack, rng.uniform(-5, 5, 5)),
+                        (stack, np.linspace(-5, 5, 11)[:, None])):
+            Up = exp_noncompact(comp, sig, x)
+            assert _same(Up, expm(comp.c * np.asarray(x)[..., None, None]))
+            assert not Up[..., :p, p:].any() and not Up[..., p:, :p].any()
 
     @given(sig_strategy, seed_strategy, st.floats(min_value=-3, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -293,6 +312,22 @@ class TestPolar:
 
 
 class TestParityRelations:
+    def test_one_expm_per_check(self, monkeypatch):
+        """The factors at x and -x come from one expm call on their stack,
+        for one element and for a stack against a grid of x."""
+        calls = []
+        real = cartan.expm
+        monkeypatch.setattr(cartan, "expm",
+                            lambda M: calls.append(M.shape) or real(M))
+        sig = ThetaSignature(2, 1)
+        rng = np.random.default_rng(7)
+        parity_relations_check(random_element(sig, rng), 0.8)
+        assert calls == [(2, 3, 3)]
+        calls.clear()
+        parity_relations_check(random_elements(sig, rng, 4),
+                               np.linspace(-2, 2, 5)[:, None])
+        assert calls == [(2, 5, 4, 3, 3)]
+
     def test_max_residual_propagates_nan(self):
         out = ParityRelationsReport(compact_residual=0.0,
                                     noncompact_residual=np.nan,

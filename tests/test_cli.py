@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import ptgauge
 from ptgauge import cli, verification
 from ptgauge.cli import build_parser, main
 from ptgauge.verification import COMMANDS, CartanParams, JcParams, \
@@ -94,6 +99,18 @@ class TestExitCodes:
         code = main(["point-angle", "--t22", t22, "--out-dir", str(tmp_path)])
         assert code == 0
         assert "[PASS] point/defining_relation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t21", ["1e8i", "1e100i"])
+    def test_point_angle_at_a_large_t21(self, t21, tmp_path):
+        """point/matrix_relation is relative to max(1, |T|_max)^2, the scale
+        of its rounding: absolute, it read 3.5e-9 at 1e8i and 1e84 at
+        1e100i, against 1e-12."""
+        code = main(["point-angle", "--t21", t21, "--out-dir", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "point-angle.json").read_text())
+        (rec,) = [r for r in payload["records"]
+                  if r["name"] == "point/matrix_relation"]
+        assert float(rec["residual"]) <= 1e-15
 
     def test_check_failure_exits_one(self, tmp_path, capsys):
         # at h = 0.8 the weak form reads r1 about 1e-2, over its bound 1e-8
@@ -379,9 +396,11 @@ INVALID = [
     # a real part of t12 however small: clifford_angle would drop it
     ["point-angle", "--t12=-1e-13"],
     ["point-angle", "--t12", "nan"],
+    # an entry over 1e150: a product of two in point/matrix_relation overflows
+    ["point-angle", "--t21", "1e300i"],
     ["point-spectrum", "--t11", "nan"],
     ["point-spectrum", "--t22", "1e400"],
-    # det T + 4 = inf - inf
+    # det T + 4 = inf - inf (point-angle: entries over 1e150)
     ["point-angle", "--t11", "1e200", "--t12", "1e200i", "--t21=-1e200i",
      "--t22", "1e200"],
     ["point-spectrum", "--t11", "1e200", "--t12", "1e200i", "--t21=-1e200i",
@@ -628,3 +647,30 @@ def test_verify_all_runs_the_all_checks_list(tmp_path, capsys):
     assert code == 1 and calls == [verification.VerifyConfig()]
     err = capsys.readouterr().err
     assert err.count("time ") == len(saved) and "time check_stub:" in err
+
+
+class TestPackage:
+    def test_import_loads_no_numpy_or_scipy(self):
+        """The package imports none of its modules, so a bare import loads
+        neither numpy nor scipy."""
+        src = os.path.dirname(os.path.dirname(ptgauge.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ptgauge; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('numpy', 'scipy')))"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert out == "[]\n"
+
+    def test_every_module_imports_from_the_package_and_is_mapped(self):
+        """`from ptgauge import m` works for every module, and the module
+        map of the package docstring names each one."""
+        names = [m.name for m in pkgutil.iter_modules(ptgauge.__path__)]
+        assert len(names) == 10
+        mapped = [line.split()[0] for line in ptgauge.__doc__.splitlines()
+                  if line.split() and line.split()[0] in names]
+        assert sorted(mapped) == sorted(names)
+        for name in names:
+            module = __import__("ptgauge", fromlist=[name])
+            assert getattr(module, name).__name__ == f"ptgauge.{name}"

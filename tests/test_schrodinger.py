@@ -56,10 +56,11 @@ class TestAudit:
         assert out["V_pt"] > 0.1
 
     def test_symmetric_gauge_detected(self):
-        """A = sigma_1 violates the antisymmetry condition A = -A^T."""
+        """A = sigma_1 violates the antisymmetry condition A = -A^T, so
+        -i A is not in g_Theta."""
         A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         out = symmetry_audit(ConstantGauge(A=A), _well(), SIG, GRID)
-        assert out["A_antisym"] > 0.1
+        assert out["A_membership"] > 0.1
 
     def test_nan_potential_fails(self):
         """sample() rejects a non-finite V, so the NaN is injected past it."""
