@@ -218,12 +218,12 @@ class PseudoHermiticityReport:
     r2_abs: float        # weak-form residual with eta -> plain parity
     weighted_form_residual: float
     norm_H: float
-    passed: bool
 
 
-def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float,
+def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float = 0.0,
                               seed: int = 7) -> PseudoHermiticityReport:
-    """Weak-form residuals of H on the grid of fact, from one pass."""
+    """Weak-form residuals of H on the grid of fact, from one pass.  tol is
+    not read: the records that bound these residuals judge them."""
     grid = fact.grid
     T = interior_test_vectors(grid)
     norm_H = operator_norm_estimate(H)
@@ -244,5 +244,4 @@ def verify_pseudo_hermiticity(H, fact: GaugeFactorization, tol: float,
     return PseudoHermiticityReport(
         r1=r1, r1_abs=r1_abs, r2_abs=r2_abs,
         weighted_form_residual=worst_residual(wf_res), norm_H=norm_H,
-        passed=r1 <= tol,
     )

@@ -35,9 +35,9 @@ bound_states and the sweep take their roots, energies and order from one
 kernel, _decaying_states, which finds the quadratic roots by stacked
 eigvals calls on companion matrices, in float64 for real coefficients;
 only bound_states computes amplitudes and domain residuals (relative to the
-size of T Gamma_0 f and Gamma_1 f).  At t11 = 0 the companion matrix
-[[-c1/c2, -0/c2], [1, 0]] is triangular, and eigvals gives its roots
--c1/c2 and 0 exactly; the zero root does not decay.
+size of the terms of T Gamma_0 f and of Gamma_1 f).  At t11 = 0 the
+companion matrix [[-c1/c2, -0/c2], [1, 0]] is triangular, and eigvals gives
+its roots -c1/c2 and 0 exactly; the zero root does not decay.
 """
 
 from __future__ import annotations
@@ -99,13 +99,17 @@ def boundary_maps(f: PiecewiseFunction) -> tuple:
 
 def domain_check(T: CouplingMatrixT, f: PiecewiseFunction) -> float:
     """Residual of the domain condition T Gamma_0 f = Gamma_1 f over
-    s = max(1, |T Gamma_0 f|_inf, |Gamma_1 f|_inf), floored at 1 as in the
-    rel of abelian.gauge_factorization: each side is a few rounded products
-    of the traces, off by a few eps s, and s ~ |kappa| at a bound state."""
+    s = max(1, || |T| s0 ||_inf, ||Gamma_1 f||_inf), NaN if s overflows.
+    s0 = (|f(+0)| + |f(-0)|, |f'(+0)| + |f'(-0)|) / 2 bounds |Gamma_0 f|, and
+    the traces carry a few eps of their size, so entry i of T Gamma_0 f is off
+    by a few eps (|T| s0)_i, the size of its terms, also where they cancel;
+    the other side, Gamma_1 f, is measured by its own size."""
     g0, g1 = boundary_maps(f)
-    lhs = T.matrix @ g0
-    return float(np.abs(lhs - g1).max()
-                 / max(1.0, np.abs(lhs).max(), np.abs(g1).max()))
+    s0 = np.abs([[f.f_plus, f.df_plus], [f.f_minus, f.df_minus]]).sum(0) / 2
+    with np.errstate(over="ignore", invalid="ignore"):   # NaN past overflow
+        scale = np.max(np.r_[1.0, np.abs(T.matrix) @ s0, np.abs(g1)])
+        res = np.abs(T.matrix @ g0 - g1).max() / scale
+    return float(res if np.isfinite(scale) else np.nan)
 
 
 @dataclass(frozen=True)

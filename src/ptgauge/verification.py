@@ -3,9 +3,11 @@
 COMMANDS maps each subcommand to a frozen params dataclass (its flags,
 defaults and domain checks) and its record functions (rep, params), which
 run(name, params) calls in order into one timed Report: a subcommand's one
-run_*, or for `verify-all` the list ALL_CHECKS itself, whose check_*
-functions share their loops with the subcommands and take their parameters
-from the subcommands' defaults.
+run_*, or for `verify-all` the list ALL_CHECKS itself.  Six check_* call a
+subcommand's run_* at the case they check (point-angle at [[1, i], [-i, 0]],
+point-spectrum at the delta well, the others at their defaults) and add the
+suite's own records from what it returns; verify-all samples cartan and
+lts-check at other signatures and seeds, through the same kernels.
 The library functions return residuals; each check turns them into
 records, and CheckRecord.passed (finite and within the tolerance) is the
 only pass/fail decision.  Boolean outcomes are encoded as residual 0.0
@@ -416,7 +418,7 @@ def weak_form(A, grid: Grid1D):
     fact = abelian.gauge_factorization(A, grid)
     H = abelian.build_scalar_hamiltonian(
         abelian.ScalarPotentials(A=A, V=lambda t: t**2), grid)
-    return fact.residuals, abelian.verify_pseudo_hermiticity(H, fact, tol=1e-8)
+    return fact.residuals, abelian.verify_pseudo_hermiticity(H, fact)
 
 
 def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
@@ -454,15 +456,13 @@ def check_abelian_gauge(rep: Report, cfg: VerifyConfig):
                 worst_residual(fact.residuals[k] for k in
                                ("polar", "J_involution", "J_hermitian")), 1e-10)
 
-    # weak-form pseudo-Hermiticity on the fine grid
-    for name, A in (("alpha", lambda t: scalar.alpha + 0j),
-                    ("beta", lambda t: 1j * BETA * t)):
-        out = weak_form(A, scalar.grid())[1]
-        rep.add(f"abelian/pseudo_hermiticity_r1_{name}", out.r1, 1e-8)
-        _bool(rep, f"abelian/naive_parity_residual_large_{name}",
-              out.r2_abs > 0.1)
-        rep.add(f"abelian/weighted_form_identity_{name}",
-                out.weighted_form_residual, 1e-5)
+    # weak form on the fine grid: gauge-scalar's alpha, then A = i beta x
+    run_gauge_scalar(rep, scalar)
+    out = weak_form(lambda t: 1j * BETA * t, scalar.grid())[1]
+    rep.add("abelian/pseudo_hermiticity_r1_beta", out.r1, 1e-8)
+    _bool(rep, "abelian/naive_parity_residual_large_beta", out.r2_abs > 0.1)
+    rep.add("abelian/weighted_form_identity_beta",
+            out.weighted_form_residual, 1e-5)
 
 
 def run_gauge_scalar(rep: Report, params: GaugeScalarParams):
@@ -616,26 +616,9 @@ def matrix_example(gauge_alpha: float):
     return sig, gauge, pot
 
 
-def _matrix_records(rep: Report, example, grid: Grid1D, n_low: int,
-                    match_name: str):
-    """Symmetry audit and dual-build spectral records of the matrix example."""
-    sig, gauge, pot = example
-    audit = schrodinger.symmetry_audit(gauge, pot, sig, grid)
-    rep.add("matrix/symmetry_audit", worst_residual(audit.values()), 1e-12)
-    res = schrodinger.build_and_regauge(gauge, pot, grid)
-    out = schrodinger.spectral_compare(res, sig, n_low=n_low)
-    rep.add(match_name, out.max_match_dist, 5e-2)
-    _bool(rep, "matrix/pairing_Hg", out.pairing_Hg != "unpaired")
-    _bool(rep, "matrix/pairing_H", out.pairing_H != "unpaired")
-    rep.add("matrix/parity_pseudo_hermiticity", out.parity_residual, 1e-6)
-    return res, out
-
-
 def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     params = SpectrumMatrixParams()
-    example = matrix_example(params.gauge_alpha)
-    res, coarse = _matrix_records(rep, example, params.grid(), params.n_low,
-                                  "matrix/spectral_match_h0.05")
+    example, res, coarse = run_spectrum_matrix(rep, params)
     # the literal similarity transform is spectrally exact
     sim = match_spectra(coarse.eigenvalues_Hg, eig(
         schrodinger.similarity_transform(res, *example[1:]),
@@ -658,30 +641,30 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
 
 
 def run_spectrum_matrix(rep: Report, params: SpectrumMatrixParams):
-    out = _matrix_records(rep, matrix_example(params.gauge_alpha),
-                          params.grid(), params.n_low, "matrix/spectral_match")[1]
+    """Symmetry audit and dual-build spectral records of the matrix example;
+    returns the example, its two builds and their spectral comparison."""
+    example = sig, gauge, pot = matrix_example(params.gauge_alpha)
+    grid = params.grid()
+    audit = schrodinger.symmetry_audit(gauge, pot, sig, grid)
+    rep.add("matrix/symmetry_audit", worst_residual(audit.values()), 1e-12)
+    res = schrodinger.build_and_regauge(gauge, pot, grid)
+    out = schrodinger.spectral_compare(res, sig, n_low=params.n_low)
+    rep.add("matrix/spectral_match", out.max_match_dist, 5e-2)
+    _bool(rep, "matrix/pairing_Hg", out.pairing_Hg != "unpaired")
+    _bool(rep, "matrix/pairing_H", out.pairing_H != "unpaired")
+    rep.add("matrix/parity_pseudo_hermiticity", out.parity_residual, 1e-6)
     lg, lh = lowest_common(params.n_low, out.eigenvalues_Hg, out.eigenvalues_H)
     rep.tables.append(Table(
         name="spectrum",
         columns=["index", "re_lambda_Hg", "im_lambda_Hg",
                  "re_lambda_H", "im_lambda_H", "match_dist"],
         rows=list(zip(range(len(lg)), lg, lh, abs(lg - lh) / (1 + abs(lg))))))
+    return example, res, out
 
 
 def _jc_model(params: JcParams):
     sig, el = _element_11(params.alpha)
     return sig, el, jaynes.LevelEnergies(omega=np.array([0.0, params.delta]))
-
-
-def _jc_records(rep: Report, params: JcParams, grid_vs_fock_name: str):
-    """PT symmetry of the Fock build and its agreement with the grid build."""
-    sig, el, omega = _jc_model(params)
-    H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, params.n_max)
-    rep.add("jc/pt_symmetry", jaynes.jc_pt_check(H, sig), 1e-12)
-    eq = jaynes.jc_equivalence_check(el, omega, params.grid(), params.n_max)
-    rep.add(grid_vs_fock_name, eq.max_dev, 5e-2)
-    rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
-    return eq
 
 
 def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
@@ -695,11 +678,17 @@ def check_jaynes_cummings(rep: Report, cfg: VerifyConfig):
     rep.add("jc/decoupled_spectrum_exact",
             float(np.abs(got - expected).max()), 1e-12)
 
-    _jc_records(rep, params, "jc/grid_vs_fock_lowest6")
+    run_jc(rep, params)
 
 
 def run_jc(rep: Report, params: JcParams):
-    eq = _jc_records(rep, params, "jc/grid_vs_fock")
+    """PT symmetry of the Fock build and its agreement with the grid build."""
+    sig, el, omega = _jc_model(params)
+    H = jaynes.build_jc(jaynes.nilpotent_split(el), omega, params.n_max)
+    rep.add("jc/pt_symmetry", jaynes.jc_pt_check(H, sig), 1e-12)
+    eq = jaynes.jc_equivalence_check(el, omega, params.grid(), params.n_max)
+    rep.add("jc/grid_vs_fock", eq.max_dev, 5e-2)
+    rep.add("jc/truncation_convergence", eq.truncation_shift, 1e-6)
     rep.tables.append(Table(
         name="levels",
         columns=["index", "re_lambda_grid", "im_lambda_grid",
@@ -713,11 +702,10 @@ def check_point_angle(rep: Report, cfg: VerifyConfig):
     sol0 = pointint.clifford_angle(T0)
     rep.add("point/phi_zero_when_t12_equals_t21", abs(sol0.phi), 0.0)
 
-    T1 = pointint.CouplingMatrixT(t11=1, t12=1j, t21=-1j, t22=0)
-    sol1 = pointint.clifford_angle(T1)
+    sol1 = run_point_angle(rep, PointAngleParams(t11="1", t12="1i",
+                                                 t21="-1i", t22="0"))
     rep.add("point/phi_reference_value",
             abs(sol1.phi - np.arctan2(4, 3)), 1e-13)
-    rep.add("point/phi_defining_relation_residual", sol1.residual, 1e-13)
 
     residuals = []
     perturbed = []
@@ -749,6 +737,7 @@ def run_point_angle(rep: Report, params: PointAngleParams):
     bt = pointint.boundary_transform_check(T, sol, samples)
     rep.add("point/gamma_transform", bt.gamma_residual, 1e-12)
     rep.add("point/matrix_relation", bt.matrix_residual, 1e-12)
+    return sol
 
 
 def delta_well_grid_energy(t11: float) -> float:
@@ -780,33 +769,17 @@ def delta_well_grid_energy(t11: float) -> float:
         select_range=(V.min() - 1, rayleigh))[0])
 
 
-def _sweep_records(rep: Report, params: PhaseDiagramParams, paired_name: str):
-    """Conjugate pairing over a coupling sweep, and its phase-diagram table."""
-    sweep = pointint.pt_phase_sweep(*params.axes())
-    unpaired = pointint.CLASSIFICATIONS.index("unpaired")
-    _bool(rep, paired_name, np.all(sweep.classification != unpaired))
-    rep.tables.append(Table(
-        name="phase_diagram",
-        columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
-                 "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
-                 "classification"],
-        rows=sweep))
-    return sweep
-
-
 def check_point_spectrum(rep: Report, cfg: VerifyConfig):
-    T = pointint.CouplingMatrixT(t11=-2.0, t12=0.0, t21=0.0, t22=0.0)
-    states = pointint.bound_states(T)
+    states = run_point_spectrum(rep, CouplingParams(t11="-2", t12="0",
+                                                    t21="0", t22="0"))
     _bool(rep, "point/delta_well_single_state", len(states) == 1)
-    # NaN, so both records fail, unless there is exactly one state to read
-    one = states[0] if len(states) == 1 else pointint.BoundState(*[np.nan] * 3)
-    rep.add("point/delta_well_energy", abs(one.energy - (-1.0)), 1e-12)
-    rep.add("point/delta_well_domain_residual", one.domain_residual, 1e-10)
+    # NaN, so the record fails, unless there is exactly one state to read
+    energy = states[0].energy if len(states) == 1 else np.nan
+    rep.add("point/delta_well_energy", abs(energy - (-1.0)), 1e-12)
     rep.add("point/delta_well_grid_oracle",
             abs(delta_well_grid_energy(-2.0) - (-1.0)), 1e-3)
 
-    sweep = _sweep_records(rep, PhaseDiagramParams(),
-                           "point/sweep_all_rows_paired")
+    sweep = run_phase_diagram(rep, PhaseDiagramParams())
     symmetric = np.abs(sweep.im_t12 - sweep.im_t21) < 1e-14
     _bool(rep, "point/sweep_phi_zero_slice",
           np.all(np.abs(sweep.phi[symmetric]) < 1e-14))
@@ -830,10 +803,22 @@ def run_point_spectrum(rep: Report, params: CouplingParams):
                  "domain_residual"],
         rows=[[i, s.kappa, s.energy, s.domain_residual]
               for i, s in enumerate(states)]))
+    return states
 
 
 def run_phase_diagram(rep: Report, params: PhaseDiagramParams):
-    _sweep_records(rep, params, "sweep/conjugate_pairing")
+    """Conjugate pairing over a coupling sweep, and its phase-diagram table."""
+    sweep = pointint.pt_phase_sweep(*params.axes())
+    unpaired = pointint.CLASSIFICATIONS.index("unpaired")
+    _bool(rep, "sweep/conjugate_pairing",
+          np.all(sweep.classification != unpaired))
+    rep.tables.append(Table(
+        name="phase_diagram",
+        columns=["t11", "t22", "im_t12", "im_t21", "phi", "degenerate",
+                 "n_bound", "e1_re", "e1_im", "e2_re", "e2_im",
+                 "classification"],
+        rows=sweep))
+    return sweep
 
 
 ALL_CHECKS = [

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ptgauge import abelian, cartan, jaynes, linalg, pointint, verification
 from ptgauge.cli import main
 from ptgauge.reporting import Report, emit
 from ptgauge.verification import (
+    CartanParams,
     LtsParams,
     VerifyConfig,
     check_cartan_lts,
@@ -38,11 +40,33 @@ def report():
     return run("verify-all", VerifyConfig())
 
 
-def _select(report, prefixes, exclude=()):
-    recs = [r for r in report.records
-            if any(r.name.startswith(p) for p in prefixes)
-            and not any(r.name.startswith(e) for e in exclude)]
-    assert recs, f"no records found for prefixes {prefixes}"
+# the record-name prefixes of criteria 1 to 10; every verify-all record
+# falls under exactly one
+CRITERIA = {
+    1: ["clifford/"],
+    2: ["rotated_involution/"],
+    3: ["abelian/", "factorization/", "pseudo_hermiticity/"],
+    4: ["cartan/ternary_closure", "cartan/binary_escape", "cartan/dim_"],
+    5: ["cartan/closed_form_exponentials", "cartan/so2_rotation_example",
+        "cartan/boost_example"],
+    6: ["cartan/parity_metric_relations"],
+    7: ["matrix/"],
+    8: ["jc/"],
+    9: ["point/phi_", "point/matrix_relation", "point/defining_relation",
+        "point/gamma_transform"],
+    10: ["point/delta_well", "point/domain_residuals",
+         "point/conjugate_pairing", "point/sweep", "sweep/"],
+}
+
+
+def _criteria(name):
+    return [c for c, prefixes in CRITERIA.items()
+            if any(name.startswith(p) for p in prefixes)]
+
+
+def _select(report, criterion):
+    recs = [r for r in report.records if criterion in _criteria(r.name)]
+    assert recs, f"no records found for criterion {criterion}"
     return recs
 
 
@@ -61,47 +85,44 @@ def test_criterion_01_clifford_relations(report):
     scratch = Report(command="timing", config={})
     check_clifford_relations(scratch, VerifyConfig())
     elapsed = time.perf_counter() - t0
-    recs = _select(report, ["clifford/"])
+    recs = _select(report, 1)
     _assert_all(1, "exact Clifford relations, span dimension 4", recs)
     assert elapsed < 1.0, f"clifford check took {elapsed:.2f} s"
 
 
 def test_criterion_02_rotated_involution(report):
-    recs = _select(report, ["rotated_involution/"])
+    recs = _select(report, 2)
     _assert_all(2, "rotated involution squares to I and is Hermitian "
                    "to 1e-12 over 20 angles", recs)
 
 
 def test_criterion_03_abelian_gauge(report):
-    recs = _select(report, ["abelian/"])
-    _assert_all(3, "scalar gauge closed forms, polar identities, "
-                   "weak pseudo-Hermiticity r1 <= 1e-8 with O(1) "
-                   "naive-parity residual", recs)
+    recs = _select(report, 3)
+    _assert_all(3, "scalar gauge closed forms, factorization and polar "
+                   "identities, weak pseudo-Hermiticity r1 <= 1e-8 with "
+                   "O(1) naive-parity residual", recs)
 
 
 def test_criterion_04_cartan_lts(report):
-    recs = _select(report, ["cartan/ternary_closure", "cartan/binary_escape",
-                            "cartan/dim_"])
+    recs = _select(report, 4)
     _assert_all(4, "ternary closure to 1e-12 over 1000 triples per "
                    "signature, binary escape, dimension rank counts", recs)
 
 
 def test_criterion_05_closed_form_exponentials(report):
-    recs = _select(report, ["cartan/closed_form_exponentials",
-                            "cartan/so2_rotation_example",
-                            "cartan/boost_example"])
+    recs = _select(report, 5)
     _assert_all(5, "closed-form exponentials match expm to 1e-10 "
                    "including both 2x2 worked examples", recs)
 
 
 def test_criterion_06_parity_metric_relations(report):
-    recs = _select(report, ["cartan/parity_metric_relations"])
+    recs = _select(report, 6)
     _assert_all(6, "parity and metric identities to 1e-10 over 500 "
                    "random draws", recs)
 
 
 def test_criterion_07_matrix_schrodinger(report):
-    recs = _select(report, ["matrix/"])
+    recs = _select(report, 7)
     _assert_all(7, "dual-build matrix spectra to 5e-2 at h = 0.05, "
                    "conjugate pairing, convergence order >= 1.8", recs)
     order = report.config["matrix_convergence_order"]
@@ -109,22 +130,28 @@ def test_criterion_07_matrix_schrodinger(report):
 
 
 def test_criterion_08_jaynes_cummings(report):
-    recs = _select(report, ["jc/"])
+    recs = _select(report, 8)
     _assert_all(8, "decoupled ladder spectrum exact, grid vs Fock "
                    "lowest six to 5e-2, truncation shift < 1e-6", recs)
 
 
 def test_criterion_09_clifford_angle(report):
-    recs = _select(report, ["point/phi_", "point/matrix_relation"])
-    _assert_all(9, "rotation angle solution, reference value, matrix "
-                   "relation at solved angle and failure at wrong angle",
-                recs)
+    recs = _select(report, 9)
+    _assert_all(9, "rotation angle solution, reference value, boundary "
+                   "transform, matrix relation at solved angle and failure "
+                   "at wrong angle", recs)
 
 
 def test_criterion_10_point_spectra(report):
-    recs = _select(report, ["point/delta_well", "point/sweep"])
+    recs = _select(report, 10)
     _assert_all(10, "delta-well bound state to 1e-12 with independent "
-                    "grid oracle to 1e-3, sweep conjugate pairing", recs)
+                    "grid oracle to 1e-3, its domain condition, sweep "
+                    "conjugate pairing", recs)
+
+
+def test_every_record_falls_under_exactly_one_criterion(report):
+    assert {r.name: _criteria(r.name) for r in report.records
+            if len(_criteria(r.name)) != 1} == {}
 
 
 VERIFY_ALL_RECORDS = [
@@ -134,9 +161,13 @@ VERIFY_ALL_RECORDS = [
     "abelian/J_equals_parity_beta", "abelian/Uu_closed_form_alpha",
     "abelian/abs_eta_identity_alpha", "abelian/J_involution_alpha",
     "abelian/J_differs_from_parity_alpha", "abelian/polar_identities_beta",
-    "abelian/polar_identities_alpha", "abelian/pseudo_hermiticity_r1_alpha",
-    "abelian/naive_parity_residual_large_alpha",
-    "abelian/weighted_form_identity_alpha",
+    "abelian/polar_identities_alpha",
+    "factorization/J_hermitian", "factorization/J_involution",
+    "factorization/P_RQ_anticommute", "factorization/P_U",
+    "factorization/P_Uh", "factorization/P_Uu", "factorization/polar",
+    "factorization/sign_split", "pseudo_hermiticity/r1",
+    "pseudo_hermiticity/weighted_form",
+    "pseudo_hermiticity/naive_parity_r2_large",
     "abelian/pseudo_hermiticity_r1_beta",
     "abelian/naive_parity_residual_large_beta",
     "abelian/weighted_form_identity_beta",
@@ -149,25 +180,75 @@ VERIFY_ALL_RECORDS = [
     "cartan/closed_form_exponentials", "cartan/so2_rotation_example",
     "cartan/boost_example", "cartan/parity_metric_relations_random",
     "cartan/parity_metric_relations_m2_examples",
-    "matrix/symmetry_audit", "matrix/spectral_match_h0.05",
+    "matrix/symmetry_audit", "matrix/spectral_match",
     "matrix/pairing_Hg", "matrix/pairing_H",
     "matrix/parity_pseudo_hermiticity", "matrix/similarity_spectrum_exact",
     "matrix/lowest_modes_vs_dense_h0.05", "matrix/convergence_order_ge_1.8",
-    "jc/decoupled_spectrum_exact", "jc/pt_symmetry", "jc/grid_vs_fock_lowest6",
+    "jc/decoupled_spectrum_exact", "jc/pt_symmetry", "jc/grid_vs_fock",
     "jc/truncation_convergence",
-    "point/phi_zero_when_t12_equals_t21", "point/phi_reference_value",
-    "point/phi_defining_relation_residual",
-    "point/matrix_relation_at_solved_phi",
+    "point/phi_zero_when_t12_equals_t21", "point/defining_relation",
+    "point/gamma_transform", "point/matrix_relation",
+    "point/phi_reference_value", "point/matrix_relation_at_solved_phi",
     "point/matrix_relation_fails_at_wrong_phi",
+    "point/domain_residuals", "point/conjugate_pairing",
     "point/delta_well_single_state", "point/delta_well_energy",
-    "point/delta_well_domain_residual", "point/delta_well_grid_oracle",
-    "point/sweep_all_rows_paired", "point/sweep_phi_zero_slice",
+    "point/delta_well_grid_oracle",
+    "sweep/conjugate_pairing", "point/sweep_phi_zero_slice",
 ]
 
 
 def test_verify_all_record_names_and_config_keys(report):
     assert [r.name for r in report.records] == VERIFY_ALL_RECORDS
-    assert sorted(report.config) == ["matrix_convergence_order", "seed"]
+    assert sorted(report.config) == [
+        "classification", "degenerate", "matrix_convergence_order", "n_bound",
+        "norm_H", "phi", "pt_symmetric", "r1_abs", "r2_abs", "seed"]
+    assert [t.name for t in report.tables] == [
+        "spectrum", "levels", "bound_states", "phase_diagram"]
+
+
+# each subcommand's record function, at the case verify-all checks
+SHARED = {
+    "gauge-scalar": verification.GaugeScalarParams(),
+    "spectrum-matrix": verification.SpectrumMatrixParams(),
+    "jc": verification.JcParams(),
+    "point-angle": verification.PointAngleParams(t11="1", t12="1i",
+                                                 t21="-1i", t22="0"),
+    "point-spectrum": verification.CouplingParams(t11="-2", t12="0",
+                                                  t21="0", t22="0"),
+    "phase-diagram": verification.PhaseDiagramParams(),
+}
+# verify-all samples these at other signatures and seeds through the shared
+# kernels; calling their record functions is ROADMAP item 5
+NOT_SHARED = {"cartan": CartanParams(), "lts-check": LtsParams()}
+
+
+def _bits(rec):
+    return rec.name, rec.residual.hex(), rec.tolerance.hex()
+
+
+def test_subcommands_share_their_records_with_verify_all(report, tmp_path):
+    """Each of the six subcommands, at verify-all's case, reports records
+    that verify-all reports bit for bit, writes the same table bytes, and
+    computes the same config values: one code path and one name each."""
+    assert sorted(SHARED.keys() | NOT_SHARED.keys()) == sorted(
+        set(verification.COMMANDS) - {"verify-all"})
+    suite = {r.name: _bits(r) for r in report.records}
+    emit(report, "csv", str(tmp_path / "suite"))
+    for name, params in SHARED.items():
+        rep = run(name, params)
+        assert rep.records, name
+        assert [suite.get(r.name) for r in rep.records] == [
+            _bits(r) for r in rep.records], name
+        for key in rep.config.keys() - asdict(params).keys():
+            assert repr(report.config[key]) == repr(rep.config[key]), key
+        emit(rep, "csv", str(tmp_path / name))
+        for t in rep.tables:
+            csv = (tmp_path / name / f"{name}_{t.name}.csv").read_bytes()
+            assert csv == (tmp_path / "suite" / f"verify-all_{t.name}.csv"
+                           ).read_bytes(), t.name
+    for name, params in NOT_SHARED.items():
+        assert any(r.name not in suite for r in run(name, params).records), \
+            f"{name} is shared now: move it to SHARED"
 
 
 def _record(rep, name):
@@ -286,17 +367,20 @@ def test_no_delta_well_state_fails_its_records(monkeypatch, tmp_path):
     it, and verify-all still writes its report."""
     monkeypatch.setattr(pointint, "bound_states", lambda T: [])
     assert main(["verify-all", "--out-dir", str(tmp_path)]) == 1
-    records = json.loads((tmp_path / "verify-all.json").read_text())["records"]
-    failed = {r["name"] for r in records if not r["pass"]}
-    assert failed == {"point/delta_well_single_state", "point/delta_well_energy",
-                      "point/delta_well_domain_residual"}
+    payload = json.loads((tmp_path / "verify-all.json").read_text())
+    failed = {r["name"] for r in payload["records"] if not r["pass"]}
+    assert failed == {"point/delta_well_single_state", "point/delta_well_energy"}
+    # no domain residual is asserted over no state, and the config says why
+    assert "point/domain_residuals" not in {r["name"] for r in payload["records"]}
+    assert payload["config"]["n_bound"] == 0
 
 
 @pytest.mark.parametrize("argv, expected", [
     (["verify-all"], {"abelian/Uh_closed_form_beta",
                       "abelian/abs_eta_closed_form_beta",
                       "abelian/Uu_closed_form_alpha",
-                      "abelian/polar_identities_beta"}),
+                      "abelian/polar_identities_beta",
+                      "factorization/P_U", "factorization/P_Uu"}),
     (["gauge-scalar"], {"factorization/P_U", "factorization/P_Uu"}),
 ], ids=["verify-all", "gauge-scalar"])
 def test_broken_quadrature_fails_its_records(argv, expected, monkeypatch,
@@ -357,8 +441,10 @@ def test_verify_all_bytes_independent_of_blas_threads(tmp_path):
                         "--format", "both", "--out-dir", str(d)],
                        env=env, check=True, capture_output=True)
         out[threads] = {p.name: p.read_bytes() for p in d.iterdir()}
-    assert sorted(out["1"]) == ["verify-all.json",
-                                "verify-all_phase_diagram.csv"]
+    assert sorted(out["1"]) == [
+        "verify-all.json", "verify-all_bound_states.csv",
+        "verify-all_levels.csv", "verify-all_phase_diagram.csv",
+        "verify-all_spectrum.csv"]
     assert out["1"] == out["2"]
 
 
@@ -370,5 +456,5 @@ def test_coupling_on_d_fails_grid_vs_fock(monkeypatch):
                         lambda c, omega, n: build_jc(c.T, omega, n))
     rep = Report(command="c-on-d", config={})
     check_jaynes_cummings(rep, VerifyConfig())
-    assert not _record(rep, "jc/grid_vs_fock_lowest6").passed
+    assert not _record(rep, "jc/grid_vs_fock").passed
     assert _record(rep, "jc/truncation_convergence").passed

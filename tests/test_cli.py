@@ -82,11 +82,24 @@ class TestExitCodes:
     def test_point_spectrum_at_a_large_kappa(self, tmp_path):
         """t22 = -1e-13 gives a state at kappa = 4.5e6, whose traces are of
         that size: its domain residual, relative to them, reads rounding
-        (2.3e-16; 6.6e-10 as an absolute residual), and the command exits 0."""
+        (2.1e-16; 6.6e-10 as an absolute residual), and the command exits 0."""
         assert main(["point-spectrum", "--t22=-1e-13",
                      "--out-dir", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "point-spectrum.json").read_text())
         assert payload["config"]["n_bound"] == 1
+        domain = payload["records"][0]
+        assert domain["name"] == "point/domain_residuals"
+        assert float(domain["residual"]) <= 1e-15
+
+    @pytest.mark.parametrize("flags", [
+        ["--t11=-1e8"], ["--t11=1e8i"], ["--t22=-1e8"], ["--t22=-1e12"],
+        ["--t12=1e12i", "--t21=-3i"], ["--t12=1e200i", "--t21=1e-200i"]])
+    def test_point_spectrum_at_large_couplings(self, flags, tmp_path):
+        """The domain residual is relative to the size of the terms of
+        T Gamma_0 f, which cancel here: over |T Gamma_0 f| it read 2.0e-9 to
+        1.0, and the command exited 1."""
+        assert main(["point-spectrum", *flags, "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "point-spectrum.json").read_text())
         domain = payload["records"][0]
         assert domain["name"] == "point/domain_residuals"
         assert float(domain["residual"]) <= 1e-15

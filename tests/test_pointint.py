@@ -283,17 +283,26 @@ class TestBoundStates:
             assert bits(row.energies) == bits(energies)
 
     # the default coupling of point-spectrum, its t22 = -1e-13 (kappa =
-    # 4.5e6), the delta well, and t11 = 0 (det M(k) has a zero root)
+    # 4.5e6), the delta well, t11 = 0 (det M(k) has a zero root), and large
+    # couplings of point-spectrum, whose terms of T Gamma_0 f cancel
     @pytest.mark.parametrize("T", [
         CouplingMatrixT(-2, 1j, 4j, 1), CouplingMatrixT(-2, 1j, 4j, -1e-13),
-        pt_coupling(-2, 0, 0, 0), CouplingMatrixT(0, 0.5j, -1j, 1)],
-        ids=["default", "t22_-1e-13", "delta_well", "t11_0"])
+        pt_coupling(-2, 0, 0, 0), CouplingMatrixT(0, 0.5j, -1j, 1),
+        CouplingMatrixT(-1e8, 1j, 4j, 1), CouplingMatrixT(1e8j, 1j, 4j, 1),
+        CouplingMatrixT(-2, 1j, 4j, -1e8), CouplingMatrixT(-2, 1j, 4j, -1e12),
+        CouplingMatrixT(-2, 1e12j, -3j, 1),
+        CouplingMatrixT(-2, 1e200j, 1e-200j, 1)],
+        ids=["default", "t22_-1e-13", "delta_well", "t11_0", "t11_-1e8",
+             "t11_1e8i", "t22_-1e8", "t22_-1e12", "t12_1e12i_t21_-3i",
+             "t12_1e200i_t21_1e-200i"])
     def test_domain_residual_is_relative(self, T):
-        """The domain residual is relative to the size of T Gamma_0 f and
-        Gamma_1 f, so every state reads rounding, the one at kappa = 4.5e6
-        too (its absolute residual is 6.6e-10).  Negative twin: the state's
-        amplitude b scaled by 1 + 1e-8 reads 5e-9 or more, over the 1e-10
-        bound of the record."""
+        """The domain residual is relative to the size of the terms of
+        T Gamma_0 f and of Gamma_1 f, so every state reads rounding: the one
+        at kappa = 4.5e6 too (its absolute residual is 6.6e-10), and those
+        at large couplings, where |T Gamma_0 f| missed the size of its
+        cancelling terms (t22 = -1e12 read 3.9e-5).  Negative twin: the
+        state's amplitude b scaled by 1 + 1e-8 reads 1.67e-9 or more, over
+        the 1e-10 bound of the record."""
         states = bound_states(T)
         assert states
         for s in states:
@@ -303,6 +312,14 @@ class TestBoundStates:
             assert domain_check(T, f) == s.domain_residual <= 1e-14
             b = b * (1 + 1e-8)
             assert domain_check(T, PiecewiseFunction(a, b, -k * a, k * b)) > 1e-10
+
+    def test_domain_residual_reads_nan_past_overflow(self):
+        """T Gamma_0 f = Gamma_1 f holds exactly here, but the size of the
+        terms of T Gamma_0 f overflows, so no rounding can be judged: the
+        residual reads NaN, where it read 0."""
+        T = CouplingMatrixT(1e200, 4, 0, 2e200)
+        f = PiecewiseFunction(1e200, -1e200, 1, -3)
+        assert np.isnan(domain_check(T, f))
 
     @given(lattice, lattice, lattice, lattice)
     @settings(max_examples=60)
