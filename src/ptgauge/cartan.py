@@ -14,7 +14,8 @@ f = -i a lies in so(m,C) intersect su(p,q); membership_residual measures
 both.  The split into the compact part b (real, off-diagonal blocks +-v)
 and the noncompact part c = i diag(u, w) is the Cartan decomposition of
 this set; the set closes under the double bracket [a1, [a2, a3]] but not
-under the single bracket.
+under the single bracket.  Both are multilinear, so structure_check decides
+them exhaustively on the elements of unit draws, which span the set.
 
 Exponentials of the two parts:
   exp(b x): closed-form block cosine/sine form through the SVD of v, with
@@ -62,6 +63,10 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import expm, max_abs
+
+# bytes of one stacked array in a batched Cartan check, so that peak memory
+# does not grow with the batch count; a large m gets batches of one element
+BATCH_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -253,6 +258,33 @@ def lts_check(a1: GaugeAlgebraElement, a2: GaugeAlgebraElement,
         binary_escape=membership_residual(binary, sig),
         scale=_out(np.maximum(1.0, max_abs(A1) * max_abs(A2) * max_abs(A3))),
     )
+
+
+@dataclass(frozen=True)
+class StructureReport:
+    closure_residual: float   # the worst; every triple's scale is 1
+    min_escape_ratio: float   # over the nonzero brackets; inf for none
+    escaping_pairs: int       # ordered pairs whose bracket escapes
+    dims: tuple               # ranks of the compact and noncompact parts
+
+
+def structure_check(sig: ThetaSignature) -> StructureReport:
+    """lts_check on every triple of the elements of unit draws, which span
+    g_Theta, batched over a1 to about BATCH_BYTES a stack.  A bracket's
+    escape ratio is its membership residual over its largest entry."""
+    u, d = elements_from_draws(sig, np.eye(sig.n_draws)), sig.n_draws
+    per = max(1, BATCH_BYTES // (16 * d * d * sig.m**2))
+    out = [lts_check(u[i:i + per, None, None], u[None, :, None],
+                     u[None, None, :]) for i in range(0, d, per)]
+    escape = np.concatenate([o.binary_escape[..., 0] for o in out])
+    size = max_abs(u.matrix[:, None] @ u.matrix - u.matrix @ u.matrix[:, None])
+    parts = cartan_split(u)
+    return StructureReport(
+        float(np.max([np.max(o.closure_residual) for o in out])),
+        float(np.min(escape[size > 0] / size[size > 0], initial=np.inf)),
+        int(np.count_nonzero(escape > 0)),
+        tuple(int(np.linalg.matrix_rank(M.reshape(d, -1)))
+              for M in (parts.b, parts.c)))
 
 
 _SING_TOL = 1e-8  # below this the sin(s x)/s spectral function uses its limit x

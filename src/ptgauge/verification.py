@@ -3,11 +3,13 @@
 COMMANDS maps each subcommand to a frozen params dataclass (its flags,
 defaults and domain checks) and its record functions (rep, params), which
 run(name, params) calls in order into one timed Report: a subcommand's one
-run_*, or for `verify-all` the list ALL_CHECKS itself.  Six check_* call a
-subcommand's run_* at the case they check (point-angle at [[1, i], [-i, 0]],
+run_*, or for `verify-all` the list ALL_CHECKS itself.  Seven check_* call
+a subcommand's run_* at the case they check (point-angle at [[1, i], [-i, 0]],
 point-spectrum at the delta well, the others at their defaults) and add the
-suite's own records from what it returns; verify-all samples cartan and
-lts-check at other signatures and seeds, through the same kernels.
+suite's own records from what it returns; verify-all samples cartan at other
+signatures and seeds, through the same kernels.  The Lie-triple records are
+exhaustive over the unit draws, and lts-check refuses a signature whose d^3
+triples are over MAX_TRIPLE_WORK.
 The library functions return residuals; each check turns them into
 records, and CheckRecord.passed (finite and within the tolerance) is the
 only pass/fail decision.  Boolean outcomes are encoded as residual 0.0
@@ -36,10 +38,6 @@ from .reporting import Report, Table
 
 BETA = 0.3             # imaginary gauge slope of the abelian check
 N_PARITY_DRAWS = 500
-# bytes of one stacked (k, m, m) complex array in a sampled Cartan check;
-# these checks run batch by batch, so their peak memory does not grow with
-# the sample count, and a large m gets batches of one element
-BATCH_BYTES = 2**18
 # point interaction grid oracle; the finite-width bias of the square
 # well is about 2*width/3 on the energy, so width stays at 1e-3
 WELL_WIDTH = 0.001
@@ -48,6 +46,10 @@ WELL_BOX = 8.0
 # bytes of the largest single array a command may allocate; each params
 # check() sizes its own largest array from the flags, before allocating it
 MAX_ARRAY_BYTES = 2**30
+# work budgets in m x m problems times m^3: lts-check's d^3 triples up to
+# signature (4, 4), d = 48 and m = 8; up to 2^19 / m^3 cartan samples
+MAX_TRIPLE_WORK = 48**3 * 8**3
+MAX_SAMPLE_WORK = 2**19
 
 
 class UsageError(ValueError):
@@ -105,6 +107,14 @@ def _require_budget(entries: int, what: str) -> None:
                          f" over the {_size(MAX_ARRAY_BYTES)}-byte array budget")
 
 
+def _require_work(count: int, m: int, limit: int, what: str) -> None:
+    """A usage error unless count m x m problems, count m^3, fit limit."""
+    if count * m**3 > limit:
+        raise UsageError(f"{what} at m = {_size(m)} would take "
+                         f"{_size(count * m**3)} units of work (count x m^3),"
+                         f" over the {_size(limit)}-unit work budget")
+
+
 def _grid(box: float, h: float) -> Grid1D:
     """The staggered grid on [-box, box]; a usage error if it has no node."""
     _require(h > 0 and 0.5 < box / h < math.inf,
@@ -155,37 +165,39 @@ class GaugeScalarParams(_Params):
 
 
 @dataclass(frozen=True)
-class CartanParams(_Params):
+class LtsParams(_Params):
     p: int = 2
     q: int = 1
-    samples: int = 100
-    seed: int = 0
 
     def check(self):
         sig = self.signature()   # ValueError unless p >= 1 and q >= 0
-        # the largest array is one batch's stack of element triples
-        # (lts-check; cartan stacks x and -x, two matrices an element): 3
-        # m x m complex matrices once m is so large that a batch holds one
-        m = sig.m
-        _require_budget(3 * m * m, f"one batch's stack of 3 {_size(m)} x "
-                        f"{_size(m)} complex matrices at signature "
-                        f"({_size(self.p)}, {_size(self.q)})")
-        _require(self.samples >= 1, "samples must be >= 1")
-        _require(self.seed >= 0, "seed must be >= 0")
+        # below p + q = 3, g_Theta has dimension <= 1: no bracket can leave it
+        _require(self.p + self.q >= 3,
+                 f"need p + q >= 3, got p {self.p}, q {self.q}")
+        # this also keeps structure_check's stacks, d^2 m^2 entries, to MBs
+        _require_work(sig.n_draws**3, sig.m, MAX_TRIPLE_WORK,
+                      f"the {_size(sig.n_draws)}^3 triples of unit draws")
 
     def signature(self) -> cartan.ThetaSignature:
         return cartan.ThetaSignature(p=self.p, q=self.q)
 
 
 @dataclass(frozen=True)
-class LtsParams(CartanParams):
-    samples: int = 1000
+class CartanParams(LtsParams):
+    samples: int = 100
+    seed: int = 0
 
     def check(self):
-        super().check()
-        # below p + q = 3, g_Theta has dimension <= 1: no bracket can leave it
-        _require(self.p + self.q >= 3,
-                 f"need p + q >= 3, got p {self.p}, q {self.q}")
+        m = self.signature().m
+        # once a batch holds one element, every array holds at most 3 m x m
+        # complex matrices (the stack of x and -x, two)
+        _require_budget(3 * m * m, f"one batch's stack of 3 {_size(m)} x "
+                        f"{_size(m)} complex matrices at signature "
+                        f"({_size(self.p)}, {_size(self.q)})")
+        _require(self.samples >= 1, "samples must be >= 1")
+        _require(self.seed >= 0, "seed must be >= 0")
+        _require_work(self.samples, m, MAX_SAMPLE_WORK,
+                      f"--samples {_size(self.samples)}")
 
 
 def _require_resolved(alpha: float, h: float, flag: str) -> None:
@@ -347,21 +359,9 @@ def _element_11(v: float):
                                     np.zeros((1, 1)))
 
 
-def _batches(total: int, m: int) -> list:
-    """Sizes of the consecutive batches that cover total samples, each
-    batch holding at most BATCH_BYTES of m x m complex matrices a stack."""
-    size = max(1, BATCH_BYTES // (16 * m * m))
-    return [min(size, total - start) for start in range(0, total, size)]
-
-
 def _worst(*residuals) -> float:
     """worst_residual over the entries of residual arrays."""
     return worst_residual(np.concatenate([np.ravel(r) for r in residuals]))
-
-
-def _rank(stack: np.ndarray) -> int:
-    """Rank of the matrices of a stack as vectors."""
-    return int(np.linalg.matrix_rank(stack.reshape(len(stack), -1)))
 
 
 def _elements_and_x(sig: cartan.ThetaSignature, rng, k: int, x_max: float):
@@ -477,55 +477,34 @@ def run_gauge_scalar(rep: Report, params: GaugeScalarParams):
     rep.config.update(r1_abs=out.r1_abs, r2_abs=out.r2_abs, norm_H=out.norm_H)
 
 
-def _triple_residuals(sig: cartan.ThetaSignature, rng, samples: int):
-    """Worst ternary-closure residual and largest binary escape, both
-    relative to the scale, over sampled triples of g_Theta.  Triples are
-    drawn a1, a2, a3 one triple after another, and checked in batches."""
-    closure, escape = [], []
-    for k in _batches(samples, sig.m):
-        els = cartan.random_elements(sig, rng, (k, 3))
-        out = cartan.lts_check(els[:, 0], els[:, 1], els[:, 2])
-        closure.append(_worst(out.closure_residual / out.scale))
-        escape.append(_worst(out.binary_escape / out.scale))
-    return worst_residual(closure), worst_residual(escape)
+def _lts_records(rep: Report, sig, closure: str, escape: str):
+    """cartan.structure_check's records at sig, and its report.  A nonzero
+    bracket escapes at ratio 2; with none the escape record fails."""
+    out = cartan.structure_check(sig)
+    rep.add(closure, out.closure_residual, 1e-12)
+    _bool(rep, escape, out.escaping_pairs > 0 and out.min_escape_ratio > 0.1)
+    return out
 
 
 def check_cartan_lts(rep: Report, cfg: VerifyConfig):
-    rng = np.random.default_rng(cfg.seed)
     for (p, q) in ((2, 1), (2, 2), (3, 1)):
-        sig = cartan.ThetaSignature(p=p, q=q)
-        closure = _triple_residuals(sig, rng, LtsParams.samples)[0]
-        rep.add(f"cartan/ternary_closure_p{p}q{q}", closure, 1e-12)
-
-        # generic binary brackets escape g_Theta: [a_k, a_p] is i times a
-        # real off-diagonal block, whose membership residual is
-        # 2 max|[a_k, a_p]|.  It is measured against the bracket's own size:
-        # for odd p the antisymmetric u is singular, so the bracket is small
-        # whenever v lies near its kernel
-        # each of 50 draws is v, then u, then w; rolled to the order u, w, v
-        # of elements_from_draws, its compact part is a_k and the rest a_p
-        z = np.roll(rng.standard_normal((50, sig.n_draws)), -p * q, axis=-1)
-        comp = cartan.cartan_split(cartan.elements_from_draws(sig, z))
-        bracket = comp.b @ comp.c - comp.c @ comp.b
-        escapes = (cartan.membership_residual(bracket, sig)
-                   / np.maximum(max_abs(bracket), 1e-30))
-        _bool(rep, f"cartan/binary_escape_p{p}q{q}", smallest(escapes) > 0.1)
-
-        # dimension counts: ranks of the parts of the elements of unit draws
-        units = cartan.cartan_split(
-            cartan.elements_from_draws(sig, np.eye(sig.n_draws)))
-        dim_k, dim_p = _rank(units.b), _rank(units.c)
-        _bool(rep, f"cartan/dim_k_pq_p{p}q{q}", dim_k == p * q)
+        if (p, q) == (LtsParams.p, LtsParams.q):   # lts-check's default
+            out = run_lts_check(rep, LtsParams())
+        else:
+            out = _lts_records(rep, cartan.ThetaSignature(p=p, q=q),
+                               f"cartan/ternary_closure_p{p}q{q}",
+                               f"cartan/binary_escape_p{p}q{q}")
+        _bool(rep, f"cartan/dim_k_pq_p{p}q{q}", out.dims[0] == p * q)
         _bool(rep, f"cartan/dim_p_p{p}q{q}",
-              dim_p == p * (p - 1) // 2 + q * (q - 1) // 2)
+              out.dims[1] == p * (p - 1) // 2 + q * (q - 1) // 2)
 
 
 def run_lts_check(rep: Report, params: LtsParams):
-    closure, escape = _triple_residuals(
-        params.signature(), np.random.default_rng(params.seed), params.samples)
-    rep.add("lts/ternary_closure", closure, 1e-12)
-    _bool(rep, "lts/binary_bracket_escapes", escape > 0.1)
-    rep.config["max_binary_escape"] = escape
+    """Returns cartan.structure_check's report."""
+    out = _lts_records(rep, params.signature(), "lts/ternary_closure",
+                       "lts/binary_bracket_escapes")
+    rep.config["escaping_pairs"] = out.escaping_pairs
+    return out
 
 
 def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
@@ -592,8 +571,10 @@ def run_cartan(rep: Report, params: CartanParams):
     sig = params.signature()
     rng = np.random.default_rng(params.seed)
     wick_res, exp_res, parity_res, polar_res = [], [], [], []
-    for k in _batches(params.samples, sig.m):
-        el, x = _elements_and_x(sig, rng, k, 3.0)
+    # batches of at most BATCH_BYTES of m x m complex matrices a stack
+    n, per = params.samples, max(1, cartan.BATCH_BYTES // (16 * sig.m**2))
+    for start in range(0, n, per):
+        el, x = _elements_and_x(sig, rng, min(per, n - start), 3.0)
         comp = cartan.cartan_split(el)
         # also the distance of f = -i a from so(m,C) and su(p,q)
         wick_res.append(_worst(cartan.membership_residual(el.matrix, sig)))
@@ -849,7 +830,8 @@ COMMANDS = {
     "cartan": Command(CartanParams, [run_cartan],
                       "gauge algebra structure checks"),
     "lts-check": Command(LtsParams, [run_lts_check],
-                         "Lie-triple closure sampling"),
+                         "Lie-triple closure and escape, exhaustive over "
+                         "a spanning set"),
     "spectrum-matrix": Command(SpectrumMatrixParams, [run_spectrum_matrix],
                                "matrix Schrodinger dual-build spectra", "both"),
     "jc": Command(JcParams, [run_jc], "truncated-Fock two-level model checks"),

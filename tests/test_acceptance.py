@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ CRITERIA = {
     1: ["clifford/"],
     2: ["rotated_involution/"],
     3: ["abelian/", "factorization/", "pseudo_hermiticity/"],
-    4: ["cartan/ternary_closure", "cartan/binary_escape", "cartan/dim_"],
+    4: ["lts/", "cartan/ternary_closure", "cartan/binary_escape",
+        "cartan/dim_"],
     5: ["cartan/closed_form_exponentials", "cartan/so2_rotation_example",
         "cartan/boost_example"],
     6: ["cartan/parity_metric_relations"],
@@ -105,8 +107,9 @@ def test_criterion_03_abelian_gauge(report):
 
 def test_criterion_04_cartan_lts(report):
     recs = _select(report, 4)
-    _assert_all(4, "ternary closure to 1e-12 over 1000 triples per "
-                   "signature, binary escape, dimension rank counts", recs)
+    _assert_all(4, "ternary closure to 1e-12 and binary escape over "
+                   "every triple and pair of a spanning set per signature, "
+                   "dimension rank counts", recs)
 
 
 def test_criterion_05_closed_form_exponentials(report):
@@ -171,7 +174,7 @@ VERIFY_ALL_RECORDS = [
     "abelian/pseudo_hermiticity_r1_beta",
     "abelian/naive_parity_residual_large_beta",
     "abelian/weighted_form_identity_beta",
-    "cartan/ternary_closure_p2q1", "cartan/binary_escape_p2q1",
+    "lts/ternary_closure", "lts/binary_bracket_escapes",
     "cartan/dim_k_pq_p2q1", "cartan/dim_p_p2q1",
     "cartan/ternary_closure_p2q2", "cartan/binary_escape_p2q2",
     "cartan/dim_k_pq_p2q2", "cartan/dim_p_p2q2",
@@ -200,8 +203,9 @@ VERIFY_ALL_RECORDS = [
 def test_verify_all_record_names_and_config_keys(report):
     assert [r.name for r in report.records] == VERIFY_ALL_RECORDS
     assert sorted(report.config) == [
-        "classification", "degenerate", "matrix_convergence_order", "n_bound",
-        "norm_H", "phi", "pt_symmetric", "r1_abs", "r2_abs", "seed"]
+        "classification", "degenerate", "escaping_pairs",
+        "matrix_convergence_order", "n_bound", "norm_H", "phi", "pt_symmetric",
+        "r1_abs", "r2_abs", "seed"]
     assert [t.name for t in report.tables] == [
         "spectrum", "levels", "bound_states", "phase_diagram"]
 
@@ -216,10 +220,11 @@ SHARED = {
     "point-spectrum": verification.CouplingParams(t11="-2", t12="0",
                                                   t21="0", t22="0"),
     "phase-diagram": verification.PhaseDiagramParams(),
+    "lts-check": LtsParams(),
 }
-# verify-all samples these at other signatures and seeds through the shared
-# kernels; calling their record functions is ROADMAP item 5
-NOT_SHARED = {"cartan": CartanParams(), "lts-check": LtsParams()}
+# verify-all samples this one at other signatures and seeds through the
+# shared kernels; calling its record function is ROADMAP item 5
+NOT_SHARED = {"cartan": CartanParams()}
 
 
 def _bits(rec):
@@ -227,7 +232,7 @@ def _bits(rec):
 
 
 def test_subcommands_share_their_records_with_verify_all(report, tmp_path):
-    """Each of the six subcommands, at verify-all's case, reports records
+    """Each of the seven subcommands, at verify-all's case, reports records
     that verify-all reports bit for bit, writes the same table bytes, and
     computes the same config values: one code path and one name each."""
     assert sorted(SHARED.keys() | NOT_SHARED.keys()) == sorted(
@@ -278,21 +283,55 @@ def test_nan_sign_operator_fails_the_clifford_records(monkeypatch):
 def test_nan_binary_escape_fails_its_record(monkeypatch):
     monkeypatch.setattr(cartan, "membership_residual",
                         lambda X, sig: np.full(np.shape(X)[:-2], np.nan))
-    monkeypatch.setattr(LtsParams, "samples", 2)   # closure is not under test
+    out = cartan.structure_check(cartan.ThetaSignature(2, 1))
+    assert np.isnan(out.min_escape_ratio) and out.escaping_pairs == 0
     rep = Report(command="nan", config={})
     check_cartan_lts(rep, VerifyConfig())
-    assert not _record(rep, "cartan/binary_escape_p2q1").passed
+    assert not _record(rep, "lts/binary_bracket_escapes").passed
+    assert not _record(rep, "cartan/binary_escape_p2q2").passed
 
 
-@pytest.mark.parametrize("seed", [8, 11, 12])
-def test_binary_escape_passes_at_small_bracket_seeds(seed):
-    """At these seeds some draw of v lies near the kernel of the singular
-    3 x 3 u, so |[a_k, a_p]| is small; relative to the bracket's own size
-    the escape is still 2."""
-    rep = Report(command="seed", config={})
-    check_cartan_lts(rep, VerifyConfig(seed=seed))
-    for name in ("p2q1", "p2q2", "p3q1"):
-        assert _record(rep, f"cartan/binary_escape_{name}").passed, name
+def test_no_nonzero_bracket_fails_the_escape_record(monkeypatch):
+    """A kernel that finds no nonzero bracket, as at signature (1, 1),
+    where one unit element spans the off-diagonal blocks, fails the
+    escape record: its smallest ratio over no bracket is inf."""
+    real = cartan.structure_check
+    monkeypatch.setattr(cartan, "structure_check",
+                        lambda sig: real(cartan.ThetaSignature(1, 1)))
+    rep = run("lts-check", LtsParams())
+    assert rep.config["escaping_pairs"] == 0
+    assert [r.passed for r in rep.records] == [True, False]
+
+
+def test_wrong_theta_fails_the_closure_records(monkeypatch):
+    """Membership judged with one sign of Theta flipped in `mask * X`, the
+    elements still built with the true one, fails the closure records:
+    the triples of g_Theta have nonzero entries in the flipped row and
+    column.  (Flipping it everywhere builds another Lie triple system.)"""
+    real = cartan.membership_residual
+
+    def wrong_theta(X, sig):
+        s = sig.signs.copy()
+        s[-1] = -s[-1]
+        return real(X, SimpleNamespace(mask=np.outer(s, s)))
+
+    monkeypatch.setattr(cartan, "membership_residual", wrong_theta)
+    rep = Report(command="wrong-theta", config={})
+    check_cartan_lts(rep, VerifyConfig())
+    for name in ("lts/ternary_closure", "cartan/ternary_closure_p2q2",
+                 "cartan/ternary_closure_p3q1"):
+        assert not _record(rep, name).passed, name
+
+
+def test_cartan_lts_records_do_not_depend_on_the_seed():
+    """The Lie-triple records are exhaustive over unit draws, so no seed
+    reaches them: seeds 0 and 3 give the same bits and config."""
+    runs = []
+    for seed in (0, 3):
+        rep = Report(command="seed", config={})
+        check_cartan_lts(rep, VerifyConfig(seed=seed))
+        runs.append(([_bits(r) for r in rep.records], rep.config))
+    assert runs[0] == runs[1]
 
 
 def test_parity_metric_relations_pass_at_seed_34():
@@ -304,7 +343,7 @@ def test_parity_metric_relations_pass_at_seed_34():
     assert _record(rep, "cartan/parity_metric_relations_random").passed
 
 
-SEEDED_CHECKS = (check_cartan_lts, check_closed_form_exponentials,
+SEEDED_CHECKS = (check_closed_form_exponentials,
                  check_parity_metric_relations, check_point_angle)
 
 

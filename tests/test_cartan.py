@@ -21,6 +21,7 @@ from ptgauge.cartan import (
     parity_relations_check,
     random_element,
     random_elements,
+    structure_check,
 )
 from ptgauge.linalg import expm, max_abs
 from ptgauge.reporting import CheckRecord
@@ -211,6 +212,36 @@ class TestLts:
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
             lts_check(_el((2, 1), 0), _el((2, 2), 0), _el((2, 1), 0))
+
+    @pytest.mark.parametrize("pq, d, escaping", [
+        ((2, 1), 7, 10), ((2, 2), 12, 40), ((3, 1), 13, 54), ((3, 2), 19, 114),
+        ((1, 2), 7, 10), ((3, 0), 9, 24)])
+    def test_structure_check_counts(self, pq, d, escaping):
+        """Over the d unit elements the closure is exact, every nonzero
+        bracket escapes with residual twice its largest entry, and the
+        escaping ordered pairs are exact counts out of d^2."""
+        sig = ThetaSignature(*pq)
+        assert sig.n_draws == d
+        out = structure_check(sig)
+        assert out.closure_residual == 0.0
+        assert out.min_escape_ratio == 2.0
+        assert out.escaping_pairs == escaping
+
+    @pytest.mark.parametrize("pq", [(1, 0), (1, 1), (2, 0)])
+    def test_structure_check_without_a_nonzero_bracket(self, pq):
+        """g_Theta of dimension <= 1 has no nonzero bracket: no pair
+        escapes, and the smallest ratio over none is inf."""
+        out = structure_check(ThetaSignature(*pq))
+        assert out.closure_residual == 0.0
+        assert out.min_escape_ratio == np.inf and out.escaping_pairs == 0
+
+    def test_structure_check_batches_equal_one_stack(self, monkeypatch):
+        """Batches of a1 of any size give the same bits as one stack."""
+        sig = ThetaSignature(3, 2)
+        ref = structure_check(sig)
+        for batch_bytes in (1, 10**9):
+            monkeypatch.setattr(cartan, "BATCH_BYTES", batch_bytes)
+            assert structure_check(sig) == ref
 
 
 class TestExponentials:

@@ -157,12 +157,14 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["lts-check", "--samples", "many"],
+        (["cartan", "--samples", "many"],
          "argument --samples: invalid int value: 'many'"),
         (["jc", "--format", "xml"], "argument --format: invalid choice: "
          "'xml' (choose from 'json', 'csv', 'both')"),
         (["lts-check", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
         ([], "the following arguments are required: command"),
+        (["lts-check", "--samples", "5"],
+         "unrecognized arguments: --samples 5"),
     ])
     def test_argparse_error_is_one_line(self, argv, message, capsys):
         """argparse's message alone, without its usage block."""
@@ -206,7 +208,7 @@ class TestConfigFile:
     def test_malformed_typed_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples = many\n")
-        assert main(["lts-check", "--config", str(cfg)]) == 2
+        assert main(["cartan", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("value, message", [
         ("many", "argument --samples: invalid int value: 'many'"),
@@ -216,7 +218,7 @@ class TestConfigFile:
                                               capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"p = 2\nsamples = {value}\n")
-        assert main(["lts-check", "--config", str(cfg),
+        assert main(["cartan", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == ("", f"usage error: {cfg}:2: {message}\n")
         assert not (tmp_path / "out").exists()
@@ -226,7 +228,7 @@ class TestConfigFile:
                                                       capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        assert main(["lts-check", "--config", str(cfg), "--samples", "few",
+        assert main(["cartan", "--config", str(cfg), "--samples", "few",
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == (
             "", "usage error: argument --samples: invalid int value: 'few'\n")
@@ -336,28 +338,29 @@ class TestOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == written
 
     def test_lts_json_report(self, tmp_path, capsys):
-        code = main(["lts-check", "--samples", "20", "--seed", "5",
-                     "--out-dir", str(tmp_path)])
+        code = main(["lts-check", "--out-dir", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "lts-check.json").read_text())
-        assert payload["seed"] == 5
+        assert payload["seed"] == 0
         assert payload["pass"] is True
+        assert payload["config"]["escaping_pairs"] == 10
         names = [r["name"] for r in payload["records"]]
         assert "lts/ternary_closure" in names
 
-    def test_lts_sampling_memory_does_not_grow(self, tmp_path, capsys):
-        """20000 triples at (3, 2) run in fixed-size batches: the traced
-        peak stays at a few MB (about 2.8 MB, as for 1000 triples), where
-        one stack of all of them would take over 24 MB."""
+    def test_lts_memory_at_the_work_budget(self, tmp_path, capsys):
+        """(4, 4), the largest signature within the work budget, checks
+        its 48^3 triples one a1 at a time: the traced peak is about 12 MB
+        (stacks of 48^2 triples of 8 x 8 matrices, 2.4 MB each), where one
+        stack of all of them would take over 100 MB."""
         tracemalloc.start()
         try:
-            code = main(["lts-check", "--p", "3", "--q", "2", "--samples",
-                         "20000", "--out-dir", str(tmp_path)])
+            code = main(["lts-check", "--p", "4", "--q", "4",
+                         "--out-dir", str(tmp_path)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 6 * 2**20
+        assert peak < 16 * 2**20
 
 
 # One invalid input per subcommand (some have more): each is rejected while
@@ -367,6 +370,11 @@ INVALID = [
     ["gauge-scalar", "--h", "1e-12"],
     ["cartan", "--p", "100000000000000000000"],
     ["lts-check", "--q", "100000000"],
+    # work over its budget: (5, 3) has 49^3 triples, just over (4, 4)'s
+    # 48^3 at m = 8; a million cartan samples take about a minute
+    ["lts-check", "--p", "5", "--q", "3"],
+    ["lts-check", "--p", "100", "--q", "100"],
+    ["cartan", "--samples", "1000000"],
     ["spectrum-matrix", "--h", "1e-6"],
     ["spectrum-matrix", "--h", "8e-6"],      # 18 test vectors, just over
     ["jc", "--n-max", "100000000000000000000000"],
@@ -384,7 +392,8 @@ INVALID = [
     ["cartan", "--p", "0"],
     ["cartan", "--seed=-1"],
     ["lts-check", "--p", "0"],
-    ["lts-check", "--samples", "0"],
+    ["lts-check", "--samples", "0"],   # no such flag: it samples nothing
+    ["cartan", "--samples", "0"],
     # g_Theta of dimension <= 1: no bracket can leave it
     ["lts-check", "--p", "1", "--q", "1"],
     ["lts-check", "--p", "2", "--q", "0"],
@@ -472,7 +481,7 @@ class TestInvalidInput:
                                                             capsys):
         """At m = 4730 one batch's stack takes 1073899200 bytes, 0.015 %
         over the 1073741824-byte budget; to 3 digits both read 1.07e+9."""
-        code = main(["lts-check", "--p", "2365", "--q", "2365",
+        code = main(["cartan", "--p", "2365", "--q", "2365",
                      "--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2 and len(err.splitlines()) == 1
@@ -502,18 +511,23 @@ class TestInvalidInput:
         assert peak < 50 * 2**20
 
     def test_budget_sizes_one_batch_stack(self):
-        """cartan and lts-check size one batch's stack of element triples,
-        3 m^2 complex entries once a batch holds one element: 1073445168
-        bytes at m = 4729, 1073899200 at m = 4730, over the 1 GiB budget.
-        Constructing the params allocates nothing."""
+        """cartan sizes one batch's stack as 3 m^2 complex entries once a
+        batch holds one element: 1073445168 bytes at m = 4729, 1073899200
+        at m = 4730, over the 1 GiB budget.  Below that the work budget
+        refuses first; lts-check has only the work budget, which bounds its
+        arrays.  Constructing the params allocates nothing."""
         tracemalloc.start()
         try:
-            for params in (CartanParams, LtsParams):
-                params(p=100, q=100)
-                params(p=2365, q=2364)
-                with pytest.raises(UsageError, match="one batch's stack of 3 "
-                                   "4730 x 4730 complex matrices"):
-                    params(p=2365, q=2365)
+            CartanParams(p=40, q=40, samples=1)
+            with pytest.raises(UsageError, match="work budget"):
+                CartanParams(p=2365, q=2364, samples=1)
+            with pytest.raises(UsageError, match="one batch's stack of 3 "
+                               "4730 x 4730 complex matrices"):
+                CartanParams(p=2365, q=2365)
+            LtsParams(p=4, q=4)
+            for p, q in ((5, 3), (2365, 2365)):
+                with pytest.raises(UsageError, match="work budget"):
+                    LtsParams(p=p, q=q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,8 +557,7 @@ FLAGS = {
                               ("--box", 8.0, float), ("--h", 0.00625, float)]),
     "cartan": ("json", [("--p", 2, int), ("--q", 1, int),
                         ("--samples", 100, int), ("--seed", 0, int)]),
-    "lts-check": ("json", [("--p", 2, int), ("--q", 1, int),
-                           ("--samples", 1000, int), ("--seed", 0, int)]),
+    "lts-check": ("json", [("--p", 2, int), ("--q", 1, int)]),
     "spectrum-matrix": ("both", [("--gauge-alpha", 0.3, float),
                                  ("--box", 8.0, float), ("--h", 0.05, float),
                                  ("--n-low", 16, int)]),
@@ -573,9 +586,9 @@ REPORTS = {
         "cartan/wick_membership", "cartan/closed_form_exponentials",
         "cartan/parity_metric_relations", "cartan/group_polar_structure"],
         ["p", "q", "samples", "seed"]),
-    "lts-check": (["--samples", "5"], [
+    "lts-check": ([], [
         "lts/ternary_closure", "lts/binary_bracket_escapes"],
-        ["max_binary_escape", "p", "q", "samples", "seed"]),
+        ["escaping_pairs", "p", "q"]),
     "spectrum-matrix": (["--h", "0.2", "--n-low", "4"], [
         "matrix/symmetry_audit", "matrix/spectral_match", "matrix/pairing_Hg",
         "matrix/pairing_H", "matrix/parity_pseudo_hermiticity"],
