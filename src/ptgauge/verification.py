@@ -46,10 +46,12 @@ WELL_BOX = 8.0
 # bytes of the largest single array a command may allocate; each params
 # check() sizes its own largest array from the flags, before allocating it
 MAX_ARRAY_BYTES = 2**30
-# work budgets in m x m problems times m^3: lts-check's d^3 triples up to
-# signature (4, 4), d = 48 and m = 8; up to 2^19 / m^3 cartan samples
+# work budgets, fitted to run times on one OpenBLAS thread: lts-check's d^3
+# triples at m cost d^3 m^3 units, 5 to 95 ns each, and the budget accepts
+# up to signature (4, 4), d = 48 and m = 8, in 0.4 s; a cartan sample costs
+# (m + 16)^3 units, 8 to 12 ns each from m = 2 to 200, so 2^27 take 1-1.6 s
 MAX_TRIPLE_WORK = 48**3 * 8**3
-MAX_SAMPLE_WORK = 2**19
+MAX_SAMPLE_WORK = 2**27
 
 
 class UsageError(ValueError):
@@ -107,12 +109,11 @@ def _require_budget(entries: int, what: str) -> None:
                          f" over the {_size(MAX_ARRAY_BYTES)}-byte array budget")
 
 
-def _require_work(count: int, m: int, limit: int, what: str) -> None:
-    """A usage error unless count m x m problems, count m^3, fit limit."""
-    if count * m**3 > limit:
-        raise UsageError(f"{what} at m = {_size(m)} would take "
-                         f"{_size(count * m**3)} units of work (count x m^3),"
-                         f" over the {_size(limit)}-unit work budget")
+def _require_work(work: int, limit: int, what: str) -> None:
+    """A usage error unless that many units of work fit limit."""
+    if work > limit:
+        raise UsageError(f"{what} would take {_size(work)} units of work, "
+                         f"over the {_size(limit)}-unit work budget")
 
 
 def _grid(box: float, h: float) -> Grid1D:
@@ -165,39 +166,42 @@ class GaugeScalarParams(_Params):
 
 
 @dataclass(frozen=True)
-class LtsParams(_Params):
+class _SignatureParams(_Params):
     p: int = 2
     q: int = 1
-
-    def check(self):
-        sig = self.signature()   # ValueError unless p >= 1 and q >= 0
-        # below p + q = 3, g_Theta has dimension <= 1: no bracket can leave it
-        _require(self.p + self.q >= 3,
-                 f"need p + q >= 3, got p {self.p}, q {self.q}")
-        # this also keeps structure_check's stacks, d^2 m^2 entries, to MBs
-        _require_work(sig.n_draws**3, sig.m, MAX_TRIPLE_WORK,
-                      f"the {_size(sig.n_draws)}^3 triples of unit draws")
 
     def signature(self) -> cartan.ThetaSignature:
         return cartan.ThetaSignature(p=self.p, q=self.q)
 
 
 @dataclass(frozen=True)
-class CartanParams(LtsParams):
+class LtsParams(_SignatureParams):
+    def check(self):
+        sig = self.signature()   # ValueError unless p >= 1 and q >= 0
+        # below p + q = 3, g_Theta has dimension <= 1: no bracket can leave it
+        _require(self.p + self.q >= 3,
+                 f"need p + q >= 3, got p {self.p}, q {self.q}")
+        # this also keeps structure_check's stacks, d^2 m^2 entries, to MBs
+        d, m = sig.n_draws, sig.m
+        _require_work(d**3 * m**3, MAX_TRIPLE_WORK, f"the {_size(d)}^3 "
+                      f"triples of unit draws at m = {_size(m)} (d^3 m^3)")
+
+
+@dataclass(frozen=True)
+class CartanParams(_SignatureParams):
     samples: int = 100
     seed: int = 0
 
     def check(self):
         m = self.signature().m
-        # once a batch holds one element, every array holds at most 3 m x m
-        # complex matrices (the stack of x and -x, two)
-        _require_budget(3 * m * m, f"one batch's stack of 3 {_size(m)} x "
-                        f"{_size(m)} complex matrices at signature "
-                        f"({_size(self.p)}, {_size(self.q)})")
         _require(self.samples >= 1, "samples must be >= 1")
         _require(self.seed >= 0, "seed must be >= 0")
-        _require_work(self.samples, m, MAX_SAMPLE_WORK,
-                      f"--samples {_size(self.samples)}")
+        # this also bounds every array: it refuses m > 496 even at one
+        # sample, and a batch's stack of 3 m x m complex matrices at m = 496
+        # takes 12 MB
+        _require_work(self.samples * (m + 16)**3, MAX_SAMPLE_WORK,
+                      f"--samples {_size(self.samples)} at m = {_size(m)} "
+                      "(samples x (m + 16)^3)")
 
 
 def _require_resolved(alpha: float, h: float, flag: str) -> None:

@@ -368,17 +368,20 @@ class TestOutputs:
 INVALID = [
     # sizes whose largest array is over verification.MAX_ARRAY_BYTES
     ["gauge-scalar", "--h", "1e-12"],
-    ["cartan", "--p", "100000000000000000000"],
-    ["lts-check", "--q", "100000000"],
-    # work over its budget: (5, 3) has 49^3 triples, just over (4, 4)'s
-    # 48^3 at m = 8; a million cartan samples take about a minute
-    ["lts-check", "--p", "5", "--q", "3"],
-    ["lts-check", "--p", "100", "--q", "100"],
-    ["cartan", "--samples", "1000000"],
     ["spectrum-matrix", "--h", "1e-6"],
     ["spectrum-matrix", "--h", "8e-6"],      # 18 test vectors, just over
     ["jc", "--n-max", "100000000000000000000000"],
     ["jc", "--h", "1e-5"],
+    # work over its budget: (5, 3) has 49^3 triples, just over (4, 4)'s
+    # 48^3 at m = 8; a million cartan samples take about a minute, and
+    # one sample is over the budget from m = 497 on
+    ["lts-check", "--q", "100000000"],
+    ["lts-check", "--p", "5", "--q", "3"],
+    ["lts-check", "--p", "100", "--q", "100"],
+    ["cartan", "--samples", "1000000"],
+    ["cartan", "--p", "100", "--q", "100", "--samples", "14"],
+    ["cartan", "--p", "249", "--q", "248", "--samples", "1"],
+    ["cartan", "--p", "100000000000000000000"],
     ["gauge-scalar", "--h", "100"],          # no grid node
     ["gauge-scalar", "--h", "0"],
     ["gauge-scalar", "--beta", "nan", "--h", "0.1"],
@@ -470,23 +473,26 @@ class TestInvalidInput:
     def test_budget_message_gives_sizes_to_three_digits(self, argv, tmp_path,
                                                         capsys):
         """Sizes of any magnitude, past a float's range too, read as one
-        short line: 3 significant digits from 10^12 up."""
+        short line: 3 significant digits from 10^12 up.  cartan has a work
+        budget, the others an array budget."""
         code = main(argv + ["--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
+        budget = "work budget" if argv[0] == "cartan" else "array budget"
         assert code == 2
         assert len(err.splitlines()) == 1 and len(err) < 200
-        assert "array budget" in err and "e+" in err
+        assert budget in err and "e+" in err
 
     def test_budget_message_shows_the_count_over_the_budget(self, tmp_path,
                                                             capsys):
-        """At m = 4730 one batch's stack takes 1073899200 bytes, 0.015 %
-        over the 1073741824-byte budget; to 3 digits both read 1.07e+9."""
-        code = main(["cartan", "--p", "2365", "--q", "2365",
+        """At m = 497 one cartan sample takes 513^3 = 135005697 units of
+        work, 0.6 % over the 2^27-unit budget; both read in full."""
+        code = main(["cartan", "--p", "249", "--q", "248", "--samples", "1",
                      "--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2 and len(err.splitlines()) == 1
-        assert ("would allocate 1073899200 bytes, over the 1073741824-byte "
-                "array budget") in err
+        assert ("--samples 1 at m = 497 (samples x (m + 16)^3) would take "
+                "135005697 units of work, over the 134217728-unit work "
+                "budget") in err
 
     def test_budget_sizes_the_sparse_routes(self):
         """spectrum-matrix and jc no longer densify their grid builds, so
@@ -511,19 +517,19 @@ class TestInvalidInput:
         assert peak < 50 * 2**20
 
     def test_budget_sizes_one_batch_stack(self):
-        """cartan sizes one batch's stack as 3 m^2 complex entries once a
-        batch holds one element: 1073445168 bytes at m = 4729, 1073899200
-        at m = 4730, over the 1 GiB budget.  Below that the work budget
-        refuses first; lts-check has only the work budget, which bounds its
-        arrays.  Constructing the params allocates nothing."""
+        """The work budgets bound the arrays of cartan and lts-check.
+        cartan takes samples x (m + 16)^3 <= 2^27: 19568 samples at the
+        default m = 3, 13 at m = 200 and one at m = 496, where one batch's
+        stack of 3 m x m complex matrices takes 12 MB, far below the 1 GiB
+        array budget.  Constructing the params allocates nothing."""
         tracemalloc.start()
         try:
-            CartanParams(p=40, q=40, samples=1)
-            with pytest.raises(UsageError, match="work budget"):
-                CartanParams(p=2365, q=2364, samples=1)
-            with pytest.raises(UsageError, match="one batch's stack of 3 "
-                               "4730 x 4730 complex matrices"):
-                CartanParams(p=2365, q=2365)
+            for accepted, refused in (((2, 1, 19568), (2, 1, 19569)),
+                                      ((100, 100, 13), (100, 100, 14)),
+                                      ((248, 248, 1), (249, 248, 1))):
+                CartanParams(*accepted)
+                with pytest.raises(UsageError, match="work budget"):
+                    CartanParams(*refused)
             LtsParams(p=4, q=4)
             for p, q in ((5, 3), (2365, 2365)):
                 with pytest.raises(UsageError, match="work budget"):
