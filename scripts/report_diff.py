@@ -7,8 +7,9 @@ with `--format json` or `--format both`) and prints, for each pair:
     residual, the move in ulps (units in the last place of a float64)
     and the move as a fraction of the new tolerance;
   * records only in NEW (added) or only in OLD (removed), except that a
-    removed and an added record with equal residual and tolerance are
-    printed as one rename;
+    removed and an added record are printed as one rename when each is
+    the only one of its kind with their residual and tolerance (many
+    records read 0.0, and a pair among several would be a guess);
   * config keys added, removed or changed, and a changed seed or pass;
   * per table, the row counts and the largest move of a numeric entry
     over the rows and columns both have, with its row and column.
@@ -47,6 +48,10 @@ def _number(cell):
         return None
 
 
+def _value(record) -> tuple:
+    return record["residual"], record["tolerance"]
+
+
 def diff_records(old: list, new: list) -> list:
     lines = []
     before = {r["name"]: r for r in old}
@@ -67,11 +72,11 @@ def diff_records(old: list, new: list) -> list:
     added = [r for name, r in after.items() if name not in before]
     removed = [r for name, r in before.items() if name not in after]
     for r in removed:
-        match = next((a for a in added if (a["residual"], a["tolerance"])
-                      == (r["residual"], r["tolerance"])), None)
-        if match is not None:
-            added.remove(match)
-            lines.append(f"  renamed: {r['name']} -> {match['name']} "
+        match = [a for a in added if _value(a) == _value(r)]
+        alone = [_value(o) for o in removed].count(_value(r)) == 1
+        if alone and len(match) == 1:
+            added.remove(match[0])
+            lines.append(f"  renamed: {r['name']} -> {match[0]['name']} "
                          f"(equal value {r['residual']})")
         else:
             lines.append(f"  removed: {r['name']} = {r['residual']}")

@@ -4,12 +4,12 @@ COMMANDS maps each subcommand to a frozen params dataclass (its flags,
 defaults and domain checks) and its record functions (rep, params), which
 run(name, params) calls in order into one timed Report: a subcommand's one
 run_*, or for `verify-all` the list ALL_CHECKS itself.  Seven check_* call
-a subcommand's run_* at the case they check (point-angle at [[1, i], [-i, 0]],
-point-spectrum at the delta well, the others at their defaults) and add the
-suite's own records from what it returns; verify-all samples cartan at other
-signatures and seeds, through the same kernels.  The Lie-triple records are
-exhaustive over the unit draws, and lts-check refuses a signature whose d^3
-triples are over MAX_TRIPLE_WORK.
+the run_* of all eight subcommands at the case they check (point-angle at
+[[1, i], [-i, 0]], point-spectrum at the delta well, cartan at verify-all's
+seed, the others at their defaults) and add the suite's own records, among
+them the same Cartan kernels at other signatures, named with a _p{p}q{q}
+suffix.  The Lie-triple records are exhaustive over the unit draws, and
+lts-check refuses a signature whose d^3 triples are over MAX_TRIPLE_WORK.
 The library functions return residuals; each check turns them into
 records, and CheckRecord.passed (finite and within the tolerance) is the
 only pass/fail decision.  Boolean outcomes are encoded as residual 0.0
@@ -37,7 +37,7 @@ from .linalg import MAX_ARNOLDI_MODES, Grid1D, eig, expm, grid_operator, \
 from .reporting import Report, Table
 
 BETA = 0.3             # imaginary gauge slope of the abelian check
-N_PARITY_DRAWS = 500
+N_GROUP_SAMPLES = 50   # cartan samples at each signature verify-all adds
 # point interaction grid oracle; the finite-width bias of the square
 # well is about 2*width/3 on the energy, so width stays at 1e-3
 WELL_WIDTH = 0.001
@@ -525,14 +525,13 @@ def _exp_residual(comp: cartan.CartanComponents, sig: cartan.ThetaSignature,
 
 
 def check_closed_form_exponentials(rep: Report, cfg: VerifyConfig):
-    rng = np.random.default_rng(cfg.seed + 1)
-    x = np.linspace(-5, 5, 11)[:, None]   # each x against the 5 elements
-    residuals = []
-    for (p, q) in ((1, 1), (2, 1), (2, 2), (3, 1)):
-        sig = cartan.ThetaSignature(p=p, q=q)
-        comp = cartan.cartan_split(cartan.random_elements(sig, rng, 5))
-        residuals.append(_exp_residual(comp, sig, x))
-    rep.add("cartan/closed_form_exponentials", _worst(*residuals), 1e-10)
+    """cartan's records at its default signature and verify-all's seed, the
+    same loop at (1,1), (2,2) and (3,1) at seeds one, two and three past it,
+    and the m = 2 worked examples."""
+    run_cartan(rep, CartanParams(seed=cfg.seed))
+    for i, (p, q) in enumerate(((1, 1), (2, 2), (3, 1)), 1):
+        run_cartan(rep, CartanParams(p=p, q=q, samples=N_GROUP_SAMPLES,
+                                     seed=cfg.seed + i), f"_p{p}q{q}")
 
     # m = 2 worked cases: SO(2) rotation (Theta = sigma_3) and cosh/sinh boost
     alpha = 0.7
@@ -556,12 +555,7 @@ def check_closed_form_exponentials(rep: Report, cfg: VerifyConfig):
 
 
 def check_parity_metric_relations(rep: Report, cfg: VerifyConfig):
-    rng = np.random.default_rng(cfg.seed + 2)
-    sig = cartan.ThetaSignature(p=2, q=1)
-    el, x = _elements_and_x(sig, rng, N_PARITY_DRAWS, 2.0)
-    rep.add("cartan/parity_metric_relations_random",
-            _worst(cartan.parity_relations_check(el, x).max_residual), 1e-10)
-
+    """The relations on the m = 2 worked cases; run_cartan samples them."""
     el_r = _element_11(0.5)[1]
     sig_b = cartan.ThetaSignature(p=2, q=0)
     u = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -572,7 +566,9 @@ def check_parity_metric_relations(rep: Report, cfg: VerifyConfig):
                      for el in (el_r, el_b))), 1e-10)
 
 
-def run_cartan(rep: Report, params: CartanParams):
+def run_cartan(rep: Report, params: CartanParams, suffix: str = ""):
+    """The group-level records of params.samples sampled elements, each
+    name ending in suffix."""
     sig = params.signature()
     rng = np.random.default_rng(params.seed)
     wick_res, exp_res, parity_res, polar_res = [], [], [], []
@@ -588,10 +584,11 @@ def run_cartan(rep: Report, params: CartanParams):
             _worst(cartan.parity_relations_check(el, x).max_residual))
         U = cartan.exp_compact(comp, sig, x) @ cartan.exp_noncompact(comp, sig, x)
         polar_res.append(_worst(*cartan.group_polar(U, sig).residuals.values()))
-    rep.add("cartan/wick_membership", worst_residual(wick_res), 1e-12)
-    rep.add("cartan/closed_form_exponentials", worst_residual(exp_res), 1e-10)
-    rep.add("cartan/parity_metric_relations", worst_residual(parity_res), 1e-10)
-    rep.add("cartan/group_polar_structure", worst_residual(polar_res), 1e-8)
+    for name, res, tol in (("wick_membership", wick_res, 1e-12),
+                           ("closed_form_exponentials", exp_res, 1e-10),
+                           ("parity_metric_relations", parity_res, 1e-10),
+                           ("group_polar_structure", polar_res, 1e-8)):
+        rep.add(f"cartan/{name}{suffix}", worst_residual(res), tol)
 
 
 def matrix_example(gauge_alpha: float):

@@ -31,7 +31,6 @@ from ptgauge.verification import (
     check_closed_form_exponentials,
     check_jaynes_cummings,
     check_matrix_schrodinger,
-    check_parity_metric_relations,
     check_point_angle,
     run,
 )
@@ -49,9 +48,9 @@ CRITERIA = {
     2: ["rotated_involution/"],
     3: ["abelian/", "factorization/", "pseudo_hermiticity/"],
     4: ["lts/", "cartan/ternary_closure", "cartan/binary_escape",
-        "cartan/dim_"],
+        "cartan/dim_", "cartan/wick_membership"],
     5: ["cartan/closed_form_exponentials", "cartan/so2_rotation_example",
-        "cartan/boost_example"],
+        "cartan/boost_example", "cartan/group_polar_structure"],
     6: ["cartan/parity_metric_relations"],
     7: ["matrix/"],
     8: ["jc/"],
@@ -110,19 +109,22 @@ def test_criterion_04_cartan_lts(report):
     recs = _select(report, 4)
     _assert_all(4, "ternary closure to 1e-12 and binary escape over "
                    "every triple and pair of a spanning set per signature, "
-                   "dimension rank counts", recs)
+                   "dimension rank counts, Wick membership of sampled "
+                   "elements", recs)
 
 
 def test_criterion_05_closed_form_exponentials(report):
     recs = _select(report, 5)
     _assert_all(5, "closed-form exponentials match expm to 1e-10 "
-                   "including both 2x2 worked examples", recs)
+                   "including both 2x2 worked examples, group polar "
+                   "structure of their product", recs)
 
 
 def test_criterion_06_parity_metric_relations(report):
     recs = _select(report, 6)
-    _assert_all(6, "parity and metric identities to 1e-10 over 500 "
-                   "random draws", recs)
+    _assert_all(6, "parity and metric identities to 1e-10 over 250 "
+                   "random draws at four signatures and two 2x2 worked "
+                   "examples", recs)
 
 
 def test_criterion_07_matrix_schrodinger(report):
@@ -181,8 +183,10 @@ VERIFY_ALL_RECORDS = [
     "cartan/dim_k_pq_p2q2", "cartan/dim_p_p2q2",
     "cartan/ternary_closure_p3q1", "cartan/binary_escape_p3q1",
     "cartan/dim_k_pq_p3q1", "cartan/dim_p_p3q1",
-    "cartan/closed_form_exponentials", "cartan/so2_rotation_example",
-    "cartan/boost_example", "cartan/parity_metric_relations_random",
+    *[f"cartan/{name}{suffix}" for suffix in ("", "_p1q1", "_p2q2", "_p3q1")
+      for name in ("wick_membership", "closed_form_exponentials",
+                   "parity_metric_relations", "group_polar_structure")],
+    "cartan/so2_rotation_example", "cartan/boost_example",
     "cartan/parity_metric_relations_m2_examples",
     "matrix/symmetry_audit", "matrix/spectral_match",
     "matrix/pairing_Hg", "matrix/pairing_H",
@@ -222,10 +226,8 @@ SHARED = {
                                                   t21="0", t22="0"),
     "phase-diagram": verification.PhaseDiagramParams(),
     "lts-check": LtsParams(),
+    "cartan": CartanParams(seed=VerifyConfig.seed),
 }
-# verify-all samples this one at other signatures and seeds through the
-# shared kernels; calling its record function is ROADMAP item 5
-NOT_SHARED = {"cartan": CartanParams()}
 
 
 def _bits(rec):
@@ -233,11 +235,10 @@ def _bits(rec):
 
 
 def test_subcommands_share_their_records_with_verify_all(report, tmp_path):
-    """Each of the seven subcommands, at verify-all's case, reports records
+    """Each of the eight subcommands, at verify-all's case, reports records
     that verify-all reports bit for bit, writes the same table bytes, and
     computes the same config values: one code path and one name each."""
-    assert sorted(SHARED.keys() | NOT_SHARED.keys()) == sorted(
-        set(verification.COMMANDS) - {"verify-all"})
+    assert sorted(SHARED) == sorted(set(verification.COMMANDS) - {"verify-all"})
     suite = {r.name: _bits(r) for r in report.records}
     emit(report, "csv", str(tmp_path / "suite"))
     for name, params in SHARED.items():
@@ -252,9 +253,6 @@ def test_subcommands_share_their_records_with_verify_all(report, tmp_path):
             csv = (tmp_path / name / f"{name}_{t.name}.csv").read_bytes()
             assert csv == (tmp_path / "suite" / f"verify-all_{t.name}.csv"
                            ).read_bytes(), t.name
-    for name, params in NOT_SHARED.items():
-        assert any(r.name not in suite for r in run(name, params).records), \
-            f"{name} is shared now: move it to SHARED"
 
 
 def _record(rep, name):
@@ -306,9 +304,10 @@ def test_no_nonzero_bracket_fails_the_escape_record(monkeypatch):
 
 def test_wrong_theta_fails_the_closure_records(monkeypatch):
     """Membership judged with one sign of Theta flipped in `mask * X`, the
-    elements still built with the true one, fails the closure records:
-    the triples of g_Theta have nonzero entries in the flipped row and
-    column.  (Flipping it everywhere builds another Lie triple system.)"""
+    elements still built with the true one, fails the closure records and
+    the Wick membership records: the triples and the sampled elements of
+    g_Theta have nonzero entries in the flipped row and column.  (Flipping
+    it everywhere builds another Lie triple system.)"""
     real = cartan.membership_residual
 
     def wrong_theta(X, sig):
@@ -319,9 +318,14 @@ def test_wrong_theta_fails_the_closure_records(monkeypatch):
     monkeypatch.setattr(cartan, "membership_residual", wrong_theta)
     rep = Report(command="wrong-theta", config={})
     check_cartan_lts(rep, VerifyConfig())
-    for name in ("lts/ternary_closure", "cartan/ternary_closure_p2q2",
-                 "cartan/ternary_closure_p3q1"):
-        assert not _record(rep, name).passed, name
+    check_closed_form_exponentials(rep, VerifyConfig())
+    wick = [r for r in rep.records
+            if r.name.startswith("cartan/wick_membership")]
+    assert len(wick) == 4
+    for r in wick + [_record(rep, name) for name in (
+            "lts/ternary_closure", "cartan/ternary_closure_p2q2",
+            "cartan/ternary_closure_p3q1")]:
+        assert not r.passed, r.name
 
 
 def test_cartan_lts_records_do_not_depend_on_the_seed():
@@ -336,16 +340,16 @@ def test_cartan_lts_records_do_not_depend_on_the_seed():
 
 
 def test_parity_metric_relations_pass_at_seed_34():
-    """At this seed the worst absolute residual reads 1.4e-10, over the
-    1e-10 bound: rounding in U_p(+-x) grows like e^{|c||x|}.  Relative to
-    |U_p(x)|_max |U_p(-x)|_max it reads 1.3e-14."""
-    rep = Report(command="seed", config={})
-    check_parity_metric_relations(rep, VerifyConfig(seed=34))
-    assert _record(rep, "cartan/parity_metric_relations_random").passed
+    """On 500 draws at (2,1), x in [-2, 2], from seed 34 + 2, the worst
+    absolute residual reads 1.4e-10, over the 1e-10 bound: rounding in
+    U_p(+-x) grows like e^{|c||x|}.  Relative to |U_p(x)|_max |U_p(-x)|_max
+    it reads 1.3e-14."""
+    el, x = verification._elements_and_x(
+        cartan.ThetaSignature(2, 1), np.random.default_rng(34 + 2), 500, 2.0)
+    assert np.max(cartan.parity_relations_check(el, x).max_residual) <= 1e-10
 
 
-SEEDED_CHECKS = (check_closed_form_exponentials,
-                 check_parity_metric_relations, check_point_angle)
+SEEDED_CHECKS = (check_closed_form_exponentials, check_point_angle)
 
 
 def test_sampled_checks_pass_at_seeds_0_to_59():

@@ -1,10 +1,12 @@
 import argparse
+import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -679,6 +681,23 @@ def test_verify_all_runs_the_all_checks_list(tmp_path, capsys):
     assert code == 1 and calls == [verification.VerifyConfig()]
     err = capsys.readouterr().err
     assert err.count("time ") == len(saved) and "time check_stub:" in err
+
+
+def test_benchmark_traces_only_functions_that_exist():
+    """A traced perfbench run wraps each `<module>.<function>` that
+    BENCHMARK.json's per-layer metrics name, read by getattr on
+    ptgauge.<module>: a function deleted or renamed there would end the
+    run in AttributeError."""
+    path = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    traced = {m["name"].rsplit(".", 1)[0]
+              for m in json.loads(path.read_text())["per_layer"]
+              if not m["name"].startswith("trace.")}
+    missing = []
+    for name in sorted(traced):
+        module, func = name.split(".")
+        if not hasattr(importlib.import_module(f"ptgauge.{module}"), func):
+            missing.append(name)
+    assert traced and missing == []
 
 
 class TestPackage:

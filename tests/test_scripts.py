@@ -156,6 +156,38 @@ def test_report_diff_shows_a_scaled_and_a_renamed_record(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_report_diff_renames_only_a_value_one_pair_shares(tmp_path, capsys):
+    """A removed and an added record are one rename only when no other
+    removed or added record has their residual and tolerance: one zero
+    removed against two zeros added, or two halves removed against one
+    half added, are printed as removed and added records."""
+    from ptgauge.reporting import Report, emit
+
+    def write(sub, records):
+        rep = Report(command="verify-all", config={})
+        for name, residual, tolerance in records:
+            rep.add(name, residual, tolerance)
+        emit(rep, "json", str(tmp_path / sub))
+
+    write("old", [("a/x", 0.0, 1e-12), ("c/before", 2.5e-9, 1e-8),
+                  ("d/1", 0.5, 1.0), ("d/2", 0.5, 1.0)])
+    write("new", [("b/y", 0.0, 1e-12), ("b/z", 0.0, 1e-12),
+                  ("c/after", 2.5e-9, 1e-8), ("d/3", 0.5, 1.0)])
+    assert _load("report_diff").main([str(tmp_path / "old"),
+                                      str(tmp_path / "new")]) == 0
+    zero, half = f"{0.0:.17e}", f"{0.5:.17e}"
+    assert capsys.readouterr().out.splitlines() == [
+        "== verify-all.json",
+        f"  removed: a/x = {zero}",
+        f"  renamed: c/before -> c/after (equal value {2.5e-9:.17e})",
+        f"  removed: d/1 = {half}",
+        f"  removed: d/2 = {half}",
+        f"  added: b/y = {zero}",
+        f"  added: b/z = {zero}",
+        f"  added: d/3 = {half}",
+        "  0 of 4 records unchanged"]
+
+
 def test_report_diff_exits_two_on_a_missing_directory(tmp_path, capsys):
     assert _load("report_diff").main([str(tmp_path), str(tmp_path / "no")]) == 2
     assert capsys.readouterr().err.count("\n") == 1
