@@ -4,16 +4,13 @@ Assembles the gauged operator H_g and the independently regauged
 H = p^2 + e^{-Ax} V e^{Ax} of the `ptgauge spectrum-matrix` example on a
 sequence of halved spacings and reports the worst relative eigenvalue
 mismatch over the lowest modes together with the observed convergence
-order (expected around 2).  The lowest modes come from certified sparse
-shift-invert (linalg.lowest_modes), so no whole spectrum is computed.
-It accepts a level exactly when spectrum-matrix accepts the same
-gauge-alpha, box and n-low at that spacing and lowest_modes can certify
-n-low modes there (at most MAX_ARNOLDI_MODES - 1 past dense eig's sizes),
-and checks every level before it runs one.  An n-low that still finds no
-certified set at some level, because no gap past it lies within the
-largest request (the example's levels come in degenerate pairs), is
-rejected once it is run into, before the table is printed.  It exits 1 if
-any observed order is below MIN_ORDER, 2 with a one-line usage error on
+order (expected around 2).  The lowest modes come from
+linalg.lowest_modes, which answers every cut: by certified sparse
+shift-invert where a request certifies it, so no whole spectrum is
+computed, else by eig's band route.  It accepts a level exactly when
+spectrum-matrix accepts the same gauge-alpha, box and n-low at that
+spacing, and checks every level before it runs one.  It exits 1 if any
+observed order is below MIN_ORDER, 2 with a one-line usage error on
 arguments it rejects at some level or on fewer than two levels (no
 order), else 0.
 
@@ -25,7 +22,6 @@ import sys
 
 import numpy as np
 
-from ptgauge.linalg import UncertifiedModes, require_mode_count
 from ptgauge.schrodinger import build_and_regauge, lowest_mode_match
 from ptgauge.verification import SpectrumMatrixParams, matrix_example
 
@@ -47,22 +43,13 @@ def main(argv=None) -> int:
         levels = [SpectrumMatrixParams(args.gauge_alpha, args.box,
                                        h=args.h0 / 2**level, n_low=args.n_low)
                   for level in range(args.levels)]
-        for params in levels:
-            require_mode_count(2 * params.grid().size, args.n_low)
     except ValueError as exc:   # the rule of ptgauge's command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
     _, gauge, pot = matrix_example(args.gauge_alpha)
-    dists = []
-    for params in levels:
-        res = build_and_regauge(gauge, pot, params.grid())
-        try:
-            dists.append(lowest_mode_match(res, args.n_low))
-        except UncertifiedModes as exc:
-            print(f"usage error: --n-low {args.n_low} at h {params.h}: {exc}",
-                  file=sys.stderr)
-            return 2
+    dists = [lowest_mode_match(build_and_regauge(gauge, pot, params.grid()),
+                               args.n_low) for params in levels]
 
     print(f"# gauge alpha = {args.gauge_alpha}, box = {args.box}, "
           f"lowest {args.n_low} modes")

@@ -30,12 +30,14 @@ expm of the p x p block.
 
 Stacks.  An element is its matrix: a (m, m) matrix is one element, a
 (..., m, m) stack of them, say (k, m, m), is k elements, indexed like an
-array (stack[i] is the i-th element).  Stacks come from draws
-(elements_from_draws, random_elements); make_element checks and builds
-one element from its blocks.  Every kernel works on the trailing (m, m)
-axes, so lts_check, membership_residual, exp_compact, exp_noncompact,
-parity_relations_check and group_polar give an array of per-element
-residuals where one element gives a float.  x may be an array that
+array (stack[i] is the i-th element).  Stacks come from a (..., n_draws)
+array of draws (elements_from_draws); drawn by one standard_normal call,
+each element equals random_element's on the same generator, bit for bit.
+make_element checks and builds one element from its blocks.  Every
+kernel works on the trailing (m, m) axes, so lts_check,
+membership_residual, exp_compact, exp_noncompact, parity_relations_check
+and group_polar give an array of per-element residuals where one element
+gives a float.  x may be an array that
 broadcasts against the leading axes; parity_relations_check stacks x
 and -x, so it takes one SVD and one stacked expm.
 Each slice of a stacked result equals the per-element call bit for bit:
@@ -208,16 +210,6 @@ def elements_from_draws(sig: ThetaSignature, z) -> GaugeAlgebraElement:
 def random_element(sig: ThetaSignature, rng: np.random.Generator,
                    scale: float = 1.0) -> GaugeAlgebraElement:
     return elements_from_draws(sig, rng.standard_normal(sig.n_draws) * scale)
-
-
-def random_elements(sig: ThetaSignature, rng: np.random.Generator,
-                    shape) -> GaugeAlgebraElement:
-    """A stack of the given leading shape, drawn in row-major order: the
-    generator ends where as many random_element calls leave it, and each
-    element equals theirs bit for bit."""
-    shape = tuple(np.atleast_1d(shape))
-    return elements_from_draws(
-        sig, rng.standard_normal(shape + (sig.n_draws,)))
 
 
 def membership_residual(X, sig: ThetaSignature):

@@ -27,7 +27,9 @@ each half is one summed CSR array of M's entries, read as any operand.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
-densifying, on one of two routes chosen by the same structure test:
+densifying, and from eig's route where no request certifies them, so it
+answers every cut.  It has two Krylov routes, chosen by the same
+structure test:
 both solvers read an operator once, by one reader that refuses a
 non-square or non-finite one, and every route takes its operand from it.
 A Hermitian operator narrow enough for eig's band driver takes
@@ -44,8 +46,8 @@ Bendixson rectangle inside the disk the request covers.  hermitian_band
 names the Lanczos route's operators: eig's Hermitian drivers return their
 values exactly real, so their pairing class is all_real with no solve.
 Dense eig remains for whole spectra (the pairing classes of other
-operators, spectral similarity), for small operators and as the oracle
-of lowest_modes.
+operators, spectral similarity), for small operators, for the cuts no
+Krylov request certifies and as the oracle of lowest_modes.
 Every lowest-k cut goes through lowest, which never splits a conjugate
 pair, and lowest_common cuts spectra that are compared at one such k.
 
@@ -512,18 +514,6 @@ def lowest_common(k: int, *spectra) -> list:
 MAX_ARNOLDI_MODES = 256   # largest set lowest_modes asks ARPACK for
 
 
-class UncertifiedModes(RuntimeError):
-    """lowest_modes found no certified set within its largest request."""
-
-
-def require_mode_count(n: int, k: int) -> None:
-    """ValueError where lowest_modes cannot certify k of n modes: past dense
-    eig's sizes (k + 4 <= n - 2) a certificate needs a value past the k."""
-    if k >= MAX_ARNOLDI_MODES and k + 4 <= n - 2:
-        raise ValueError(f"lowest_modes certifies at most {MAX_ARNOLDI_MODES - 1}"
-                         f" (MAX_ARNOLDI_MODES - 1) of {n} modes, got {k}")
-
-
 def _below(x: float) -> float:
     """A shift just below x: x - 1e-3 (1 + |x|)."""
     return x - 1e-3 * (1 + abs(x))
@@ -567,13 +557,14 @@ def lowest_modes(M, k: int) -> np.ndarray:
 
     Shift-invert returns the nev = k + margin values nearest its shift
     sigma, not the lowest by real part, so the selection is certified; the
-    margin starts at 4 and doubles until it is; past MAX_ARNOLDI_MODES
-    values (or n - 2) lowest_modes raises UncertifiedModes, a RuntimeError,
-    rather than return an uncertified set.  An operator too small for a
-    first request of k + 4 values is solved by eig's route; on any other, k
-    >= MAX_ARNOLDI_MODES raises ValueError before any solve.  M is read
-    once, as eig reads it; its structure (_band) picks one of two routes,
-    which solve on one sparse operand built from the entries read.
+    margin starts at 4 and doubles until it is, up to MAX_ARNOLDI_MODES
+    values (or n - 2).  Where no request certifies a set, k >=
+    MAX_ARNOLDI_MODES or the operator is too small for a first request of
+    k + 4 values, lowest_modes makes no further request and returns
+    lowest(eig(M), k) from eig's own route, on which a Hermitian band
+    operator is still never made dense: it answers every k.  M is read
+    once, as eig reads it; its structure (_band) picks one of two Krylov
+    routes, which solve on one sparse operand built from the entries read.
 
     Hermitian and narrow-banded (M equals M^H entry for entry, and
     32 kd < n): shift-invert Lanczos.  Let g be the Gershgorin lower bound
@@ -611,36 +602,28 @@ def lowest_modes(M, k: int) -> np.ndarray:
     """
     _require_cut(k)
     read = n, i, j, v, kd, T = _entries(M)
-    margin = 4
-    if k + margin > n - 2:
-        return lowest(_spectrum(*read), k)
-    require_mode_count(n, k)
-    band = _band(*read)
-    A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n),
-                               dtype=v.dtype if band is not None else complex)
-    v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
-    if band is not None:
-        certified, why = _lanczos_request(A, band, k, v0)
-    else:
-        certified, why = _arnoldi_request(A, k, v0)
-    nev_max = min(MAX_ARNOLDI_MODES, n - 2)
-    while True:
-        nev = min(k + margin, nev_max)
-        kept = certified(nev)
-        if kept is not None:
-            return kept
-        if nev == nev_max:
-            raise UncertifiedModes(
-                f"lowest_modes: no certified lowest {k} of {n} modes within "
-                f"{nev} shift-invert values ({why})")
-        margin *= 2
+    margin, nev_max = 4, min(MAX_ARNOLDI_MODES, n - 2)
+    if k + margin <= n - 2 and k < MAX_ARNOLDI_MODES:
+        band = _band(*read)
+        A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n),
+                                   dtype=v.dtype if band is not None else complex)
+        v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
+        certified = (_lanczos_request(A, band, k, v0) if band is not None
+                     else _arnoldi_request(A, k, v0))
+        nev = 0
+        while nev < nev_max:
+            nev = min(k + margin, nev_max)
+            kept = certified(nev)
+            if kept is not None:
+                return kept
+            margin *= 2
+    return lowest(_spectrum(*read), k)
 
 
 def _lanczos_request(M, band, k: int, v0):
     """The Hermitian route of lowest_modes (see there) for M, a Hermitian
     CSC array, real when its entries are, with band its upper band
-    storage: a map from nev to the certified lowest k, or None, and the
-    reason a failure names."""
+    storage: a map from nev to the certified lowest k, or None."""
     import scipy.sparse.linalg
 
     n = M.shape[0]
@@ -665,13 +648,12 @@ def _lanczos_request(M, band, k: int, v0):
             return vals[:k].astype(complex)
         return None
 
-    return certified, "inertia count differs"
+    return certified
 
 
 def _arnoldi_request(M, k: int, v0):
     """The general route of lowest_modes (see there) for M, a complex CSC
-    array: a map from nev to the certified lowest k, or None, and the
-    reason a failure names."""
+    array: a map from nev to the certified lowest k, or None."""
     import scipy.sparse.linalg
 
     MH = M.conj().T
@@ -689,7 +671,7 @@ def _arnoldi_request(M, k: int, v0):
         R = np.abs(vals - sigma).max()
         return kept if R**2 > (kept.real.max() - sigma)**2 + b**2 else None
 
-    return certified, f"Bendixson bound |Im| <= {b:.3g}"
+    return certified
 
 
 def worst_residual(residuals) -> float:

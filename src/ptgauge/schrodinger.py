@@ -7,7 +7,8 @@ operator is built independently as H = p^2 + e^{-iAx} V(x) e^{iAx}; the
 two discretizations agree up to O(h^2), which is what spectral_compare
 measures.  The literal similarity U H_g U^{-1}, with the block-diagonal
 gauge transform U = (+)_j e^{-iAx_j}, is spectrally exact by construction;
-similarity_transform forms it for matrix/similarity_spectrum_exact only.
+similarity_transform forms it for matrix/similarity_spectrum_exact only,
+from the blocks of U that build_and_regauge keeps.
 
 All three operators are block-tridiagonal and U is block-diagonal; they are
 CSR arrays assembled from their block diagonals (linalg.block_tridiagonal),
@@ -19,12 +20,13 @@ Hermitian, U is unitary and all three are Hermitian in exact arithmetic; H,
 U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  Both comparisons cut
 the lowest modes of H_g and H at one k; lowest_mode_match takes them from
-linalg.lowest_modes (sparse shift-invert), as spectral_compare does for an
-exactly Hermitian operator, whose pairing class then needs no solve (see
-there).  In verify-all's example all three are real symmetric of
-bandwidth <= 3 and commute with P_bold (Theta A Theta = -A, V even); their
-whole spectra, by eig on the P_bold-halves, are verify-all's dense oracle
-of lowest_modes and the similarity record's spectrum.
+linalg.lowest_modes, which answers every cut (sparse shift-invert where a
+request certifies it), as spectral_compare does for an exactly Hermitian
+operator, whose pairing class then needs no solve (see there).  In
+verify-all's example all three are real symmetric of bandwidth <= 3 and
+commute with P_bold (Theta A Theta = -A, V even); their whole spectra, by
+eig on the P_bold-halves, are verify-all's dense oracle of lowest_modes
+and the similarity record's spectrum.
 
 Tensor convention: grid index slowest, kron(grid_op, matrix_part).
 The extended parity is P_bold = kron(parity_grid, Theta).
@@ -41,8 +43,8 @@ import scipy.sparse
 
 from .abelian import interior_test_vectors, weak_pseudo_hermiticity_residual
 from .cartan import ThetaSignature, membership_residual
-from .linalg import Grid1D, UncertifiedModes, block_tridiagonal, eig, expm, \
-    grid_operator, hermitian_band, lowest_common, lowest_modes, match_spectra, \
+from .linalg import Grid1D, block_tridiagonal, eig, expm, grid_operator, \
+    hermitian_band, lowest_common, lowest_modes, match_spectra, \
     operator_norm_estimate, pairing_check, sample_on_nodes, stencil
 
 PAIR_TOL = 1e-6   # conjugate-pairing tolerance of spectral_compare
@@ -169,6 +171,8 @@ class RegaugeResult:
     grid: Grid1D
     H_g: scipy.sparse.csr_array
     H: scipy.sparse.csr_array          # direct build p^2 + e^{-iAx} V e^{iAx}
+    U_blocks: np.ndarray               # e^{-iAx_j}, (n, m, m)
+    unitary_scale: np.ndarray | None   # max|U_j|^2 (1 + |x_j||A|) if U unitary
 
 
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
@@ -179,6 +183,7 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     # e^{-iAx_j} at every node; as x_{n-1-j} = -x_j, reversed it is e^{iAx_j}
     U_blocks = _exponentials(A, x)
     Vt_blocks = U_blocks @ Vs @ U_blocks[::-1]
+    scale = None
     if hermitian:   # then U is unitary
         scale = _norm_inf(U_blocks).max() ** 2 * (1 + np.abs(x) * _norm_inf(A))
         Vt_blocks = _hermitian_part(
@@ -186,20 +191,18 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     L_lo, L_d, L_up = stencil(grid, "second_derivative")
     I = np.eye(m)
     H = block_tridiagonal(L_lo * I, L_d * I + Vt_blocks, L_up * I)
-    return RegaugeResult(grid=grid, H_g=H_g, H=H)
+    return RegaugeResult(grid=grid, H_g=H_g, H=H, U_blocks=U_blocks,
+                         unitary_scale=scale)
 
 
-def similarity_transform(res: RegaugeResult, gauge: ConstantGauge,
-                         pot: MatrixPotential) -> scipy.sparse.csr_array:
-    """U H_g U^{-1}, U = (+)_j e^{-iAx_j}, of res = build_and_regauge(gauge,
-    pot, grid); its Hermitian part when A and every V(x_j) are Hermitian."""
-    x, A = res.grid.nodes, gauge.A
-    U_blocks = _exponentials(A, x)
-    S = (block_tridiagonal(0, U_blocks, 0) @ res.H_g
-         @ block_tridiagonal(0, U_blocks[::-1], 0))
-    if _is_hermitian(A) and _is_hermitian(pot.sample(x)):   # U is unitary
-        scale = _norm_inf(U_blocks).max() ** 2 * (1 + np.abs(x) * _norm_inf(A))
-        S = _hermitian_part(S, gauge.m, scale.max() * _norm_inf(res.H_g))
+def similarity_transform(res: RegaugeResult) -> scipy.sparse.csr_array:
+    """U H_g U^{-1}, U = (+)_j e^{-iAx_j}, from the blocks of U that res
+    keeps; its Hermitian part when A and every V(x_j) are Hermitian."""
+    U = res.U_blocks
+    S = block_tridiagonal(0, U, 0) @ res.H_g @ block_tridiagonal(0, U[::-1], 0)
+    if res.unitary_scale is not None:
+        S = _hermitian_part(S, U.shape[-1],
+                            res.unitary_scale.max() * _norm_inf(res.H_g))
     return S
 
 
@@ -234,20 +237,13 @@ def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
     operator on eig's Hermitian band route (linalg.hermitian_band) gives
     them by lowest_modes, and its pairing class is all_real with no solve:
     it equals its conjugate transpose entry for entry, so its eigenvalues
-    are real.  Any other operator, and each one whose cut lowest_modes
-    refuses (require_mode_count) or cannot certify (UncertifiedModes),
-    gives its whole spectrum by eig, split by P_bold where it commutes with
-    it, and its pairing class at the tolerance PAIR_TOL."""
+    are real.  Any other operator gives its whole spectrum by eig, split
+    by P_bold where it commutes with it, and its pairing class at the
+    tolerance PAIR_TOL."""
     P_bold = extended_parity(res.grid, sig)
-    ops = (res.H_g, res.H)
     spectra = [partial(lowest_modes, M) if hermitian_band(M)
-               else eig(M, P_bold) for M in ops]
-    try:
-        low = lowest_common(n_low, *spectra)
-    except (ValueError, UncertifiedModes):
-        spectra = [eig(M, P_bold) if callable(s) else s
-                   for M, s in zip(ops, spectra)]
-        low = lowest_common(n_low, *spectra)
+               else eig(M, P_bold) for M in (res.H_g, res.H)]
+    low = lowest_common(n_low, *spectra)
     pairing = ["all_real" if callable(s) else pairing_check(s, PAIR_TOL)
                for s in spectra]
 
@@ -261,7 +257,7 @@ def spectral_compare(res: RegaugeResult, sig: ThetaSignature,
 
 def lowest_mode_match(res: RegaugeResult, n_low: int) -> float:
     """The max_match_dist of spectral_compare, from the lowest modes of H_g
-    and H by sparse shift-invert (linalg.lowest_modes) on either route."""
+    and H by linalg.lowest_modes on either route."""
     return match_distance(*lowest_common(
         n_low, *(partial(lowest_modes, M) for M in (res.H_g, res.H))))
 

@@ -117,13 +117,6 @@ def _require_work(work: int, limit: int, what: str) -> None:
                          f"over the {_size(limit)}-unit work budget")
 
 
-def _grid(box: float, h: float) -> Grid1D:
-    """The staggered grid on [-box, box]; a usage error if it has no node."""
-    _require(h > 0 and 0.5 < box / h < math.inf,
-             f"need h > 0 and box > h / 2, got box {box}, h {h}")
-    return Grid1D.from_box(box, h)
-
-
 # --------------------------------------------------------------------------
 # Parameters: one frozen dataclass per subcommand.
 
@@ -163,7 +156,7 @@ class GaugeScalarParams(_Params):
                  f"need |alpha| <= 1e30, got {self.alpha}")
 
     def grid(self) -> Grid1D:
-        return _grid(self.box, self.h)
+        return Grid1D.from_box(self.box, self.h)
 
 
 @dataclass(frozen=True)
@@ -221,9 +214,8 @@ class SpectrumMatrixParams(_Params):
     n_low: int = 16
 
     def check(self):
-        # Hermitian for every real alpha: lowest_modes gives the lowest modes,
-        # eig's band route on the P_bold-halves any cut it refuses, and the
-        # weak form's test vectors are the largest array
+        # Hermitian for every real alpha: lowest_modes gives the lowest modes
+        # at any cut, and the weak form's test vectors are the largest array
         dim = 2 * self.grid().size
         _require_budget(18 * dim,
                         f"the {_size(dim)} x 18 block of test vectors")
@@ -235,7 +227,7 @@ class SpectrumMatrixParams(_Params):
         _require_resolved(self.gauge_alpha, self.h, "gauge-alpha")
 
     def grid(self) -> Grid1D:
-        return _grid(self.box, self.h)
+        return Grid1D.from_box(self.box, self.h)
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,7 @@ class JcParams(_Params):
         _require_resolved(self.alpha, self.h, "alpha")
 
     def grid(self) -> Grid1D:
-        return _grid(np.sqrt(2 * self.n_max) + 4.2, self.h)
+        return Grid1D.from_box(np.sqrt(2 * self.n_max) + 4.2, self.h)
 
 
 def _require_roots(T: pointint.CouplingMatrixT, where: str = "") -> None:
@@ -606,7 +598,7 @@ def check_matrix_schrodinger(rep: Report, cfg: VerifyConfig):
     e_Hg, e_H = (eig(M, P_bold) for M in (res.H_g, res.H))
     # the literal similarity transform is spectrally exact
     sim = match_spectra(e_Hg, eig(
-        schrodinger.similarity_transform(res, *example[1:]), P_bold))
+        schrodinger.similarity_transform(res), P_bold))
     rep.add("matrix/similarity_spectrum_exact", float(sim.max()), 1e-6)
     # the whole spectra are the oracle of spectral_compare's lowest modes,
     # which lowest_modes gives for this Hermitian example

@@ -20,7 +20,6 @@ from ptgauge.cartan import (
     membership_residual,
     parity_relations_check,
     random_element,
-    random_elements,
     structure_check,
 )
 from ptgauge.linalg import expm, max_abs
@@ -175,7 +174,8 @@ class TestCartanSplit:
         sig = ThetaSignature(*sig_pq)
         rng = np.random.default_rng(seed)
         shape = (k, sig.m, sig.m)
-        X = random_elements(sig, rng, k).matrix + push * (
+        X = elements_from_draws(sig, rng.standard_normal((k, sig.n_draws))
+                                ).matrix + push * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         if bad is not None:
             X[tuple(rng.integers(0, shape))] = bad
@@ -268,7 +268,8 @@ class TestExponentials:
         p = sig.p
         rng = np.random.default_rng(sum(pq))
         one = cartan_split(random_element(sig, rng))
-        stack = cartan_split(random_elements(sig, rng, 5))
+        stack = cartan_split(elements_from_draws(
+            sig, rng.standard_normal((5, sig.n_draws))))
         for comp, x in ((one, 2.3), (stack, rng.uniform(-5, 5, 5)),
                         (stack, np.linspace(-5, 5, 11)[:, None])):
             Up = exp_noncompact(comp, sig, x)
@@ -298,7 +299,8 @@ class TestExponentials:
         and on a stack of 4 with a (3, 1) grid of x broadcast against it."""
         sig = ThetaSignature(p, 0)
         one = cartan_split(_el((p, 0), p))
-        stack = cartan_split(random_elements(sig, np.random.default_rng(p), 4))
+        stack = cartan_split(elements_from_draws(
+            sig, np.random.default_rng(p).standard_normal((4, sig.n_draws))))
         x = np.linspace(-5, 5, 3)[:, None]
         for comp, x, lead in ((one, 0.7, ()), (stack, x, (3, 4))):
             Uk = exp_compact(comp, sig, x)
@@ -355,8 +357,8 @@ class TestParityRelations:
         parity_relations_check(random_element(sig, rng), 0.8)
         assert calls == [(2, 3, 3)]
         calls.clear()
-        parity_relations_check(random_elements(sig, rng, 4),
-                               np.linspace(-2, 2, 5)[:, None])
+        stack = elements_from_draws(sig, rng.standard_normal((4, sig.n_draws)))
+        parity_relations_check(stack, np.linspace(-2, 2, 5)[:, None])
         assert calls == [(2, 5, 4, 3, 3)]
 
     def test_max_residual_propagates_nan(self):
@@ -377,9 +379,11 @@ class TestParityRelations:
         blocks.  A mutant exp_compact that breaks that symmetry, with
         sin(s|x|) for sin(s x), makes the residual nonzero."""
         rng = np.random.default_rng(11)
-        draws = [(random_elements(ThetaSignature(*pq), rng, 200),
-                  rng.uniform(-3, 3, 200))
-                 for pq in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (1, 3)]]
+        sigs = [ThetaSignature(*pq)
+                for pq in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (1, 3)]]
+        draws = [(elements_from_draws(
+                      sig, rng.standard_normal((200, sig.n_draws))),
+                  rng.uniform(-3, 3, 200)) for sig in sigs]
         for el, x in draws:
             assert np.all(parity_relations_check(el, x).compact_residual == 0.0)
 
@@ -417,7 +421,8 @@ class TestStacks:
     def test_stack_equals_per_element_calls(self, sig_pq, seed, k):
         sig = ThetaSignature(*sig_pq)
         rng_stack, rng_each = (np.random.default_rng(seed) for _ in range(2))
-        stack = random_elements(sig, rng_stack, (k, 3))
+        stack = elements_from_draws(
+            sig, rng_stack.standard_normal((k, 3, sig.n_draws)))
         each = [random_element(sig, rng_each) for _ in range(3 * k)]
         assert rng_stack.bit_generator.state == rng_each.bit_generator.state
         x = np.random.default_rng(seed + 1).uniform(-3, 3, k)
@@ -453,7 +458,8 @@ class TestStacks:
         """exp_compact at an (n, 1) grid of x over k elements: entry [j, i]
         is element i at x[j]."""
         sig = ThetaSignature(2, 2)
-        stack = random_elements(sig, np.random.default_rng(3), 4)
+        stack = elements_from_draws(
+            sig, np.random.default_rng(3).standard_normal((4, sig.n_draws)))
         comp = cartan_split(stack)
         x = np.linspace(-5, 5, 11)[:, None]
         Uk, Up = exp_compact(comp, sig, x), exp_noncompact(comp, sig, x)
@@ -526,7 +532,8 @@ class TestDrawRoute:
 
     def test_matrix_and_blocks_read_only(self):
         sig = ThetaSignature(3, 2)
-        el = random_elements(sig, np.random.default_rng(0), 4)
+        el = elements_from_draws(
+            sig, np.random.default_rng(0).standard_normal((4, sig.n_draws)))
         for a in (el.matrix, sig.draw_slots, sig.draw_scale):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -569,7 +576,7 @@ def test_parity_relations_pinned_to_four_exponentials(pq):
     sig = ThetaSignature(*pq)
     rng = np.random.default_rng(5)
     one = random_element(sig, rng)
-    stack = random_elements(sig, rng, 6)
+    stack = elements_from_draws(sig, rng.standard_normal((6, sig.n_draws)))
     for el, x in ((one, 1.3), (one, -0.4), (stack, rng.uniform(-3, 3, 6)),
                   (stack, 0.7), (stack, np.linspace(-2, 2, 3)[:, None])):
         out = parity_relations_check(el, x)

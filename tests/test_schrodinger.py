@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ptgauge import jaynes, linalg, schrodinger, verification
 from ptgauge.cartan import ThetaSignature, make_element, random_element
 from ptgauge.cli import main
-from ptgauge.linalg import Grid1D, UncertifiedModes, _entries, eig, \
-    hermitian_band, lowest, lowest_common, match_spectra, pairing_check, \
-    worst_residual
+from ptgauge.linalg import Grid1D, _entries, eig, hermitian_band, lowest, \
+    lowest_common, match_spectra, pairing_check, worst_residual
 from ptgauge.reporting import CheckRecord
 from ptgauge.schrodinger import (
     ConstantGauge,
@@ -95,7 +94,7 @@ class TestAudit:
 class TestRegauge:
     def test_similarity_is_spectrally_exact(self):
         res = build_and_regauge(_gauge(), _well(), GRID)
-        similar = schrodinger.similarity_transform(res, _gauge(), _well())
+        similar = schrodinger.similarity_transform(res)
         assert match_spectra(eig(res.H_g), eig(similar)).max() <= 1e-8
 
     def test_zero_gauge_collapses_builds(self):
@@ -143,8 +142,7 @@ class TestRegauge:
         monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
         monkeypatch.setattr(scipy.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        for M in (res.H_g, res.H,
-                  schrodinger.similarity_transform(res, gauge, pot)):
+        for M in (res.H_g, res.H, schrodinger.similarity_transform(res)):
             assert (M != M.conj().T).count_nonzero() == 0
             assert not M.data.imag.any() and _entries(M)[3].dtype == float
             eig(M)
@@ -172,7 +170,7 @@ class TestRegauge:
         _, gauge, pot = matrix_example(params.gauge_alpha)
         res = build_and_regauge(gauge, pot, params.grid())
         with pytest.raises(RuntimeError, match="rounding bound"):
-            schrodinger.similarity_transform(res, gauge, pot)
+            schrodinger.similarity_transform(res)
         tilted = MatrixPotential(m=2, V=lambda x: x**2 * np.eye(2)
                                  + np.array([[1.0, 0.5], [0.5, -1.0]]))
         with pytest.raises(RuntimeError, match="rounding bound"):
@@ -211,6 +209,33 @@ class TestRegauge:
         gauge = ConstantGauge(A=random_element(sig, rng).gauge_potential)
         build_and_regauge(gauge, sample_audited_potential(sig, rng), GRID)
         assert calls == [(GRID.size, 3, 3)]
+
+    @pytest.mark.parametrize("hermitian", [True, False],
+                             ids=["alpha_sigma2", "random_m3"])
+    def test_similarity_reuses_the_builds_blocks(self, hermitian,
+                                                 monkeypatch):
+        """similarity_transform forms U H_g U^{-1} from the stack of
+        e^{-iAx_j} and the rounding scale that build_and_regauge keeps: one
+        exponential stack and one call of V for the build and the
+        similarity together."""
+        stacks, exponentials = [], schrodinger._exponentials
+        monkeypatch.setattr(schrodinger, "_exponentials", lambda A, x: (
+            stacks.append(x.shape) or exponentials(A, x)))
+        if hermitian:
+            gauge, pot = _gauge(), _well()
+        else:
+            sig = ThetaSignature(2, 1)
+            rng = np.random.default_rng(4)
+            gauge = ConstantGauge(A=random_element(sig, rng).gauge_potential)
+            pot = sample_audited_potential(sig, rng)
+        calls = []
+        counted = MatrixPotential(m=pot.m, V=lambda x: calls.append(1)
+                                  or pot.V(x))
+        res = build_and_regauge(gauge, counted, GRID)
+        assert (res.unitary_scale is not None) == hermitian
+        similar = schrodinger.similarity_transform(res)
+        assert (stacks, len(calls)) == ([GRID.nodes.shape], 1)
+        assert match_spectra(eig(res.H_g), eig(similar)).max() <= 1e-8
 
 
     @pytest.mark.parametrize("V", [lambda x: np.ones((3, 3)),
@@ -276,9 +301,9 @@ def test_grid_convergence_order():
 
 class TestSpectralCompareRoutes:
     """spectral_compare takes the lowest modes of an operator on eig's
-    Hermitian band route from lowest_modes, with pairing class all_real,
-    and the whole spectrum by eig(M, P_bold) of any other operator, or of
-    one whose cut lowest_modes refuses or cannot certify."""
+    Hermitian band route from lowest_modes, at any cut, with pairing class
+    all_real, and the whole spectrum by eig(M, P_bold) of any other
+    operator."""
 
     @staticmethod
     def _parent_compare(res, sig, n_low):
@@ -333,35 +358,25 @@ class TestSpectralCompareRoutes:
                    zip((out.lowest_Hg, out.lowest_H), low))
         assert out.lowest_Hg.imag.any()   # complex geev, not exactly real
 
-    @pytest.mark.parametrize("n_low, box_h, failure", [
-        (640, {}, None), (255, {"box": 5.0, "h": 0.04}, UncertifiedModes),
-        (300, {}, ValueError)],
+    @pytest.mark.parametrize("n_low, box_h", [
+        (640, {}), (255, {"box": 5.0, "h": 0.04}), (300, {})],
         ids=["n_low_640", "uncertifiable_255", "over_the_cap_300"])
     def test_cuts_past_a_certified_request_take_the_whole_spectrum(
-            self, n_low, box_h, failure, monkeypatch, tmp_path, capsys):
+            self, n_low, box_h, monkeypatch, tmp_path, capsys):
         """The whole spectrum of dim 640 (lowest_modes solves it by eig's
-        route, as dense eig's sizes), a cut lowest_modes cannot certify (the
-        levels come in degenerate pairs) and one it refuses: each exits 0,
-        its table holding the n-low lowest of eig's whole spectra."""
-        failures, solved = [], []
-        lowest_modes, whole = schrodinger.lowest_modes, schrodinger.eig
-
-        def spy_lowest(M, k):
-            try:
-                return lowest_modes(M, k)
-            except (ValueError, UncertifiedModes) as exc:
-                failures.append(type(exc))
-                raise
-
-        monkeypatch.setattr(schrodinger, "lowest_modes", spy_lowest)
+        route, as dense eig's sizes), a cut no request certifies (the levels
+        come in degenerate pairs) and one past MAX_ARNOLDI_MODES: lowest_modes
+        answers each from eig's band route, so spectral_compare solves no
+        whole spectrum itself, and each exits 0, its table holding the n-low
+        lowest of eig's whole spectra."""
+        solved, whole = [], schrodinger.eig
         monkeypatch.setattr(schrodinger, "eig", lambda M, P: solved.append(
             M.shape[0]) or whole(M, P))
         flags = [f"--{key}={value}" for key, value in box_h.items()]
         assert main(["spectrum-matrix", f"--n-low={n_low}", *flags,
                      "--format=json", f"--out-dir={tmp_path}"]) == 0
         capsys.readouterr()
-        assert failures == ([] if failure is None else [failure])
-        assert len(solved) == (0 if failure is None else 2)
+        assert solved == []
         rows = json.loads((tmp_path / "spectrum-matrix.json").read_text())[
             "tables"][0]["rows"]
         params = SpectrumMatrixParams(n_low=n_low, **box_h)

@@ -1,7 +1,6 @@
 """The scripts exit 0 only if their checked invariant holds: every observed
 order meets the bound, or the phase summary's counts add up.  Arguments
-they cannot use end with exit 2 and one line, before any level runs or,
-for an n-low that no level can certify, before any output."""
+they cannot use end with exit 2 and one line, before any level runs."""
 
 import dataclasses
 import importlib.util
@@ -93,9 +92,9 @@ def test_point_phase_summary_unpaired_cell_exits_one(monkeypatch, capsys):
     ("weak_residual_scaling", ["--alpha", "1e200"]),
     # the finest of 30 levels has about 8.6e10 nodes, over the array budget
     ("weak_residual_scaling", ["--levels", "30"]),
-    # 300 lowest modes of dim 1200, over the cap of lowest_modes (255)
-    ("matrix_convergence_study", ["--n-low", "300", "--levels", "2",
-                                  "--h0", "0.02"]),
+    # 300 lowest modes of dim 120 at the coarsest level, where
+    # spectrum-matrix exits 2
+    ("matrix_convergence_study", ["--n-low", "300", "--levels", "2"]),
     # 10 nodes at the coarsest level, where gauge-scalar exits 2
     ("weak_residual_scaling", ["--h0", "1.6", "--levels", "2"]),
 ])
@@ -107,18 +106,22 @@ def test_unusable_arguments_exit_two(capsys, name, argv):
     assert captured.err.count("\n") == 1
 
 
-def test_uncertifiable_n_low_exits_two(capsys):
-    """The example's levels come in degenerate pairs, so no gap follows the
-    255th of at most 256 shift-invert values and no level can certify 255
-    modes; the run names --n-low instead of ending in a traceback."""
+@pytest.mark.parametrize("argv", [
+    # 300 lowest modes of dim 1200, past the largest ARPACK request (256)
+    ["--n-low", "300", "--levels", "2", "--h0", "0.02"],
+    # 255 modes, but the levels come in degenerate pairs and no gap follows
+    # the 255th of at most 256 shift-invert values
+    ["--n-low", "255", "--levels", "2", "--h0", "0.04", "--box", "5"],
+], ids=["over_the_cap_300", "uncertifiable_255"])
+def test_cuts_past_a_certified_request_print_their_table(capsys, argv):
+    """lowest_modes answers these cuts by eig's band route, so the study
+    prints its table, whose observed order (2.00) meets MIN_ORDER, and
+    exits 0."""
     study = _load("matrix_convergence_study")
-    assert study.main(["--n-low", "255", "--levels", "2", "--h0", "0.04",
-                       "--box", "5"]) == 2
+    assert study.main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: --n-low 255 at h 0.04: "
-                                   "lowest_modes: no certified lowest 255")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ""
+    assert float(captured.out.splitlines()[-1].split()[-1]) >= study.MIN_ORDER
 
 
 def test_report_diff_shows_a_scaled_and_a_renamed_record(tmp_path, capsys):
