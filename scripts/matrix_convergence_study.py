@@ -5,14 +5,14 @@ H = p^2 + e^{-Ax} V e^{Ax} of the `ptgauge spectrum-matrix` example on a
 sequence of halved spacings and reports the worst relative eigenvalue
 mismatch over the lowest modes together with the observed convergence
 order (expected around 2).  The lowest modes come from
-linalg.lowest_modes, which answers every cut: by certified sparse
-shift-invert where a request certifies it, so no whole spectrum is
-computed, else by eig's band route.  It accepts a level exactly when
-spectrum-matrix accepts the same gauge-alpha, box and n-low at that
-spacing, and checks every level before it runs one.  It exits 1 if any
-observed order is below MIN_ORDER, 2 with a one-line usage error on
-arguments it rejects at some level or on fewer than two levels (no
-order), else 0.
+linalg.lowest_modes, which answers every cut of this Hermitian band
+example: by certified sparse shift-invert where a request certifies it,
+so no whole spectrum is computed, else by eig's band route.  It accepts
+a level exactly when spectrum-matrix accepts the same gauge-alpha, box
+and n-low at that spacing, and checks every level before it runs one.
+It exits 1 if any observed order is below MIN_ORDER, 2 with a one-line
+usage error on arguments it rejects at some level or on fewer than two
+levels (no order), else 0.
 
     python3 scripts/matrix_convergence_study.py --gauge-alpha 0.3
 """

@@ -27,9 +27,10 @@ each half is one summed CSR array of M's entries, read as any operand.
 
 Where only the lowest modes are read, lowest_modes takes them from a
 sparse operator by certified shift-invert Krylov iteration, without
-densifying, and from eig's route where no request certifies them, so it
-answers every cut.  It has two Krylov routes, chosen by the same
-structure test:
+densifying, and from eig's route where no request certifies them and
+that route keeps the operator sparse or it is small: it answers every
+cut of a Hermitian band operator.  It has two Krylov routes, chosen by
+the same structure test:
 both solvers read an operator once, by one reader that refuses a
 non-square or non-finite one, and every route takes its operand from it.
 A Hermitian operator narrow enough for eig's band driver takes
@@ -46,7 +47,7 @@ Bendixson rectangle inside the disk the request covers.  hermitian_band
 names the Lanczos route's operators: eig's Hermitian drivers return their
 values exactly real, so their pairing class is all_real with no solve.
 Dense eig remains for whole spectra (the pairing classes of other
-operators, spectral similarity), for small operators, for the cuts no
+operators, spectral similarity), for small operators, for their cuts no
 Krylov request certifies and as the oracle of lowest_modes.
 Every lowest-k cut goes through lowest, which never splits a conjugate
 pair, and lowest_common cuts spectra that are compared at one such k.
@@ -561,8 +562,10 @@ def lowest_modes(M, k: int) -> np.ndarray:
     values (or n - 2).  Where no request certifies a set, k >=
     MAX_ARNOLDI_MODES or the operator is too small for a first request of
     k + 4 values, lowest_modes makes no further request and returns
-    lowest(eig(M), k) from eig's own route, on which a Hermitian band
-    operator is still never made dense: it answers every k.  M is read
+    lowest(eig(M), k) from eig's own route, which never makes a Hermitian
+    band operator dense: it answers every k of one.  Any other operator
+    past n = 2 MAX_ARNOLDI_MODES + 1, the vectors of the largest Arnoldi
+    basis, would be made dense, so that cut raises RuntimeError.  M is read
     once, as eig reads it; its structure (_band) picks one of two Krylov
     routes, which solve on one sparse operand built from the entries read.
 
@@ -602,21 +605,24 @@ def lowest_modes(M, k: int) -> np.ndarray:
     """
     _require_cut(k)
     read = n, i, j, v, kd, T = _entries(M)
-    margin, nev_max = 4, min(MAX_ARNOLDI_MODES, n - 2)
-    if k + margin <= n - 2 and k < MAX_ARNOLDI_MODES:
+    if k + 4 <= n - 2:   # room for a first request
         band = _band(*read)
-        A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n),
-                                   dtype=v.dtype if band is not None else complex)
-        v0 = np.random.default_rng(0).standard_normal(n)   # reproducible start
-        certified = (_lanczos_request(A, band, k, v0) if band is not None
-                     else _arnoldi_request(A, k, v0))
-        nev = 0
-        while nev < nev_max:
-            nev = min(k + margin, nev_max)
-            kept = certified(nev)
-            if kept is not None:
-                return kept
-            margin *= 2
+        if k < MAX_ARNOLDI_MODES:
+            A = scipy.sparse.csc_array((v, (i, j)), shape=(n, n), dtype=(
+                v.dtype if band is not None else complex))
+            v0 = np.random.default_rng(0).standard_normal(n)   # reproducible
+            certified = (_lanczos_request(A, band, k, v0) if band is not None
+                         else _arnoldi_request(A, k, v0))
+            margin, nev, nev_max = 4, 0, min(MAX_ARNOLDI_MODES, n - 2)
+            while nev < nev_max:
+                nev = min(k + margin, nev_max)
+                kept = certified(nev)
+                if kept is not None:
+                    return kept
+                margin *= 2
+        if band is None and n > 2 * MAX_ARNOLDI_MODES + 1:
+            raise RuntimeError(f"lowest_modes: no certified lowest {k} of {n}"
+                               " modes, and eig would make M dense")
     return lowest(_spectrum(*read), k)
 
 

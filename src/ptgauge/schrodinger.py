@@ -20,9 +20,9 @@ Hermitian, U is unitary and all three are Hermitian in exact arithmetic; H,
 U H_g U^{-1} and the A^2 block of H_g are stored as Hermitian parts, once
 the dropped skew part is checked to be rounding.  Both comparisons cut
 the lowest modes of H_g and H at one k; lowest_mode_match takes them from
-linalg.lowest_modes, which answers every cut (sparse shift-invert where a
-request certifies it), as spectral_compare does for an exactly Hermitian
-operator, whose pairing class then needs no solve (see there).  In
+linalg.lowest_modes, which answers every cut of a Hermitian band operator,
+as spectral_compare does for an exactly Hermitian band operator, whose
+pairing class then needs no solve (see there).  In
 verify-all's example all three are real symmetric of bandwidth <= 3 and
 commute with P_bold (Theta A Theta = -A, V even); their whole spectra, by
 eig on the P_bold-halves, are verify-all's dense oracle of lowest_modes
@@ -172,7 +172,7 @@ class RegaugeResult:
     H_g: scipy.sparse.csr_array
     H: scipy.sparse.csr_array          # direct build p^2 + e^{-iAx} V e^{iAx}
     U_blocks: np.ndarray               # e^{-iAx_j}, (n, m, m)
-    unitary_scale: np.ndarray | None   # max|U_j|^2 (1 + |x_j||A|) if U unitary
+    unitary_scale: float | None   # max |U_i|^2 (1 + |x_j||A|) if U unitary
 
 
 def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
@@ -192,7 +192,7 @@ def build_and_regauge(gauge: ConstantGauge, pot: MatrixPotential,
     I = np.eye(m)
     H = block_tridiagonal(L_lo * I, L_d * I + Vt_blocks, L_up * I)
     return RegaugeResult(grid=grid, H_g=H_g, H=H, U_blocks=U_blocks,
-                         unitary_scale=scale)
+                         unitary_scale=scale if scale is None else scale.max())
 
 
 def similarity_transform(res: RegaugeResult) -> scipy.sparse.csr_array:
@@ -202,7 +202,7 @@ def similarity_transform(res: RegaugeResult) -> scipy.sparse.csr_array:
     S = block_tridiagonal(0, U, 0) @ res.H_g @ block_tridiagonal(0, U[::-1], 0)
     if res.unitary_scale is not None:
         S = _hermitian_part(S, U.shape[-1],
-                            res.unitary_scale.max() * _norm_inf(res.H_g))
+                            res.unitary_scale * _norm_inf(res.H_g))
     return S
 
 

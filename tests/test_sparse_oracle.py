@@ -547,19 +547,44 @@ def test_lowest_modes_of_integer_entries_as_of_float64():
     assert np.array_equal(lowest_modes(M, 6), lowest_modes(M.astype(float), 6))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: _upper_blocks(300, 1.0),
-    lambda: _oscillator(Grid1D(half_count=300, spacing=0.05)),
+@pytest.mark.parametrize("build, n", [
+    (lambda: _upper_blocks(256, 1.0), 512),
+    (lambda: _oscillator(Grid1D(half_count=300, spacing=0.05)), 600),
 ], ids=["arnoldi", "lanczos"])
-def test_lowest_modes_past_its_cap_makes_no_request(monkeypatch, build):
+def test_lowest_modes_past_its_cap_makes_no_request(monkeypatch, build, n):
     """Past dense eig's sizes no request of at most MAX_ARNOLDI_MODES values
     certifies that many modes or more, so neither route asks ARPACK for
-    them: lowest_modes returns lowest(eig(M), k), bit for bit."""
+    them: lowest_modes returns lowest(eig(M), k), bit for bit, from the
+    band driver, or from a dense matrix no larger than the largest Arnoldi
+    basis (n <= 2 MAX_ARNOLDI_MODES + 1)."""
     calls = [_counting(monkeypatch, name) for name in ("eigsh", "eigs")]
     M, k = build(), linalg.MAX_ARNOLDI_MODES
-    assert M.shape == (600, 600)
+    assert M.shape == (n, n)
     assert np.array_equal(lowest_modes(M, k), lowest(eig(M), k))
     assert calls == [[], []]
+
+
+@pytest.mark.parametrize("k, requests", [
+    (8, [12, 16, 24, 40, 72, 136, 256]), (linalg.MAX_ARNOLDI_MODES, []),
+], ids=["uncertified", "past_its_cap"])
+def test_lowest_modes_never_densifies_a_large_general_operator(
+        monkeypatch, k, requests):
+    """Past n = 2 MAX_ARNOLDI_MODES + 1, eig's route would make an operator
+    that is not Hermitian band a dense n x n matrix, larger than any
+    Arnoldi basis of lowest_modes: a cut no request certifies (here every
+    Bendixson certificate fails), or one past the cap, raises instead, and
+    eig's route is never entered."""
+    made = []
+    monkeypatch.setattr(linalg, "_arnoldi_request",
+                        lambda A, k, v0: lambda nev: made.append(nev))
+
+    def no_dense(*read):
+        raise AssertionError(f"eig's route densifies a {read[0]}-dim operator")
+
+    monkeypatch.setattr(linalg, "_spectrum", no_dense)
+    with pytest.raises(RuntimeError, match=f"no certified lowest {k} of 514"):
+        lowest_modes(_upper_blocks(257, 1.0), k)
+    assert made == requests
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
